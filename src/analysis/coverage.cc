@@ -1,8 +1,11 @@
 #include "analysis/coverage.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <mutex>
 #include <string_view>
+#include <unordered_map>
 
 #include "analysis/goroutine_tree.hh"
 #include "base/fmt.hh"
@@ -28,6 +31,15 @@ reqTypeName(ReqType t)
 }
 
 namespace {
+
+constexpr ReqType kAllTypes[] = {ReqType::Blocked, ReqType::Unblocking,
+                                 ReqType::Nop, ReqType::Blocking};
+
+ReqId
+reqId(uint32_t group, ReqType t)
+{
+    return group * 4 + static_cast<uint32_t>(t);
+}
 
 /** Template requirement types per CU kind (Table I rows). */
 struct ReqTemplates
@@ -72,14 +84,6 @@ templatesFor(CuKind kind)
     }
 }
 
-/** Per-goroutine select context while walking a trace. */
-struct SelCtx
-{
-    Cu cu;
-    bool hasDefault = false;
-    int nCases = 0;
-};
-
 /** Append "<basename>:<line>" (the SourceLoc::str() form). */
 void
 appendLoc(std::string &out, const SourceLoc &loc)
@@ -90,179 +94,622 @@ appendLoc(std::string &out, const SourceLoc &loc)
     out.append(num, static_cast<size_t>(n));
 }
 
-/**
- * Append a requirement key: "<basename>:<line> <kind>[/case<i>]
- * <type>". Must stay byte-equal to what CoverageState::key()
- * historically produced — persisted coverage bitmaps and determinism
- * tests compare these strings.
- */
+/** Append " <kind>[/case<i>] " — the middle of a requirement key. */
 void
-appendKey(std::string &out, const Cu &cu, ReqType type, int case_idx)
+appendKindCase(std::string &out, CuKind kind, int case_idx)
 {
-    appendLoc(out, cu.loc);
     char mid[40];
     int n;
-    if (case_idx >= 0) {
-        n = std::snprintf(mid, sizeof mid, " %s/case%d ",
-                          cuKindName(cu.kind), case_idx);
-    } else {
-        n = std::snprintf(mid, sizeof mid, " %s ", cuKindName(cu.kind));
-    }
+    if (case_idx >= 0)
+        n = std::snprintf(mid, sizeof mid, " %s/case%d ", cuKindName(kind),
+                          case_idx);
+    else
+        n = std::snprintf(mid, sizeof mid, " %s ", cuKindName(kind));
     out.append(mid, static_cast<size_t>(n));
-    out += reqTypeName(type);
 }
 
-void
-buildKey(std::string &out, const Cu &cu, ReqType type, int case_idx)
+/** (scope, location, kind, select case): one requirement group. */
+struct GroupKey
 {
-    out.clear();
-    appendKey(out, cu, type, case_idx);
+    uint32_t scope = 0; ///< 0 = program level, else an interned node key.
+    uint32_t loc = 0;   ///< Interned "<basename>:<line>".
+    int32_t caseIdx = -1;
+    uint32_t kind = 0;
+
+    bool
+    operator==(const GroupKey &o) const
+    {
+        return scope == o.scope && loc == o.loc && caseIdx == o.caseIdx &&
+               kind == o.kind;
+    }
+};
+
+struct GroupKeyHash
+{
+    size_t
+    operator()(const GroupKey &k) const
+    {
+        uint64_t h = (static_cast<uint64_t>(k.scope) << 32) ^ k.loc;
+        h ^= (static_cast<uint64_t>(static_cast<uint32_t>(k.caseIdx)) << 8 |
+              k.kind) *
+             0x9e3779b97f4a7c15ull;
+        return static_cast<size_t>(h * 0xff51afd7ed558ccdull >> 17);
+    }
+};
+
+/**
+ * The process-wide requirement catalog: interned node keys (scopes),
+ * locations and requirement groups, with each group's rendered key
+ * prefix. Append-only and guarded by one mutex; the hot path reaches
+ * it only on a scratch's cache misses.
+ */
+class Catalog
+{
+  public:
+    static Catalog &
+    instance()
+    {
+        static Catalog *c = new Catalog; // never destroyed: outlives
+                                         // every state and worker
+        return *c;
+    }
+
+    uint32_t
+    scope(const std::string &node_key)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return intern(scopes_, scopeIds_, node_key);
+    }
+
+    uint32_t
+    loc(const std::string &loc_str)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return intern(locs_, locIds_, loc_str);
+    }
+
+    bool
+    findScope(const std::string &node_key, uint32_t *id) const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return find(scopeIds_, node_key, id);
+    }
+
+    bool
+    findLoc(const std::string &loc_str, uint32_t *id) const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return find(locIds_, loc_str, id);
+    }
+
+    uint32_t
+    group(const GroupKey &k)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        auto it = groupIds_.find(k);
+        if (it != groupIds_.end())
+            return it->second;
+        auto g = static_cast<uint32_t>(prefixes_.size());
+        std::string prefix;
+        if (k.scope != 0) {
+            prefix = scopes_[k.scope];
+            prefix += '|';
+        }
+        prefix += locs_[k.loc];
+        appendKindCase(prefix, static_cast<CuKind>(k.kind), k.caseIdx);
+        prefixes_.push_back(std::move(prefix));
+        groupIds_.emplace(k, g);
+        if (k.scope == 0) {
+            if (progGroupsAt_.size() <= k.loc)
+                progGroupsAt_.resize(k.loc + 1);
+            progGroupsAt_[k.loc].push_back(g);
+            progGen_.fetch_add(1, std::memory_order_release);
+        }
+        return g;
+    }
+
+    bool
+    findGroup(const GroupKey &k, uint32_t *g) const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        auto it = groupIds_.find(k);
+        if (it == groupIds_.end())
+            return false;
+        *g = it->second;
+        return true;
+    }
+
+    /** Append the key strings of @p ids to @p out, in order. */
+    void
+    keyStrs(const std::vector<ReqId> &ids, std::vector<std::string> *out)
+        const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        out->reserve(out->size() + ids.size());
+        for (ReqId id : ids) {
+            out->push_back(prefixes_[id / 4]);
+            out->back() += reqTypeName(static_cast<ReqType>(id & 3));
+        }
+    }
+
+    /**
+     * The program-level groups at @p loc, from a per-thread cache keyed
+     * on the location's (file, line). An entry stays valid until the
+     * next program-level group is interned, so once a campaign is warm
+     * the guided policy's per-decision lookup takes no lock.
+     */
+    const std::vector<uint32_t> &
+    progGroupsAt(const SourceLoc &loc) const
+    {
+        struct Entry
+        {
+            uint64_t gen = 0; ///< progGen_ + 1 when filled; 0: empty.
+            std::vector<uint32_t> groups;
+        };
+        struct Hash
+        {
+            size_t
+            operator()(const std::pair<const char *, uint32_t> &k) const
+            {
+                return std::hash<const char *>()(k.first) ^
+                       (size_t{k.second} * 0x9e3779b97f4a7c15ull);
+            }
+        };
+        thread_local std::unordered_map<std::pair<const char *, uint32_t>,
+                                        Entry, Hash>
+            cache;
+        Entry &e = cache[{loc.file, loc.line}];
+        if (e.gen != progGen_.load(std::memory_order_acquire) + 1) {
+            std::lock_guard<std::mutex> lk(mu_);
+            uint32_t l;
+            e.groups.clear();
+            if (find(locIds_, loc.str(), &l) && l < progGroupsAt_.size())
+                e.groups = progGroupsAt_[l];
+            e.gen = progGen_.load(std::memory_order_relaxed) + 1;
+        }
+        return e.groups;
+    }
+
+  private:
+    Catalog()
+    {
+        scopes_.emplace_back(); // scope 0: program level
+        scopeIds_.emplace("", 0);
+    }
+
+    static bool
+    find(const std::unordered_map<std::string, uint32_t> &ids,
+         const std::string &s, uint32_t *id)
+    {
+        auto it = ids.find(s);
+        if (it == ids.end())
+            return false;
+        *id = it->second;
+        return true;
+    }
+
+    static uint32_t
+    intern(std::vector<std::string> &names,
+           std::unordered_map<std::string, uint32_t> &ids,
+           const std::string &s)
+    {
+        auto it = ids.find(s);
+        if (it != ids.end())
+            return it->second;
+        auto id = static_cast<uint32_t>(names.size());
+        names.push_back(s);
+        ids.emplace(s, id);
+        return id;
+    }
+
+    mutable std::mutex mu_;
+    std::vector<std::string> scopes_;
+    std::unordered_map<std::string, uint32_t> scopeIds_;
+    std::vector<std::string> locs_;
+    std::unordered_map<std::string, uint32_t> locIds_;
+    /** Per group: its keys' shared prefix "[scope|]loc kind[/caseN] ". */
+    std::vector<std::string> prefixes_;
+    std::unordered_map<GroupKey, uint32_t, GroupKeyHash> groupIds_;
+    std::vector<std::vector<uint32_t>> progGroupsAt_;
+    /** Bumped (under mu_) whenever a program-level group is interned. */
+    std::atomic<uint64_t> progGen_{0};
+};
+
+/** The program-level group of @p cu's templates, interned. */
+uint32_t
+progGroup(Catalog &cat, const Cu &cu)
+{
+    return cat.group(
+        {0, cat.loc(cu.loc.str()), -1, static_cast<uint32_t>(cu.kind)});
+}
+
+/**
+ * Parse a requirement key "[<scope>|]<loc> <kind>[/case<i>] <type>"
+ * into its group key and type. With @p intern, unseen scopes and
+ * locations are interned; otherwise they fail the lookup.
+ */
+bool
+parseKey(Catalog &cat, const std::string &key, bool intern, GroupKey *gk,
+         ReqType *type)
+{
+    size_t sp2 = key.rfind(' ');
+    if (sp2 == std::string::npos || sp2 == 0)
+        return false;
+    size_t sp1 = key.rfind(' ', sp2 - 1);
+    if (sp1 == std::string::npos || sp1 == 0)
+        return false;
+    std::string_view type_tok(key.data() + sp2 + 1, key.size() - sp2 - 1);
+    std::string_view kind_tok(key.data() + sp1 + 1, sp2 - sp1 - 1);
+
+    bool type_ok = false;
+    for (ReqType t : kAllTypes) {
+        if (type_tok == reqTypeName(t)) {
+            *type = t;
+            type_ok = true;
+        }
+    }
+    if (!type_ok)
+        return false;
+
+    gk->caseIdx = -1;
+    size_t slash = kind_tok.find("/case");
+    if (slash != std::string_view::npos) {
+        std::string_view num = kind_tok.substr(slash + 5);
+        if (num.empty() || num.size() > 9)
+            return false;
+        int v = 0;
+        for (char c : num) {
+            if (c < '0' || c > '9')
+                return false;
+            v = v * 10 + (c - '0');
+        }
+        gk->caseIdx = v;
+        kind_tok = kind_tok.substr(0, slash);
+    }
+    bool kind_ok = false;
+    for (uint32_t k = 0; k < static_cast<uint32_t>(CuKind::NumCuKinds);
+         ++k) {
+        if (kind_tok == cuKindName(static_cast<CuKind>(k))) {
+            gk->kind = k;
+            kind_ok = true;
+        }
+    }
+    if (!kind_ok)
+        return false;
+
+    std::string head = key.substr(0, sp1);
+    size_t bar = head.rfind('|');
+    std::string scope =
+        bar == std::string::npos ? std::string() : head.substr(0, bar);
+    std::string loc =
+        bar == std::string::npos ? head : head.substr(bar + 1);
+    if (loc.empty() || (bar != std::string::npos && scope.empty()))
+        return false;
+    if (intern) {
+        gk->scope = cat.scope(scope);
+        gk->loc = cat.loc(loc);
+        return true;
+    }
+    // A pure lookup must not grow the catalog.
+    gk->scope = 0;
+    if (!scope.empty() && !cat.findScope(scope, &gk->scope))
+        return false;
+    return cat.findLoc(loc, &gk->loc);
 }
 
 } // namespace
 
-std::string
-CoverageState::key(const Cu &cu, ReqType type, int case_idx)
+// ---------------------------------------------------------------- ReqBits
+
+bool
+ReqBits::set(ReqId id)
 {
-    std::string k;
-    buildKey(k, cu, type, case_idx);
-    return k;
+    size_t w = id >> 6;
+    if (w >= words_.size())
+        words_.resize(w + 1, 0);
+    uint64_t bit = uint64_t{1} << (id & 63);
+    if (words_[w] & bit)
+        return false;
+    words_[w] |= bit;
+    return true;
 }
 
-CoverageState::CoverageState(staticmodel::CuTable statics)
-    : table_(std::move(statics))
+size_t
+ReqBits::unite(const ReqBits &o, size_t *new_by_type)
 {
-    for (const Cu &cu : table_.all())
-        instantiate(cu, "");
+    if (o.words_.size() > words_.size())
+        words_.resize(o.words_.size(), 0);
+    // Ids are group * 4 + type, so type t owns bit positions ≡ t mod 4.
+    constexpr uint64_t kTypeMask = 0x1111111111111111ull;
+    size_t added = 0;
+    for (size_t w = 0; w < o.words_.size(); ++w) {
+        uint64_t fresh = o.words_[w] & ~words_[w];
+        if (!fresh)
+            continue;
+        words_[w] |= fresh;
+        added += static_cast<size_t>(__builtin_popcountll(fresh));
+        if (new_by_type) {
+            for (size_t t = 0; t < 4; ++t)
+                new_by_type[t] += static_cast<size_t>(
+                    __builtin_popcountll(fresh & (kTypeMask << t)));
+        }
+    }
+    return added;
 }
 
-void
-CoverageState::instantiate(const Cu &cu, const std::string &prefix,
-                           int case_idx)
+// --------------------------------------------------------------- universe
+
+CoverageUniverse::CoverageUniverse(staticmodel::CuTable statics)
+    : statics_(std::move(statics))
 {
-    // Each instantiate group is inserted atomically, so when a group's
-    // first key is already required the whole group is — the common
-    // repeat call (every node-level cover() re-materializes) exits
-    // after a single probe, with keys built in a reusable buffer.
-    auto makeKey = [&](ReqType t) -> const std::string & {
-        instBuf_.assign(prefix);
-        appendKey(instBuf_, cu, t, case_idx);
-        return instBuf_;
+    Catalog &cat = Catalog::instance();
+    for (const Cu &cu : statics_.all()) {
+        ReqTemplates ts = templatesFor(cu.kind);
+        if (ts.empty())
+            continue;
+        uint32_t g = progGroup(cat, cu);
+        for (ReqType t : ts)
+            count_ += required_.set(reqId(g, t)) ? 1 : 0;
+    }
+}
+
+// ---------------------------------------------------------------- scratch
+
+namespace detail {
+
+/**
+ * The delta engine. Per execution it computes what a fresh state on
+ * the static universe would gain from this one trace — the per-
+ * iteration view that node-level materialization, select-case triples
+ * and NB-select instances decide on — keeping "required/covered in
+ * this execution" as flags over ids reset through a touched list; the
+ * static universe answers the rest. Lookup caches (CU resolution, node
+ * scopes, groups) persist.
+ */
+struct ScratchImpl
+{
+    explicit ScratchImpl(const CoverageUniverse &u)
+        : universe(u), cat(Catalog::instance())
+    {
+    }
+
+    /** A resolved CU: its identity, interned location and group. */
+    struct CuRef
+    {
+        Cu cu;
+        uint32_t loc = 0;
+        uint32_t group = 0; ///< Program-level group, case -1.
+        bool dynamic = false;
+        /** Last execution that registered this dynamic CU. */
+        uint64_t seenEpoch = 0;
     };
-    if (case_idx >= 0) {
-        // Select-case requirement triple.
-        if (required_.count(makeKey(ReqType::Blocked)))
+
+    /** Per-goroutine select context while walking a trace. */
+    struct SelCtx
+    {
+        uint32_t cu = 0; ///< Index into cus.
+        bool hasDefault = false;
+        int nCases = 0;
+    };
+
+    static constexpr uint32_t kNoScope = UINT32_MAX;
+    static constexpr uint8_t kReq = 1;
+    static constexpr uint8_t kCov = 2;
+
+    const CoverageUniverse &universe;
+    Catalog &cat;
+
+    // Lookup caches (execution-independent).
+    struct CuCacheKeyHash
+    {
+        size_t
+        operator()(const std::pair<const void *, uint64_t> &k) const
+        {
+            return std::hash<const void *>()(k.first) ^
+                   static_cast<size_t>(k.second * 0x9e3779b97f4a7c15ull);
+        }
+    };
+    std::unordered_map<std::pair<const void *, uint64_t>, uint32_t,
+                       CuCacheKeyHash>
+        cuIndex;
+    std::vector<CuRef> cus;
+    std::unordered_map<std::string, uint32_t> scopeCache;
+    std::unordered_map<GroupKey, uint32_t, GroupKeyHash> groupCache;
+
+    // Per-execution state.
+    uint64_t epoch = 0;
+    std::vector<uint8_t> flags;
+    std::vector<ReqId> touched;
+    std::vector<uint32_t> nbSel;
+    std::vector<uint32_t> scopeByGid;
+    std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> lastAcq;
+    std::unordered_map<uint32_t, SelCtx> sel;
+    CoverageDelta *out = nullptr;
+
+    uint8_t
+    flagsOf(ReqId id) const
+    {
+        return id < flags.size() ? flags[id] : 0;
+    }
+
+    void
+    setFlag(ReqId id, uint8_t f)
+    {
+        if (id >= flags.size())
+            flags.resize(std::max<size_t>(id + 1, flags.size() * 2), 0);
+        if (flags[id] == 0)
+            touched.push_back(id);
+        flags[id] |= f;
+    }
+
+    bool
+    isRequired(ReqId id) const
+    {
+        return (flagsOf(id) & kReq) || universe.required().test(id);
+    }
+
+    void
+    require(ReqId id)
+    {
+        if (flagsOf(id) & kReq)
             return;
-        required_.insert(instBuf_);
-        required_.insert(makeKey(ReqType::Unblocking));
-        required_.insert(makeKey(ReqType::Nop));
-        return;
+        if (universe.required().test(id))
+            return;
+        setFlag(id, kReq);
+        out->required.push_back(id);
     }
-    ReqTemplates ts = templatesFor(cu.kind);
-    if (!ts.empty() && !required_.count(makeKey(ts.data[0]))) {
-        required_.insert(instBuf_);
-        for (size_t i = 1; i < ts.n; ++i)
-            required_.insert(makeKey(ts.data[i]));
+
+    uint32_t
+    group(uint32_t scope, const CuRef &ref, int case_idx)
+    {
+        if (scope == 0 && case_idx < 0)
+            return ref.group;
+        GroupKey k{scope, ref.loc, case_idx,
+                   static_cast<uint32_t>(ref.cu.kind)};
+        auto it = groupCache.find(k);
+        if (it != groupCache.end())
+            return it->second;
+        uint32_t g = cat.group(k);
+        groupCache.emplace(k, g);
+        return g;
     }
-    // A select known to carry a default case is an "unblocking action"
-    // (Req4 NB-SELECT).
-    if (cu.kind == CuKind::Select) {
-        locBuf_.clear();
-        appendLoc(locBuf_, cu.loc);
-        if (nbSelects_.count(locBuf_)) {
-            required_.insert(makeKey(ReqType::Unblocking));
-            required_.insert(makeKey(ReqType::Nop));
+
+    uint32_t
+    scopeOf(uint32_t gid) const
+    {
+        return gid < scopeByGid.size() ? scopeByGid[gid] : kNoScope;
+    }
+
+    /** Instantiate the template set of @p ref at a granularity. */
+    void
+    instantiate(const CuRef &ref, uint32_t scope, int case_idx)
+    {
+        if (case_idx >= 0) {
+            // Select-case requirement triple, inserted as a group: a
+            // present first id means the whole triple is.
+            uint32_t g = group(scope, ref, case_idx);
+            if (isRequired(reqId(g, ReqType::Blocked)))
+                return;
+            require(reqId(g, ReqType::Blocked));
+            require(reqId(g, ReqType::Unblocking));
+            require(reqId(g, ReqType::Nop));
+            return;
+        }
+        uint32_t g = group(scope, ref, -1);
+        ReqTemplates ts = templatesFor(ref.cu.kind);
+        if (!ts.empty() && !isRequired(reqId(g, ts.data[0]))) {
+            for (ReqType t : ts)
+                require(reqId(g, t));
+        }
+        // A select known to carry a default case is an "unblocking
+        // action" (Req4 NB-SELECT).
+        if (ref.cu.kind == CuKind::Select &&
+            std::find(nbSel.begin(), nbSel.end(), ref.loc) != nbSel.end()) {
+            require(reqId(g, ReqType::Unblocking));
+            require(reqId(g, ReqType::Nop));
         }
     }
-}
 
-Cu
-CoverageState::resolveCu(const SourceLoc &loc, CuKind fallback)
-{
-    // Memoized on the interned file pointer: one map probe replaces
-    // the linear table scan this call used to do per trace event. A
-    // repeated miss recomputes the same answer (table_ only ever
-    // grows with the very CU a miss inserts), so the cache is safe
-    // across dynamic registration and mergeFrom().
-    CuCacheKey ck{loc.file, loc.line, static_cast<uint8_t>(fallback)};
-    auto cached = cuCache_.find(ck);
-    if (cached != cuCache_.end())
-        return cached->second;
-
-    const Cu *found = table_.findKind(loc, fallback);
-    // Receive events at a range statement resolve to the range CU.
-    if (!found && fallback == CuKind::Recv)
-        found = table_.findKind(loc, CuKind::Range);
-    Cu cu = found ? *found : Cu(loc, fallback);
-    if (!found) {
-        table_.add(cu);
-        instantiate(cu, "");
+    /** Look up (or dynamically register) the CU at @p loc. */
+    uint32_t
+    resolve(const SourceLoc &loc, CuKind fallback)
+    {
+        std::pair<const void *, uint64_t> ck{
+            loc.file, (uint64_t{loc.line} << 8) |
+                          static_cast<uint64_t>(fallback)};
+        uint32_t idx;
+        auto it = cuIndex.find(ck);
+        if (it != cuIndex.end()) {
+            idx = it->second;
+        } else {
+            const staticmodel::CuTable &t = universe.statics();
+            const Cu *found = t.findKind(loc, fallback);
+            // Receive events at a range statement resolve to the range
+            // CU.
+            if (!found && fallback == CuKind::Recv)
+                found = t.findKind(loc, CuKind::Range);
+            CuRef ref;
+            ref.cu = found ? *found : Cu(loc, fallback);
+            ref.dynamic = !found;
+            ref.loc = cat.loc(ref.cu.loc.str());
+            ref.group = cat.group(
+                {0, ref.loc, -1, static_cast<uint32_t>(ref.cu.kind)});
+            idx = static_cast<uint32_t>(cus.size());
+            cus.push_back(ref);
+            cuIndex.emplace(ck, idx);
+        }
+        CuRef &ref = cus[idx];
+        if (ref.dynamic && ref.seenEpoch != epoch) {
+            // First sighting in this execution: a fresh state would
+            // register it in its table and instantiate it.
+            ref.seenEpoch = epoch;
+            out->cus.push_back(ref.cu);
+            instantiate(ref, 0, -1);
+        }
+        return idx;
     }
-    cuCache_.emplace(ck, cu);
-    return cu;
-}
 
-void
-CoverageState::cover(const Cu &cu, ReqType type, int case_idx,
-                     const std::string *node_key)
-{
-    buildKey(keyBuf_, cu, type, case_idx);
-    // covered_ ⊆ required_ always (both inserts below are paired), so
-    // a covered hit means all program-level work is already done.
-    if (covered_.find(keyBuf_) == covered_.end()) {
-        required_.insert(keyBuf_);
-        covered_.insert(keyBuf_);
-        ++coveredOfType_[static_cast<size_t>(type)];
-    }
-    if (node_key && !node_key->empty()) {
-        nodeBuf_.assign(*node_key);
-        nodeBuf_ += '|';
-        nodeBuf_ += keyBuf_;
-        if (covered_.find(nodeBuf_) == covered_.end()) {
+    /** Register and mark covered (program level + node level). */
+    void
+    cover(uint32_t cu_idx, ReqType type, int case_idx, uint32_t scope)
+    {
+        const CuRef &ref = cus[cu_idx];
+        ReqId pid = reqId(group(0, ref, case_idx), type);
+        if (!(flagsOf(pid) & kCov)) {
+            require(pid);
+            setFlag(pid, kCov);
+            out->covered.push_back(pid);
+        }
+        if (scope == kNoScope || scope == 0)
+            return; // no node, or a node without an equivalence key
+        ReqId nid = reqId(group(scope, ref, case_idx), type);
+        if (!(flagsOf(nid) & kCov)) {
             // Materialize the node-level requirement set for this CU
-            // the first time the node covers it (idempotent).
-            std::string prefix = *node_key + "|";
-            instantiate(cu, prefix, case_idx >= 0 ? case_idx : -1);
-            if (case_idx < 0)
-                instantiate(cu, prefix);
-            required_.insert(nodeBuf_);
-            covered_.insert(nodeBuf_);
-            ++coveredOfType_[static_cast<size_t>(type)];
+            // the first time the node covers it.
+            instantiate(ref, scope, case_idx);
+            require(nid);
+            setFlag(nid, kCov);
+            out->covered.push_back(nid);
         }
     }
-}
+
+    void compute(const trace::Ect &ect, const GoroutineTree &tree,
+                 CoverageDelta *delta);
+};
 
 void
-CoverageState::addEct(const trace::Ect &ect)
+ScratchImpl::compute(const trace::Ect &ect, const GoroutineTree &tree,
+                     CoverageDelta *delta)
 {
-    GoroutineTree tree(ect);
-    addEct(ect, tree);
-}
+    for (ReqId id : touched)
+        flags[id] = 0;
+    touched.clear();
+    nbSel.clear();
+    lastAcq.clear();
+    sel.clear();
+    ++epoch;
+    out = delta;
+    out->clear();
 
-void
-CoverageState::addEct(const trace::Ect &ect, const GoroutineTree &tree)
-{
-    // gid → node equivalence key for application-level goroutines
-    // (nullptr = system/scheduler context). Gids are dense, so a flat
-    // vector beats a map probe per event.
-    std::vector<const std::string *> keyByGid;
+    // gid → node scope for application-level goroutines (kNoScope =
+    // system/scheduler context).
+    scopeByGid.assign(scopeByGid.size(), kNoScope);
     for (const auto &[gid, node] : tree.nodes()) {
-        if (gid >= keyByGid.size())
-            keyByGid.resize(gid + 1, nullptr);
-        if (node->appLevel)
-            keyByGid[gid] = &node->key;
+        if (!node->appLevel)
+            continue;
+        if (gid >= scopeByGid.size())
+            scopeByGid.resize(gid + 1, kNoScope);
+        auto it = scopeCache.find(node->key);
+        if (it == scopeCache.end())
+            it = scopeCache.emplace(node->key, cat.scope(node->key)).first;
+        scopeByGid[gid] = it->second;
     }
-    auto nodeKey = [&](uint32_t gid) -> const std::string * {
-        return gid < keyByGid.size() ? keyByGid[gid] : nullptr;
-    };
 
-    // Last acquisition site per lock object id: (cu, nodeKey).
-    std::map<uint64_t, std::pair<Cu, const std::string *>> last_acq;
-    std::map<uint32_t, SelCtx> sel;
+    std::vector<std::pair<uint32_t, int>> &cases = out->selectCases;
 
     for (const Event &ev : ect.events()) {
-        const std::string *nk = nodeKey(ev.gid);
-        if (!nk && ev.type != EventType::GoCreate)
+        const uint32_t sc = scopeOf(ev.gid);
+        if (sc == kNoScope && ev.type != EventType::GoCreate)
             continue; // system/scheduler context
         auto obj = static_cast<uint64_t>(ev.args[0]);
 
@@ -274,18 +721,15 @@ CoverageState::addEct(const trace::Ect &ect, const GoroutineTree &tree)
                 tree.node(static_cast<uint32_t>(ev.args[0]));
             if (!child || !child->appLevel)
                 break;
-            Cu cu = resolveCu(ev.loc, CuKind::Go);
-            cover(cu, ReqType::Nop, -1, nk);
+            cover(resolve(ev.loc, CuKind::Go), ReqType::Nop, -1, sc);
             break;
           }
 
           case EventType::GoBlockSend:
-            cover(resolveCu(ev.loc, CuKind::Send), ReqType::Blocked, -1,
-                  nk);
+            cover(resolve(ev.loc, CuKind::Send), ReqType::Blocked, -1, sc);
             break;
           case EventType::GoBlockRecv:
-            cover(resolveCu(ev.loc, CuKind::Recv), ReqType::Blocked, -1,
-                  nk);
+            cover(resolve(ev.loc, CuKind::Recv), ReqType::Blocked, -1, sc);
             break;
           case EventType::GoBlockSync: {
             // a1 carries the runtime BlockReason; only mutex/rwmutex
@@ -295,9 +739,9 @@ CoverageState::addEct(const trace::Ect &ect, const GoroutineTree &tree)
             if (reason != runtime::BlockReason::Mutex &&
                 reason != runtime::BlockReason::RWMutex)
                 break;
-            Cu cu = resolveCu(ev.loc, CuKind::Lock);
-            if (cu.kind == CuKind::Lock)
-                cover(cu, ReqType::Blocked, -1, nk);
+            uint32_t cu = resolve(ev.loc, CuKind::Lock);
+            if (cus[cu].cu.kind == CuKind::Lock)
+                cover(cu, ReqType::Blocked, -1, sc);
             break;
           }
           case EventType::GoBlockSelect: {
@@ -308,40 +752,38 @@ CoverageState::addEct(const trace::Ect &ect, const GoroutineTree &tree)
             const SelCtx &ctx = it->second;
             if (!ctx.hasDefault) {
                 for (int i = 0; i < ctx.nCases; ++i)
-                    cover(ctx.cu, ReqType::Blocked, i, nk);
+                    cover(ctx.cu, ReqType::Blocked, i, sc);
             }
             break;
           }
 
           case EventType::ChSend: {
-            Cu cu = resolveCu(ev.loc, CuKind::Send);
+            uint32_t cu = resolve(ev.loc, CuKind::Send);
             if (ev.args[1]) // blockedFirst
-                cover(cu, ReqType::Blocked, -1, nk);
+                cover(cu, ReqType::Blocked, -1, sc);
             else
                 cover(cu, ev.args[2] ? ReqType::Unblocking : ReqType::Nop,
-                      -1, nk);
+                      -1, sc);
             break;
           }
           case EventType::ChRecv: {
-            Cu cu = resolveCu(ev.loc, CuKind::Recv);
+            uint32_t cu = resolve(ev.loc, CuKind::Recv);
             if (ev.args[1])
-                cover(cu, ReqType::Blocked, -1, nk);
+                cover(cu, ReqType::Blocked, -1, sc);
             else
                 cover(cu, ev.args[2] ? ReqType::Unblocking : ReqType::Nop,
-                      -1, nk);
+                      -1, sc);
             break;
           }
-          case EventType::ChClose: {
-            Cu cu = resolveCu(ev.loc, CuKind::Close);
-            cover(cu, ev.args[1] ? ReqType::Unblocking : ReqType::Nop, -1,
-                  nk);
+          case EventType::ChClose:
+            cover(resolve(ev.loc, CuKind::Close),
+                  ev.args[1] ? ReqType::Unblocking : ReqType::Nop, -1, sc);
             break;
-          }
 
           case EventType::MuLockReq:
             if (ev.args[1] != -1) {
-                auto it = last_acq.find(obj);
-                if (it != last_acq.end())
+                auto it = lastAcq.find(obj);
+                if (it != lastAcq.end())
                     cover(it->second.first, ReqType::Blocking, -1,
                           it->second.second);
             }
@@ -349,8 +791,8 @@ CoverageState::addEct(const trace::Ect &ect, const GoroutineTree &tree)
           case EventType::RWLockReq:
           case EventType::RWRLockReq:
             if (ev.args[1] != 0) {
-                auto it = last_acq.find(obj);
-                if (it != last_acq.end())
+                auto it = lastAcq.find(obj);
+                if (it != lastAcq.end())
                     cover(it->second.first, ReqType::Blocking, -1,
                           it->second.second);
             }
@@ -358,55 +800,47 @@ CoverageState::addEct(const trace::Ect &ect, const GoroutineTree &tree)
           case EventType::MuLock:
           case EventType::RWLock:
           case EventType::RWRLock: {
-            Cu cu = resolveCu(ev.loc, CuKind::Lock);
+            uint32_t cu = resolve(ev.loc, CuKind::Lock);
             if (ev.args[1])
-                cover(cu, ReqType::Blocked, -1, nk);
-            last_acq[obj] = {cu, nk};
+                cover(cu, ReqType::Blocked, -1, sc);
+            lastAcq[obj] = {cu, sc};
             break;
           }
           case EventType::MuUnlock:
           case EventType::RWUnlock:
-          case EventType::RWRUnlock: {
-            Cu cu = resolveCu(ev.loc, CuKind::Unlock);
-            cover(cu, ev.args[1] ? ReqType::Unblocking : ReqType::Nop, -1,
-                  nk);
+          case EventType::RWRUnlock:
+            cover(resolve(ev.loc, CuKind::Unlock),
+                  ev.args[1] ? ReqType::Unblocking : ReqType::Nop, -1, sc);
             break;
-          }
 
           case EventType::WgAdd:
-            if (ev.args[1] < 0) { // a Done
-                Cu cu = resolveCu(ev.loc, CuKind::Done);
-                cover(cu,
+            if (ev.args[1] < 0) // a Done
+                cover(resolve(ev.loc, CuKind::Done),
                       ev.args[3] ? ReqType::Unblocking : ReqType::Nop, -1,
-                      nk);
-            }
+                      sc);
             break;
-          case EventType::CvSignal: {
-            Cu cu = resolveCu(ev.loc, CuKind::Signal);
-            cover(cu, ev.args[1] ? ReqType::Unblocking : ReqType::Nop, -1,
-                  nk);
+          case EventType::CvSignal:
+            cover(resolve(ev.loc, CuKind::Signal),
+                  ev.args[1] ? ReqType::Unblocking : ReqType::Nop, -1, sc);
             break;
-          }
-          case EventType::CvBroadcast: {
-            Cu cu = resolveCu(ev.loc, CuKind::Broadcast);
-            cover(cu, ev.args[1] ? ReqType::Unblocking : ReqType::Nop, -1,
-                  nk);
+          case EventType::CvBroadcast:
+            cover(resolve(ev.loc, CuKind::Broadcast),
+                  ev.args[1] ? ReqType::Unblocking : ReqType::Nop, -1, sc);
             break;
-          }
 
           case EventType::SelectBegin: {
             SelCtx ctx;
-            ctx.cu = resolveCu(ev.loc, CuKind::Select);
+            ctx.cu = resolve(ev.loc, CuKind::Select);
             ctx.nCases = static_cast<int>(ev.args[0]);
             ctx.hasDefault = ev.args[1] != 0;
             if (ctx.hasDefault) {
-                locBuf_.clear();
-                appendLoc(locBuf_, ctx.cu.loc);
-                if (nbSelects_.find(locBuf_) == nbSelects_.end()) {
+                const CuRef &ref = cus[ctx.cu];
+                if (std::find(nbSel.begin(), nbSel.end(), ref.loc) ==
+                    nbSel.end()) {
                     // First observation of the default: Req4 instances.
-                    nbSelects_.insert(locBuf_);
-                    require(key(ctx.cu, ReqType::Unblocking));
-                    require(key(ctx.cu, ReqType::Nop));
+                    nbSel.push_back(ref.loc);
+                    require(reqId(ref.group, ReqType::Unblocking));
+                    require(reqId(ref.group, ReqType::Nop));
                 }
             }
             sel[ev.gid] = ctx;
@@ -416,19 +850,21 @@ CoverageState::addEct(const trace::Ect &ect, const GoroutineTree &tree)
             auto it = sel.find(ev.gid);
             if (it == sel.end())
                 break;
-            SelCtx &ctx = it->second;
+            const SelCtx &ctx = it->second;
             if (!ctx.hasDefault) {
                 // Req2: discovered case → requirement triple, program
                 // and node level.
                 auto idx = static_cast<int>(ev.args[0]);
-                instantiate(ctx.cu, "", idx);
-                instantiate(ctx.cu, *nk + "|", idx);
-                locBuf_.clear();
-                appendLoc(locBuf_, ctx.cu.loc);
-                auto itc = selectCases_.find(locBuf_);
-                if (itc == selectCases_.end())
-                    itc = selectCases_.emplace(locBuf_, 0).first;
-                itc->second = std::max(itc->second, idx + 1);
+                const CuRef &ref = cus[ctx.cu];
+                instantiate(ref, 0, idx);
+                instantiate(ref, sc, idx);
+                auto c = std::find_if(
+                    cases.begin(), cases.end(),
+                    [&](const auto &p) { return p.first == ref.loc; });
+                if (c == cases.end())
+                    cases.emplace_back(ref.loc, idx + 1);
+                else
+                    c->second = std::max(c->second, idx + 1);
             }
             break;
           }
@@ -442,16 +878,15 @@ CoverageState::addEct(const trace::Ect &ect, const GoroutineTree &tree)
             bool woke = ev.args[2] != 0;
             if (chosen < 0) {
                 // Default taken: the select acted as a NOP (Req4).
-                cover(ctx.cu, ReqType::Nop, -1, nk);
+                cover(ctx.cu, ReqType::Nop, -1, sc);
             } else if (ctx.hasDefault) {
-                cover(ctx.cu,
-                      woke ? ReqType::Unblocking : ReqType::Nop, -1, nk);
+                cover(ctx.cu, woke ? ReqType::Unblocking : ReqType::Nop,
+                      -1, sc);
             } else if (blocked_first) {
-                cover(ctx.cu, ReqType::Blocked, chosen, nk);
+                cover(ctx.cu, ReqType::Blocked, chosen, sc);
             } else {
-                cover(ctx.cu,
-                      woke ? ReqType::Unblocking : ReqType::Nop, chosen,
-                      nk);
+                cover(ctx.cu, woke ? ReqType::Unblocking : ReqType::Nop,
+                      chosen, sc);
             }
             sel.erase(ev.gid);
             break;
@@ -461,51 +896,142 @@ CoverageState::addEct(const trace::Ect &ect, const GoroutineTree &tree)
             break;
         }
     }
+    out->nbSelects = nbSel;
+    out = nullptr;
+}
+
+} // namespace detail
+
+void
+CoverageDelta::clear()
+{
+    required.clear();
+    covered.clear();
+    cus.clear();
+    nbSelects.clear();
+    selectCases.clear();
+}
+
+CoverageScratch::CoverageScratch(std::shared_ptr<const CoverageUniverse> u)
+    : universe_(std::move(u)),
+      impl_(std::make_unique<detail::ScratchImpl>(*universe_))
+{
+}
+
+CoverageScratch::~CoverageScratch() = default;
+
+void
+CoverageScratch::compute(const trace::Ect &ect, const GoroutineTree &tree,
+                         CoverageDelta *out)
+{
+    impl_->compute(ect, tree, out);
+}
+
+// ------------------------------------------------------------------ state
+
+namespace {
+
+std::shared_ptr<const CoverageUniverse>
+universeFor(staticmodel::CuTable statics)
+{
+    // Default-constructed states (no static model) share one universe.
+    if (statics.empty()) {
+        static const auto empty =
+            std::make_shared<const CoverageUniverse>(staticmodel::CuTable{});
+        return empty;
+    }
+    return std::make_shared<const CoverageUniverse>(std::move(statics));
+}
+
+} // namespace
+
+std::string
+CoverageState::key(const Cu &cu, ReqType type, int case_idx)
+{
+    std::string k;
+    appendLoc(k, cu.loc);
+    appendKindCase(k, cu.kind, case_idx);
+    k += reqTypeName(type);
+    return k;
+}
+
+CoverageState::CoverageState(staticmodel::CuTable statics)
+    : CoverageState(universeFor(std::move(statics)))
+{
+}
+
+CoverageState::CoverageState(std::shared_ptr<const CoverageUniverse> u)
+    : universe_(std::move(u)), table_(universe_->statics()),
+      required_(universe_->required()), nRequired_(universe_->size())
+{
+}
+
+void
+CoverageState::addEct(const trace::Ect &ect)
+{
+    GoroutineTree tree(ect);
+    addEct(ect, tree);
+}
+
+void
+CoverageState::addEct(const trace::Ect &ect, const GoroutineTree &tree)
+{
+    CoverageDelta d;
+    CoverageScratch(universe_).compute(ect, tree, &d);
+    applyDelta(d);
+}
+
+void
+CoverageState::require(ReqId id)
+{
+    if (required_.set(id))
+        ++nRequired_;
+}
+
+void
+CoverageState::cover(ReqId id)
+{
+    require(id);
+    if (covered_.set(id)) {
+        ++nCovered_;
+        ++coveredOfType_[id & 3];
+    }
+}
+
+void
+CoverageState::applyDelta(const CoverageDelta &d)
+{
+    for (const Cu &cu : d.cus)
+        table_.add(cu); // sorted insert; ignores a CU already present
+    for (ReqId id : d.required)
+        require(id);
+    for (ReqId id : d.covered)
+        cover(id);
+    nbSelects_.insert(d.nbSelects.begin(), d.nbSelects.end());
+    for (const auto &[loc, n] : d.selectCases) {
+        int &mine = selectCases_[loc];
+        mine = std::max(mine, n);
+    }
 }
 
 void
 CoverageState::mergeFrom(const CoverageState &other)
 {
-    for (const Cu &cu : other.table_.all()) {
-        if (!table_.findKind(cu.loc, cu.kind))
-            table_.add(cu);
-    }
-    required_.insert(other.required_.begin(), other.required_.end());
-    covered_.insert(other.covered_.begin(), other.covered_.end());
+    for (const Cu &cu : other.table_.all())
+        table_.add(cu);
+    nRequired_ += required_.unite(other.required_, nullptr);
+    nCovered_ += covered_.unite(other.covered_, coveredOfType_);
     nbSelects_.insert(other.nbSelects_.begin(), other.nbSelects_.end());
     for (const auto &[loc, n] : other.selectCases_) {
         int &mine = selectCases_[loc];
         mine = std::max(mine, n);
-    }
-    rebuildTypeCounts();
-}
-
-void
-CoverageState::rebuildTypeCounts()
-{
-    // Rebuild the per-type covered counters from scratch (cold path;
-    // set unions bypass cover()'s incremental counting).
-    constexpr ReqType kTypes[] = {ReqType::Blocked, ReqType::Unblocking,
-                                  ReqType::Nop, ReqType::Blocking};
-    for (size_t i = 0; i < 4; ++i)
-        coveredOfType_[i] = 0;
-    for (const auto &k : covered_) {
-        for (ReqType t : kTypes) {
-            std::string_view suffix(reqTypeName(t));
-            if (k.size() > suffix.size() &&
-                k[k.size() - suffix.size() - 1] == ' ' &&
-                k.compare(k.size() - suffix.size(), suffix.size(),
-                          suffix.data()) == 0) {
-                ++coveredOfType_[static_cast<size_t>(t)];
-                break;
-            }
-        }
     }
 }
 
 bool
 CoverageState::restoreBitmap(const std::string &bitmap)
 {
+    Catalog &cat = Catalog::instance();
     size_t pos = 0;
     while (pos < bitmap.size()) {
         size_t eol = bitmap.find('\n', pos);
@@ -518,21 +1044,72 @@ CoverageState::restoreBitmap(const std::string &bitmap)
         if (line.size() < 3 || (line[0] != '0' && line[0] != '1') ||
             line[1] != ' ')
             return false;
-        std::string key = line.substr(2);
-        required_.insert(key);
+        GroupKey gk;
+        ReqType t;
+        if (!parseKey(cat, line.substr(2), true, &gk, &t))
+            return false;
+        ReqId id = reqId(cat.group(gk), t);
         if (line[0] == '1')
-            covered_.insert(std::move(key));
+            cover(id);
+        else
+            require(id);
     }
-    rebuildTypeCounts();
     return true;
 }
+
+bool
+CoverageState::findKey(const std::string &key, ReqId *id) const
+{
+    Catalog &cat = Catalog::instance();
+    GroupKey gk;
+    ReqType t;
+    uint32_t g;
+    if (!parseKey(cat, key, false, &gk, &t) || !cat.findGroup(gk, &g))
+        return false;
+    *id = reqId(g, t);
+    return true;
+}
+
+bool
+CoverageState::isCovered(const std::string &key) const
+{
+    ReqId id;
+    return findKey(key, &id) && covered_.test(id);
+}
+
+bool
+CoverageState::isRequired(const std::string &key) const
+{
+    ReqId id;
+    return findKey(key, &id) && required_.test(id);
+}
+
+namespace {
+
+/** (key, covered) for every required id of a state, sorted by key. */
+std::vector<std::pair<std::string, bool>>
+sortedKeys(const ReqBits &required, const ReqBits &covered)
+{
+    std::vector<ReqId> ids;
+    required.forEach([&](ReqId id) { ids.push_back(id); });
+    std::vector<std::string> keys;
+    Catalog::instance().keyStrs(ids, &keys);
+    std::vector<std::pair<std::string, bool>> out;
+    out.reserve(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i)
+        out.emplace_back(std::move(keys[i]), covered.test(ids[i]));
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+} // namespace
 
 std::string
 CoverageState::bitmapStr() const
 {
     std::string out;
-    for (const auto &k : required_) {
-        out += covered_.count(k) ? '1' : '0';
+    for (const auto &[k, cov] : sortedKeys(required_, covered_)) {
+        out += cov ? '1' : '0';
         out += ' ';
         out += k;
         out += '\n';
@@ -543,35 +1120,22 @@ CoverageState::bitmapStr() const
 double
 CoverageState::percent() const
 {
-    if (required_.empty())
+    if (nRequired_ == 0)
         return 100.0;
-    return 100.0 * static_cast<double>(covered_.size()) /
-           static_cast<double>(required_.size());
-}
-
-size_t
-CoverageState::coveredCountOfType(ReqType t) const
-{
-    // Requirement keys end in " <type>" (see key()); node-level
-    // instances share the suffix, so both granularities count. The
-    // counters are maintained by cover() and rebuilt in mergeFrom(),
-    // making this O(1) — it is sampled every campaign iteration for
-    // the saturation timeline.
-    return coveredOfType_[static_cast<size_t>(t)];
+    return 100.0 * static_cast<double>(nCovered_) /
+           static_cast<double>(nRequired_);
 }
 
 size_t
 CoverageState::uncoveredAtLoc(const SourceLoc &loc) const
 {
-    // Program-level keys for a location share the "<file>:<line> "
-    // prefix and sort contiguously.
-    std::string prefix = loc.str() + " ";
     size_t n = 0;
-    for (auto it = required_.lower_bound(prefix);
-         it != required_.end() && it->compare(0, prefix.size(), prefix) == 0;
-         ++it) {
-        if (!covered_.count(*it))
-            ++n;
+    for (uint32_t g : Catalog::instance().progGroupsAt(loc)) {
+        for (ReqType t : kAllTypes) {
+            ReqId id = reqId(g, t);
+            if (required_.test(id) && !covered_.test(id))
+                ++n;
+        }
     }
     return n;
 }
@@ -580,45 +1144,52 @@ std::vector<std::string>
 CoverageState::uncovered() const
 {
     std::vector<std::string> out;
-    for (const auto &k : required_)
-        if (!covered_.count(k))
-            out.push_back(k);
+    for (auto &[k, cov] : sortedKeys(required_, covered_))
+        if (!cov)
+            out.push_back(std::move(k));
     return out;
 }
 
 std::string
 CoverageState::tableStr() const
 {
+    Catalog &cat = Catalog::instance();
     std::string out;
     out += strFormat("%-22s %-10s %-14s %s\n", "CU location", "kind",
                      "requirement", "covered");
     for (const Cu &cu : table_.all()) {
+        const std::string loc = cu.loc.str();
+        uint32_t l = 0;
+        const bool known = cat.findLoc(loc, &l);
         std::vector<std::pair<ReqType, int>> rows;
         for (ReqType t : templatesFor(cu.kind))
             rows.push_back({t, -1});
-        if (cu.kind == CuKind::Select) {
-            auto itc = selectCases_.find(cu.loc.str());
-            int ncases =
-                itc == selectCases_.end() ? 0 : itc->second;
+        if (cu.kind == CuKind::Select && known) {
+            auto itc = selectCases_.find(l);
+            int ncases = itc == selectCases_.end() ? 0 : itc->second;
             for (int i = 0; i < ncases; ++i) {
                 rows.push_back({ReqType::Blocked, i});
                 rows.push_back({ReqType::Unblocking, i});
                 rows.push_back({ReqType::Nop, i});
             }
-            if (nbSelects_.count(cu.loc.str())) {
+            if (nbSelects_.count(l)) {
                 rows.push_back({ReqType::Unblocking, -1});
                 rows.push_back({ReqType::Nop, -1});
             }
         }
         for (auto [t, idx] : rows) {
-            std::string k = key(cu, t, idx);
+            uint32_t g;
+            bool cov = known &&
+                       cat.findGroup({0, l, idx,
+                                      static_cast<uint32_t>(cu.kind)},
+                                     &g) &&
+                       covered_.test(reqId(g, t));
             std::string req =
                 idx >= 0 ? strFormat("case%d-%s", idx, reqTypeName(t))
                          : reqTypeName(t);
-            out += strFormat("%-22s %-10s %-14s %s\n",
-                             cu.loc.str().c_str(), cuKindName(cu.kind),
-                             req.c_str(),
-                             covered_.count(k) ? "yes" : "no");
+            out += strFormat("%-22s %-10s %-14s %s\n", loc.c_str(),
+                             cuKindName(cu.kind), req.c_str(),
+                             cov ? "yes" : "no");
         }
     }
     return out;

@@ -22,6 +22,18 @@
  * goroutine nodes are discovered at run time, the requirement universe
  * grows during testing — coverage percentage can therefore drop when
  * an execution uncovers new behaviour (the paper's fig. 6b, D1).
+ *
+ * Representation: requirements are interned process-wide as dense
+ * integer ids (see ReqId); states are bit sets over those ids. Key
+ * strings ("<file>:<line> <kind>[/case<i>] <type>", node-level ones
+ * prefixed "<nodeKey>|") are rendered only by the report calls
+ * (bitmapStr, uncovered, tableStr) and parsed only by restoreBitmap.
+ *
+ * One execution's contribution is computed by a CoverageScratch as a
+ * small CoverageDelta — exactly what a fresh state on the static
+ * universe would gain from that trace alone — and folded with
+ * CoverageState::applyDelta. addEct is that pair of steps, so folding
+ * per-execution deltas in any grouping gives the same state.
  */
 
 #ifndef GOAT_ANALYSIS_COVERAGE_HH
@@ -29,9 +41,10 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "staticmodel/cutable.hh"
@@ -53,6 +66,132 @@ enum class ReqType : uint8_t
 const char *reqTypeName(ReqType t);
 
 /**
+ * Dense requirement id. A requirement group — (scope, CU location, CU
+ * kind, select case), where the scope is the program or one goroutine
+ * node key — is interned once per process; its ids are group * 4 +
+ * ReqType, so an id's two low bits name its type. Ids are stable for
+ * the life of the process but depend on interning order, so nothing
+ * that leaves the process carries them: reports render key strings.
+ */
+using ReqId = uint32_t;
+
+/** Growable bit set over ReqIds. */
+class ReqBits
+{
+  public:
+    bool
+    test(ReqId id) const
+    {
+        size_t w = id >> 6;
+        return w < words_.size() && ((words_[w] >> (id & 63)) & 1) != 0;
+    }
+
+    /** Set @p id; true when it was clear. */
+    bool set(ReqId id);
+
+    /**
+     * this |= @p o. Returns the number of newly set bits and adds the
+     * per-ReqType split of them to @p new_by_type (may be null).
+     */
+    size_t unite(const ReqBits &o, size_t *new_by_type);
+
+    /** Call @p f(id) for every set id, ascending. */
+    template <class F>
+    void
+    forEach(F f) const
+    {
+        for (size_t w = 0; w < words_.size(); ++w) {
+            for (uint64_t bits = words_[w]; bits; bits &= bits - 1)
+                f(static_cast<ReqId>(w * 64 + __builtin_ctzll(bits)));
+        }
+    }
+
+  private:
+    std::vector<uint64_t> words_;
+};
+
+namespace detail {
+struct ScratchImpl;
+}
+
+/**
+ * The static requirement universe of one CU table: the program-level
+ * requirement ids of every static CU, interned once. Built once per
+ * campaign and shared read-only (through shared_ptr) by the merged
+ * state, every worker's scratch and every per-worker state.
+ */
+class CoverageUniverse
+{
+  public:
+    explicit CoverageUniverse(staticmodel::CuTable statics);
+
+    CoverageUniverse(const CoverageUniverse &) = delete;
+    CoverageUniverse &operator=(const CoverageUniverse &) = delete;
+
+    const staticmodel::CuTable &statics() const { return statics_; }
+
+    /** The static requirement ids. */
+    const ReqBits &required() const { return required_; }
+
+    /** Number of static requirement ids. */
+    size_t size() const { return count_; }
+
+  private:
+    staticmodel::CuTable statics_;
+    ReqBits required_;
+    size_t count_ = 0;
+};
+
+/**
+ * One execution's coverage contribution relative to the static
+ * universe it was computed on: exactly what a fresh state on that
+ * universe gains from the trace: a few hundred bytes on the GoKer
+ * kernels, which is what a campaign keeps per iteration until its merge.
+ */
+struct CoverageDelta
+{
+    /** Requirement ids the execution added beyond the universe. */
+    std::vector<ReqId> required;
+    /** Requirement ids the execution covered. */
+    std::vector<ReqId> covered;
+    /** CUs the execution observed that the static table lacks. */
+    std::vector<staticmodel::Cu> cus;
+    /** Interned locations of selects observed with a default case. */
+    std::vector<uint32_t> nbSelects;
+    /** (interned select location, discovered case count). */
+    std::vector<std::pair<uint32_t, int>> selectCases;
+
+    void clear();
+};
+
+/**
+ * Computes CoverageDeltas on one universe. Owns lookup caches that
+ * persist across executions and per-execution flags reset through a
+ * touched list, so once warm a delta costs no interning, string
+ * building or state copy. Not thread-safe: one per worker.
+ */
+class CoverageScratch
+{
+  public:
+    explicit CoverageScratch(std::shared_ptr<const CoverageUniverse> u);
+    ~CoverageScratch();
+
+    CoverageScratch(const CoverageScratch &) = delete;
+    CoverageScratch &operator=(const CoverageScratch &) = delete;
+
+    /**
+     * Overwrite @p out with @p ect's contribution. @p tree is the
+     * goroutine tree of the same trace.
+     */
+    void compute(const trace::Ect &ect, const GoroutineTree &tree,
+                 CoverageDelta *out);
+
+  private:
+    std::shared_ptr<const CoverageUniverse> universe_;
+    std::unique_ptr<detail::ScratchImpl> impl_;
+};
+
+/**
  * Cumulative coverage state across testing iterations.
  *
  * Construct with the static model (scanner output) so uncovered static
@@ -64,16 +203,24 @@ class CoverageState
   public:
     explicit CoverageState(staticmodel::CuTable statics = {});
 
+    /** A state on a shared universe (no interning work). */
+    explicit CoverageState(std::shared_ptr<const CoverageUniverse> u);
+
     /** Fold one execution's trace into the coverage state. */
     void addEct(const trace::Ect &ect);
 
     /**
      * Like addEct(ect), but reusing a goroutine tree the caller already
-     * built for the same trace. The campaign worker folds every trace
-     * into both a per-iteration state and its worker-cumulative state;
-     * sharing one tree halves the tree builds on that hot path.
+     * built for the same trace.
      */
     void addEct(const trace::Ect &ect, const GoroutineTree &tree);
+
+    /**
+     * Fold one execution's contribution, computed by a CoverageScratch
+     * on this state's universe. Set unions and maxima only, so folding
+     * deltas in any grouping yields the same state.
+     */
+    void applyDelta(const CoverageDelta &d);
 
     /**
      * Union @p other into this state (the campaign merge step): CUs
@@ -102,23 +249,27 @@ class CoverageState
      * every merged-state consumer (percent, counts, bitmapStr,
      * saturation sampling, further mergeFrom folds) reads; the CU
      * table repopulates as fresh iterations merge in. Returns false
-     * on a malformed line.
+     * on a malformed line or requirement key.
      */
     bool restoreBitmap(const std::string &bitmap);
 
     /** Number of requirement instances known so far. */
-    size_t totalRequirements() const { return required_.size(); }
+    size_t totalRequirements() const { return nRequired_; }
 
     /** Number of requirement instances covered so far. */
-    size_t coveredCount() const { return covered_.size(); }
+    size_t coveredCount() const { return nCovered_; }
 
     /**
-     * Covered requirement instances demanding behaviour @p t (the
-     * requirement key's trailing token). Drives the per-class series
-     * of the coverage-saturation timeline (obs/saturation.hh); a
-     * linear scan, so call only from cold (merge/report) paths.
+     * Covered requirement instances demanding behaviour @p t, at both
+     * granularities. Kept incrementally, so O(1): the coverage-
+     * saturation timeline (obs/saturation.hh) samples it every
+     * merged iteration.
      */
-    size_t coveredCountOfType(ReqType t) const;
+    size_t
+    coveredCountOfType(ReqType t) const
+    {
+        return coveredOfType_[static_cast<size_t>(t)];
+    }
 
     /** Coverage percentage in [0, 100]; 100 for an empty universe. */
     double percent() const;
@@ -127,18 +278,10 @@ class CoverageState
     std::vector<std::string> uncovered() const;
 
     /** True when the given requirement key is covered. */
-    bool
-    isCovered(const std::string &key) const
-    {
-        return covered_.count(key) != 0;
-    }
+    bool isCovered(const std::string &key) const;
 
     /** True when the given requirement key exists. */
-    bool
-    isRequired(const std::string &key) const
-    {
-        return required_.count(key) != 0;
-    }
+    bool isRequired(const std::string &key) const;
 
     /**
      * Requirement key syntax (program level):
@@ -164,53 +307,24 @@ class CoverageState
     std::string tableStr() const;
 
   private:
-    /** Register a requirement without covering it. */
-    void require(const std::string &k) { required_.insert(k); }
+    /** Mark @p id required (and covered) with the counters in step. */
+    void require(ReqId id);
+    void cover(ReqId id);
 
-    /** Recount coveredOfType_ from covered_ (cold paths only). */
-    void rebuildTypeCounts();
+    /** The id a key string names (false: malformed or never seen). */
+    bool findKey(const std::string &key, ReqId *id) const;
 
-    /**
-     * Register and mark covered (program level + node level).
-     * @p node_key is a pointer into the caller's GoroutineTree
-     * (nullptr for system/scheduler context — program level only).
-     */
-    void cover(const staticmodel::Cu &cu, ReqType type, int case_idx,
-               const std::string *node_key);
-
-    /** Instantiate the template set of @p cu at a granularity. */
-    void instantiate(const staticmodel::Cu &cu, const std::string &prefix,
-                     int case_idx = -1);
-
-    /** Look up (or dynamically register) the CU at @p loc. */
-    staticmodel::Cu resolveCu(const SourceLoc &loc,
-                              staticmodel::CuKind fallback);
-
+    std::shared_ptr<const CoverageUniverse> universe_;
     staticmodel::CuTable table_;
-    // Transparent comparators: hot-path probes use buffer-built keys
-    // without constructing fresh std::string arguments.
-    std::set<std::string, std::less<>> required_;
-    std::set<std::string, std::less<>> covered_;
-    /** Select CUs observed to carry a default case. */
-    std::set<std::string, std::less<>> nbSelects_;
-    /** Discovered case counts per select CU key. */
-    std::map<std::string, int, std::less<>> selectCases_;
-    /** Covered-key counts by trailing ReqType token (kept in sync by
-     *  cover(); rebuilt wholesale in mergeFrom()). */
+    ReqBits required_;
+    ReqBits covered_;
+    size_t nRequired_ = 0;
+    size_t nCovered_ = 0;
     size_t coveredOfType_[4] = {};
-
-    // ------------------------------------------------------------------
-    // Hot-path machinery (see coverage.cc). resolveCu() is called once
-    // per trace event; memoizing on the event's interned file pointer
-    // replaces a linear CU-table scan with one map probe. The string
-    // buffers let cover() build requirement keys without allocating.
-    // ------------------------------------------------------------------
-    using CuCacheKey = std::tuple<const void *, uint32_t, uint8_t>;
-    std::map<CuCacheKey, staticmodel::Cu> cuCache_;
-    std::string keyBuf_;
-    std::string nodeBuf_;
-    std::string instBuf_;
-    std::string locBuf_;
+    /** Interned locations of selects observed with a default case. */
+    std::set<uint32_t> nbSelects_;
+    /** Discovered case counts per interned select location. */
+    std::map<uint32_t, int> selectCases_;
 };
 
 } // namespace goat::analysis

@@ -21,7 +21,10 @@
 
 namespace goat::campaign {
 
+using analysis::CoverageDelta;
+using analysis::CoverageScratch;
 using analysis::CoverageState;
+using analysis::CoverageUniverse;
 using engine::GoatConfig;
 using engine::IterationOutcome;
 using engine::SingleRun;
@@ -113,10 +116,11 @@ struct IterRecord
     /** dl.buggy() or watchdog; races are folded in canonically. */
     bool coreBug = false;
     uint64_t wallMicros = 0;
-    /** This iteration's standalone coverage contribution (with -cov). */
-    std::unique_ptr<CoverageState> cov;
-    /** Worker-registry delta over this iteration (ledger only). */
-    obs::Snapshot metricsDelta;
+    /** This iteration's coverage contribution (with -cov). */
+    CoverageDelta cov;
+    /** Worker-registry delta over this iteration, rendered once as the
+     *  ledger's metrics JSON (ledger only). */
+    std::string metricsJson;
     /** Stage-profiler delta over this iteration (with profile). */
     obs::ProfileSnapshot profileDelta;
     /**
@@ -147,9 +151,10 @@ struct RaceCapture
 /**
  * One worker: a private metrics registry (installed thread-locally for
  * the worker's lifetime, so the scheduler and engine bookkeeping of
- * this thread never touch another worker's instruments), a private
- * cumulative coverage state (guided-policy food and threshold
- * heuristic), and the iteration records to merge.
+ * this thread never touch another worker's instruments), a coverage
+ * scratch computing per-iteration deltas on the campaign's shared
+ * universe, a private cumulative coverage state (guided-policy food
+ * and threshold heuristic), and the iteration records to merge.
  *
  * Workers persist across checkpoint rounds: the thread running
  * workerLoop is respawned per round, but the registry, coverage,
@@ -158,8 +163,8 @@ struct RaceCapture
  */
 struct Worker
 {
-    explicit Worker(const GoatConfig &cfg)
-        : localCov(cfg.staticModel)
+    explicit Worker(const std::shared_ptr<const CoverageUniverse> &u)
+        : scratch(u), localCov(u)
     {
     }
 
@@ -167,6 +172,7 @@ struct Worker
     obs::Registry registry;
     /** Private stage profiler (installed thread-locally when on). */
     obs::Profiler profiler;
+    CoverageScratch scratch;
     CoverageState localCov;
     std::vector<IterRecord> records;
     BugCapture firstBug;
@@ -214,12 +220,6 @@ workerLoop(Shared &sh, Worker &w)
     const bool want_ledger = !cfg.ledgerPath.empty() ||
                              !sh.cfg.checkpointPath.empty() ||
                              !sh.cfg.resumePath.empty();
-
-    // Template for the per-iteration coverage states: instantiating
-    // the static requirement universe once and copying it per
-    // iteration is much cheaper than rebuilding it from the CU table
-    // every time.
-    const CoverageState covTemplate(cfg.staticModel);
 
     // Bind this thread's metrics to the worker's private registry for
     // the whole loop (covers the scheduler's per-run flush too).
@@ -271,11 +271,11 @@ workerLoop(Shared &sh, Worker &w)
         }
 
         if (measure_cov) {
-            // The run's tree (built once for the deadlock check)
-            // serves both coverage folds.
-            rec.cov = std::make_unique<CoverageState>(covTemplate);
-            rec.cov->addEct(sr.ect, *sr.tree);
-            w.localCov.addEct(sr.ect, *sr.tree);
+            // One delta (on the run's tree, built once for the deadlock
+            // check) feeds both the canonical merge and the worker's
+            // cumulative state.
+            w.scratch.compute(sr.ect, *sr.tree, &rec.cov);
+            w.localCov.applyDelta(rec.cov);
             // The worker's cumulative coverage is a subset of the
             // merged coverage at this iteration, so reaching the
             // threshold locally proves the canonical cutoff is <= iter.
@@ -325,8 +325,10 @@ workerLoop(Shared &sh, Worker &w)
         }
 
         if (want_ledger) {
+            // Rendered here, once: the row (and every checkpoint that
+            // re-serializes it) carries the JSON, not the snapshot.
             obs::Snapshot snap = w.registry.snapshot();
-            rec.metricsDelta = snap.deltaFrom(w.prevSnap);
+            rec.metricsJson = snap.deltaFrom(w.prevSnap).jsonStr();
             w.prevSnap = std::move(snap);
         }
 
@@ -368,8 +370,8 @@ struct FoldState
     int crashes = 0;
     int timeouts = 0;
 
-    explicit FoldState(const GoatConfig &cfg)
-        : merged(cfg.staticModel)
+    explicit FoldState(const std::shared_ptr<const CoverageUniverse> &u)
+        : merged(u)
     {
     }
 };
@@ -377,26 +379,30 @@ struct FoldState
 /**
  * Restore a parsed checkpoint into the fold: merged bitmap, saturation
  * series, frozen rows (their iteration summaries re-enter
- * result.iterations), tallies, and bug/race watermarks.
+ * result.iterations), tallies, and bug/race watermarks. A malformed
+ * coverage bitmap refuses the resume (false, resumeError set).
  */
-void
-restoreCheckpoint(const CheckpointData &ck, const CampaignConfig &cfg,
+bool
+restoreCheckpoint(CheckpointData &ck, const CampaignConfig &cfg,
                   FoldState &fs, engine::GoatResult &result,
                   CampaignResult &out)
 {
     const bool measure_cov =
         cfg.engine.collectCoverage || cfg.engine.coverageGuided;
+    if (!ck.covBitmap.empty() && !fs.merged.restoreBitmap(ck.covBitmap)) {
+        out.resumeOk = false;
+        out.resumeError = "malformed coverage bitmap in checkpoint";
+        return false;
+    }
     fs.cursor = ck.cursor;
     fs.executed = ck.executed;
     fs.stopped = ck.stopped;
     fs.respawns = ck.respawns;
     fs.crashes = ck.crashes;
     fs.timeouts = ck.timeouts;
-    if (!ck.covBitmap.empty())
-        fs.merged.restoreBitmap(ck.covBitmap);
     for (const obs::SaturationSample &s : ck.satSamples)
         result.saturation.appendSample(s);
-    fs.rows = ck.rows;
+    fs.rows = std::move(ck.rows);
     for (const obs::LedgerEntry &row : fs.rows) {
         result.iterations.push_back(ioFromRow(row));
         if (cfg.progress)
@@ -414,6 +420,7 @@ restoreCheckpoint(const CheckpointData &ck, const CampaignConfig &cfg,
         result.raceIteration = ck.raceIteration;
     out.resumed = true;
     out.resumeFrom = ck.cursor;
+    return true;
 }
 
 /** Snapshot the fold into a checkpoint file (atomic tmp+rename). */
@@ -436,8 +443,7 @@ writeCheckpoint(const CampaignConfig &cfg, const FoldState &fs,
     if (measure_cov)
         d.covBitmap = fs.merged.bitmapStr();
     d.satSamples = result.saturation.samples();
-    d.rows = fs.rows;
-    if (!writeCheckpointFile(cfg.checkpointPath, d)) {
+    if (!writeCheckpointFile(cfg.checkpointPath, d, fs.rows)) {
         out.checkpointOk = false;
         warn("cannot write checkpoint file " + cfg.checkpointPath);
     }
@@ -729,13 +735,17 @@ runThreadedCampaign(const CampaignConfig &cfg,
     CampaignResult out;
     out.jobs = jobs;
     engine::GoatResult &result = out.merged;
-    FoldState fs(ecfg);
+    // The static requirement universe, built once and shared by the
+    // merged state and every worker.
+    const auto universe =
+        std::make_shared<const CoverageUniverse>(ecfg.staticModel);
+    FoldState fs(universe);
 
     if (!cfg.resumePath.empty()) {
         CheckpointData ck;
-        if (!loadResume(cfg, &ck, out))
+        if (!loadResume(cfg, &ck, out) ||
+            !restoreCheckpoint(ck, cfg, fs, result, out))
             return out;
-        restoreCheckpoint(ck, cfg, fs, result, out);
     }
     // A race restored from the checkpoint already owns the canonical
     // first-race slot; fresh captures (necessarily later) never
@@ -746,7 +756,7 @@ runThreadedCampaign(const CampaignConfig &cfg,
     std::vector<std::unique_ptr<Worker>> workers;
     workers.reserve(static_cast<size_t>(jobs));
     for (int i = 0; i < jobs; ++i) {
-        workers.push_back(std::make_unique<Worker>(ecfg));
+        workers.push_back(std::make_unique<Worker>(universe));
         workers.back()->id = i;
     }
 
@@ -836,9 +846,9 @@ runThreadedCampaign(const CampaignConfig &cfg,
             io.dl = rec->dl;
             io.wallMicros = rec->wallMicros;
 
-            if (measure_cov && rec->cov) {
-                fs.merged.mergeFrom(*rec->cov);
-                rec->cov.reset(); // folded; free the big part
+            if (measure_cov) {
+                fs.merged.applyDelta(rec->cov);
+                rec->cov = CoverageDelta(); // folded; free it
                 io.coveragePct = fs.merged.percent();
                 result.finalCoverage = io.coveragePct;
                 // The saturation sample reads the canonical cumulative
@@ -922,7 +932,7 @@ runThreadedCampaign(const CampaignConfig &cfg,
                 if (ecfg.predict)
                     e.predicted = static_cast<int>(
                         rec->predictions.predictions.size());
-                e.metricsDelta = rec->metricsDelta;
+                e.metricsJson = std::move(rec->metricsJson);
                 fs.rows.push_back(std::move(e));
             }
 
@@ -1020,13 +1030,13 @@ runIsolatedCampaign(const CampaignConfig &cfg,
     CampaignResult out;
     out.jobs = jobs;
     engine::GoatResult &result = out.merged;
-    FoldState fs(ecfg);
+    FoldState fs(std::make_shared<const CoverageUniverse>(ecfg.staticModel));
 
     if (!cfg.resumePath.empty()) {
         CheckpointData ck;
-        if (!loadResume(cfg, &ck, out))
+        if (!loadResume(cfg, &ck, out) ||
+            !restoreCheckpoint(ck, cfg, fs, result, out))
             return out;
-        restoreCheckpoint(ck, cfg, fs, result, out);
     }
 
     // Digests arrive in shard-completion order; buffer and fold the
@@ -1044,8 +1054,11 @@ runIsolatedCampaign(const CampaignConfig &cfg,
 
         IterationOutcome io = ioFromRow(row);
         if (measure_cov) {
-            if (!d.covBitmap.empty())
-                fs.merged.restoreBitmap(d.covBitmap);
+            if (!d.covBitmap.empty() &&
+                !fs.merged.restoreBitmap(d.covBitmap))
+                warn(strFormat("iteration %d: malformed coverage bitmap "
+                               "in shard digest",
+                               i));
             // Loss rows carry no bitmap; they inherit the cumulative
             // state so the covered/req_total series stays monotone.
             io.coveragePct = fs.merged.percent();

@@ -22,10 +22,10 @@
  *     campaignIterationSeed(seedBase, i), regardless of which worker
  *     claims it, so every execution is identical across placements.
  *  2. Per-iteration coverage contributions. Each iteration's trace is
- *     folded into a private CoverageState seeded from the static
- *     model; the merge folds contributions in iteration order, so the
- *     merged bitmap is the same union for any assignment of
- *     iterations to workers.
+ *     reduced to a CoverageDelta against the campaign's static
+ *     universe (what a fresh state would gain from that trace alone);
+ *     the merge folds deltas in iteration order, so the merged bitmap
+ *     is the same union for any assignment of iterations to workers.
  *  3. Canonical cutoff. Workers may overshoot a stop condition (an
  *     iteration already in flight cannot be recalled); the merge
  *     replays stop semantics sequentially — first bug under

@@ -158,6 +158,13 @@ parseRowLines(const std::vector<std::string> &lines, size_t *idx,
 std::string
 checkpointToString(const CheckpointData &d)
 {
+    return checkpointToString(d, d.rows);
+}
+
+std::string
+checkpointToString(const CheckpointData &d,
+                   const std::vector<obs::LedgerEntry> &rows)
+{
     std::ostringstream os;
     os << "# goat-checkpoint v1\n";
     os << "fingerprint " << d.fingerprint << '\n';
@@ -179,7 +186,7 @@ checkpointToString(const CheckpointData &d)
             os << '\n';
         os << "cov_end\n";
     }
-    for (const obs::LedgerEntry &e : d.rows)
+    for (const obs::LedgerEntry &e : rows)
         serializeRow(os, e);
     return os.str();
 }
@@ -291,7 +298,14 @@ parseCheckpoint(const std::string &text, CheckpointData *out,
 bool
 writeCheckpointFile(const std::string &path, const CheckpointData &d)
 {
-    return atomicWriteFile(path, checkpointToString(d));
+    return writeCheckpointFile(path, d, d.rows);
+}
+
+bool
+writeCheckpointFile(const std::string &path, const CheckpointData &d,
+                    const std::vector<obs::LedgerEntry> &rows)
+{
+    return atomicWriteFile(path, checkpointToString(d, rows));
 }
 
 bool

@@ -117,6 +117,14 @@ bool parseRowLines(const std::vector<std::string> &lines, size_t *idx,
 /** Serialize a full checkpoint. */
 std::string checkpointToString(const CheckpointData &d);
 
+/**
+ * Serialize a checkpoint whose row prefix is @p rows (d.rows is
+ * ignored): the campaign passes its live row vector by reference
+ * instead of copying it into @p d every round.
+ */
+std::string checkpointToString(const CheckpointData &d,
+                               const std::vector<obs::LedgerEntry> &rows);
+
 /** Parse a full checkpoint; *err names the first problem on failure. */
 bool parseCheckpoint(const std::string &text, CheckpointData *out,
                      std::string *err);
@@ -124,6 +132,10 @@ bool parseCheckpoint(const std::string &text, CheckpointData *out,
 /** Write atomically (base/fileio.hh). @return false on I/O error. */
 bool writeCheckpointFile(const std::string &path,
                          const CheckpointData &d);
+
+/** Write atomically with the row prefix @p rows (d.rows is ignored). */
+bool writeCheckpointFile(const std::string &path, const CheckpointData &d,
+                         const std::vector<obs::LedgerEntry> &rows);
 
 /** Read and parse; *err names the problem on failure. */
 bool readCheckpointFile(const std::string &path, CheckpointData *out,

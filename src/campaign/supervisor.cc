@@ -153,8 +153,12 @@ runShardChild(const CampaignConfig &cfg,
 
     const bool measure_cov =
         ecfg.collectCoverage || ecfg.coverageGuided;
-    const analysis::CoverageState covTemplate(ecfg.staticModel);
-    analysis::CoverageState localCov(ecfg.staticModel);
+    const auto universe =
+        std::make_shared<const analysis::CoverageUniverse>(
+            ecfg.staticModel);
+    analysis::CoverageScratch scratch(universe);
+    analysis::CoverageDelta delta;
+    analysis::CoverageState localCov(universe);
 
     int wseq = start_wseq;
     for (int iter = start_iter; iter <= ecfg.maxIterations;
@@ -200,8 +204,10 @@ runShardChild(const CampaignConfig &cfg,
         prev = std::move(snap);
 
         if (measure_cov) {
-            analysis::CoverageState cov(covTemplate);
-            cov.addEct(sr.ect, *sr.tree);
+            // The wire carries the iteration's standalone bitmap.
+            scratch.compute(sr.ect, *sr.tree, &delta);
+            analysis::CoverageState cov(universe);
+            cov.applyDelta(delta);
             d.covBitmap = cov.bitmapStr();
         }
 

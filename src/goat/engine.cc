@@ -150,7 +150,13 @@ runCampaignIteration(const GoatConfig &cfg,
     // but never perturbs, leaving the schedule untouched.
     perturb::ScheduleRecorder recorder;
     perturb::YieldPerturber uniform(cfg.delayBound, seed);
-    perturb::GuidedPerturber guided(guided_cov, cfg.delayBound, seed);
+    // Only a coverage-guided campaign may consult cumulative coverage:
+    // a priority-only policy (-lint-guided, -mhp-prune) must stay a pure
+    // function of the seed, or its decisions at non-priority sites would
+    // depend on which iterations this worker happened to run before.
+    perturb::GuidedPerturber guided(cfg.coverageGuided ? guided_cov
+                                                       : nullptr,
+                                    cfg.delayBound, seed);
     if (!cfg.prioritySites.empty())
         guided.setPrioritySites(cfg.prioritySites);
     runtime::PerturbHook inner;

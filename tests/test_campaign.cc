@@ -107,6 +107,31 @@ TEST(Campaign, MergeDeterminismAcrossJobCounts)
     }
 }
 
+// Priority sites (-mhp-prune / -lint-guided) with -cov: the priority
+// policy must not consult the worker's cumulative coverage, so the
+// merged result stays identical across worker counts. A policy that
+// read the worker's coverage made cockroach_1055 find its first bug at
+// iteration 2 with one worker and at iteration 3 with four.
+TEST(Campaign, PrioritySitesWithCoverageMatchAcrossJobCounts)
+{
+    for (const char *name : {"cockroach_1055", "cockroach_7504"}) {
+        const goker::KernelInfo &k = kernel(name);
+        auto config = [&](int jobs) {
+            CampaignConfig cfg = baseConfig(k, jobs);
+            cfg.engine.seedBase = 1;
+            cfg.engine.maxIterations = 20;
+            cfg.engine.prioritySites = goker::kernelMhpSites(k);
+            return cfg;
+        };
+        SCOPED_TRACE(name);
+        CampaignConfig c1 = config(1);
+        ASSERT_FALSE(c1.engine.prioritySites.empty());
+        CampaignResult r1 = runCampaign(c1, k.fn);
+        CampaignResult r4 = runCampaign(config(4), k.fn);
+        expectIdentical(r1, r4);
+    }
+}
+
 // Same contract with the ECT ring squeezed to its 16-row floor: every
 // execution wraps and flushes mid-run many times, and the merged
 // digest must still be byte-identical to jobs=1 (the ring is a format

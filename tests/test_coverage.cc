@@ -9,9 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "analysis/coverage.hh"
+#include "base/fmt.hh"
+#include "campaign/campaign.hh"
 #include "chan/chan.hh"
 #include "chan/select.hh"
+#include "goker/registry.hh"
 #include "staticmodel/scanner.hh"
 #include "sync/sync.hh"
 #include "test_util.hh"
@@ -415,4 +421,225 @@ TEST(Coverage, RangeTreatedAsReceive)
         }
     }
     EXPECT_TRUE(any_recv_covered);
+}
+
+// ---------------------------------------------------------------------
+// Coverage equivalence against a committed golden. For every non-hostile
+// GoKer kernel the golden holds, after a 50-iteration -cov campaign at
+// D=2, the bitmapStr hash, percent, the four per-type covered counts and
+// the tableStr; plus the bitmap hash of a cumulative addEct fold over the
+// same 50 iterations (the sequential engine's path). Regenerate with
+// GOAT_UPDATE_GOLDEN=1 only after an intended change of coverage
+// semantics.
+// ---------------------------------------------------------------------
+
+namespace {
+
+uint64_t
+fnv1a(const std::string &s)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+campaign::CampaignConfig
+goldenConfig(const goker::KernelInfo &k)
+{
+    campaign::CampaignConfig cfg;
+    cfg.engine.delayBound = 2;
+    cfg.engine.maxIterations = 50;
+    cfg.engine.collectCoverage = true;
+    cfg.engine.covThreshold = 200.0; // never stop on coverage
+    cfg.engine.stopOnBug = false;
+    cfg.engine.staticModel = goker::kernelCuTable(k);
+    cfg.jobs = 1;
+    return cfg;
+}
+
+std::string
+goldenCoverageDump()
+{
+    std::string out;
+    for (const goker::KernelInfo *k :
+         goker::KernelRegistry::instance().all()) {
+        campaign::CampaignConfig cfg = goldenConfig(*k);
+        campaign::CampaignResult r = campaign::runCampaign(cfg, k->fn);
+        const CoverageState &cov = r.coverage;
+
+        CoverageState cumulative(cfg.engine.staticModel);
+        for (int i = 1; i <= cfg.engine.maxIterations; ++i) {
+            engine::SingleRun sr = engine::runCampaignIteration(
+                cfg.engine, k->fn, i, nullptr);
+            cumulative.addEct(sr.ect, *sr.tree);
+        }
+
+        out += strFormat(
+            "== %s\nbitmap %016llx cumulative %016llx pct %.17g "
+            "covered %zu total %zu blocked %zu unblocking %zu nop %zu "
+            "blocking %zu\n",
+            k->name.c_str(),
+            static_cast<unsigned long long>(fnv1a(cov.bitmapStr())),
+            static_cast<unsigned long long>(
+                fnv1a(cumulative.bitmapStr())),
+            cov.percent(), cov.coveredCount(), cov.totalRequirements(),
+            cov.coveredCountOfType(ReqType::Blocked),
+            cov.coveredCountOfType(ReqType::Unblocking),
+            cov.coveredCountOfType(ReqType::Nop),
+            cov.coveredCountOfType(ReqType::Blocking));
+        out += cov.tableStr();
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(CoverageGolden, GokerCampaignsMatchGolden)
+{
+    const std::string path =
+        GOAT_SOURCE_DIR "/tests/golden/coverage_goker_d2.txt";
+    std::string dump = goldenCoverageDump();
+    const char *update = std::getenv("GOAT_UPDATE_GOLDEN");
+    if (update && *update) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr) << path;
+        std::fwrite(dump.data(), 1, dump.size(), f);
+        std::fclose(f);
+    }
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr) << path;
+    std::string golden;
+    char buf[1 << 16];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+        golden.append(buf, n);
+    std::fclose(f);
+    EXPECT_EQ(dump, golden);
+}
+
+// ---------------------------------------------------------------------
+// Fold properties on every non-hostile kernel: per-iteration deltas
+// folded in iteration order, folded as two halves joined by mergeFrom,
+// and one cumulative addEct state agree byte for byte; bitmaps
+// round-trip through restoreBitmap; uncoveredAtLoc agrees with a scan
+// of the rendered bitmap.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Uncovered program-level keys at @p loc, by scanning a bitmap. */
+size_t
+uncoveredAtLocByScan(const std::string &bitmap, const SourceLoc &loc)
+{
+    const std::string prefix = "0 " + loc.str() + " ";
+    size_t n = 0;
+    size_t pos = 0;
+    while (pos < bitmap.size()) {
+        size_t eol = bitmap.find('\n', pos);
+        if (bitmap.compare(pos, prefix.size(), prefix) == 0)
+            ++n;
+        pos = eol + 1;
+    }
+    return n;
+}
+
+void
+expectSameState(const CoverageState &a, const CoverageState &b)
+{
+    EXPECT_EQ(a.bitmapStr(), b.bitmapStr());
+    EXPECT_EQ(a.tableStr(), b.tableStr());
+    EXPECT_EQ(a.totalRequirements(), b.totalRequirements());
+    EXPECT_EQ(a.coveredCount(), b.coveredCount());
+    for (ReqType t : {ReqType::Blocked, ReqType::Unblocking, ReqType::Nop,
+                      ReqType::Blocking})
+        EXPECT_EQ(a.coveredCountOfType(t), b.coveredCountOfType(t));
+}
+
+} // namespace
+
+TEST(CoverageFold, DeltaGroupingsAgreeOnEveryKernel)
+{
+    constexpr int kIters = 24;
+    for (const goker::KernelInfo *k :
+         goker::KernelRegistry::instance().all()) {
+        SCOPED_TRACE(k->name);
+        campaign::CampaignConfig cfg = goldenConfig(*k);
+        auto universe =
+            std::make_shared<const CoverageUniverse>(cfg.engine.staticModel);
+        CoverageScratch scratch(universe);
+        CoverageState in_order(universe), first(universe),
+            second(universe), reversed(universe);
+        CoverageState cumulative(cfg.engine.staticModel);
+        std::vector<CoverageDelta> deltas(kIters);
+        for (int i = 1; i <= kIters; ++i) {
+            engine::SingleRun sr = engine::runCampaignIteration(
+                cfg.engine, k->fn, i, nullptr);
+            CoverageDelta &d = deltas[static_cast<size_t>(i) - 1];
+            scratch.compute(sr.ect, *sr.tree, &d);
+            in_order.applyDelta(d);
+            (i <= kIters / 2 ? first : second).applyDelta(d);
+            cumulative.addEct(sr.ect, *sr.tree);
+        }
+        for (auto it = deltas.rbegin(); it != deltas.rend(); ++it)
+            reversed.applyDelta(*it);
+        CoverageState halves = first;
+        halves.mergeFrom(second);
+
+        expectSameState(in_order, halves);
+        expectSameState(in_order, cumulative);
+        expectSameState(in_order, reversed);
+
+        // Round trip: into a state on the same universe and into a
+        // default-constructed one.
+        const std::string bitmap = in_order.bitmapStr();
+        CoverageState restored(universe), bare;
+        ASSERT_TRUE(restored.restoreBitmap(bitmap));
+        ASSERT_TRUE(bare.restoreBitmap(bitmap));
+        EXPECT_EQ(restored.bitmapStr(), bitmap);
+        EXPECT_EQ(bare.bitmapStr(), bitmap);
+        EXPECT_EQ(bare.percent(), in_order.percent());
+        for (ReqType t : {ReqType::Blocked, ReqType::Unblocking,
+                          ReqType::Nop, ReqType::Blocking})
+            EXPECT_EQ(bare.coveredCountOfType(t),
+                      in_order.coveredCountOfType(t));
+
+        for (const Cu &cu : in_order.cuTable().all()) {
+            EXPECT_EQ(in_order.uncoveredAtLoc(cu.loc),
+                      uncoveredAtLocByScan(bitmap, cu.loc))
+                << cu.str();
+            EXPECT_EQ(bare.uncoveredAtLoc(cu.loc),
+                      uncoveredAtLocByScan(bitmap, cu.loc))
+                << cu.str();
+        }
+    }
+}
+
+TEST(CoverageFold, RestoreBitmapRejectsMalformedKeys)
+{
+    CoverageState cov;
+    EXPECT_FALSE(cov.restoreBitmap("2 k.cc:1 send nop\n"));
+    EXPECT_FALSE(cov.restoreBitmap("1 k.cc:1 send\n"));
+    EXPECT_FALSE(cov.restoreBitmap("1 k.cc:1 teleport nop\n"));
+    EXPECT_FALSE(cov.restoreBitmap("1 k.cc:1 send sometimes\n"));
+    EXPECT_FALSE(cov.restoreBitmap("1 k.cc:1 select/casex nop\n"));
+    EXPECT_FALSE(cov.restoreBitmap("1 |k.cc:1 send nop\n"));
+
+    CoverageState ok;
+    const std::string bitmap = "0 k.cc:3 select/case1 blocked\n"
+                               "1 k.cc:3 select/case1 nop\n"
+                               "1 main>k.cc:2|k.cc:4 send unblocking\n";
+    ASSERT_TRUE(ok.restoreBitmap(bitmap));
+    EXPECT_EQ(ok.bitmapStr(), bitmap);
+    EXPECT_EQ(ok.totalRequirements(), 3u);
+    EXPECT_EQ(ok.coveredCount(), 2u);
+    EXPECT_EQ(ok.coveredCountOfType(ReqType::Nop), 1u);
+    EXPECT_EQ(ok.coveredCountOfType(ReqType::Unblocking), 1u);
+    EXPECT_TRUE(ok.isCovered("main>k.cc:2|k.cc:4 send unblocking"));
+    EXPECT_TRUE(ok.isRequired("k.cc:3 select/case1 blocked"));
+    EXPECT_FALSE(ok.isCovered("k.cc:3 select/case1 blocked"));
+    EXPECT_FALSE(ok.isRequired("k.cc:9 send nop"));
+    EXPECT_EQ(ok.uncoveredAtLoc(SourceLoc("dir/k.cc", 3)), 1u);
 }

@@ -330,6 +330,34 @@ TEST(Checkpoint, FingerprintTracksContentKnobsOnly)
               campaign::configFingerprint(b));
 }
 
+TEST(Checkpoint, ResumeRefusesMalformedCoverageKey)
+{
+    // The checkpoint is outside input: a cov_begin line whose
+    // requirement key does not parse must refuse the resume (exit 1)
+    // rather than resume on a partly restored coverage state.
+    const std::string run = "-kernel=etcd_7443 -d=2 -freq=6 -cov "
+                            "-keep-going -checkpoint-every=3";
+    std::string ck = tmpPath("covkey.ck");
+    std::string bad = tmpPath("covkey_bad.ck");
+    std::remove(ck.c_str());
+    ASSERT_EQ(runGoat(run + " -checkpoint=" + ck), 0);
+    std::string text = readFile(ck);
+    size_t at = text.find("cov_begin\n");
+    ASSERT_NE(at, std::string::npos);
+    size_t key = at + 10 + 2; // past "cov_begin\n" and "0 " / "1 "
+    size_t eol = text.find('\n', key);
+    ASSERT_NE(eol, std::string::npos);
+    text.replace(key, eol - key, "no-such-key");
+    {
+        std::ofstream out(bad);
+        out << text;
+    }
+    EXPECT_EQ(runGoat(run + " -resume=" + ck), 0);
+    EXPECT_EQ(runGoat(run + " -resume=" + bad), 1);
+    std::remove(ck.c_str());
+    std::remove(bad.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Hostile kernels: registry segregation
 // ---------------------------------------------------------------------

@@ -440,9 +440,10 @@ def main():
         # canonical_rows() deliberately KEEPS the lint fields.
         lintl1 = Path(tmp) / "lint_j1.jsonl"
         lintl4 = Path(tmp) / "lint_j4.jsonl"
-        run_goat(goat, kernel, iterations, lintl1, lint_guided=True)
+        run_goat(goat, kernel, iterations, lintl1, lint_guided=True,
+                 cov=True)
         run_goat(goat, kernel, iterations, lintl4, jobs=4,
-                 lint_guided=True)
+                 lint_guided=True, cov=True)
         lrows1 = check_ledger(lintl1, expect_min_lines=1)
         lrows4 = check_ledger(lintl4, expect_min_lines=1)
         for i, line in enumerate(lrows1, 1):
@@ -462,20 +463,26 @@ def main():
         # MHP-pruned campaigns seed the perturber from the static MHP
         # pair set — a pure function of the kernel source, identical
         # across workers — so the jobs=1 vs jobs=4 byte-identity
-        # guarantee must extend to -mhp-prune unchanged.
-        mhpl1 = Path(tmp) / "mhp_j1.jsonl"
-        mhpl4 = Path(tmp) / "mhp_j4.jsonl"
-        run_goat(goat, kernel, iterations, mhpl1,
-                 extra=["-mhp-prune"])
-        run_goat(goat, kernel, iterations, mhpl4, jobs=4,
-                 extra=["-mhp-prune"])
-        mrows1 = check_ledger(mhpl1, expect_min_lines=1)
-        mrows4 = check_ledger(mhpl4, expect_min_lines=1)
-        if canonical_rows(mrows1) != canonical_rows(mrows4):
-            fail("-mhp-prune -jobs=4 ledger differs from -jobs=1")
-        print(f"check_ledger: OK — mhp-pruned campaign: "
-              f"{len(mrows1)} row(s), canonical content identical "
-              f"at -jobs=4")
+        # guarantee must extend to -mhp-prune unchanged, with -cov on:
+        # the priority policy must not read the worker's coverage. The
+        # seed-1 leg is a schedule that exposed such a leak.
+        for seed, iters in ((None, iterations), (1, 20)):
+            extra = ["-mhp-prune"]
+            if seed is not None:
+                extra.append(f"-seed={seed}")
+            mhpl1 = Path(tmp) / f"mhp_j1_{seed}.jsonl"
+            mhpl4 = Path(tmp) / f"mhp_j4_{seed}.jsonl"
+            run_goat(goat, kernel, iters, mhpl1, extra=extra, cov=True)
+            run_goat(goat, kernel, iters, mhpl4, jobs=4, extra=extra,
+                     cov=True)
+            mrows1 = check_ledger(mhpl1, expect_min_lines=1)
+            mrows4 = check_ledger(mhpl4, expect_min_lines=1)
+            if canonical_rows(mrows1) != canonical_rows(mrows4):
+                fail(f"-mhp-prune -cov (seed {seed}) -jobs=4 ledger "
+                     f"differs from -jobs=1")
+            print(f"check_ledger: OK — mhp-pruned -cov campaign (seed "
+                  f"{seed}): {len(mrows1)} row(s), canonical content "
+                  f"identical at -jobs=4")
 
         # Predictive campaign: every row of a -predict run carries the
         # predicted stamp, confirmed iterations carry

@@ -15,6 +15,10 @@ Scenarios:
     run's ledger is canonical-identical to the reference, at -jobs=1
     and at -jobs=4 (and a -jobs=4 checkpoint resumes at -jobs=1 —
     the fingerprint deliberately excludes the worker count);
+  * the same three kill-and-resume legs with -cov, so the resumed
+    campaign restores the checkpoint's coverage bitmap: every row's
+    coverage_pct/covered/req_total must match the uninterrupted -cov
+    run as well as the rest of the canonical row;
   * SIGTERM mid-campaign: graceful flush — the process exits 143
     (128+SIGTERM), the checkpoint and the ledger agree on the merged
     prefix, the prefix is canonical with the reference, and the
@@ -66,9 +70,11 @@ def canonical_rows(path):
 
 
 def cmd(goat, ledger, jobs=1, checkpoint=None, resume=None,
-        iters=ITERS):
+        iters=ITERS, cov=False):
     c = [goat, f"-kernel={KERNEL}", f"-d={DELAY}", f"-freq={iters}",
          "-keep-going", f"-jobs={jobs}", f"-ledger={ledger}"]
+    if cov:
+        c.append("-cov")
     if checkpoint is not None:
         c += [f"-checkpoint={checkpoint}", f"-checkpoint-every={EVERY}"]
     if resume is not None:
@@ -84,11 +90,11 @@ def run(goat, ledger, **kw):
              f"{proc.stderr}")
 
 
-def kill_mid_run(goat, ledger, checkpoint, sig, jobs=1):
+def kill_mid_run(goat, ledger, checkpoint, sig, jobs=1, cov=False):
     """Start a checkpointed campaign, deliver @sig at a random moment
     after the first checkpoint lands, and return the exit status."""
     proc = subprocess.Popen(cmd(goat, ledger, jobs=jobs,
-                                checkpoint=checkpoint),
+                                checkpoint=checkpoint, cov=cov),
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + 60
@@ -115,6 +121,70 @@ def read_cursor(checkpoint):
         if line.startswith("cursor "):
             return int(line.split()[1])
     fail(f"checkpoint {checkpoint} has no cursor line")
+
+
+COV_FIELDS = ("coverage_pct", "covered", "req_total")
+
+
+def coverage_series(rows, what):
+    """The per-row (coverage_pct, covered, req_total) triples."""
+    series = []
+    for i, row in enumerate(rows, 1):
+        missing = [k for k in COV_FIELDS if k not in row]
+        if missing:
+            fail(f"{what}: row {i} lacks {', '.join(missing)}")
+        series.append(tuple(row[k] for k in COV_FIELDS))
+    return series
+
+
+def check_cov_resume(goat, tmp):
+    """Kill-and-resume legs with -cov: jobs=1, jobs=4, and the jobs=4
+    checkpoint resumed at jobs=1."""
+    ref_ledger = tmp / "cov_ref.jsonl"
+    run(goat, ref_ledger, cov=True)
+    ref = canonical_rows(ref_ledger)
+    ref_cov = coverage_series(ref, "uninterrupted -cov run")
+    if len(ref) != ITERS:
+        fail(f"-cov reference campaign has {len(ref)} rows, expected "
+             f"{ITERS}")
+
+    def compare(path, what):
+        rows = canonical_rows(path)
+        if coverage_series(rows, what) != ref_cov:
+            fail(f"{what}: coverage_pct/covered/req_total differ from "
+                 f"the uninterrupted -cov run")
+        if rows != ref:
+            fail(f"{what}: ledger differs from the uninterrupted -cov "
+                 f"run")
+
+    for jobs in (1, 4):
+        ck = tmp / f"cov_kill_j{jobs}.ck"
+        part = tmp / f"cov_part_j{jobs}.jsonl"
+        rc = kill_mid_run(goat, part, ck, signal.SIGKILL, jobs=jobs,
+                          cov=True)
+        if rc != -signal.SIGKILL:
+            fail(f"-cov SIGKILL run exited {rc}, expected "
+                 f"{-signal.SIGKILL}")
+        cursor = read_cursor(ck)
+        if not 0 < cursor < ITERS:
+            fail(f"-cov jobs={jobs} kill landed outside the campaign "
+                 f"(cursor {cursor}) — timing too coarse")
+        if "cov_begin" not in ck.read_text():
+            fail(f"-cov jobs={jobs} checkpoint carries no coverage "
+                 f"bitmap")
+        res = tmp / f"cov_res_j{jobs}.jsonl"
+        run(goat, res, jobs=jobs, resume=ck, cov=True)
+        compare(res, f"-cov jobs={jobs} killed+resumed (cursor "
+                     f"{cursor})")
+        print(f"check_resume: OK — -cov SIGKILL at iteration {cursor}, "
+              f"resume at -jobs={jobs} canonical-identical incl. "
+              f"coverage")
+
+    cross = tmp / "cov_cross.jsonl"
+    run(goat, cross, jobs=1, resume=tmp / "cov_kill_j4.ck", cov=True)
+    compare(cross, "-cov -jobs=4 checkpoint resumed at -jobs=1")
+    print("check_resume: OK — -cov -jobs=4 checkpoint resumes at "
+          "-jobs=1 canonical-identical incl. coverage")
 
 
 def main():
@@ -164,6 +234,8 @@ def main():
                  "the uninterrupted run")
         print("check_resume: OK — -jobs=4 checkpoint resumes at "
               "-jobs=1 canonical-identical")
+
+        check_cov_resume(goat, tmp)
 
         # SIGTERM: graceful flush. Exit 143, ledger and checkpoint
         # agree on the merged prefix, prefix canonical, resumable.

@@ -2,22 +2,25 @@
  * @file
  * Google-benchmark micro-suite for the telemetry subsystem: the
  * hot-path cost of counter increments and histogram observations
- * (what every scheduler event now pays), snapshot/delta (what every
- * ledgered iteration pays), the stage-profiler scope in its disabled
+ * (what every scheduler event now pays), the registry's ledger-row
+ * delta render (what every ledgered iteration pays) next to the
+ * snapshot/delta it replaced, the stage-profiler scope in its disabled
  * and enabled forms (what every instrumentation site pays), and the
  * Chrome trace export (a one-shot cost on the buggy iteration).
  *
- * After the micro benches, a custom main runs the -profile overhead
- * A/B: the same pinned-seed campaign with the stage profiler off and
- * on, interleaved min-of-N so the numbers survive a noisy shared
- * host, written to BENCH_obs.json together with the best profile-on
- * rep's per-stage breakdown (tools/check_bench.py holds the overhead
- * to the documented <5% budget and compares per-stage means across
- * baselines in --compare mode).
+ * After the micro benches, a custom main runs two A/Bs on the same
+ * pinned-seed campaign, each interleaved min-of-N so the numbers
+ * survive a noisy shared host: the stage profiler off vs on, and the
+ * row path (-ledger with -checkpoint-every=64) off vs on. Both land in
+ * BENCH_obs.json together with the best profile-on rep's per-stage
+ * breakdown (tools/check_bench.py holds the profile overhead to the
+ * documented <5% budget and compares every leg and per-stage means
+ * across baselines in --compare mode).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -65,16 +68,22 @@ BM_HistogramObserve(benchmark::State &state)
 }
 BENCHMARK(BM_HistogramObserve);
 
+/** Populate @p reg to the size of the real global registry. */
 static void
-BM_SnapshotDelta(benchmark::State &state)
+populate(Registry &reg)
 {
-    // Populate a registry the size of the real global one.
-    Registry reg;
     for (int i = 0; i < 80; ++i)
         reg.counter("c" + std::to_string(i)).inc(i);
     for (int i = 0; i < 4; ++i)
         reg.gauge("g" + std::to_string(i)).set(i);
     reg.histogram("h", {100, 1'000, 10'000}).observe(7);
+}
+
+static void
+BM_SnapshotDelta(benchmark::State &state)
+{
+    Registry reg;
+    populate(reg);
     Snapshot before = reg.snapshot();
     for (auto _ : state) {
         reg.counter("c1").inc();
@@ -86,6 +95,25 @@ BM_SnapshotDelta(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SnapshotDelta);
+
+static void
+BM_DeltaJson(benchmark::State &state)
+{
+    // The same registry as BM_SnapshotDelta, rendered the way a ledger
+    // row is: straight from the instruments, no snapshots.
+    Registry reg;
+    populate(reg);
+    Counter &c1 = reg.counter("c1");
+    reg.deltaJson();
+    for (auto _ : state) {
+        c1.inc();
+        std::string json = reg.deltaJson();
+        benchmark::DoNotOptimize(json.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DeltaJson);
 
 static void
 BM_LedgerEntryJson(benchmark::State &state)
@@ -188,14 +216,23 @@ BENCHMARK(BM_SaturationSample);
 
 namespace {
 
+/** Which instrumentation a campaignWallMicros() run turns on. */
+enum class Leg
+{
+    Plain,
+    Profile,
+    /** -ledger with -checkpoint-every=64: the row path. */
+    Ledger,
+};
+
 /**
- * The -profile overhead A/B: wall time of a pinned-seed fixed-budget
- * campaign with the stage profiler off vs on. Interleaved min-of-N:
- * alternate off/on runs and keep each side's minimum, which is the
- * standard way to get a stable ratio out of a 1-core noisy container.
+ * Wall time of a pinned-seed fixed-budget campaign with @p leg's
+ * instrumentation on. The A/Bs interleave legs min-of-N: alternate
+ * off/on runs and keep each side's minimum, which is the standard way
+ * to get a stable ratio out of a noisy shared host.
  */
 uint64_t
-campaignWallMicros(bool profile, int iterations,
+campaignWallMicros(Leg leg, int iterations,
                    std::string *stages_json = nullptr)
 {
     using std::chrono::steady_clock;
@@ -213,17 +250,44 @@ campaignWallMicros(bool profile, int iterations,
     cfg.engine.collectCoverage = true;
     cfg.engine.covThreshold = 200.0;
     cfg.engine.staticModel = goker::kernelCuTable(*k);
-    cfg.engine.profile = profile;
+    cfg.engine.profile = leg == Leg::Profile;
     cfg.jobs = 1;
+    const std::string ledger = "bench_obs.ledger.jsonl";
+    const std::string checkpoint = "bench_obs.checkpoint";
+    if (leg == Leg::Ledger) {
+        // The ledger appends across runs; start each rep empty.
+        std::remove(ledger.c_str());
+        cfg.engine.ledgerPath = ledger;
+        cfg.checkpointPath = checkpoint;
+        cfg.checkpointEvery = 64;
+    }
     auto t0 = steady_clock::now();
     campaign::CampaignResult r = campaign::runCampaign(cfg, k->fn);
+    const auto t1 = steady_clock::now();
     benchmark::DoNotOptimize(r.executedIterations);
-    if (profile && stages_json)
+    if (leg == Leg::Ledger) {
+        if (!r.ledgerOk || !r.checkpointOk) {
+            std::fprintf(stderr, "bench_obs: ledger/checkpoint failed\n");
+            std::exit(1);
+        }
+        std::remove(ledger.c_str());
+        std::remove(checkpoint.c_str());
+    }
+    if (leg == Leg::Profile && stages_json)
         *stages_json = r.executedProfile.jsonStr();
     return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            steady_clock::now() - t0)
+        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
             .count());
+}
+
+/** 100 × (on − off) / off. */
+double
+overheadPct(uint64_t off, uint64_t on)
+{
+    return off ? 100.0 *
+                     (static_cast<double>(on) - static_cast<double>(off)) /
+                     static_cast<double>(off)
+               : 0.0;
 }
 
 int
@@ -235,49 +299,55 @@ runOverheadAb()
     constexpr int kIterations = 2000;
     constexpr int kReps = 9;
     uint64_t best_off = UINT64_MAX, best_on = UINT64_MAX;
+    uint64_t best_ledger = UINT64_MAX;
     // Per-stage breakdown of the best profile-on rep (the campaign is
     // seed-pinned, so every rep folds the same stage work).
     std::string stages;
-    campaignWallMicros(false, kIterations); // warm up stack pools etc.
+    campaignWallMicros(Leg::Plain, kIterations); // warm up stack pools
     for (int rep = 0; rep < kReps; ++rep) {
-        uint64_t off = campaignWallMicros(false, kIterations);
+        uint64_t off = campaignWallMicros(Leg::Plain, kIterations);
         std::string rep_stages;
-        uint64_t on = campaignWallMicros(true, kIterations, &rep_stages);
-        if (off < best_off)
-            best_off = off;
+        uint64_t on =
+            campaignWallMicros(Leg::Profile, kIterations, &rep_stages);
+        uint64_t ledger = campaignWallMicros(Leg::Ledger, kIterations);
+        best_off = std::min(best_off, off);
+        best_ledger = std::min(best_ledger, ledger);
         if (on < best_on) {
             best_on = on;
             stages = std::move(rep_stages);
         }
     }
-    double overhead_pct =
-        best_off ? 100.0 *
-                       (static_cast<double>(best_on) -
-                        static_cast<double>(best_off)) /
-                       static_cast<double>(best_off)
-                 : 0.0;
-    std::printf("\n=== -profile overhead A/B: cockroach_1055, %d "
+    const double overhead_pct = overheadPct(best_off, best_on);
+    const double ledger_pct = overheadPct(best_off, best_ledger);
+    std::printf("\n=== instrumentation A/Bs: cockroach_1055, %d "
                 "iterations, min of %d interleaved reps ===\n"
-                "profile off %8.1f ms\nprofile on  %8.1f ms\n"
-                "overhead    %+7.2f %%\n",
+                "plain                 %8.1f ms\n"
+                "-profile              %8.1f ms  %+7.2f %%\n"
+                "-ledger -checkpoint   %8.1f ms  %+7.2f %%\n",
                 kIterations, kReps, best_off / 1e3, best_on / 1e3,
-                overhead_pct);
+                overhead_pct, best_ledger / 1e3, ledger_pct);
 
     std::FILE *f = std::fopen("BENCH_obs.json", "w");
     if (!f) {
         std::fprintf(stderr, "bench_obs: cannot write BENCH_obs.json\n");
         return 1;
     }
+    // The plain leg is the "off" side of both A/Bs; it is written
+    // under both names so each A/B reads on its own.
     std::fprintf(f,
                  "{\"bench\":\"profile_overhead\","
                  "\"kernel\":\"cockroach_1055\",\"iterations\":%d,"
                  "\"reps\":%d,\"profile_off_us\":%llu,"
                  "\"profile_on_us\":%llu,\"overhead_pct\":%.3f,"
+                 "\"ledger_off_us\":%llu,\"ledger_on_us\":%llu,"
+                 "\"ledger_overhead_pct\":%.3f,"
                  "\"stages\":%s}\n",
                  kIterations, kReps,
                  static_cast<unsigned long long>(best_off),
                  static_cast<unsigned long long>(best_on),
                  overhead_pct,
+                 static_cast<unsigned long long>(best_off),
+                 static_cast<unsigned long long>(best_ledger), ledger_pct,
                  stages.empty() ? "{}" : stages.c_str());
     std::fclose(f);
     std::printf("summary written to BENCH_obs.json\n");

@@ -2,9 +2,10 @@
  * @file
  * Atomic artifact writes.
  *
- * Every artifact the toolchain produces (-trace/-html/-record/
- * -chrome-trace/-saturation-out/-predict-out/-lint-out/-status-out/
- * -checkpoint) goes through atomicWriteFile: the content is written to
+ * Every whole-file artifact the toolchain produces (-trace/-html/
+ * -record/-chrome-trace/-saturation-out/-predict-out/-lint-out/
+ * -status-out, and the first block of a resumed -checkpoint log) goes
+ * through atomicWriteFile: the content is written to
  * a sibling `.tmp` file and renamed over the target, so readers (and
  * resumed campaigns) never observe a torn file. One bounded retry
  * absorbs a transient EINTR/ENOSPC; persistent failure returns false

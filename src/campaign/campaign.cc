@@ -42,6 +42,15 @@ atomicMin(std::atomic<int> &a, int v)
     }
 }
 
+/** Make room for @p n more elements in @p v, at least doubling it. */
+template <class T>
+void
+reserveMore(std::vector<T> &v, size_t n)
+{
+    if (v.capacity() - v.size() < n)
+        v.reserve(std::max(v.size() + n, 2 * v.capacity()));
+}
+
 /** Inverse of analysis::verdictName (Pass on an unknown name). */
 analysis::Verdict
 verdictFromName(const std::string &name)
@@ -157,8 +166,8 @@ struct RaceCapture
  * and threshold heuristic), and the iteration records to merge.
  *
  * Workers persist across checkpoint rounds: the thread running
- * workerLoop is respawned per round, but the registry, coverage,
- * records, and the ledger snapshot baseline all carry over, so an
+ * workerLoop is respawned per round, but the registry (with its
+ * ledger-delta baseline), coverage, and records all carry over, so an
  * N-round campaign records exactly what a single-round one would.
  */
 struct Worker
@@ -177,9 +186,6 @@ struct Worker
     std::vector<IterRecord> records;
     BugCapture firstBug;
     RaceCapture firstRace;
-    /** Ledger-delta baseline, persistent across rounds. */
-    obs::Snapshot prevSnap;
-    bool prevInit = false;
     /** Records already indexed by the merge (rounds watermark). */
     size_t indexed = 0;
 };
@@ -233,11 +239,6 @@ workerLoop(Shared &sh, Worker &w)
     obs::Histogram &iter_wall = w.registry.histogram(
         "engine.iter_wall_us",
         {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000});
-
-    if (want_ledger && !w.prevInit) {
-        w.prevSnap = w.registry.snapshot();
-        w.prevInit = true;
-    }
 
     for (;;) {
         if (interruptRequested())
@@ -324,13 +325,10 @@ workerLoop(Shared &sh, Worker &w)
                 static_cast<unsigned long long>(rec.wallMicros)));
         }
 
-        if (want_ledger) {
-            // Rendered here, once: the row (and every checkpoint that
-            // re-serializes it) carries the JSON, not the snapshot.
-            obs::Snapshot snap = w.registry.snapshot();
-            rec.metricsJson = snap.deltaFrom(w.prevSnap).jsonStr();
-            w.prevSnap = std::move(snap);
-        }
+        // Rendered here, once: the row (and its checkpoint block)
+        // carries the JSON, not a snapshot.
+        if (want_ledger)
+            rec.metricsJson = w.registry.deltaJson();
 
         // Draining per iteration resets the sampling phase, so the
         // delta (and under a deterministic clock, its histogram) is a
@@ -369,6 +367,8 @@ struct FoldState
     int respawns = 0;
     int crashes = 0;
     int timeouts = 0;
+    /** The -checkpoint log (closed when not checkpointing). */
+    CheckpointLog log;
 
     explicit FoldState(const std::shared_ptr<const CoverageUniverse> &u)
         : merged(u)
@@ -376,11 +376,21 @@ struct FoldState
     }
 };
 
+/** Refuse a resume (the campaign does not run); always false. */
+bool
+refuseResume(CampaignResult &out, std::string why)
+{
+    out.resumeOk = false;
+    out.resumeError = std::move(why);
+    return false;
+}
+
 /**
  * Restore a parsed checkpoint into the fold: merged bitmap, saturation
  * series, frozen rows (their iteration summaries re-enter
- * result.iterations), tallies, and bug/race watermarks. A malformed
- * coverage bitmap refuses the resume (false, resumeError set).
+ * result.iterations), tallies, and bug/race watermarks. A bug/race
+ * watermark that names no (bug) row of the prefix, or a malformed
+ * coverage bitmap, refuses the resume (false, resumeError set).
  */
 bool
 restoreCheckpoint(CheckpointData &ck, const CampaignConfig &cfg,
@@ -389,11 +399,24 @@ restoreCheckpoint(CheckpointData &ck, const CampaignConfig &cfg,
 {
     const bool measure_cov =
         cfg.engine.collectCoverage || cfg.engine.coverageGuided;
-    if (!ck.covBitmap.empty() && !fs.merged.restoreBitmap(ck.covBitmap)) {
-        out.resumeOk = false;
-        out.resumeError = "malformed coverage bitmap in checkpoint";
-        return false;
-    }
+    auto names_row = [&ck](int iter) {
+        return iter == -1 || (iter >= 1 && iter <= ck.cursor);
+    };
+    if (!names_row(ck.bugIteration) ||
+        (ck.bugIteration > 0 &&
+         !ck.rows[static_cast<size_t>(ck.bugIteration) - 1].bug))
+        return refuseResume(
+            out, strFormat("checkpoint bug_iteration %d is not a bug row "
+                           "of its %d-row prefix",
+                           ck.bugIteration, ck.cursor));
+    if (!names_row(ck.raceIteration))
+        return refuseResume(
+            out, strFormat("checkpoint race_iteration %d is not a row of "
+                           "its %d-row prefix",
+                           ck.raceIteration, ck.cursor));
+    if (!ck.covBitmap.empty() && !fs.merged.restoreBitmap(ck.covBitmap))
+        return refuseResume(out,
+                            "malformed coverage bitmap in checkpoint");
     fs.cursor = ck.cursor;
     fs.executed = ck.executed;
     fs.stopped = ck.stopped;
@@ -423,16 +446,23 @@ restoreCheckpoint(CheckpointData &ck, const CampaignConfig &cfg,
     return true;
 }
 
-/** Snapshot the fold into a checkpoint file (atomic tmp+rename). */
+/** Record a checkpoint I/O failure (warned once per campaign). */
 void
-writeCheckpoint(const CampaignConfig &cfg, const FoldState &fs,
+checkpointFailed(const CampaignConfig &cfg, CampaignResult &out)
+{
+    if (out.checkpointOk)
+        warn("cannot write checkpoint file " + cfg.checkpointPath);
+    out.checkpointOk = false;
+}
+
+/** Append the fold's new rows and current summary to the log. */
+void
+writeCheckpoint(const CampaignConfig &cfg, FoldState &fs,
                 const engine::GoatResult &result, CampaignResult &out)
 {
     const bool measure_cov =
         cfg.engine.collectCoverage || cfg.engine.coverageGuided;
     CheckpointData d;
-    d.fingerprint = configFingerprint(cfg);
-    d.cursor = fs.cursor;
     d.executed = fs.executed;
     d.respawns = fs.respawns;
     d.crashes = fs.crashes;
@@ -442,11 +472,8 @@ writeCheckpoint(const CampaignConfig &cfg, const FoldState &fs,
     d.stopped = fs.stopped;
     if (measure_cov)
         d.covBitmap = fs.merged.bitmapStr();
-    d.satSamples = result.saturation.samples();
-    if (!writeCheckpointFile(cfg.checkpointPath, d, fs.rows)) {
-        out.checkpointOk = false;
-        warn("cannot write checkpoint file " + cfg.checkpointPath);
-    }
+    if (!fs.log.commit(d, fs.rows, result.saturation.samples()))
+        checkpointFailed(cfg, out);
 }
 
 /**
@@ -689,24 +716,36 @@ finalizeCampaign(const CampaignConfig &cfg,
     }
 }
 
-/** Load + fingerprint-check the resume checkpoint ("" error = ok). */
+/**
+ * Set the fold up for a run: restore the -resume checkpoint (after
+ * its fingerprint check) and open the -checkpoint log. False when the
+ * resume is refused (out.resumeError says why).
+ */
 bool
-loadResume(const CampaignConfig &cfg, CheckpointData *ck,
-           CampaignResult &out)
+beginFold(const CampaignConfig &cfg, FoldState &fs,
+          engine::GoatResult &result, CampaignResult &out)
 {
+    const bool checkpointing = !cfg.checkpointPath.empty();
+    if (cfg.resumePath.empty()) {
+        if (checkpointing &&
+            !fs.log.create(cfg.checkpointPath, configFingerprint(cfg)))
+            checkpointFailed(cfg, out);
+        return true;
+    }
+    CheckpointData ck;
     std::string err;
-    if (!readCheckpointFile(cfg.resumePath, ck, &err)) {
-        out.resumeOk = false;
-        out.resumeError = err;
+    if (!readCheckpointFile(cfg.resumePath, &ck, &err))
+        return refuseResume(out, err);
+    if (ck.fingerprint != configFingerprint(cfg))
+        return refuseResume(out, "checkpoint fingerprint mismatch: " +
+                                     ck.fingerprint + " vs " +
+                                     configFingerprint(cfg));
+    if (!restoreCheckpoint(ck, cfg, fs, result, out))
         return false;
-    }
-    if (ck->fingerprint != configFingerprint(cfg)) {
-        out.resumeOk = false;
-        out.resumeError =
-            "checkpoint fingerprint mismatch: " + ck->fingerprint +
-            " vs " + configFingerprint(cfg);
-        return false;
-    }
+    if (checkpointing &&
+        !fs.log.resume(cfg.checkpointPath, cfg.resumePath, ck, fs.rows,
+                       result.saturation.samples()))
+        checkpointFailed(cfg, out);
     return true;
 }
 
@@ -740,13 +779,8 @@ runThreadedCampaign(const CampaignConfig &cfg,
     const auto universe =
         std::make_shared<const CoverageUniverse>(ecfg.staticModel);
     FoldState fs(universe);
-
-    if (!cfg.resumePath.empty()) {
-        CheckpointData ck;
-        if (!loadResume(cfg, &ck, out) ||
-            !restoreCheckpoint(ck, cfg, fs, result, out))
-            return out;
-    }
+    if (!beginFold(cfg, fs, result, out))
+        return out;
     // A race restored from the checkpoint already owns the canonical
     // first-race slot; fresh captures (necessarily later) never
     // displace it.
@@ -802,6 +836,7 @@ runThreadedCampaign(const CampaignConfig &cfg,
         }
 
         // Index this round's fresh records.
+        const int executed_before = fs.executed;
         for (const auto &w : workers) {
             for (size_t r = w->indexed; r < w->records.size(); ++r) {
                 IterRecord &rec = w->records[r];
@@ -813,6 +848,12 @@ runThreadedCampaign(const CampaignConfig &cfg,
             }
             w->indexed = w->records.size();
         }
+        // Room for every row this round can merge, so the fold below
+        // does not move the (large) rows it already holds.
+        const size_t fresh = static_cast<size_t>(fs.executed - executed_before);
+        reserveMore(result.iterations, fresh);
+        if (want_rows)
+            reserveMore(fs.rows, fresh);
 
         // Canonical first race: each worker's capture is the minimum
         // over its (increasing) claimed indices, so the global minimum
@@ -905,7 +946,7 @@ runThreadedCampaign(const CampaignConfig &cfg,
             }
 
             if (want_rows) {
-                obs::LedgerEntry e;
+                obs::LedgerEntry &e = fs.rows.emplace_back();
                 e.iteration = i;
                 e.seed = rec->seed;
                 e.delayBound = ecfg.delayBound;
@@ -925,15 +966,12 @@ runThreadedCampaign(const CampaignConfig &cfg,
                 e.workerSeq = wseq_of[static_cast<size_t>(i)];
                 if (cfg.lintBridge)
                     e.staticWarnings = static_cast<int>(cfg.lint.size());
-                if (ecfg.profile) {
-                    e.hasProfile = true;
-                    e.profileDelta = rec->profileDelta;
-                }
+                if (ecfg.profile)
+                    e.profileJson = rec->profileDelta.jsonRowStr();
                 if (ecfg.predict)
                     e.predicted = static_cast<int>(
                         rec->predictions.predictions.size());
                 e.metricsJson = std::move(rec->metricsJson);
-                fs.rows.push_back(std::move(e));
             }
 
             result.iterations.push_back(std::move(io));
@@ -1031,13 +1069,8 @@ runIsolatedCampaign(const CampaignConfig &cfg,
     out.jobs = jobs;
     engine::GoatResult &result = out.merged;
     FoldState fs(std::make_shared<const CoverageUniverse>(ecfg.staticModel));
-
-    if (!cfg.resumePath.empty()) {
-        CheckpointData ck;
-        if (!loadResume(cfg, &ck, out) ||
-            !restoreCheckpoint(ck, cfg, fs, result, out))
-            return out;
-    }
+    if (!beginFold(cfg, fs, result, out))
+        return out;
 
     // Digests arrive in shard-completion order; buffer and fold the
     // contiguous iteration prefix so every canonical consumer

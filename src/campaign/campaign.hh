@@ -129,9 +129,9 @@ struct CampaignConfig
     int maxRespawns = 16;
     /**
      * Periodic campaign checkpoint path (-checkpoint; "" = off).
-     * Snapshots the merged prefix every checkpointEvery iterations via
-     * atomic tmp+rename, so a killed campaign resumes losing at most
-     * one round of work.
+     * Appends each round of checkpointEvery merged iterations to an
+     * append-only log (campaign/checkpoint.hh), so a killed campaign
+     * resumes losing at most one round of work.
      */
     std::string checkpointPath;
     /** Iterations per checkpoint round (with checkpointPath). */

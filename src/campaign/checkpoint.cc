@@ -1,8 +1,13 @@
 #include "campaign/checkpoint.hh"
 
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "base/fileio.hh"
 #include "base/fmt.hh"
@@ -10,6 +15,9 @@
 namespace goat::campaign {
 
 namespace {
+
+const char kMagicV1[] = "# goat-checkpoint v1";
+const char kMagicV2[] = "# goat-checkpoint v2";
 
 /** Exact-round-trip double encoding (shortest form that re-parses). */
 std::string
@@ -33,7 +41,114 @@ keyVal(const std::string &line, std::string *key, std::string *val)
     return true;
 }
 
+/** Parse all of @p s as a decimal number (no sign slack, no junk). */
+template <class T>
+bool
+parseNum(const std::string &s, T *out)
+{
+    const char *end = s.data() + s.size();
+    auto res = std::from_chars(s.data(), end, *out);
+    return !s.empty() && res.ec == std::errc() && res.ptr == end;
+}
+
+/** Parse a 0/1 flag. */
+bool
+parseFlag(const std::string &s, bool *out)
+{
+    if (s != "0" && s != "1")
+        return false;
+    *out = s == "1";
+    return true;
+}
+
+/** Append the decimal form of @p v followed by a newline. */
+template <class T>
+void
+appendNumLine(std::string &out, const char *key, T v)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out += key;
+    out += ' ';
+    out.append(buf, res.ptr);
+    out += '\n';
+}
+
+/**
+ * Append one checkpoint round: rows[rowFrom..], sat[satFrom..], the
+ * summary keys and coverage block of @p d, and the commit line. The
+ * log holds @p offset bytes before this round.
+ */
+void
+appendRound(std::string &out, uint64_t offset, const CheckpointData &d,
+            const std::vector<obs::LedgerEntry> &rows, size_t rowFrom,
+            const std::vector<obs::SaturationSample> &sat, size_t satFrom)
+{
+    const size_t start = out.size();
+    for (size_t r = rowFrom; r < rows.size(); ++r)
+        serializeRow(out, rows[r]);
+    for (size_t i = satFrom; i < sat.size(); ++i) {
+        const obs::SaturationSample &s = sat[i];
+        out += strFormat("sat %d %llu %llu %llu %llu %llu %llu\n", s.iter,
+                         static_cast<unsigned long long>(s.covered),
+                         static_cast<unsigned long long>(s.total),
+                         static_cast<unsigned long long>(s.blocked),
+                         static_cast<unsigned long long>(s.unblocking),
+                         static_cast<unsigned long long>(s.nop),
+                         static_cast<unsigned long long>(s.blocking));
+    }
+    appendNumLine(out, "executed", d.executed);
+    appendNumLine(out, "respawns", d.respawns);
+    appendNumLine(out, "crashes", d.crashes);
+    appendNumLine(out, "timeouts", d.timeouts);
+    appendNumLine(out, "bug_iteration", d.bugIteration);
+    appendNumLine(out, "race_iteration", d.raceIteration);
+    appendNumLine(out, "stopped", d.stopped ? 1 : 0);
+    appendCovBlock(out, d.covBitmap);
+    out += strFormat("commit %zu %llu\n", rows.size(),
+                     static_cast<unsigned long long>(
+                         offset + (out.size() - start)));
+}
+
+/** Header of a fresh v2 log. */
+std::string
+logHeader(const std::string &fingerprint)
+{
+    return std::string(kMagicV2) + "\nfingerprint " + fingerprint + "\n";
+}
+
+/**
+ * End of the last complete commit line of a v2 log (0 = none).
+ * Anything after it is a torn append.
+ */
+size_t
+committedEnd(const std::string &text)
+{
+    size_t end = 0;
+    for (size_t pos = 0; pos < text.size();) {
+        size_t nl = text.find('\n', pos);
+        if (nl == std::string::npos)
+            break; // a torn last line
+        if (text.compare(pos, 7, "commit ") == 0)
+            end = nl + 1;
+        pos = nl + 1;
+    }
+    return end;
+}
+
 } // namespace
+
+void
+appendCovBlock(std::string &out, const std::string &bitmap)
+{
+    if (bitmap.empty())
+        return;
+    out += "cov_begin\n";
+    out += bitmap;
+    if (bitmap.back() != '\n')
+        out += '\n';
+    out += "cov_end\n";
+}
 
 std::vector<std::string>
 splitLines(const std::string &text)
@@ -70,33 +185,39 @@ configFingerprint(const CampaignConfig &cfg)
 }
 
 void
-serializeRow(std::ostream &os, const obs::LedgerEntry &e)
+serializeRow(std::string &out, const obs::LedgerEntry &e)
 {
-    os << "row_begin\n";
-    os << "iter " << e.iteration << '\n';
-    os << "seed " << e.seed << '\n';
-    os << "delay_bound " << e.delayBound << '\n';
-    os << "outcome " << e.outcome << '\n';
-    os << "verdict " << e.verdict << '\n';
-    os << "bug " << (e.bug ? 1 : 0) << '\n';
-    os << "steps " << e.steps << '\n';
-    os << "coverage_pct " << dblStr(e.coveragePct) << '\n';
-    os << "sat_covered " << e.satCovered << '\n';
-    os << "sat_total " << e.satTotal << '\n';
-    os << "wall_us " << e.wallMicros << '\n';
-    os << "worker " << e.worker << '\n';
-    os << "wseq " << e.workerSeq << '\n';
-    os << "static_warnings " << e.staticWarnings << '\n';
-    if (!e.crashCause.empty())
-        os << "crash_cause " << e.crashCause << '\n';
-    os << "respawns " << e.respawns << '\n';
+    out += "row_begin\n";
+    appendNumLine(out, "iter", e.iteration);
+    appendNumLine(out, "seed", e.seed);
+    appendNumLine(out, "delay_bound", e.delayBound);
+    out += "outcome ";
+    out += e.outcome;
+    out += "\nverdict ";
+    out += e.verdict;
+    out += '\n';
+    appendNumLine(out, "bug", e.bug ? 1 : 0);
+    appendNumLine(out, "steps", e.steps);
+    out += "coverage_pct ";
+    out += dblStr(e.coveragePct);
+    out += '\n';
+    appendNumLine(out, "sat_covered", e.satCovered);
+    appendNumLine(out, "sat_total", e.satTotal);
+    appendNumLine(out, "wall_us", e.wallMicros);
+    appendNumLine(out, "worker", e.worker);
+    appendNumLine(out, "wseq", e.workerSeq);
+    appendNumLine(out, "static_warnings", e.staticWarnings);
+    if (!e.crashCause.empty()) {
+        out += "crash_cause ";
+        out += e.crashCause;
+        out += '\n';
+    }
+    appendNumLine(out, "respawns", e.respawns);
     // The metrics object rides along as the exact JSON it was first
     // rendered to, so a re-emitted ledger line is byte-identical.
-    os << "metrics "
-       << (e.metricsJson.empty() ? e.metricsDelta.jsonStr()
-                                 : e.metricsJson)
-       << '\n';
-    os << "row_end\n";
+    out += "metrics ";
+    out += e.metricsJson.empty() ? e.metricsDelta.jsonStr() : e.metricsJson;
+    out += "\nrow_end\n";
 }
 
 bool
@@ -116,41 +237,44 @@ parseRowLines(const std::vector<std::string> &lines, size_t *idx,
         }
         if (!keyVal(lines[i], &key, &val))
             return false;
+        bool ok = true;
         if (key == "iter")
-            out->iteration = std::atoi(val.c_str());
+            ok = parseNum(val, &out->iteration);
         else if (key == "seed")
-            out->seed = std::strtoull(val.c_str(), nullptr, 10);
+            ok = parseNum(val, &out->seed);
         else if (key == "delay_bound")
-            out->delayBound = std::atoi(val.c_str());
+            ok = parseNum(val, &out->delayBound);
         else if (key == "outcome")
             out->outcome = val;
         else if (key == "verdict")
             out->verdict = val;
         else if (key == "bug")
-            out->bug = val == "1";
+            ok = parseFlag(val, &out->bug);
         else if (key == "steps")
-            out->steps = std::strtoull(val.c_str(), nullptr, 10);
+            ok = parseNum(val, &out->steps);
         else if (key == "coverage_pct")
-            out->coveragePct = std::strtod(val.c_str(), nullptr);
+            ok = parseNum(val, &out->coveragePct);
         else if (key == "sat_covered")
-            out->satCovered = std::strtoll(val.c_str(), nullptr, 10);
+            ok = parseNum(val, &out->satCovered);
         else if (key == "sat_total")
-            out->satTotal = std::strtoll(val.c_str(), nullptr, 10);
+            ok = parseNum(val, &out->satTotal);
         else if (key == "wall_us")
-            out->wallMicros = std::strtoull(val.c_str(), nullptr, 10);
+            ok = parseNum(val, &out->wallMicros);
         else if (key == "worker")
-            out->worker = std::atoi(val.c_str());
+            ok = parseNum(val, &out->worker);
         else if (key == "wseq")
-            out->workerSeq = std::atoi(val.c_str());
+            ok = parseNum(val, &out->workerSeq);
         else if (key == "static_warnings")
-            out->staticWarnings = std::atoi(val.c_str());
+            ok = parseNum(val, &out->staticWarnings);
         else if (key == "crash_cause")
             out->crashCause = val;
         else if (key == "respawns")
-            out->respawns = std::atoi(val.c_str());
+            ok = parseNum(val, &out->respawns);
         else if (key == "metrics")
             out->metricsJson = val;
         // Unknown keys are skipped for forward compatibility.
+        if (!ok)
+            return false;
     }
     return false; // ran out of lines before row_end
 }
@@ -158,37 +282,9 @@ parseRowLines(const std::vector<std::string> &lines, size_t *idx,
 std::string
 checkpointToString(const CheckpointData &d)
 {
-    return checkpointToString(d, d.rows);
-}
-
-std::string
-checkpointToString(const CheckpointData &d,
-                   const std::vector<obs::LedgerEntry> &rows)
-{
-    std::ostringstream os;
-    os << "# goat-checkpoint v1\n";
-    os << "fingerprint " << d.fingerprint << '\n';
-    os << "cursor " << d.cursor << '\n';
-    os << "executed " << d.executed << '\n';
-    os << "respawns " << d.respawns << '\n';
-    os << "crashes " << d.crashes << '\n';
-    os << "timeouts " << d.timeouts << '\n';
-    os << "bug_iteration " << d.bugIteration << '\n';
-    os << "race_iteration " << d.raceIteration << '\n';
-    os << "stopped " << (d.stopped ? 1 : 0) << '\n';
-    for (const obs::SaturationSample &s : d.satSamples)
-        os << "sat " << s.iter << ' ' << s.covered << ' ' << s.total
-           << ' ' << s.blocked << ' ' << s.unblocking << ' ' << s.nop
-           << ' ' << s.blocking << '\n';
-    if (!d.covBitmap.empty()) {
-        os << "cov_begin\n" << d.covBitmap;
-        if (d.covBitmap.back() != '\n')
-            os << '\n';
-        os << "cov_end\n";
-    }
-    for (const obs::LedgerEntry &e : rows)
-        serializeRow(os, e);
-    return os.str();
+    std::string out = logHeader(d.fingerprint);
+    appendRound(out, out.size(), d, d.rows, 0, d.satSamples, 0);
+    return out;
 }
 
 bool
@@ -196,12 +292,30 @@ parseCheckpoint(const std::string &text, CheckpointData *out,
                 std::string *err)
 {
     *out = CheckpointData{};
-    std::vector<std::string> lines = splitLines(text);
-    if (lines.empty() || lines[0] != "# goat-checkpoint v1") {
+    auto fail = [err](const std::string &why) {
         if (err)
-            *err = "bad checkpoint magic";
+            *err = why;
         return false;
+    };
+    const std::string magic = text.substr(0, text.find('\n'));
+    const bool v2 = magic == kMagicV2;
+    if (!v2 && magic != kMagicV1)
+        return fail("bad checkpoint magic");
+    if (v2) {
+        // Only the committed prefix counts; a torn append is ignored.
+        const size_t end = committedEnd(text);
+        if (end == 0)
+            return fail("checkpoint log has no committed round");
+        out->committedLog = text.substr(0, end);
     }
+    const std::vector<std::string> lines =
+        splitLines(v2 ? out->committedLog : text);
+    // Byte offset of every line (v2 commit lines are checked against
+    // their own position).
+    std::vector<uint64_t> starts(lines.size());
+    for (size_t i = 1; i < lines.size(); ++i)
+        starts[i] = starts[i - 1] + lines[i - 1].size() + 1;
+
     std::string key, val;
     for (size_t i = 1; i < lines.size();) {
         const std::string &line = lines[i];
@@ -211,86 +325,78 @@ parseCheckpoint(const std::string &text, CheckpointData *out,
         }
         if (line == "row_begin") {
             obs::LedgerEntry e;
-            if (!parseRowLines(lines, &i, &e)) {
-                if (err)
-                    *err = "malformed row block";
-                return false;
-            }
+            if (!parseRowLines(lines, &i, &e))
+                return fail("malformed row block");
             out->rows.push_back(std::move(e));
             continue;
         }
         if (line == "cov_begin") {
+            // A log carries one block per round; the last one wins.
+            out->covBitmap.clear();
             ++i;
             while (i < lines.size() && lines[i] != "cov_end") {
                 out->covBitmap += lines[i];
                 out->covBitmap += '\n';
                 ++i;
             }
-            if (i >= lines.size()) {
-                if (err)
-                    *err = "unterminated cov block";
-                return false;
-            }
+            if (i >= lines.size())
+                return fail("unterminated cov block");
             ++i; // past cov_end
             continue;
         }
-        if (!keyVal(line, &key, &val)) {
-            if (err)
-                *err = "malformed line: " + line;
-            return false;
-        }
+        if (!keyVal(line, &key, &val))
+            return fail("malformed line: " + line);
+        bool ok = true;
         if (key == "fingerprint")
             out->fingerprint = val;
         else if (key == "cursor")
-            out->cursor = std::atoi(val.c_str());
+            ok = parseNum(val, &out->cursor);
         else if (key == "executed")
-            out->executed = std::atoi(val.c_str());
+            ok = parseNum(val, &out->executed);
         else if (key == "respawns")
-            out->respawns = std::atoi(val.c_str());
+            ok = parseNum(val, &out->respawns);
         else if (key == "crashes")
-            out->crashes = std::atoi(val.c_str());
+            ok = parseNum(val, &out->crashes);
         else if (key == "timeouts")
-            out->timeouts = std::atoi(val.c_str());
+            ok = parseNum(val, &out->timeouts);
         else if (key == "bug_iteration")
-            out->bugIteration = std::atoi(val.c_str());
+            ok = parseNum(val, &out->bugIteration);
         else if (key == "race_iteration")
-            out->raceIteration = std::atoi(val.c_str());
+            ok = parseNum(val, &out->raceIteration);
         else if (key == "stopped")
-            out->stopped = val == "1";
+            ok = parseFlag(val, &out->stopped);
         else if (key == "sat") {
             obs::SaturationSample s;
-            unsigned long long v[6] = {};
-            if (std::sscanf(val.c_str(),
-                            "%d %llu %llu %llu %llu %llu %llu",
-                            &s.iter, &v[0], &v[1], &v[2], &v[3], &v[4],
-                            &v[5]) != 7) {
-                if (err)
-                    *err = "malformed sat line";
-                return false;
-            }
-            s.covered = v[0];
-            s.total = v[1];
-            s.blocked = v[2];
-            s.unblocking = v[3];
-            s.nop = v[4];
-            s.blocking = v[5];
-            out->satSamples.push_back(s);
+            std::istringstream is(val);
+            std::string f[7];
+            for (std::string &x : f)
+                is >> x;
+            ok = is.eof() && parseNum(f[0], &s.iter) &&
+                 parseNum(f[1], &s.covered) && parseNum(f[2], &s.total) &&
+                 parseNum(f[3], &s.blocked) &&
+                 parseNum(f[4], &s.unblocking) &&
+                 parseNum(f[5], &s.nop) && parseNum(f[6], &s.blocking);
+            if (ok)
+                out->satSamples.push_back(s);
+        } else if (v2 && key == "commit") {
+            size_t sp = val.find(' ');
+            uint64_t off = 0;
+            ok = sp != std::string::npos &&
+                 parseNum(val.substr(0, sp), &out->cursor) &&
+                 parseNum(val.substr(sp + 1), &off) && off == starts[i] &&
+                 static_cast<size_t>(out->cursor) == out->rows.size();
         }
         // Unknown keys are skipped for forward compatibility.
+        if (!ok)
+            return fail("malformed line: " + line);
         ++i;
     }
-    if (static_cast<int>(out->rows.size()) != out->cursor) {
-        if (err)
-            *err = strFormat("row count %zu does not match cursor %d",
-                             out->rows.size(), out->cursor);
-        return false;
-    }
+    if (static_cast<int>(out->rows.size()) != out->cursor)
+        return fail(strFormat("row count %zu does not match cursor %d",
+                              out->rows.size(), out->cursor));
     for (size_t r = 0; r < out->rows.size(); ++r) {
-        if (out->rows[r].iteration != static_cast<int>(r) + 1) {
-            if (err)
-                *err = "rows are not contiguous from iteration 1";
-            return false;
-        }
+        if (out->rows[r].iteration != static_cast<int>(r) + 1)
+            return fail("rows are not contiguous from iteration 1");
     }
     return true;
 }
@@ -298,14 +404,7 @@ parseCheckpoint(const std::string &text, CheckpointData *out,
 bool
 writeCheckpointFile(const std::string &path, const CheckpointData &d)
 {
-    return writeCheckpointFile(path, d, d.rows);
-}
-
-bool
-writeCheckpointFile(const std::string &path, const CheckpointData &d,
-                    const std::vector<obs::LedgerEntry> &rows)
-{
-    return atomicWriteFile(path, checkpointToString(d, rows));
+    return atomicWriteFile(path, checkpointToString(d));
 }
 
 bool
@@ -325,6 +424,94 @@ readCheckpointFile(const std::string &path, CheckpointData *out,
         text.append(buf, n);
     std::fclose(f);
     return parseCheckpoint(text, out, err);
+}
+
+CheckpointLog::~CheckpointLog()
+{
+    if (fd_ >= 0)
+        ::close(fd_);
+}
+
+bool
+CheckpointLog::append(const std::string &bytes)
+{
+    size_t done = 0;
+    while (fd_ >= 0 && done < bytes.size()) {
+        ssize_t n = ::write(fd_, bytes.data() + done, bytes.size() - done);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0) {
+            // The tail is torn; readers stop at the last commit, and
+            // later rounds must not append after the tear.
+            ::close(fd_);
+            fd_ = -1;
+            return false;
+        }
+        done += static_cast<size_t>(n);
+    }
+    bytes_ += done;
+    return fd_ >= 0;
+}
+
+bool
+CheckpointLog::create(const std::string &path,
+                      const std::string &fingerprint)
+{
+    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND,
+                 0644);
+    return append(logHeader(fingerprint));
+}
+
+bool
+CheckpointLog::resume(const std::string &path, const std::string &from,
+                      const CheckpointData &ck,
+                      const std::vector<obs::LedgerEntry> &rows,
+                      const std::vector<obs::SaturationSample> &sat)
+{
+    rows_ = rows.size();
+    sat_ = sat.size();
+    struct stat a, b;
+    const bool same = ::stat(path.c_str(), &a) == 0 &&
+                      ::stat(from.c_str(), &b) == 0 &&
+                      a.st_dev == b.st_dev && a.st_ino == b.st_ino;
+    if (same && !ck.committedLog.empty()) {
+        // Continuing in place: drop the torn tail, append after it.
+        fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
+        bytes_ = ck.committedLog.size();
+        if (fd_ >= 0 && ::ftruncate(fd_, static_cast<off_t>(bytes_)) != 0) {
+            ::close(fd_);
+            fd_ = -1;
+        }
+        return fd_ >= 0;
+    }
+    // A new path gets the committed prefix verbatim; a v1 checkpoint
+    // is migrated to a one-round v2 log of the restored state.
+    std::string prefix = ck.committedLog;
+    if (prefix.empty()) {
+        prefix = logHeader(ck.fingerprint);
+        appendRound(prefix, prefix.size(), ck, rows, 0, sat, 0);
+    }
+    if (!atomicWriteFile(path, prefix))
+        return false;
+    fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
+    bytes_ = prefix.size();
+    return fd_ >= 0;
+}
+
+bool
+CheckpointLog::commit(const CheckpointData &d,
+                      const std::vector<obs::LedgerEntry> &rows,
+                      const std::vector<obs::SaturationSample> &sat)
+{
+    if (fd_ < 0)
+        return false;
+    std::string round;
+    appendRound(round, bytes_, d, rows, rows_, sat, sat_);
+    if (!append(round))
+        return false;
+    rows_ = rows.size();
+    sat_ = sat.size();
+    return true;
 }
 
 } // namespace goat::campaign

@@ -1,9 +1,9 @@
 /**
  * @file
- * Campaign checkpoint/resume: periodic snapshots of the merged
- * campaign state, written atomically (tmp+rename) so a campaign killed
- * mid-flight resumes losing at most one round of work, and the resumed
- * run's merged output is canonically identical to a never-killed run.
+ * Campaign checkpoint/resume: an append-only log of the merged
+ * campaign state, so a campaign killed mid-flight resumes losing at
+ * most one round of work, and the resumed run's merged output is
+ * canonically identical to a never-killed run.
  *
  * What a checkpoint stores is deliberately cheap: the contiguous
  * merged ledger-row prefix (with each row's metrics object pre-
@@ -17,31 +17,51 @@
  * recipes are synthesized as seeded-policy recipes instead
  * (trace::Recipe::seededPolicy).
  *
- * Format, line-oriented like the recipe serializer:
+ * Format (v2), line-oriented like the recipe serializer. A header,
+ * then one block per checkpoint round holding only what the round
+ * added:
  *
- *   # goat-checkpoint v1
+ *   # goat-checkpoint v2
  *   fingerprint <config fingerprint>
- *   cursor 128
- *   executed 131
- *   respawns 0
- *   crashes 0
- *   timeouts 0
- *   bug_iteration -1
- *   race_iteration -1
- *   stopped 0
- *   sat 3 41 96 12 15 11 3
- *   cov_begin
+ *   row_begin              \
+ *   iter 1                  | the round's new rows
+ *   ...                     |
+ *   metrics {"counters":{...},...}
+ *   row_end                /
+ *   sat 1 41 96 12 15 11 3   the round's new saturation samples
+ *   executed 131           \
+ *   respawns 0              |
+ *   crashes 0               | O(1) summary; the last round's wins
+ *   timeouts 0              |
+ *   bug_iteration -1        |
+ *   race_iteration -1       |
+ *   stopped 0              /
+ *   cov_begin                the whole merged bitmap; the last wins
  *   1 <requirement key>
  *   ...
  *   cov_end
- *   row_begin
- *   iter 1
- *   ...
- *   metrics {"counters":{...},...}
- *   row_end
+ *   commit 64 18234          <cursor> <byte offset of this line>
  *
- * The config fingerprint covers every knob that changes what an
- * iteration *is* (kernel, seed base, delay bound, noise, step budget,
+ * A round is appended with one write and becomes visible only through
+ * its commit line. A reader takes the state as of the last complete
+ * (newline-terminated) commit line and ignores the rest, a torn
+ * append; a log without one is refused. Everything before that line
+ * must parse, and every commit line must carry its own byte offset
+ * and the row count so far, so an edited or spliced log is refused
+ * rather than read at a shifted position. A fresh campaign
+ * truncates the file. A resume into the same path truncates it back
+ * to the last commit and appends from there; a resume into another
+ * path starts it with the committed prefix, verbatim. Bytes written
+ * per round are O(rows in the round + coverage universe).
+ *
+ * v1 files (written whole on every round: the summary with a
+ * `cursor` line, the sat lines, one coverage block, then every row)
+ * still parse and resume; continuing one writes the restored state as
+ * the first round of a v2 log.
+ *
+ * Numbers parse strictly, over the whole token. The config
+ * fingerprint covers every knob that changes what an iteration *is*
+ * (kernel, seed base, delay bound, noise, step budget,
  * coverage/race/lint switches) but deliberately excludes the iteration
  * budget and the worker count: resuming with a larger -freq extends
  * the campaign deterministically, and jobs only affects placement,
@@ -51,7 +71,6 @@
 #ifndef GOAT_CAMPAIGN_CHECKPOINT_HH
 #define GOAT_CAMPAIGN_CHECKPOINT_HH
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -88,6 +107,11 @@ struct CheckpointData
     std::vector<obs::SaturationSample> satSamples;
     /** The merged ledger-row prefix, iterations 1..cursor. */
     std::vector<obs::LedgerEntry> rows;
+    /**
+     * The committed prefix of a v2 log, byte for byte (filled by
+     * parseCheckpoint; "" for a v1 file). A resume continues from it.
+     */
+    std::string committedLog;
 };
 
 /**
@@ -100,11 +124,14 @@ std::string configFingerprint(const CampaignConfig &cfg);
 std::vector<std::string> splitLines(const std::string &text);
 
 /**
- * Serialize one ledger row as a row_begin/row_end block. Shared with
+ * Append one ledger row as a row_begin/row_end block. Shared with
  * the supervisor's shard-digest wire protocol (supervisor.hh), so a
  * row round-trips identically whether it crossed a pipe or a file.
  */
-void serializeRow(std::ostream &os, const obs::LedgerEntry &e);
+void serializeRow(std::string &out, const obs::LedgerEntry &e);
+
+/** Append a cov_begin/cov_end block ("" bitmap = nothing). */
+void appendCovBlock(std::string &out, const std::string &bitmap);
 
 /**
  * Parse one row block from @p lines starting at *idx (which must point
@@ -114,32 +141,71 @@ void serializeRow(std::ostream &os, const obs::LedgerEntry &e);
 bool parseRowLines(const std::vector<std::string> &lines, size_t *idx,
                    obs::LedgerEntry *out);
 
-/** Serialize a full checkpoint. */
+/** Serialize a full checkpoint as a one-round v2 log. */
 std::string checkpointToString(const CheckpointData &d);
 
 /**
- * Serialize a checkpoint whose row prefix is @p rows (d.rows is
- * ignored): the campaign passes its live row vector by reference
- * instead of copying it into @p d every round.
+ * Parse a checkpoint (v1, or the committed prefix of a v2 log);
+ * *err names the first problem on failure.
  */
-std::string checkpointToString(const CheckpointData &d,
-                               const std::vector<obs::LedgerEntry> &rows);
-
-/** Parse a full checkpoint; *err names the first problem on failure. */
 bool parseCheckpoint(const std::string &text, CheckpointData *out,
                      std::string *err);
 
-/** Write atomically (base/fileio.hh). @return false on I/O error. */
+/** Write a one-round log atomically (base/fileio.hh). */
 bool writeCheckpointFile(const std::string &path,
                          const CheckpointData &d);
-
-/** Write atomically with the row prefix @p rows (d.rows is ignored). */
-bool writeCheckpointFile(const std::string &path, const CheckpointData &d,
-                         const std::vector<obs::LedgerEntry> &rows);
 
 /** Read and parse; *err names the problem on failure. */
 bool readCheckpointFile(const std::string &path, CheckpointData *out,
                         std::string *err);
+
+/**
+ * Writer of one campaign's v2 checkpoint log. Every method returns
+ * false on an I/O error; after one, the log stays closed and later
+ * commits fail too (its file still ends at a readable commit, or has
+ * none).
+ */
+class CheckpointLog
+{
+  public:
+    CheckpointLog() = default;
+    ~CheckpointLog();
+
+    CheckpointLog(const CheckpointLog &) = delete;
+    CheckpointLog &operator=(const CheckpointLog &) = delete;
+
+    /** Start a fresh log at @p path: truncate, write the header. */
+    bool create(const std::string &path, const std::string &fingerprint);
+
+    /**
+     * Continue the checkpoint @p ck, read from @p from, at @p path;
+     * @p rows and @p sat are its restored rows and samples (the log
+     * treats them as written). See the file comment for the cases.
+     */
+    bool resume(const std::string &path, const std::string &from,
+                const CheckpointData &ck,
+                const std::vector<obs::LedgerEntry> &rows,
+                const std::vector<obs::SaturationSample> &sat);
+
+    /**
+     * Append one round: the rows and samples past what the log holds,
+     * the summary and coverage block of @p d (d.rows is ignored), and
+     * the commit line.
+     */
+    bool commit(const CheckpointData &d,
+                const std::vector<obs::LedgerEntry> &rows,
+                const std::vector<obs::SaturationSample> &sat);
+
+  private:
+    bool append(const std::string &bytes);
+
+    int fd_ = -1;
+    /** Bytes in the file (the next commit line's offset base). */
+    uint64_t bytes_ = 0;
+    /** Rows / saturation samples already in the log. */
+    size_t rows_ = 0;
+    size_t sat_ = 0;
+};
 
 } // namespace goat::campaign
 

@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -149,7 +148,6 @@ runShardChild(const CampaignConfig &cfg,
     obs::Histogram &iter_wall = reg.histogram(
         "engine.iter_wall_us",
         {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000});
-    obs::Snapshot prev = reg.snapshot();
 
     const bool measure_cov =
         ecfg.collectCoverage || ecfg.coverageGuided;
@@ -199,9 +197,7 @@ runShardChild(const CampaignConfig &cfg,
         if (e.bug)
             bugs_total.inc();
         iter_wall.observe(e.wallMicros);
-        obs::Snapshot snap = reg.snapshot();
-        e.metricsJson = snap.deltaFrom(prev).jsonStr();
-        prev = std::move(snap);
+        e.metricsJson = reg.deltaJson();
 
         if (measure_cov) {
             // The wire carries the iteration's standalone bitmap.
@@ -375,15 +371,10 @@ classifyExitStatus(int wait_status)
 std::string
 digestToString(const ShardDigest &d)
 {
-    std::ostringstream os;
-    serializeRow(os, d.row);
-    if (!d.covBitmap.empty()) {
-        os << "cov_begin\n" << d.covBitmap;
-        if (d.covBitmap.back() != '\n')
-            os << '\n';
-        os << "cov_end\n";
-    }
-    return os.str();
+    std::string out;
+    serializeRow(out, d.row);
+    appendCovBlock(out, d.covBitmap);
+    return out;
 }
 
 bool

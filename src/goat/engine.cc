@@ -499,9 +499,8 @@ GoatEngine::run(const std::function<void()> &program)
     campaigns_total.inc();
 
     obs::RunLedger ledger(cfg_.ledgerPath);
-    obs::Snapshot prev_snap;
     if (ledger.enabled())
-        prev_snap = reg.snapshot();
+        reg.markDeltaBaseline();
 
     for (int iter = 1; iter <= cfg_.maxIterations; ++iter) {
         uint64_t seed = iterationSeed(iter);
@@ -573,7 +572,6 @@ GoatEngine::run(const std::function<void()> &program)
         }
 
         if (ledger.enabled()) {
-            obs::Snapshot snap = reg.snapshot();
             obs::LedgerEntry e;
             e.iteration = iter;
             e.seed = seed;
@@ -590,12 +588,9 @@ GoatEngine::run(const std::function<void()> &program)
                     static_cast<int64_t>(cov_.totalRequirements());
             }
             e.wallMicros = io.wallMicros;
-            if (cfg_.profile) {
-                e.hasProfile = true;
-                e.profileDelta = prof_delta;
-            }
-            e.metricsDelta = snap.deltaFrom(prev_snap);
-            prev_snap = std::move(snap);
+            if (cfg_.profile)
+                e.profileJson = prof_delta.jsonRowStr();
+            e.metricsJson = reg.deltaJson();
             ledger.append(e);
         }
 

@@ -1,63 +1,102 @@
 #include "obs/ledger.hh"
 
-#include <sstream>
+#include <charconv>
 
 #include "base/fmt.hh"
 #include "base/logging.hh"
 
 namespace goat::obs {
 
+namespace {
+
+/** Append ,"key":<decimal v>. */
+template <class T>
+void
+appendField(std::string &out, const char *key, T v)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out += ",\"";
+    out += key;
+    out += "\":";
+    out.append(buf, res.ptr);
+}
+
+/** Append ,"key":"<escaped s>". */
+void
+appendStr(std::string &out, const char *key, const std::string &s)
+{
+    out += ",\"";
+    out += key;
+    out += "\":\"";
+    out += jsonEscape(s);
+    out += '"';
+}
+
+} // namespace
+
 std::string
 ledgerEntryJson(const LedgerEntry &e)
 {
-    std::ostringstream os;
-    os << "{\"iter\":" << e.iteration << ",\"seed\":" << e.seed
-       << ",\"delay_bound\":" << e.delayBound << ",\"outcome\":\""
-       << jsonEscape(e.outcome) << "\",\"verdict\":\""
-       << jsonEscape(e.verdict) << "\",\"bug\":"
-       << (e.bug ? "true" : "false") << ",\"steps\":" << e.steps;
+    const std::string metrics =
+        e.metricsJson.empty() ? e.metricsDelta.jsonStr() : std::string();
+    const std::string &m = e.metricsJson.empty() ? metrics : e.metricsJson;
+    std::string out;
+    out.reserve(256 + m.size());
+    out += "{\"iter\":";
+    out += std::to_string(e.iteration);
+    appendField(out, "seed", e.seed);
+    appendField(out, "delay_bound", e.delayBound);
+    appendStr(out, "outcome", e.outcome);
+    appendStr(out, "verdict", e.verdict);
+    out += e.bug ? ",\"bug\":true" : ",\"bug\":false";
+    appendField(out, "steps", e.steps);
     // Omitted entirely when coverage was not measured (< 0).
     if (e.coveragePct >= 0)
-        os << strFormat(",\"coverage_pct\":%.3f", e.coveragePct);
+        out += strFormat(",\"coverage_pct\":%.3f", e.coveragePct);
     // Saturation counts ride along with coverage measurement.
-    if (e.satCovered >= 0 && e.satTotal >= 0)
-        os << ",\"covered\":" << e.satCovered
-           << ",\"req_total\":" << e.satTotal;
-    os << ",\"wall_us\":" << e.wallMicros;
+    if (e.satCovered >= 0 && e.satTotal >= 0) {
+        appendField(out, "covered", e.satCovered);
+        appendField(out, "req_total", e.satTotal);
+    }
+    appendField(out, "wall_us", e.wallMicros);
     // Worker tags appear only on multi-worker campaign ledgers.
-    if (e.worker >= 0)
-        os << ",\"worker\":" << e.worker << ",\"wseq\":" << e.workerSeq;
+    if (e.worker >= 0) {
+        appendField(out, "worker", e.worker);
+        appendField(out, "wseq", e.workerSeq);
+    }
     // Repro fields appear only on recorded/minimized bug rows.
     if (!e.recipePath.empty())
-        os << ",\"recipe\":\"" << jsonEscape(e.recipePath) << '"';
+        appendStr(out, "recipe", e.recipePath);
     if (e.minimizedYields >= 0)
-        os << ",\"min_yields\":" << e.minimizedYields;
+        appendField(out, "min_yields", e.minimizedYields);
     // Lint-bridge fields appear only on lint-guided campaign ledgers;
     // the confirmed count additionally only on the bug row.
     if (e.staticWarnings >= 0)
-        os << ",\"static_warnings\":" << e.staticWarnings;
+        appendField(out, "static_warnings", e.staticWarnings);
     if (e.confirmedWarnings >= 0)
-        os << ",\"confirmed_warnings\":" << e.confirmedWarnings;
+        appendField(out, "confirmed_warnings", e.confirmedWarnings);
     // Predictive-analysis fields appear only on -predict campaign
     // ledgers; the confirmed count additionally only on rows whose
     // iteration contributed confirmed predictions.
     if (e.predicted >= 0)
-        os << ",\"predicted\":" << e.predicted;
+        appendField(out, "predicted", e.predicted);
     if (e.predictedConfirmed >= 0)
-        os << ",\"predicted_confirmed\":" << e.predictedConfirmed;
+        appendField(out, "predicted_confirmed", e.predictedConfirmed);
     // Supervisor fields appear only on isolate-mode campaign ledgers.
     if (!e.crashCause.empty())
-        os << ",\"crash_cause\":\"" << jsonEscape(e.crashCause) << '"';
+        appendStr(out, "crash_cause", e.crashCause);
     if (e.respawns >= 0)
-        os << ",\"respawns\":" << e.respawns;
+        appendField(out, "respawns", e.respawns);
     // Per-iteration stage-profiler delta (compact: no buckets).
-    if (e.hasProfile)
-        os << ",\"profile\":" << e.profileDelta.jsonRowStr();
-    os << ",\"metrics\":"
-       << (e.metricsJson.empty() ? e.metricsDelta.jsonStr()
-                                 : e.metricsJson)
-       << '}';
-    return os.str();
+    if (!e.profileJson.empty()) {
+        out += ",\"profile\":";
+        out += e.profileJson;
+    }
+    out += ",\"metrics\":";
+    out += m;
+    out += '}';
+    return out;
 }
 
 RunLedger::RunLedger(const std::string &path)

@@ -58,7 +58,6 @@
 #include <string>
 
 #include "obs/metrics.hh"
-#include "obs/profile.hh"
 
 namespace goat::obs {
 
@@ -129,13 +128,13 @@ struct LedgerEntry
     int64_t satCovered = -1;
     int64_t satTotal = -1;
     /**
-     * Stage-profiler delta over this iteration (with -profile).
-     * Emitted as "profile" with per-stage total/count/sum_ns (no
-     * buckets). `total` and `count` are deterministic; `sum_ns` is
-     * host noise, stripped by check_ledger.py's canonical view.
+     * Stage-profiler delta over this iteration, rendered once by
+     * ProfileSnapshot::jsonRowStr ("" = no -profile). Emitted as
+     * "profile" with per-stage total/count/sum_ns (no buckets).
+     * `total` and `count` are deterministic; `sum_ns` is host noise,
+     * stripped by check_ledger.py's canonical view.
      */
-    bool hasProfile = false;
-    ProfileSnapshot profileDelta;
+    std::string profileJson;
     /**
      * Supervised-exit classification ("" = not a supervised crash).
      * Emitted as "crash_cause" ("sigsegv", "sigabrt", "oom",

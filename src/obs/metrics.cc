@@ -1,6 +1,7 @@
 #include "obs/metrics.hh"
 
 #include <atomic>
+#include <charconv>
 #include <sstream>
 
 #include "base/fmt.hh"
@@ -133,34 +134,36 @@ Snapshot::jsonStr() const
     return os.str();
 }
 
+template <class I>
+template <class... Args>
+Registry::Slot<I>::Slot(const std::string &name, Args &&...args)
+    : inst(std::forward<Args>(args)...),
+      key('"' + jsonEscape(name) + "\":")
+{
+}
+
 Counter &
 Registry::counter(const std::string &name)
 {
     std::lock_guard<std::mutex> guard(mtx_);
-    auto &slot = counters_[name];
-    if (!slot)
-        slot = std::make_unique<Counter>();
-    return *slot;
+    return counters_.try_emplace(name, name).first->second.inst;
 }
 
 Gauge &
 Registry::gauge(const std::string &name)
 {
     std::lock_guard<std::mutex> guard(mtx_);
-    auto &slot = gauges_[name];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
+    return gauges_.try_emplace(name, name).first->second.inst;
 }
 
 Histogram &
 Registry::histogram(const std::string &name, std::vector<uint64_t> bounds)
 {
     std::lock_guard<std::mutex> guard(mtx_);
-    auto &slot = histograms_[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>(std::move(bounds));
-    return *slot;
+    auto it = histograms_.find(name);
+    if (it == histograms_.end())
+        it = histograms_.try_emplace(name, name, std::move(bounds)).first;
+    return it->second.inst;
 }
 
 Snapshot
@@ -169,20 +172,102 @@ Registry::snapshot() const
     std::lock_guard<std::mutex> guard(mtx_);
     Snapshot s;
     for (const auto &[name, c] : counters_)
-        s.counters[name] = c->value();
+        s.counters[name] = c.inst.value();
     for (const auto &[name, g] : gauges_)
-        s.gauges[name] = g->value();
-    for (const auto &[name, h] : histograms_) {
+        s.gauges[name] = g.inst.value();
+    for (const auto &[name, slot] : histograms_) {
+        const Histogram &h = slot.inst;
         HistogramSnapshot hs;
-        hs.bounds = h->bounds();
+        hs.bounds = h.bounds();
         hs.buckets.resize(hs.bounds.size() + 1);
         for (size_t i = 0; i < hs.buckets.size(); ++i)
-            hs.buckets[i] = h->bucketCount(i);
-        hs.count = h->count();
-        hs.sum = h->sum();
+            hs.buckets[i] = h.bucketCount(i);
+        hs.count = h.count();
+        hs.sum = h.sum();
         s.histograms[name] = std::move(hs);
     }
     return s;
+}
+
+namespace {
+
+/** Append the decimal form of @p v (what operator<< would print). */
+template <class T>
+void
+appendNum(std::string &out, T v)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, res.ptr);
+}
+
+} // namespace
+
+std::string
+Registry::deltaJson()
+{
+    std::lock_guard<std::mutex> guard(mtx_);
+    std::string out;
+    out.reserve(deltaBytes_ + 64);
+    out += "{\"counters\":{";
+    bool first = true;
+    for (auto &[name, c] : counters_) {
+        const uint64_t v = c.inst.value();
+        if (v == c.base)
+            continue;
+        if (!first)
+            out += ',';
+        first = false;
+        out += c.key;
+        appendNum(out, v - c.base);
+        c.base = v;
+    }
+    out += "},\"gauges\":{";
+    first = true;
+    for (const auto &[name, g] : gauges_) {
+        if (!first)
+            out += ',';
+        first = false;
+        out += g.key;
+        appendNum(out, g.inst.value());
+    }
+    out += "},\"histograms\":{";
+    first = true;
+    for (const auto &[name, slot] : histograms_) {
+        const Histogram &h = slot.inst;
+        if (!first)
+            out += ',';
+        first = false;
+        out += slot.key;
+        out += "{\"bounds\":[";
+        for (size_t i = 0; i < h.bounds().size(); ++i) {
+            if (i)
+                out += ',';
+            appendNum(out, h.bounds()[i]);
+        }
+        out += "],\"buckets\":[";
+        for (size_t i = 0; i <= h.bounds().size(); ++i) {
+            if (i)
+                out += ',';
+            appendNum(out, h.bucketCount(i));
+        }
+        out += "],\"count\":";
+        appendNum(out, h.count());
+        out += ",\"sum\":";
+        appendNum(out, h.sum());
+        out += '}';
+    }
+    out += "}}";
+    deltaBytes_ = out.size();
+    return out;
+}
+
+void
+Registry::markDeltaBaseline()
+{
+    std::lock_guard<std::mutex> guard(mtx_);
+    for (auto &[name, c] : counters_)
+        c.base = c.inst.value();
 }
 
 void
@@ -200,12 +285,14 @@ void
 Registry::resetAll()
 {
     std::lock_guard<std::mutex> guard(mtx_);
-    for (auto &[name, c] : counters_)
-        c->reset();
+    for (auto &[name, c] : counters_) {
+        c.inst.reset();
+        c.base = 0;
+    }
     for (auto &[name, g] : gauges_)
-        g->reset();
+        g.inst.reset();
     for (auto &[name, h] : histograms_)
-        h->reset();
+        h.inst.reset();
 }
 
 std::vector<std::string>

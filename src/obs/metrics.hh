@@ -22,8 +22,12 @@
  * concurrent writer.
  *
  * `snapshot()` returns a value-type `Snapshot` that can be diffed
- * against an earlier one (`deltaFrom`) and rendered as JSON — the
- * substrate of the engine's per-iteration run ledger.
+ * against an earlier one (`deltaFrom`) and rendered as JSON. The
+ * per-iteration ledger row skips that round trip: `deltaJson()`
+ * renders the same object straight from the live instruments against
+ * a per-counter baseline the registry keeps, and moves the baseline
+ * forward. A registry therefore has at most one ledger consumer (a
+ * campaign worker, an -isolate shard, or GoatEngine::run).
  */
 
 #ifndef GOAT_OBS_METRICS_HH
@@ -31,7 +35,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -181,6 +184,20 @@ class Registry
     Snapshot snapshot() const;
 
     /**
+     * Render "counters changed since the last call (delta), every
+     * gauge, every histogram" as one JSON object and move the counter
+     * baseline forward. Byte-identical to
+     * `snapshot().deltaFrom(prev).jsonStr()` with `prev` the snapshot
+     * at the previous call, at markDeltaBaseline(), or at the last
+     * resetAll() (all zero for a fresh registry), but without building
+     * either snapshot.
+     */
+    std::string deltaJson();
+
+    /** Move the deltaJson() baseline to the current counter values. */
+    void markDeltaBaseline();
+
+    /**
      * Fold a snapshot into this registry's instruments (find-or-create
      * by name): counters inc by the snapshot value, gauges setMax,
      * histograms add buckets/count/sum (bounds taken from the snapshot
@@ -190,7 +207,8 @@ class Registry
      */
     void absorb(const Snapshot &s);
 
-    /** Zero every instrument (registration survives). */
+    /** Zero every instrument and the delta baseline (registration
+     *  survives). */
     void resetAll();
 
     /** Registered instrument names, sorted (for reports and tests). */
@@ -219,10 +237,30 @@ class Registry
     const uint64_t id_ = nextId();
     static uint64_t nextId();
 
+    /**
+     * One registered instrument. Map nodes never move, so the
+     * instrument's address is stable.
+     */
+    template <class I>
+    struct Slot
+    {
+        template <class... Args>
+        explicit Slot(const std::string &name, Args &&...args);
+
+        I inst;
+        /** The name as an escaped JSON object key ("name":), rendered
+         *  once, at registration. */
+        std::string key;
+        /** deltaJson() baseline (counters only). */
+        uint64_t base = 0;
+    };
+
     mutable std::mutex mtx_;
-    std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+    std::map<std::string, Slot<Counter>> counters_;
+    std::map<std::string, Slot<Gauge>> gauges_;
+    std::map<std::string, Slot<Histogram>> histograms_;
+    /** Size of the last deltaJson() render (the next one's reserve). */
+    size_t deltaBytes_ = 0;
 };
 
 /**

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <vector>
 
@@ -198,6 +199,60 @@ TEST(Metrics, DeltaDropsZeroCounters)
     EXPECT_EQ(delta.counters.size(), 1u);
     EXPECT_EQ(delta.counters.at("moved"), 5u);
     EXPECT_EQ(delta.counters.count("idle"), 0u);
+}
+
+TEST(Metrics, DeltaJsonMatchesSnapshotDeltaOracle)
+{
+    // Randomized property: deltaJson() is byte-identical to rendering
+    // snapshot().deltaFrom(prev), where prev is the snapshot at the
+    // previous render (or at markDeltaBaseline/resetAll; all zero for
+    // a fresh registry). Names include ones that need JSON escaping,
+    // and instruments keep being registered between renders.
+    const std::vector<std::string> names = {
+        "engine.iterations", "sched.dispatches", "q\"uote", "back\\slash",
+        "tab\tname", std::string("ctl\x01x"), "z"};
+    std::mt19937_64 rng(20211014);
+    for (int trial = 0; trial < 25; ++trial) {
+        Registry reg;
+        Snapshot prev;
+        int renders = 0;
+        for (int step = 0; step < 300; ++step) {
+            const std::string name =
+                names[rng() % names.size()] + std::to_string(rng() % 4);
+            switch (rng() % 10) {
+              case 0:
+              case 1:
+              case 2:
+                reg.counter(name).inc(rng() % 3); // 0: registered, idle
+                break;
+              case 3:
+                reg.gauge(name).set(static_cast<int64_t>(rng() % 200) -
+                                    100);
+                break;
+              case 4:
+                reg.histogram(name, {10, 100, 1000}).observe(rng() % 2000);
+                break;
+              case 5:
+                if (rng() % 8 == 0) {
+                    reg.resetAll();
+                    prev = reg.snapshot();
+                } else if (rng() % 8 == 0) {
+                    reg.markDeltaBaseline();
+                    prev = reg.snapshot();
+                }
+                break;
+              default: {
+                Snapshot now = reg.snapshot();
+                const std::string want = now.deltaFrom(prev).jsonStr();
+                ASSERT_EQ(reg.deltaJson(), want)
+                    << "trial " << trial << " step " << step;
+                prev = std::move(now);
+                ++renders;
+              }
+            }
+        }
+        EXPECT_GT(renders, 0);
+    }
 }
 
 TEST(Metrics, SnapshotJsonWellFormed)

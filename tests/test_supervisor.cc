@@ -15,6 +15,8 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <utility>
+#include <vector>
 
 #include "campaign/checkpoint.hh"
 #include "campaign/supervisor.hh"
@@ -355,6 +357,391 @@ TEST(Checkpoint, ResumeRefusesMalformedCoverageKey)
     EXPECT_EQ(runGoat(run + " -resume=" + ck), 0);
     EXPECT_EQ(runGoat(run + " -resume=" + bad), 1);
     std::remove(ck.c_str());
+    std::remove(bad.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint log (v2): torn appends, truncation, migration, resume
+// targets, and refusal of malformed input
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Ledger lines minus the fields a resume legitimately changes: host
+ * timing (wall_us), placement (worker/wseq/respawns), and the metrics
+ * object, which rows run after a resume render from a fresh registry.
+ */
+std::vector<std::string>
+canonicalLedger(const std::string &path)
+{
+    std::vector<std::string> out;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        size_t m = line.find(",\"metrics\":");
+        if (m != std::string::npos)
+            line.resize(m);
+        for (const char *key : {"\"wall_us\":", "\"worker\":", "\"wseq\":",
+                                "\"respawns\":"}) {
+            size_t at = line.find(key);
+            if (at == std::string::npos)
+                continue;
+            size_t end = line.find_first_of(",}", at);
+            line.erase(at, end + 1 - at);
+        }
+        out.push_back(line);
+    }
+    return out;
+}
+
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+}
+
+/** End offsets and cursors of the commit lines of a v2 log. */
+std::vector<std::pair<size_t, int>>
+commitLines(const std::string &text)
+{
+    std::vector<std::pair<size_t, int>> out;
+    for (size_t pos = text.find("\ncommit "); pos != std::string::npos;
+         pos = text.find("\ncommit ", pos + 1)) {
+        size_t eol = text.find('\n', pos + 1);
+        if (eol == std::string::npos)
+            break;
+        out.emplace_back(eol + 1, std::atoi(text.c_str() + pos + 8));
+    }
+    return out;
+}
+
+const goker::KernelInfo &
+smallKernel()
+{
+    return *goker::KernelRegistry::instance().find("cockroach_1055");
+}
+
+/** A small -cov -keep-going campaign (PDL-2 first found at 2). */
+CampaignConfig
+smallCampaign(int iterations)
+{
+    CampaignConfig cfg;
+    cfg.programName = "cockroach_1055";
+    cfg.engine.delayBound = 2;
+    cfg.engine.maxIterations = iterations;
+    cfg.engine.stopOnBug = false;
+    cfg.engine.collectCoverage = true;
+    cfg.engine.covThreshold = 200.0;
+    cfg.engine.staticModel = goker::kernelCuTable(smallKernel());
+    cfg.checkpointEvery = 2;
+    return cfg;
+}
+
+campaign::CampaignResult
+runSmall(const CampaignConfig &cfg)
+{
+    return campaign::runCampaign(cfg, smallKernel().fn);
+}
+
+} // namespace
+
+TEST(CheckpointLog, EveryByteCutResumesAtLastCommitOrIsRefused)
+{
+    // A kill can tear the log at any byte of an append. Every prefix
+    // must either resume from its last complete commit — and then
+    // finish with the uninterrupted campaign's ledger — or, with no
+    // commit, be refused as unreadable (exit 1), never crash and never
+    // resume at another cursor. The resume writes back into the same
+    // path, so it also truncates the torn tail before appending.
+    const std::string ref = tmpPath("cut_ref.jsonl");
+    const std::string log = tmpPath("cut_full.ck");
+    const std::string cut = tmpPath("cut.ck");
+    const std::string led = tmpPath("cut_res.jsonl");
+    std::remove(ref.c_str());
+    CampaignConfig cfg = smallCampaign(4);
+    CampaignConfig full = cfg;
+    full.engine.ledgerPath = ref;
+    full.checkpointPath = log;
+    ASSERT_TRUE(runSmall(full).checkpointOk);
+    const std::vector<std::string> want = canonicalLedger(ref);
+    ASSERT_EQ(want.size(), 4u);
+    const std::string text = readFile(log);
+    const auto commits = commitLines(text);
+    ASSERT_EQ(commits.size(), 2u);
+
+    int resumed = 0, refused = 0;
+    for (size_t n = 0; n <= text.size(); ++n) {
+        writeFile(cut, text.substr(0, n));
+        int expect = 0;
+        for (const auto &[end, cursor] : commits)
+            if (end <= n)
+                expect = cursor;
+        CampaignConfig r = cfg;
+        r.resumePath = cut;
+        r.checkpointPath = cut;
+        r.engine.ledgerPath = led;
+        std::remove(led.c_str());
+        campaign::CampaignResult res = runSmall(r);
+        if (expect == 0) {
+            ASSERT_FALSE(res.resumeOk) << "cut at byte " << n;
+            ASSERT_EQ(res.resumeError.find("fingerprint"),
+                      std::string::npos)
+                << "cut at byte " << n;
+            ++refused;
+            continue;
+        }
+        ASSERT_TRUE(res.resumeOk)
+            << "cut at byte " << n << ": " << res.resumeError;
+        ASSERT_EQ(res.resumeFrom, expect) << "cut at byte " << n;
+        ASSERT_EQ(canonicalLedger(led), want) << "cut at byte " << n;
+        CheckpointData back;
+        std::string err;
+        ASSERT_TRUE(campaign::readCheckpointFile(cut, &back, &err))
+            << "cut at byte " << n << ": " << err;
+        ASSERT_EQ(back.cursor, 4) << "cut at byte " << n;
+        ++resumed;
+    }
+    EXPECT_EQ(static_cast<size_t>(refused), commits[0].first);
+    EXPECT_GT(resumed, 0);
+    for (const std::string &p : {ref, log, cut, led})
+        std::remove(p.c_str());
+}
+
+TEST(CheckpointLog, StaleFileIsTruncatedNotAppended)
+{
+    // An earlier, longer campaign left a log at the path: a fresh
+    // campaign starts the file over instead of appending to it.
+    const std::string log = tmpPath("stale.ck");
+    CampaignConfig cfg = smallCampaign(6);
+    cfg.checkpointPath = log;
+    ASSERT_TRUE(runSmall(cfg).checkpointOk);
+    ASSERT_EQ(commitLines(readFile(log)).size(), 3u);
+
+    cfg.engine.maxIterations = 2;
+    ASSERT_TRUE(runSmall(cfg).checkpointOk);
+    const std::string text = readFile(log);
+    EXPECT_EQ(text.rfind("# goat-checkpoint v2\n", 0), 0u);
+    EXPECT_EQ(text.find("# goat-checkpoint", 1), std::string::npos);
+    ASSERT_EQ(commitLines(text).size(), 1u);
+    CheckpointData back;
+    std::string err;
+    ASSERT_TRUE(campaign::parseCheckpoint(text, &back, &err)) << err;
+    EXPECT_EQ(back.cursor, 2);
+    EXPECT_EQ(back.committedLog, text);
+    std::remove(log.c_str());
+}
+
+TEST(CheckpointLog, V1FixtureResumesToCanonicalLedger)
+{
+    // tests/golden/checkpoint_v1.ck was written by the v1 writer:
+    //   goat -kernel=cockroach_1055 -d=2 -freq=6 -keep-going -cov
+    //        -checkpoint=checkpoint_v1.ck -checkpoint-every=3
+    // Resuming it re-emits its six rows byte for byte, finishes with
+    // the uninterrupted campaign's ledger, and continues the checkpoint
+    // as a v2 log that resumes in turn.
+    const std::string fixture =
+        std::string(GOAT_SOURCE_DIR) + "/tests/golden/checkpoint_v1.ck";
+    const std::string args = "-kernel=cockroach_1055 -d=2 -keep-going -cov";
+    const std::string ck = tmpPath("v1.ck");
+    const std::string ref = tmpPath("v1_ref.jsonl");
+    const std::string led = tmpPath("v1_res.jsonl");
+    const std::string ref2 = tmpPath("v1_ref2.jsonl");
+    const std::string led2 = tmpPath("v1_res2.jsonl");
+    for (const std::string &p : {ref, led, ref2, led2})
+        std::remove(p.c_str());
+    CheckpointData v1;
+    std::string err;
+    ASSERT_TRUE(campaign::readCheckpointFile(fixture, &v1, &err)) << err;
+    ASSERT_EQ(v1.cursor, 6);
+    EXPECT_TRUE(v1.committedLog.empty());
+    writeFile(ck, readFile(fixture));
+
+    ASSERT_EQ(runGoat(args + " -freq=10 -ledger=" + ref), 0);
+    ASSERT_EQ(runGoat(args + " -freq=10 -resume=" + ck + " -checkpoint=" +
+                      ck + " -checkpoint-every=3 -ledger=" + led),
+              0);
+    EXPECT_EQ(canonicalLedger(led), canonicalLedger(ref));
+    std::ifstream in(led);
+    std::string line;
+    for (const obs::LedgerEntry &row : v1.rows) {
+        ASSERT_TRUE(std::getline(in, line));
+        EXPECT_EQ(line, obs::ledgerEntryJson(row));
+    }
+
+    CheckpointData v2;
+    ASSERT_TRUE(campaign::readCheckpointFile(ck, &v2, &err)) << err;
+    EXPECT_EQ(readFile(ck).rfind("# goat-checkpoint v2\n", 0), 0u);
+    EXPECT_EQ(v2.cursor, 10);
+    EXPECT_EQ(v2.bugIteration, v1.bugIteration);
+    ASSERT_EQ(runGoat(args + " -freq=12 -ledger=" + ref2), 0);
+    ASSERT_EQ(runGoat(args + " -freq=12 -resume=" + ck + " -ledger=" + led2),
+              0);
+    EXPECT_EQ(canonicalLedger(led2), canonicalLedger(ref2));
+    for (const std::string &p : {ck, ref, led, ref2, led2})
+        std::remove(p.c_str());
+}
+
+TEST(CheckpointLog, ResumeIntoAnotherPathCopiesCommittedPrefix)
+{
+    // A torn log resumed into a different -checkpoint path: the new
+    // log starts with the source's committed prefix verbatim (the torn
+    // tail dropped), and the source is left alone.
+    const std::string args = "-kernel=cockroach_1055 -d=2 -keep-going -cov "
+                             "-checkpoint-every=2";
+    const std::string src = tmpPath("copy_src.ck");
+    const std::string dst = tmpPath("copy_dst.ck");
+    const std::string ref = tmpPath("copy_ref.jsonl");
+    const std::string led = tmpPath("copy_res.jsonl");
+    std::remove(ref.c_str());
+    std::remove(led.c_str());
+    ASSERT_EQ(runGoat(args + " -freq=6 -checkpoint=" + src), 0);
+    const std::string text = readFile(src);
+    const auto commits = commitLines(text);
+    ASSERT_EQ(commits.size(), 3u);
+    const std::string torn = text.substr(0, commits[1].first + 17);
+    writeFile(src, torn);
+
+    ASSERT_EQ(runGoat(args + " -freq=8 -ledger=" + ref), 0);
+    ASSERT_EQ(runGoat(args + " -freq=8 -resume=" + src + " -checkpoint=" +
+                      dst + " -ledger=" + led),
+              0);
+    EXPECT_EQ(canonicalLedger(led), canonicalLedger(ref));
+    EXPECT_EQ(readFile(src), torn);
+    const std::string out = readFile(dst);
+    EXPECT_EQ(out.compare(0, commits[1].first, text, 0, commits[1].first),
+              0);
+    CheckpointData back;
+    std::string err;
+    ASSERT_TRUE(campaign::parseCheckpoint(out, &back, &err)) << err;
+    EXPECT_EQ(back.cursor, 8);
+    // Every round carries the whole bitmap; the last block wins.
+    const size_t cov = out.rfind("cov_begin\n") + 10;
+    EXPECT_EQ(back.covBitmap, out.substr(cov, out.rfind("cov_end\n") - cov));
+    for (const std::string &p : {src, dst, ref, led})
+        std::remove(p.c_str());
+}
+
+TEST(CheckpointLog, IsolateResumesFromTornLog)
+{
+    const std::string args = "-kernel=cockroach_1055 -d=2 -keep-going -cov "
+                             "-isolate -jobs=2 -checkpoint-every=2";
+    const std::string ck = tmpPath("iso.ck");
+    const std::string ref = tmpPath("iso_ref.jsonl");
+    const std::string led = tmpPath("iso_res.jsonl");
+    std::remove(ref.c_str());
+    std::remove(led.c_str());
+    ASSERT_EQ(runGoat(args + " -freq=6 -checkpoint=" + ck), 0);
+    const std::string text = readFile(ck);
+    const auto commits = commitLines(text);
+    ASSERT_GE(commits.size(), 2u);
+    writeFile(ck, text.substr(0, commits[commits.size() - 2].first + 5));
+
+    ASSERT_EQ(runGoat(args + " -freq=8 -ledger=" + ref), 0);
+    ASSERT_EQ(runGoat(args + " -freq=8 -resume=" + ck + " -checkpoint=" +
+                      ck + " -ledger=" + led),
+              0);
+    EXPECT_EQ(canonicalLedger(led), canonicalLedger(ref));
+    CheckpointData back;
+    std::string err;
+    ASSERT_TRUE(campaign::readCheckpointFile(ck, &back, &err)) << err;
+    EXPECT_EQ(back.cursor, 8);
+    for (const std::string &p : {ck, ref, led})
+        std::remove(p.c_str());
+}
+
+TEST(Checkpoint, ResumeRefusesGarbageNumbers)
+{
+    // Numbers parse over the whole token: "2x" is not iteration 2, and
+    // a resume from such a checkpoint is refused as unreadable (exit 1)
+    // instead of restoring a wrong watermark or tally.
+    const std::string run = "-kernel=etcd_7443 -d=2 -keep-going -seed=1 "
+                            "-jobs=2 -cov";
+    const std::string ck = tmpPath("garbage.ck");
+    const std::string bad = tmpPath("garbage_bad.ck");
+    ASSERT_EQ(runGoat(run + " -freq=200 -checkpoint=" + ck +
+                      " -checkpoint-every=100"),
+              0);
+    EXPECT_EQ(runGoat(run + " -freq=300 -resume=" + ck), 0);
+
+    // Replace the value of every @p key line in @p text by @p val.
+    auto edit = [](std::string text, const std::string &key,
+                   const std::string &val) {
+        for (size_t at = text.find("\n" + key + " ");
+             at != std::string::npos;
+             at = text.find("\n" + key + " ", at + 1)) {
+            size_t from = at + key.size() + 2;
+            text.replace(from, text.find('\n', from) - from, val);
+        }
+        return text;
+    };
+    // Turn the last digit of every @p key value into junk. The length
+    // stays, so every commit offset stays valid and only the number
+    // itself can refuse the log.
+    auto junk = [](std::string text, const std::string &key) {
+        for (size_t at = text.find("\n" + key + " ");
+             at != std::string::npos;
+             at = text.find("\n" + key + " ", at + 1))
+            text[text.find('\n', at + 1) - 1] = 'x';
+        return text;
+    };
+    const std::string text = readFile(ck);
+    for (const std::string &t :
+         {junk(text, "executed"), junk(text, "steps"),
+          junk(text, "seed"), edit(text, "stopped", "2"),
+          edit(text, "sat", "1 2 3"), edit(text, "bug_iteration", "1x")}) {
+        ASSERT_NE(t, text);
+        writeFile(bad, t);
+        EXPECT_EQ(runGoat(run + " -freq=300 -resume=" + bad), 1);
+    }
+
+    // The v1 fixture has no offsets at all: "bug_iteration 2x" must not
+    // read as iteration 2 (a bug row) either.
+    const std::string v1 = readFile(std::string(GOAT_SOURCE_DIR) +
+                                    "/tests/golden/checkpoint_v1.ck");
+    const std::string v1run = "-kernel=cockroach_1055 -d=2 -keep-going -cov";
+    writeFile(bad, v1);
+    EXPECT_EQ(runGoat(v1run + " -freq=8 -resume=" + bad), 0);
+    writeFile(bad, edit(v1, "bug_iteration", "2x"));
+    EXPECT_EQ(runGoat(v1run + " -freq=8 -resume=" + bad), 1);
+    std::remove(ck.c_str());
+    std::remove(bad.c_str());
+}
+
+TEST(Checkpoint, ResumeRefusesWatermarksOffThePrefix)
+{
+    // bug_iteration must name a bug row of the committed prefix and
+    // race_iteration a row of it; anything else refuses the resume.
+    const std::string log = tmpPath("marks.ck");
+    const std::string bad = tmpPath("marks_bad.ck");
+    CampaignConfig cfg = smallCampaign(6);
+    cfg.checkpointPath = log;
+    ASSERT_TRUE(runSmall(cfg).checkpointOk);
+    CheckpointData d;
+    std::string err;
+    ASSERT_TRUE(campaign::readCheckpointFile(log, &d, &err)) << err;
+    ASSERT_EQ(d.bugIteration, 2);
+    ASSERT_FALSE(d.rows[0].bug);
+
+    CampaignConfig r = smallCampaign(8);
+    r.resumePath = bad;
+    ASSERT_TRUE(campaign::writeCheckpointFile(bad, d));
+    EXPECT_TRUE(runSmall(r).resumeOk);
+    for (auto [bug, race] : std::vector<std::pair<int, int>>{
+             {1, -1}, {0, -1}, {7, -1}, {-2, -1}, {2, 0}, {2, 7}}) {
+        CheckpointData m = d;
+        m.bugIteration = bug;
+        m.raceIteration = race;
+        ASSERT_TRUE(campaign::writeCheckpointFile(bad, m));
+        campaign::CampaignResult res = runSmall(r);
+        EXPECT_FALSE(res.resumeOk) << bug << "/" << race;
+        EXPECT_NE(res.resumeError.find(bug == 2 ? "race_iteration"
+                                                : "bug_iteration"),
+                  std::string::npos)
+            << res.resumeError;
+    }
+    std::remove(log.c_str());
     std::remove(bad.c_str());
 }
 

@@ -3,10 +3,13 @@
 
 Validate mode (default):
 
-  * BENCH_obs.json — the -profile overhead A/B written by bench_obs.
+  * BENCH_obs.json — the instrumentation A/Bs written by bench_obs.
     Must parse, carry the pinned-seed run's parameters, and show the
     stage profiler costing less than the documented 5% budget
-    (docs/INTERNALS.md §7) over a profile-off campaign.
+    (docs/INTERNALS.md §7) over a profile-off campaign. The row-path
+    A/B (-ledger -checkpoint-every=64 off vs on), when the file has
+    it, must carry positive ledger_off_us/ledger_on_us and a matching
+    ledger_overhead_pct.
   * BENCH_campaign.json — the campaign scaling sweep written by
     bench_campaign. Must parse, cover jobs ∈ {1,2,4,8}, and report
     merged_identical=true everywhere (the determinism cross-check the
@@ -21,8 +24,9 @@ Compare mode (the CI perf-regression gate):
   Both files must be the same bench (detected from the "bench" field).
   Per-iteration wall times are compared — campaign_scaling compares
   wall_us/(kernels*iterations) for each jobs value timed in BOTH
-  files; profile_overhead compares the off and on legs and, when both
-  files carry a "stages" object, each stage's mean ns. A slowdown
+  files; profile_overhead compares the profile and ledger off/on legs
+  (a leg only one file carries is skipped) and, when both files carry
+  a "stages" object, each stage's mean ns. A slowdown
   above 25% fails (exit 1); 10–25% prints a warning but passes, since
   the CI runners are shared and noisy. Speedups always pass.
 
@@ -42,6 +46,7 @@ from pathlib import Path
 OVERHEAD_BUDGET_PCT = 5.0
 FAIL_REGRESSION_PCT = 25.0
 WARN_REGRESSION_PCT = 10.0
+LEDGER_KEYS = ("ledger_off_us", "ledger_on_us", "ledger_overhead_pct")
 
 
 def fail(msg):
@@ -65,6 +70,18 @@ def pos_int(doc, name, key):
     return v
 
 
+def overhead(doc, off, on, key):
+    """The doc's @key percentage, checked against its off/on times."""
+    pct = doc.get(key)
+    if not isinstance(pct, (int, float)) or isinstance(pct, bool):
+        fail(f"BENCH_obs.json: bad {key} {pct!r}")
+    recomputed = 100.0 * (on - off) / off
+    if abs(recomputed - pct) > 0.01:
+        fail(f"BENCH_obs.json: {key} {pct} does not match off/on times "
+             f"({recomputed:.3f})")
+    return pct
+
+
 def check_obs(root):
     doc = load(root / "BENCH_obs.json")
     if doc.get("bench") != "profile_overhead":
@@ -75,13 +92,16 @@ def check_obs(root):
     pos_int(doc, "BENCH_obs.json", "reps")
     off = pos_int(doc, "BENCH_obs.json", "profile_off_us")
     on = pos_int(doc, "BENCH_obs.json", "profile_on_us")
-    pct = doc.get("overhead_pct")
-    if not isinstance(pct, (int, float)) or isinstance(pct, bool):
-        fail(f"BENCH_obs.json: bad overhead_pct {pct!r}")
-    recomputed = 100.0 * (on - off) / off
-    if abs(recomputed - pct) > 0.01:
-        fail(f"BENCH_obs.json: overhead_pct {pct} does not match "
-             f"off/on times ({recomputed:.3f})")
+    pct = overhead(doc, off, on, "overhead_pct")
+    # Baselines written before bench_obs grew the row-path A/B lack
+    # its fields; any of them present means all must be valid.
+    ledger = "no row-path A/B in this baseline"
+    if any(k in doc for k in LEDGER_KEYS):
+        ledger_pct = overhead(
+            doc, pos_int(doc, "BENCH_obs.json", "ledger_off_us"),
+            pos_int(doc, "BENCH_obs.json", "ledger_on_us"),
+            "ledger_overhead_pct")
+        ledger = f"-ledger -checkpoint {ledger_pct:+.2f}%"
     if pct >= OVERHEAD_BUDGET_PCT:
         fail(f"BENCH_obs.json: -profile overhead {pct:.2f}% exceeds "
              f"the {OVERHEAD_BUDGET_PCT}% budget")
@@ -90,7 +110,7 @@ def check_obs(root):
         fail(f"BENCH_obs.json: bad stages {type(stages).__name__}")
     print(f"check_bench: OK — BENCH_obs.json: -profile overhead "
           f"{pct:+.2f}% over {doc['iterations']} iterations "
-          f"(budget {OVERHEAD_BUDGET_PCT}%)")
+          f"(budget {OVERHEAD_BUDGET_PCT}%); {ledger}")
 
 
 def check_campaign(root):
@@ -174,11 +194,13 @@ def compare_campaign(old, new, problems):
 
 def compare_obs(old, new, problems):
     def per_iter(doc, key):
-        return doc[key] / doc["iterations"] if doc.get("iterations") \
-            else 0.0
+        return doc.get(key, 0) / doc["iterations"] \
+            if doc.get("iterations") else 0.0
 
     for key, label in (("profile_off_us", "obs profile-off wall"),
-                       ("profile_on_us", "obs profile-on wall")):
+                       ("profile_on_us", "obs profile-on wall"),
+                       ("ledger_off_us", "obs ledger-off wall"),
+                       ("ledger_on_us", "obs ledger+checkpoint wall")):
         ou, nu = per_iter(old, key), per_iter(new, key)
         if not ou or not nu:
             continue

@@ -19,6 +19,10 @@ Scenarios:
     campaign restores the checkpoint's coverage bitmap: every row's
     coverage_pct/covered/req_total must match the uninterrupted -cov
     run as well as the rest of the canonical row;
+  * SIGKILL at the default round size (64 iterations, so rounds are
+    appended to the checkpoint log back to back), then the same log
+    cut at a random byte inside its last round (a torn append): both
+    resume canonical-identical, the cut one from its previous commit;
   * SIGTERM mid-campaign: graceful flush — the process exits 143
     (128+SIGTERM), the checkpoint and the ledger agree on the merged
     prefix, the prefix is canonical with the reference, and the
@@ -70,13 +74,15 @@ def canonical_rows(path):
 
 
 def cmd(goat, ledger, jobs=1, checkpoint=None, resume=None,
-        iters=ITERS, cov=False):
+        iters=ITERS, cov=False, every=EVERY):
     c = [goat, f"-kernel={KERNEL}", f"-d={DELAY}", f"-freq={iters}",
          "-keep-going", f"-jobs={jobs}", f"-ledger={ledger}"]
     if cov:
         c.append("-cov")
     if checkpoint is not None:
-        c += [f"-checkpoint={checkpoint}", f"-checkpoint-every={EVERY}"]
+        c.append(f"-checkpoint={checkpoint}")
+        if every is not None:
+            c.append(f"-checkpoint-every={every}")
     if resume is not None:
         c += [f"-resume={resume}"]
     return c
@@ -90,37 +96,99 @@ def run(goat, ledger, **kw):
              f"{proc.stderr}")
 
 
-def kill_mid_run(goat, ledger, checkpoint, sig, jobs=1, cov=False):
-    """Start a checkpointed campaign, deliver @sig at a random moment
-    after the first checkpoint lands, and return the exit status."""
+def kill_mid_run(goat, ledger, checkpoint, sig, jobs=1, cov=False,
+                 every=EVERY):
+    """Start a checkpointed campaign, deliver @sig at a random point
+    after the first checkpoint round commits, and return the exit
+    status."""
     proc = subprocess.Popen(cmd(goat, ledger, jobs=jobs,
-                                checkpoint=checkpoint, cov=cov),
+                                checkpoint=checkpoint, cov=cov,
+                                every=every),
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
         if checkpoint.exists():
-            break
+            found = commits(checkpoint.read_bytes())
+            if found:
+                first = found[0][1]
+                break
         if proc.poll() is not None:
             fail(f"campaign exited {proc.returncode} before its first "
                  f"checkpoint")
-        time.sleep(0.01)
+        time.sleep(0.001)
     else:
         fail("no checkpoint appeared within 60s")
-    # A random extra beat so the kill lands at an arbitrary point in
-    # some later round, not right at the first snapshot.
-    time.sleep(random.uniform(0.0, 0.3))
+    # The log grows by about one first-round's bytes per round, so a
+    # random target size lands the kill at an arbitrary point of some
+    # later round (mid-append included), however fast the campaign
+    # runs, and well before its end.
+    rounds = ITERS // (every or 64)
+    target = random.uniform(first, first * rounds * 0.6)
+    while proc.poll() is None and checkpoint.stat().st_size < target:
+        time.sleep(0.0005)
     if proc.poll() is None:
         proc.send_signal(sig)
     proc.wait(timeout=60)
     return proc.returncode
 
 
+def commits(data):
+    """(cursor, end offset) of every complete, self-consistent commit
+    line of a v2 checkpoint log: "commit <cursor> <offset>" ending in a
+    newline, whose offset is the line's own position."""
+    out = []
+    pos = 0
+    while True:
+        nl = data.find(b"\n", pos)
+        if nl < 0:
+            return out
+        parts = data[pos:nl].split(b" ")
+        if (len(parts) == 3 and parts[0] == b"commit"
+                and parts[1].isdigit() and parts[2].isdigit()
+                and int(parts[2]) == pos):
+            out.append((int(parts[1]), nl + 1))
+        pos = nl + 1
+
+
 def read_cursor(checkpoint):
-    for line in checkpoint.read_text().splitlines():
-        if line.startswith("cursor "):
-            return int(line.split()[1])
-    fail(f"checkpoint {checkpoint} has no cursor line")
+    """The cursor of the log's last commit (what a resume restores)."""
+    found = commits(checkpoint.read_bytes())
+    if not found:
+        fail(f"checkpoint {checkpoint} has no commit line")
+    return found[-1][0]
+
+
+def check_default_round_kill(goat, tmp, ref):
+    """SIGKILL with the default 64-iteration rounds, then a torn append:
+    the log cut at a random byte inside its last round."""
+    ck = tmp / "kill_default.ck"
+    rc = kill_mid_run(goat, tmp / "part_default.jsonl", ck,
+                      signal.SIGKILL, every=None)
+    if rc != -signal.SIGKILL:
+        fail(f"default-round SIGKILL run exited {rc}, expected "
+             f"{-signal.SIGKILL}")
+    data = ck.read_bytes()
+    found = commits(data)
+    cursor = found[-1][0]
+    if not 0 < cursor < ITERS:
+        fail(f"default-round kill landed outside the campaign (cursor "
+             f"{cursor}) — timing too coarse")
+    if len(found) < 2:
+        fail("default-round kill left fewer than two commits; cannot "
+             "tear the last round")
+    torn = tmp / "torn_default.ck"
+    cut = random.randrange(found[-2][1], found[-1][1])
+    torn.write_bytes(data[:cut])
+    for path, want in ((ck, cursor), (torn, found[-2][0])):
+        res = tmp / f"res_{path.stem}.jsonl"
+        run(goat, res, resume=path, checkpoint=path, every=None)
+        if canonical_rows(res) != ref:
+            fail(f"{path.name} (cursor {want}) resumed ledger differs "
+                 f"from the uninterrupted run")
+    print(f"check_resume: OK — SIGKILL at iteration {cursor} with "
+          f"64-iteration rounds, and the log torn at byte {cut} (last "
+          f"commit {found[-2][0]}), both resume canonical-identical")
 
 
 COV_FIELDS = ("coverage_pct", "covered", "req_total")
@@ -236,6 +304,7 @@ def main():
               "-jobs=1 canonical-identical")
 
         check_cov_resume(goat, tmp)
+        check_default_round_kill(goat, tmp, ref)
 
         # SIGTERM: graceful flush. Exit 143, ledger and checkpoint
         # agree on the merged prefix, prefix canonical, resumable.

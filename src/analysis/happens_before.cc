@@ -1,6 +1,5 @@
 #include "analysis/happens_before.hh"
 
-#include <deque>
 #include <set>
 
 #include "base/fmt.hh"
@@ -63,6 +62,176 @@ RaceReport::str() const
     return out;
 }
 
+const VectorClock &
+HbWalker::tick(const Event &ev)
+{
+    cur_ = &vc_[ev.gid];
+    cur_->tick(ev.gid);
+    return *cur_;
+}
+
+const BlockSnap *
+HbWalker::lastBlock(uint32_t gid) const
+{
+    auto it = lastBlock_.find(gid);
+    return it == lastBlock_.end() ? nullptr : &it->second;
+}
+
+const HbWalker::Arm *
+HbWalker::pollArm(const Event &end) const
+{
+    auto it = sel_.find(end.gid);
+    int64_t chosen = end.args[0];
+    bool blocked_first = end.args[1] != 0;
+    if (it == sel_.end() || chosen < 0 || blocked_first ||
+        static_cast<size_t>(chosen) >= it->second.arms.size())
+        return nullptr; // default / park path: GoUnblock covered it
+    return &it->second.arms[chosen];
+}
+
+void
+HbWalker::apply(const Event &ev)
+{
+    VectorClock &me = *cur_;
+    switch (ev.type) {
+      case EventType::GoCreate: {
+        auto child = static_cast<uint32_t>(ev.args[0]);
+        vc_[child].join(me);
+        break;
+      }
+
+      case EventType::GoBlockSend:
+      case EventType::GoBlockRecv:
+      case EventType::GoBlockSelect:
+      case EventType::GoBlockSync:
+      case EventType::GoBlockCond:
+        if (policy_ == HbPolicy::Must)
+            lastBlock_[ev.gid] = {ev.type, ev.args[0], ev.loc, ev.ts, me};
+        break;
+      case EventType::GoUnblock: {
+        // Observed: conservative bidirectional edge for every wake-up
+        // (exact for rendezvous, safe — never introduces false races —
+        // for one-way wakeups). Must: classify by what the target was
+        // parked on. A channel park is a rendezvous, whose transfer
+        // orders both endpoints in every feasible schedule; a cond park
+        // is a one-way waker → waiter signal edge. Mutex/WaitGroup
+        // handoffs are schedule-induced and dropped; the wg must-order
+        // comes from the explicit release→wait edge.
+        auto target = static_cast<uint32_t>(ev.args[0]);
+        const BlockSnap *snap = lastBlock(target);
+        EventType parked = snap ? snap->type : EventType::NumEventTypes;
+        bool rendezvous = policy_ == HbPolicy::Observed ||
+                          parked == EventType::GoBlockSend ||
+                          parked == EventType::GoBlockRecv ||
+                          parked == EventType::GoBlockSelect;
+        VectorClock &tv = vc_[target];
+        if (rendezvous || parked == EventType::GoBlockCond)
+            tv.join(me);
+        if (rendezvous)
+            me.join(tv);
+        break;
+      }
+
+      case EventType::ChSend:
+        if (ev.args[1] == 0 && ev.args[2] == 0) {
+            // Pure buffered deposit: the value carries this clock.
+            chanQueue_[ev.args[0]].push_back(me);
+        }
+        break;
+      case EventType::ChRecv: {
+        auto &q = chanQueue_[ev.args[0]];
+        if (ev.args[3] == 1) {
+            if (!q.empty()) {
+                me.join(q.front());
+                q.pop_front();
+            }
+        } else {
+            // Closed-drain miss: ordered after the close.
+            auto it = closeVc_.find(ev.args[0]);
+            if (it != closeVc_.end())
+                me.join(it->second);
+        }
+        break;
+      }
+      case EventType::ChClose:
+        closeVc_[ev.args[0]] = me;
+        break;
+
+      // Select paths emit no Ch* events: a poll-phase transfer is
+      // attributed at SelectEnd through the goroutine's open select.
+      case EventType::SelectBegin:
+        sel_[ev.gid] = OpenSelect{ev.args[0], {}};
+        break;
+      case EventType::SelectCase: {
+        // Cases arrive in index order right after their SelectBegin. A
+        // parsed trace can carry any index: one outside the open
+        // select's [0, nCases), or past the next free slot, is ignored.
+        auto it = sel_.find(ev.gid);
+        if (it == sel_.end())
+            break;
+        OpenSelect &s = it->second;
+        int64_t idx = ev.args[0];
+        if (idx < 0 || idx >= s.nCases ||
+            static_cast<size_t>(idx) > s.arms.size())
+            break;
+        if (static_cast<size_t>(idx) == s.arms.size())
+            s.arms.emplace_back();
+        s.arms[idx] = {ev.args[2], ev.args[1] != 0};
+        break;
+      }
+      case EventType::SelectEnd: {
+        if (const Arm *arm = pollArm(ev)) {
+            if (arm->send) {
+                if (ev.args[2] == 0) // nobody woken: buffered deposit
+                    chanQueue_[arm->chan].push_back(me);
+            } else {
+                auto &q = chanQueue_[arm->chan];
+                if (!q.empty()) {
+                    me.join(q.front());
+                    q.pop_front();
+                } else if (closeVc_.count(arm->chan)) {
+                    me.join(closeVc_[arm->chan]);
+                }
+            }
+        }
+        sel_.erase(ev.gid);
+        break;
+      }
+
+      case EventType::MuLock:
+      case EventType::RWLock:
+      case EventType::RWRLock: {
+        auto it = release_.find(ev.args[0]);
+        if (it != release_.end())
+            me.join(it->second);
+        break;
+      }
+      case EventType::MuUnlock:
+      case EventType::RWUnlock:
+      case EventType::RWRUnlock:
+        // Must: no unlock→lock edge — another schedule may grant the
+        // lock in a different order. The unlock records no release
+        // clock, so the next lock of this object finds none to join.
+        if (policy_ == HbPolicy::Observed)
+            release_[ev.args[0]].join(me);
+        break;
+
+      case EventType::WgAdd:
+        if (ev.args[1] < 0)
+            release_[ev.args[0]].join(me); // Done releases
+        break;
+      case EventType::WgWait: {
+        auto it = release_.find(ev.args[0]);
+        if (it != release_.end())
+            me.join(it->second);
+        break;
+      }
+
+      default:
+        break;
+    }
+}
+
 namespace {
 
 /** One recorded shared access. */
@@ -74,149 +243,22 @@ struct Access
     VectorClock vc;
 };
 
-/** Per-goroutine select context (to attribute poll-phase transfers). */
-struct SelCtx
-{
-    std::vector<int64_t> caseChan;
-    std::vector<bool> caseIsSend;
-};
-
 } // namespace
 
 RaceReport
 detectRaces(const trace::Ect &ect)
 {
-    std::map<uint32_t, VectorClock> vc;
-    std::map<int64_t, std::deque<VectorClock>> chanQueue;
-    std::map<int64_t, VectorClock> closeVc;
-    std::map<int64_t, VectorClock> lastRelease; // mutex/rwmutex/wg
-    std::map<uint32_t, SelCtx> sel;
+    HbWalker walker(HbPolicy::Observed);
     std::map<uint64_t, std::vector<Access>> accesses;
-
     for (const Event &ev : ect.events()) {
-        VectorClock &me = vc[ev.gid];
-        me.tick(ev.gid);
-
-        switch (ev.type) {
-          case EventType::GoCreate: {
-            auto child = static_cast<uint32_t>(ev.args[0]);
-            vc[child].join(me);
-            break;
-          }
-          case EventType::GoUnblock: {
-            // Conservative bidirectional synchronization between waker
-            // and woken goroutine (exact for rendezvous, safe — never
-            // introduces false races — for one-way wakeups).
-            auto target = static_cast<uint32_t>(ev.args[0]);
-            VectorClock &tv = vc[target];
-            tv.join(me);
-            me.join(tv);
-            break;
-          }
-
-          case EventType::ChSend:
-            if (ev.args[1] == 0 && ev.args[2] == 0) {
-                // Pure buffered deposit: the value carries this clock.
-                chanQueue[ev.args[0]].push_back(me);
-            }
-            break;
-          case EventType::ChRecv: {
-            auto &q = chanQueue[ev.args[0]];
-            if (ev.args[3] == 1) {
-                if (!q.empty()) {
-                    me.join(q.front());
-                    q.pop_front();
-                }
-            } else {
-                // Closed-drain miss: ordered after the close.
-                auto it = closeVc.find(ev.args[0]);
-                if (it != closeVc.end())
-                    me.join(it->second);
-            }
-            break;
-          }
-          case EventType::ChClose:
-            closeVc[ev.args[0]] = me;
-            break;
-
-          case EventType::SelectBegin:
-            sel[ev.gid] = SelCtx{};
-            break;
-          case EventType::SelectCase: {
-            SelCtx &ctx = sel[ev.gid];
-            auto idx = static_cast<size_t>(ev.args[0]);
-            if (ctx.caseChan.size() <= idx) {
-                ctx.caseChan.resize(idx + 1, -1);
-                ctx.caseIsSend.resize(idx + 1, false);
-            }
-            ctx.caseChan[idx] = ev.args[2];
-            ctx.caseIsSend[idx] = ev.args[1] != 0;
-            break;
-          }
-          case EventType::SelectEnd: {
-            auto it = sel.find(ev.gid);
-            if (it == sel.end())
-                break;
-            const SelCtx ctx = it->second;
-            sel.erase(it);
-            auto chosen = static_cast<int64_t>(ev.args[0]);
-            bool blocked_first = ev.args[1] != 0;
-            bool woke = ev.args[2] != 0;
-            if (chosen < 0 || blocked_first ||
-                static_cast<size_t>(chosen) >= ctx.caseChan.size())
-                break; // default / park path: GoUnblock covered it
-            int64_t cid = ctx.caseChan[chosen];
-            if (ctx.caseIsSend[chosen]) {
-                if (!woke)
-                    chanQueue[cid].push_back(me); // buffered deposit
-            } else {
-                auto &q = chanQueue[cid];
-                if (!q.empty()) {
-                    me.join(q.front());
-                    q.pop_front();
-                } else if (closeVc.count(cid)) {
-                    me.join(closeVc[cid]);
-                }
-            }
-            break;
-          }
-
-          case EventType::MuLock:
-          case EventType::RWLock:
-          case EventType::RWRLock: {
-            auto it = lastRelease.find(ev.args[0]);
-            if (it != lastRelease.end())
-                me.join(it->second);
-            break;
-          }
-          case EventType::MuUnlock:
-          case EventType::RWUnlock:
-          case EventType::RWRUnlock:
-            lastRelease[ev.args[0]].join(me);
-            break;
-
-          case EventType::WgAdd:
-            if (ev.args[1] < 0)
-                lastRelease[ev.args[0]].join(me); // Done releases
-            break;
-          case EventType::WgWait: {
-            auto it = lastRelease.find(ev.args[0]);
-            if (it != lastRelease.end())
-                me.join(it->second);
-            break;
-          }
-
-          case EventType::VarRead:
-          case EventType::VarWrite: {
+        const VectorClock &now = walker.tick(ev);
+        if (ev.type == EventType::VarRead ||
+            ev.type == EventType::VarWrite) {
             auto var = static_cast<uint64_t>(ev.args[0]);
             accesses[var].push_back(
-                {ev.gid, ev.type == EventType::VarWrite, ev.loc, me});
-            break;
-          }
-
-          default:
-            break;
+                {ev.gid, ev.type == EventType::VarWrite, ev.loc, now});
         }
+        walker.apply(ev);
     }
 
     // Conflicting, concurrent access pairs (deduplicated by location

@@ -1,7 +1,6 @@
 #include "analysis/hb_predict.hh"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <set>
 
@@ -145,18 +144,12 @@ struct HeldLock
     SourceLoc loc;
 };
 
-/** Snapshot taken at a GoBlock* event (pre-wake state of the parker). */
-struct BlockSnap
-{
-    EventType type = EventType::NumEventTypes;
-    int64_t obj = 0;
-    SourceLoc loc;
-    uint64_t ts = 0;
-    VectorClock preMust;
-};
-
-/** A recorded channel operation endpoint (P2 material). */
-struct ChOp
+/**
+ * One witnessing event: goroutine, site, trace timestamp, and the
+ * pre-event must-clock. Channel sends and closes (P2 material) are
+ * recorded as bare witnesses.
+ */
+struct Witness
 {
     uint32_t gid = 0;
     SourceLoc loc;
@@ -167,43 +160,64 @@ struct ChOp
 /** A recorded WaitGroup wait or release (P1 material). */
 struct WgOp
 {
-    uint32_t gid = 0;
-    SourceLoc loc;
-    uint64_t ts = 0;
-    VectorClock pre;
+    Witness at;
     std::vector<HeldLock> held;
 };
 
-/** One lock-nesting step: `inner` acquired while holding `outer`. */
+/** One lock-nesting step: `inner` acquired (at `at`) holding `outer`. */
 struct Gadget
 {
-    uint32_t gid = 0;
+    Witness at;
     int64_t outer = 0, inner = 0;
     bool outerExcl = true, innerExcl = true;
-    SourceLoc outerLoc, innerLoc;
-    uint64_t ts = 0;
-    VectorClock pre;
 };
 
 /** An observed rendezvous handoff into a polling select (P3). */
 struct LostCand
 {
     int64_t chan = 0;
-    uint32_t selGid = 0, senderGid = 0;
-    SourceLoc selLoc, senderLoc;
-    uint64_t selTs = 0, senderTs = 0;
-    VectorClock selPre, senderPre;
+    Witness sender, sel;
 };
 
-/** Per-goroutine select context, carried from SelectBegin to its End. */
-struct SelCtx
+/** A select's entry point, carried from SelectBegin to its End (P3). */
+struct SelEntry
 {
-    std::vector<int64_t> caseChan;
-    std::vector<bool> caseIsSend;
     bool hasDefault = false;
-    uint64_t ts = 0;
-    VectorClock preMust;
+    Witness at;
 };
+
+/** The acting goroutine of @p ev at its pre-edge clock @p pre. */
+Witness
+witness(const Event &ev, const VectorClock &pre)
+{
+    return {ev.gid, ev.loc, ev.ts, pre};
+}
+
+/** Goroutine @p gid at its last park @p snap (its attempt point). */
+Witness
+parkedWitness(uint32_t gid, const BlockSnap &snap)
+{
+    return {gid, snap.loc, snap.ts, snap.pre};
+}
+
+/** A prediction of @p kind on @p obj, witnessed by @p a then @p b. */
+Prediction
+predicted(PredictionKind kind, int64_t obj, const Witness &a,
+          const Witness &b)
+{
+    Prediction p;
+    p.kind = kind;
+    p.obj = obj;
+    p.gidA = a.gid;
+    p.locA = a.loc;
+    p.tsA = a.ts;
+    p.vcA = a.pre.str();
+    p.gidB = b.gid;
+    p.locB = b.loc;
+    p.tsB = b.ts;
+    p.vcB = b.pre.str();
+    return p;
+}
 
 /** Two lock-hold modes conflict unless both are shared (read) holds. */
 bool
@@ -233,93 +247,38 @@ heldIntersect(const std::vector<HeldLock> &a,
 PredictionReport
 predictBlockingBugs(const trace::Ect &ect)
 {
-    // Phase one: one forward pass computing both clock families and
-    // recording the operations phase two matches over.
-    std::map<uint32_t, VectorClock> obsVc, mustVc;
-    std::map<int64_t, std::deque<VectorClock>> chanQObs, chanQMust;
-    std::map<int64_t, VectorClock> closeObs, closeMust;
-    std::map<int64_t, VectorClock> lastRelObs; // mutex/rwmutex/wg (obs)
-    std::map<int64_t, VectorClock> wgRelMust;  // wg releases (must)
-    std::map<uint32_t, SelCtx> sel;
-    std::map<uint32_t, BlockSnap> lastBlock;
+    // Phase one: one forward pass under the must policy, recording the
+    // operations phase two matches over.
+    HbWalker walker(HbPolicy::Must);
+    std::map<uint32_t, SelEntry> selEntry;
     // Most recent GoUnblock by a gid that woke a parked *sender*
-    // (cleared by any other event of that gid): the handoff a
-    // subsequent SelectEnd of the same goroutine attributes.
-    std::map<uint32_t, std::pair<uint32_t, BlockSnap>> pendingWake;
+    // (cleared by any other event of that gid): the sender's channel
+    // and attempt point, the handoff a subsequent SelectEnd of the
+    // same goroutine attributes.
+    std::map<uint32_t, std::pair<int64_t, Witness>> pendingWake;
     std::map<int64_t, int64_t> chanCap;
     std::map<uint32_t, std::vector<HeldLock>> held;
 
-    std::map<int64_t, std::vector<ChOp>> sends, closes;
+    std::map<int64_t, std::vector<Witness>> sends, closes;
     std::map<int64_t, std::vector<WgOp>> wgWaits, wgDones;
     std::vector<Gadget> gadgets;
     std::vector<LostCand> lostCands;
 
     for (const Event &ev : ect.events()) {
-        VectorClock &obs = obsVc[ev.gid];
-        VectorClock &must = mustVc[ev.gid];
-        obs.tick(ev.gid);
-        must.tick(ev.gid);
+        // The must-clock before any join this event causes.
+        const VectorClock &must = walker.tick(ev);
 
         if (ev.type != EventType::GoUnblock &&
             ev.type != EventType::SelectEnd)
             pendingWake.erase(ev.gid);
 
         switch (ev.type) {
-          case EventType::GoCreate: {
-            auto child = static_cast<uint32_t>(ev.args[0]);
-            obsVc[child].join(obs);
-            mustVc[child].join(must);
-            break;
-          }
-
-          case EventType::GoBlockSend:
-          case EventType::GoBlockRecv:
-          case EventType::GoBlockSelect:
-          case EventType::GoBlockSync:
-          case EventType::GoBlockCond: {
-            BlockSnap &snap = lastBlock[ev.gid];
-            snap.type = ev.type;
-            snap.obj = ev.args[0];
-            snap.loc = ev.loc;
-            snap.ts = ev.ts;
-            snap.preMust = must;
-            break;
-          }
-
           case EventType::GoUnblock: {
             auto target = static_cast<uint32_t>(ev.args[0]);
-            VectorClock &tObs = obsVc[target];
-            // Observed family: conservative bidirectional edge for
-            // every wake-up, as in happens_before.cc.
-            tObs.join(obs);
-            obs.join(tObs);
-            // Must family: classify by what the target was parked on.
-            auto it = lastBlock.find(target);
-            EventType bt = it == lastBlock.end()
-                               ? EventType::NumEventTypes
-                               : it->second.type;
-            VectorClock &tMust = mustVc[target];
-            switch (bt) {
-              case EventType::GoBlockSend:
-              case EventType::GoBlockRecv:
-              case EventType::GoBlockSelect:
-                // Rendezvous: the transfer orders both endpoints in
-                // every feasible schedule.
-                tMust.join(must);
-                must.join(tMust);
-                break;
-              case EventType::GoBlockCond:
-                // Signal edge: one-way waker → waiter.
-                tMust.join(must);
-                break;
-              default:
-                // Mutex/WaitGroup handoffs are schedule-induced; the
-                // wg must-order comes from the explicit release→wait
-                // edge below. Drop.
-                break;
-            }
-            if (bt == EventType::GoBlockSend)
-                pendingWake[ev.gid] = {target, it->second};
+            const BlockSnap *snap = walker.lastBlock(target);
+            if (snap && snap->type == EventType::GoBlockSend)
+                pendingWake[ev.gid] = {snap->obj,
+                                       parkedWitness(target, *snap)};
             break;
           }
 
@@ -331,164 +290,50 @@ predictBlockingBugs(const trace::Ect &ect)
             // P2 endpoint. A parked send's attempt point is its
             // GoBlockSend (the post-wake ChSend clock already carries
             // the partner's history).
-            ChOp op;
-            op.gid = ev.gid;
-            auto bit = lastBlock.find(ev.gid);
-            if (ev.args[1] == 1 && bit != lastBlock.end() &&
-                bit->second.type == EventType::GoBlockSend) {
-                op.loc = bit->second.loc;
-                op.ts = bit->second.ts;
-                op.pre = bit->second.preMust;
-            } else {
-                op.loc = ev.loc;
-                op.ts = ev.ts;
-                op.pre = must;
-            }
-            sends[ev.args[0]].push_back(std::move(op));
-            if (ev.args[1] == 0 && ev.args[2] == 0) {
-                // Pure buffered deposit: the value carries the clock.
-                chanQObs[ev.args[0]].push_back(obs);
-                chanQMust[ev.args[0]].push_back(must);
-            }
+            const BlockSnap *snap = walker.lastBlock(ev.gid);
+            if (ev.args[1] == 1 && snap &&
+                snap->type == EventType::GoBlockSend)
+                sends[ev.args[0]].push_back(parkedWitness(ev.gid, *snap));
+            else
+                sends[ev.args[0]].push_back(witness(ev, must));
             break;
           }
-          case EventType::ChRecv: {
-            auto &qo = chanQObs[ev.args[0]];
-            auto &qm = chanQMust[ev.args[0]];
-            if (ev.args[3] == 1) {
-                if (!qo.empty()) {
-                    obs.join(qo.front());
-                    qo.pop_front();
-                }
-                if (!qm.empty()) {
-                    must.join(qm.front());
-                    qm.pop_front();
-                }
-            } else {
-                // Closed-drain miss: ordered after the close.
-                auto io = closeObs.find(ev.args[0]);
-                if (io != closeObs.end())
-                    obs.join(io->second);
-                auto im = closeMust.find(ev.args[0]);
-                if (im != closeMust.end())
-                    must.join(im->second);
-            }
+          case EventType::ChClose:
+            closes[ev.args[0]].push_back(witness(ev, must));
             break;
-          }
-          case EventType::ChClose: {
-            ChOp op;
-            op.gid = ev.gid;
-            op.loc = ev.loc;
-            op.ts = ev.ts;
-            op.pre = must;
-            closes[ev.args[0]].push_back(std::move(op));
-            closeObs[ev.args[0]] = obs;
-            closeMust[ev.args[0]] = must;
-            break;
-          }
 
-          case EventType::SelectBegin: {
-            SelCtx ctx;
-            ctx.hasDefault = ev.args[1] != 0;
-            ctx.ts = ev.ts;
-            ctx.preMust = must;
-            sel[ev.gid] = std::move(ctx);
+          case EventType::SelectBegin:
+            selEntry[ev.gid] = {ev.args[1] != 0, witness(ev, must)};
             break;
-          }
-          case EventType::SelectCase: {
-            SelCtx &ctx = sel[ev.gid];
-            auto idx = static_cast<size_t>(ev.args[0]);
-            if (ctx.caseChan.size() <= idx) {
-                ctx.caseChan.resize(idx + 1, -1);
-                ctx.caseIsSend.resize(idx + 1, false);
-            }
-            ctx.caseChan[idx] = ev.args[2];
-            ctx.caseIsSend[idx] = ev.args[1] != 0;
-            break;
-          }
           case EventType::SelectEnd: {
-            auto it = sel.find(ev.gid);
-            if (it == sel.end())
+            auto se = selEntry.find(ev.gid);
+            if (se == selEntry.end())
                 break;
-            const SelCtx ctx = std::move(it->second);
-            sel.erase(it);
-            auto chosen = static_cast<int64_t>(ev.args[0]);
-            bool blocked_first = ev.args[1] != 0;
-            bool woke = ev.args[2] != 0;
-            if (chosen < 0 || blocked_first ||
-                static_cast<size_t>(chosen) >= ctx.caseChan.size()) {
-                pendingWake.erase(ev.gid);
-                break; // default / park path: GoUnblock covered it
-            }
-            int64_t cid = ctx.caseChan[chosen];
+            const SelEntry entry = std::move(se->second);
+            selEntry.erase(se);
             // P3 candidate: the poll phase of a select with a default
             // consumed a rendezvous sender. Had the poll run first,
             // the default would have fired and stranded that sender.
+            const HbWalker::Arm *arm = walker.pollArm(ev);
+            bool woke = ev.args[2] != 0;
             auto pw = pendingWake.find(ev.gid);
-            if (ctx.hasDefault && !ctx.caseIsSend[chosen] && woke &&
-                pw != pendingWake.end() && pw->second.second.obj == cid &&
-                chanCap[cid] == 0) {
-                LostCand lc;
-                lc.chan = cid;
-                lc.selGid = ev.gid;
-                lc.selLoc = ev.loc;
-                lc.selTs = ctx.ts;
-                lc.selPre = ctx.preMust;
-                lc.senderGid = pw->second.first;
-                lc.senderLoc = pw->second.second.loc;
-                lc.senderTs = pw->second.second.ts;
-                lc.senderPre = pw->second.second.preMust;
-                lostCands.push_back(std::move(lc));
-            }
+            if (arm && entry.hasDefault && !arm->send && woke &&
+                pw != pendingWake.end() && pw->second.first == arm->chan &&
+                chanCap[arm->chan] == 0)
+                lostCands.push_back({arm->chan, pw->second.second, entry.at});
             pendingWake.erase(ev.gid);
-            if (ctx.caseIsSend[chosen]) {
-                if (!woke) {
-                    chanQObs[cid].push_back(obs); // buffered deposit
-                    chanQMust[cid].push_back(must);
-                }
-            } else {
-                auto &qo = chanQObs[cid];
-                if (!qo.empty()) {
-                    obs.join(qo.front());
-                    qo.pop_front();
-                } else if (closeObs.count(cid)) {
-                    obs.join(closeObs[cid]);
-                }
-                auto &qm = chanQMust[cid];
-                if (!qm.empty()) {
-                    must.join(qm.front());
-                    qm.pop_front();
-                } else if (closeMust.count(cid)) {
-                    must.join(closeMust[cid]);
-                }
-            }
             break;
           }
 
           case EventType::MuLock:
           case EventType::RWLock:
           case EventType::RWRLock: {
-            auto it = lastRelObs.find(ev.args[0]);
-            if (it != lastRelObs.end())
-                obs.join(it->second);
-            // Must family: no unlock→lock edge — another schedule may
-            // grant the lock in a different order.
             bool excl = ev.type != EventType::RWRLock;
             std::vector<HeldLock> &hs = held[ev.gid];
             for (const HeldLock &h : hs) {
-                if (h.obj == ev.args[0])
-                    continue;
-                Gadget g;
-                g.gid = ev.gid;
-                g.outer = h.obj;
-                g.outerExcl = h.exclusive;
-                g.outerLoc = h.loc;
-                g.inner = ev.args[0];
-                g.innerExcl = excl;
-                g.innerLoc = ev.loc;
-                g.ts = ev.ts;
-                g.pre = must;
-                gadgets.push_back(std::move(g));
+                if (h.obj != ev.args[0])
+                    gadgets.push_back({witness(ev, must), h.obj, ev.args[0],
+                                       h.exclusive, excl});
             }
             hs.push_back({ev.args[0], excl, ev.loc});
             break;
@@ -496,7 +341,6 @@ predictBlockingBugs(const trace::Ect &ect)
           case EventType::MuUnlock:
           case EventType::RWUnlock:
           case EventType::RWRUnlock: {
-            lastRelObs[ev.args[0]].join(obs);
             std::vector<HeldLock> &hs = held[ev.gid];
             for (auto it = hs.rbegin(); it != hs.rend(); ++it) {
                 if (it->obj == ev.args[0]) {
@@ -508,38 +352,19 @@ predictBlockingBugs(const trace::Ect &ect)
           }
 
           case EventType::WgAdd:
-            if (ev.args[1] < 0) {
-                WgOp op;
-                op.gid = ev.gid;
-                op.loc = ev.loc;
-                op.ts = ev.ts;
-                op.pre = must;
-                op.held = held[ev.gid];
-                wgDones[ev.args[0]].push_back(std::move(op));
-                lastRelObs[ev.args[0]].join(obs);
-                wgRelMust[ev.args[0]].join(must);
-            }
+            if (ev.args[1] < 0)
+                wgDones[ev.args[0]].push_back({witness(ev, must),
+                                               held[ev.gid]});
             break;
-          case EventType::WgWait: {
-            WgOp op;
-            op.gid = ev.gid;
-            op.loc = ev.loc;
-            op.ts = ev.ts;
-            op.pre = must; // captured before the release→wait join
-            op.held = held[ev.gid];
-            wgWaits[ev.args[0]].push_back(std::move(op));
-            auto io = lastRelObs.find(ev.args[0]);
-            if (io != lastRelObs.end())
-                obs.join(io->second);
-            auto im = wgRelMust.find(ev.args[0]);
-            if (im != wgRelMust.end())
-                must.join(im->second);
+          case EventType::WgWait:
+            // Captured before the release→wait join of apply().
+            wgWaits[ev.args[0]].push_back({witness(ev, must), held[ev.gid]});
             break;
-          }
 
           default:
             break;
         }
+        walker.apply(ev);
     }
 
     // Phase two: search the recorded operations for alternative
@@ -552,38 +377,29 @@ predictBlockingBugs(const trace::Ect &ect)
         for (size_t j = i + 1; j < gadgets.size(); ++j) {
             const Gadget &a = gadgets[i]; // earlier inner acquire
             const Gadget &b = gadgets[j];
-            if (a.gid == b.gid)
+            if (a.at.gid == b.at.gid)
                 continue;
             if (a.inner != b.outer || a.outer != b.inner)
                 continue;
             if (!lockConflict(a.innerExcl, b.outerExcl) ||
                 !lockConflict(b.innerExcl, a.outerExcl))
                 continue;
-            if (!VectorClock::concurrent(a.pre, b.pre))
+            if (!VectorClock::concurrent(a.at.pre, b.at.pre))
                 continue;
-            Prediction p;
-            p.kind = PredictionKind::LockOrderInversion;
-            p.obj = a.outer;
+            Prediction p = predicted(PredictionKind::LockOrderInversion,
+                                     a.outer, a.at, b.at);
             p.obj2 = a.inner;
-            p.gidA = a.gid;
-            p.locA = a.innerLoc;
-            p.tsA = a.ts;
-            p.vcA = a.pre.str();
-            p.gidB = b.gid;
-            p.locB = b.innerLoc;
-            p.tsB = b.ts;
-            p.vcB = b.pre.str();
             p.detail = strFormat(
                 "g%u nests lock %lld→%lld while g%u nests %lld→%lld; "
                 "interleaving the acquires deadlocks both",
-                a.gid, static_cast<long long>(a.outer),
-                static_cast<long long>(a.inner), b.gid,
+                a.at.gid, static_cast<long long>(a.outer),
+                static_cast<long long>(a.inner), b.at.gid,
                 static_cast<long long>(b.outer),
                 static_cast<long long>(b.inner));
             // Suspend the earlier nester between its two acquires so
             // the other goroutine takes the inner lock first.
-            p.delayGid = a.gid;
-            p.delayLoc = a.innerLoc;
+            p.delayGid = a.at.gid;
+            p.delayLoc = a.at.loc;
             report.predictions.push_back(std::move(p));
         }
     }
@@ -598,36 +414,27 @@ predictBlockingBugs(const trace::Ect &ect)
             if (w.held.empty())
                 continue;
             for (const WgOp &r : dit->second) {
-                if (w.gid == r.gid)
+                if (w.at.gid == r.at.gid)
                     continue;
                 HeldLock gate;
                 if (!heldIntersect(w.held, r.held, &gate))
                     continue;
-                if (!VectorClock::concurrent(w.pre, r.pre))
+                if (!VectorClock::concurrent(w.at.pre, r.at.pre))
                     continue;
-                const WgOp &first = w.ts < r.ts ? w : r;
-                const WgOp &second = w.ts < r.ts ? r : w;
-                Prediction p;
-                p.kind = PredictionKind::LockGatedWait;
-                p.obj = wg;
+                bool waitFirst = w.at.ts < r.at.ts;
+                Prediction p = predicted(PredictionKind::LockGatedWait, wg,
+                                         waitFirst ? w.at : r.at,
+                                         waitFirst ? r.at : w.at);
                 p.obj2 = gate.obj;
-                p.gidA = first.gid;
-                p.locA = first.loc;
-                p.tsA = first.ts;
-                p.vcA = first.pre.str();
-                p.gidB = second.gid;
-                p.locB = second.loc;
-                p.tsB = second.ts;
-                p.vcB = second.pre.str();
                 p.detail = strFormat(
                     "g%u waits on wg %lld holding lock %lld, which "
                     "g%u needs before its Done; waiting first "
                     "deadlocks both",
-                    w.gid, static_cast<long long>(wg),
-                    static_cast<long long>(gate.obj), r.gid);
+                    w.at.gid, static_cast<long long>(wg),
+                    static_cast<long long>(gate.obj), r.at.gid);
                 // Suspend the releaser before it takes the gate lock
                 // so the waiter acquires it and parks first.
-                p.delayGid = r.gid;
+                p.delayGid = r.at.gid;
                 p.delayLoc = gate.loc;
                 report.predictions.push_back(std::move(p));
             }
@@ -640,25 +447,15 @@ predictBlockingBugs(const trace::Ect &ect)
         auto cit = closes.find(chan);
         if (cit == closes.end())
             continue;
-        for (const ChOp &s : ss) {
-            for (const ChOp &c : cit->second) {
+        for (const Witness &s : ss) {
+            for (const Witness &c : cit->second) {
                 if (s.gid == c.gid)
                     continue;
                 if (!VectorClock::concurrent(s.pre, c.pre))
                     continue;
-                const ChOp &first = s.ts < c.ts ? s : c;
-                const ChOp &second = s.ts < c.ts ? c : s;
-                Prediction p;
-                p.kind = PredictionKind::CloseSendRace;
-                p.obj = chan;
-                p.gidA = first.gid;
-                p.locA = first.loc;
-                p.tsA = first.ts;
-                p.vcA = first.pre.str();
-                p.gidB = second.gid;
-                p.locB = second.loc;
-                p.tsB = second.ts;
-                p.vcB = second.pre.str();
+                Prediction p = predicted(PredictionKind::CloseSendRace,
+                                         chan, s.ts < c.ts ? s : c,
+                                         s.ts < c.ts ? c : s);
                 p.detail = strFormat(
                     "g%u's send on chan %lld is unordered against "
                     "g%u's close; closing first panics the sender",
@@ -673,26 +470,17 @@ predictBlockingBugs(const trace::Ect &ect)
     // P3 — lost poll signal: the observed partner of a rendezvous
     // send was a select arm backed by a default case.
     for (const LostCand &lc : lostCands) {
-        if (!VectorClock::concurrent(lc.selPre, lc.senderPre))
+        if (!VectorClock::concurrent(lc.sel.pre, lc.sender.pre))
             continue;
-        Prediction p;
-        p.kind = PredictionKind::LostSignal;
-        p.obj = lc.chan;
-        p.gidA = lc.senderGid;
-        p.locA = lc.senderLoc;
-        p.tsA = lc.senderTs;
-        p.vcA = lc.senderPre.str();
-        p.gidB = lc.selGid;
-        p.locB = lc.selLoc;
-        p.tsB = lc.selTs;
-        p.vcB = lc.selPre.str();
+        Prediction p = predicted(PredictionKind::LostSignal, lc.chan,
+                                 lc.sender, lc.sel);
         p.detail = strFormat(
             "g%u's rendezvous send on chan %lld was consumed by "
             "g%u's non-blocking select; polling first takes the "
             "default and strands the sender",
-            lc.senderGid, static_cast<long long>(lc.chan), lc.selGid);
-        p.delayGid = lc.senderGid;
-        p.delayLoc = lc.senderLoc;
+            lc.sender.gid, static_cast<long long>(lc.chan), lc.sel.gid);
+        p.delayGid = lc.sender.gid;
+        p.delayLoc = lc.sender.loc;
         report.predictions.push_back(std::move(p));
     }
 

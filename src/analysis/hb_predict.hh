@@ -14,16 +14,13 @@
  * race, or lose a signal under a different — but happens-before-
  * consistent — schedule.
  *
- * Two clock families are maintained in one forward pass (the full
- * written specification lives in docs/ANALYSIS.md):
- *
- *  - the *observed* clocks reproduce every synchronization edge of
- *    happens_before.cc (the order that actually happened);
- *  - the *must* clocks keep only edges every feasible schedule is
- *    forced to respect — goroutine creation, channel value transfer
- *    and close, WaitGroup release→wait, cond signal→waiter — and drop
- *    the schedule-induced ones: mutex unlock→lock coupling and
- *    mutex/waitgroup hand-off wake-ups.
+ * Phase one is the race detector's HbWalker (happens_before.hh) under
+ * the *must* edge policy (the full written specification lives in
+ * docs/ANALYSIS.md). It keeps only edges every feasible schedule is
+ * forced to respect — goroutine creation, channel value transfer and
+ * close, WaitGroup release→wait, cond signal→waiter — and drops the
+ * schedule-induced ones: mutex unlock→lock coupling and
+ * mutex/waitgroup hand-off wake-ups.
  *
  * Two operations that are must-concurrent could have executed in
  * either order; phase two reports the orders that go wrong:

@@ -248,9 +248,20 @@ struct Access
 RaceReport
 detectRaces(const trace::Ect &ect)
 {
+    // Clocks are read only at accesses, so the walk ends at the last
+    // one (GoKer kernels have none at all and skip it entirely).
+    const std::vector<Event> &events = ect.events();
+    size_t end = events.size();
+    while (end > 0 && events[end - 1].type != EventType::VarRead &&
+           events[end - 1].type != EventType::VarWrite)
+        --end;
+    if (end == 0)
+        return RaceReport();
+
     HbWalker walker(HbPolicy::Observed);
     std::map<uint64_t, std::vector<Access>> accesses;
-    for (const Event &ev : ect.events()) {
+    for (size_t k = 0; k < end; ++k) {
+        const Event &ev = events[k];
         const VectorClock &now = walker.tick(ev);
         if (ev.type == EventType::VarRead ||
             ev.type == EventType::VarWrite) {

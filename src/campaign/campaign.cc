@@ -1,9 +1,13 @@
 #include "campaign/campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -42,13 +46,14 @@ atomicMin(std::atomic<int> &a, int v)
     }
 }
 
-/** Make room for @p n more elements in @p v, at least doubling it. */
-template <class T>
+/** Raise @p a to @p v if v is larger (lock-free peak). */
 void
-reserveMore(std::vector<T> &v, size_t n)
+atomicMax(std::atomic<int> &a, int v)
 {
-    if (v.capacity() - v.size() < n)
-        v.reserve(std::max(v.size() + n, 2 * v.capacity()));
+    int cur = a.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
 }
 
 /** Inverse of analysis::verdictName (Pass on an unknown name). */
@@ -111,15 +116,18 @@ ioFromRow(const obs::LedgerEntry &e)
 }
 
 /**
- * Everything one worker records about one executed iteration. The
- * trace itself is dropped after analysis (except for the worker's
- * first bug, captured separately) — only the merge-relevant digest is
- * kept, so memory stays bounded over long campaigns.
+ * Everything one worker records about one executed iteration. Records
+ * reach the fold through the reorder window and are freed once folded.
+ * The trace itself is dropped after analysis (except for the worker's
+ * first bug) — only the merge-relevant digest is kept.
  */
 struct IterRecord
 {
     int iter = 0;
     uint64_t seed = 0;
+    /** Worker that ran it, and the 1-based sequence number there. */
+    int worker = 0;
+    int wseq = 0;
     runtime::ExecResult exec;
     analysis::DeadlockReport dl;
     /** dl.buggy() or watchdog; races are folded in canonically. */
@@ -141,53 +149,57 @@ struct IterRecord
     /** The iteration's schedule recipe (with predict): the base the
      * merge synthesizes confirmation replays from. */
     trace::Recipe recipe;
-};
-
-/** Full capture of a worker's first buggy run (report material). */
-struct BugCapture
-{
-    int iter = -1;
-    SingleRun sr;
-};
-
-/** A worker's first data race (with -race). */
-struct RaceCapture
-{
-    int iter = -1;
-    analysis::RaceReport races;
+    /**
+     * The worker's first data race (with -race), on that iteration
+     * only. Each worker claims increasing indices, so its first race
+     * is its lowest one, and the first folded record carrying a race
+     * is the first race a sequential campaign would find.
+     */
+    std::unique_ptr<analysis::RaceReport> race;
+    /**
+     * Full capture of the worker's first buggy run, on that iteration
+     * only: the report material of the canonical first bug, which is
+     * necessarily some worker's first.
+     */
+    std::unique_ptr<SingleRun> bugRun;
 };
 
 /**
- * One worker: a private metrics registry (installed thread-locally for
- * the worker's lifetime, so the scheduler and engine bookkeeping of
- * this thread never touch another worker's instruments), a coverage
- * scratch computing per-iteration deltas on the campaign's shared
- * universe, a private cumulative coverage state (guided-policy food
- * and threshold heuristic), and the iteration records to merge.
- *
- * Workers persist across checkpoint rounds: the thread running
- * workerLoop is respawned per round, but the registry (with its
- * ledger-delta baseline), coverage, and records all carry over, so an
- * N-round campaign records exactly what a single-round one would.
+ * One worker: a private metrics registry and stage profiler (installed
+ * thread-locally around each of its iterations, so the scheduler and
+ * engine bookkeeping of one worker never touch another's instruments),
+ * a coverage scratch computing per-iteration deltas on the campaign's
+ * shared universe, and a private cumulative coverage state
+ * (guided-policy food and threshold heuristic).
  */
 struct Worker
 {
-    explicit Worker(const std::shared_ptr<const CoverageUniverse> &u)
-        : scratch(u), localCov(u)
+    Worker(int i, const std::shared_ptr<const CoverageUniverse> &u)
+        : id(i), scratch(u), localCov(u),
+          iterations(registry.counter("engine.iterations")),
+          bugs(registry.counter("engine.bugs_found")),
+          iterWall(registry.histogram(
+              "engine.iter_wall_us",
+              {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000}))
     {
     }
 
-    int id = 0;
+    int id;
     obs::Registry registry;
     /** Private stage profiler (installed thread-locally when on). */
     obs::Profiler profiler;
     CoverageScratch scratch;
     CoverageState localCov;
-    std::vector<IterRecord> records;
-    BugCapture firstBug;
-    RaceCapture firstRace;
-    /** Records already indexed by the merge (rounds watermark). */
-    size_t indexed = 0;
+    obs::Counter &iterations;
+    obs::Counter &bugs;
+    obs::Histogram &iterWall;
+    /** Iterations run to completion (the ledger's wseq). */
+    int ran = 0;
+    /** A first race / first bug was captured. */
+    bool raced = false;
+    bool bugged = false;
+    /** Stage-profiler fold over every iteration run (with profile). */
+    obs::ProfileSnapshot executedProfile;
 };
 
 /** State shared by all workers of one campaign. */
@@ -195,10 +207,6 @@ struct Shared
 {
     const CampaignConfig &cfg;
     const std::function<void()> &program;
-    /** Next iteration to claim (work distribution). */
-    std::atomic<int> next{1};
-    /** Last iteration of the current checkpoint round. */
-    std::atomic<int> roundEnd;
     /**
      * Early-stop broadcast: lowest iteration known to satisfy a stop
      * condition. Claims beyond it are pointless — the merge will
@@ -208,16 +216,18 @@ struct Shared
      */
     std::atomic<int> stopAt;
 
-    explicit Shared(const CampaignConfig &c,
-                    const std::function<void()> &p)
-        : cfg(c), program(p), roundEnd(c.engine.maxIterations),
-          stopAt(c.engine.maxIterations)
+    Shared(const CampaignConfig &c, const std::function<void()> &p)
+        : cfg(c), program(p), stopAt(c.engine.maxIterations)
     {
     }
 };
 
-void
-workerLoop(Shared &sh, Worker &w)
+/**
+ * Run iteration @p iter on @p w and digest it into a record; nullptr
+ * when an interrupt cut the run short.
+ */
+std::unique_ptr<IterRecord>
+runIteration(Shared &sh, Worker &w, int iter)
 {
     using std::chrono::steady_clock;
 
@@ -228,139 +238,331 @@ workerLoop(Shared &sh, Worker &w)
                              !sh.cfg.resumePath.empty();
 
     // Bind this thread's metrics to the worker's private registry for
-    // the whole loop (covers the scheduler's per-run flush too).
+    // the iteration (covers the scheduler's per-run flush too).
     obs::ScopedRegistry scope(w.registry);
-    std::unique_ptr<obs::ScopedProfiler> prof_scope;
+    std::optional<obs::ScopedProfiler> prof_scope;
     if (cfg.profile)
-        prof_scope = std::make_unique<obs::ScopedProfiler>(w.profiler);
-    obs::Counter &iterations_total =
-        w.registry.counter("engine.iterations");
-    obs::Counter &bugs_total = w.registry.counter("engine.bugs_found");
-    obs::Histogram &iter_wall = w.registry.histogram(
-        "engine.iter_wall_us",
-        {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000});
+        prof_scope.emplace(w.profiler);
 
-    for (;;) {
-        if (interruptRequested())
-            break; // drain: stop claiming, keep finished records
-        int iter = sh.next.fetch_add(1, std::memory_order_relaxed);
-        if (iter > cfg.maxIterations)
-            break;
-        if (iter > sh.roundEnd.load(std::memory_order_relaxed))
-            break; // checkpoint-round boundary
-        if (iter > sh.stopAt.load(std::memory_order_relaxed))
-            break; // early-stop broadcast received
+    auto t0 = steady_clock::now();
+    SingleRun sr =
+        engine::runCampaignIteration(cfg, sh.program, iter, &w.localCov);
+    if (sr.exec.interrupted)
+        return nullptr;
 
-        auto t0 = steady_clock::now();
-        SingleRun sr = engine::runCampaignIteration(cfg, sh.program,
-                                                    iter, &w.localCov);
-        if (sr.exec.interrupted)
-            break; // cut short mid-run: drop the partial record
+    auto rec = std::make_unique<IterRecord>();
+    rec->iter = iter;
+    rec->seed = engine::campaignIterationSeed(cfg.seedBase, iter);
+    rec->worker = w.id;
+    rec->wseq = ++w.ran;
+    rec->exec = sr.exec;
+    rec->dl = sr.dl;
+    rec->coreBug =
+        sr.dl.buggy() || sr.exec.outcome == RunOutcome::StepBudget;
+    w.iterations.inc();
 
-        IterRecord rec;
-        rec.iter = iter;
-        rec.seed = engine::campaignIterationSeed(cfg.seedBase, iter);
-        rec.exec = sr.exec;
-        rec.dl = sr.dl;
-        rec.coreBug = sr.dl.buggy() ||
-                      sr.exec.outcome == RunOutcome::StepBudget;
-        iterations_total.inc();
-
-        if (cfg.predict) {
-            rec.predictions = analysis::predictBlockingBugs(sr.ect);
-            rec.recipe = sr.recipe;
-        }
-
-        if (measure_cov) {
-            // One delta (on the run's tree, built once for the deadlock
-            // check) feeds both the canonical merge and the worker's
-            // cumulative state.
-            w.scratch.compute(sr.ect, *sr.tree, &rec.cov);
-            w.localCov.applyDelta(rec.cov);
-            // The worker's cumulative coverage is a subset of the
-            // merged coverage at this iteration, so reaching the
-            // threshold locally proves the canonical cutoff is <= iter.
-            if (cfg.collectCoverage &&
-                w.localCov.percent() >= cfg.covThreshold)
-                atomicMin(sh.stopAt, iter);
-        }
-
-        if (cfg.raceDetect && w.firstRace.iter < 0) {
-            analysis::RaceReport races = analysis::detectRaces(sr.ect);
-            if (races.any()) {
-                w.firstRace.iter = iter;
-                w.firstRace.races = std::move(races);
-            }
-        }
-
-        bool local_bug =
-            rec.coreBug ||
-            (cfg.raceDetect && w.firstRace.iter == iter);
-        if (local_bug && w.firstBug.iter < 0) {
-            w.firstBug.iter = iter;
-            w.firstBug.sr = sr;
-            bugs_total.inc();
-            // The minimum over all workers' first-bug broadcasts is
-            // exactly the canonical first detection (each worker
-            // claims increasing indices, so its first bug is its
-            // minimum), so the watermark converges to it.
-            if (cfg.stopOnBug)
-                atomicMin(sh.stopAt, iter);
-        }
-
-        rec.wallMicros = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                steady_clock::now() - t0)
-                .count());
-        iter_wall.observe(rec.wallMicros);
-
-        if (logEnabled(LogLevel::Debug)) {
-            debugLog(strFormat(
-                "campaign: worker %d iter %d/%d seed=%llu outcome=%s "
-                "verdict=%s wall_us=%llu",
-                w.id, iter, cfg.maxIterations,
-                static_cast<unsigned long long>(rec.seed),
-                runtime::runOutcomeName(rec.exec.outcome),
-                analysis::verdictName(rec.dl.verdict),
-                static_cast<unsigned long long>(rec.wallMicros)));
-        }
-
-        // Rendered here, once: the row (and its checkpoint block)
-        // carries the JSON, not a snapshot.
-        if (want_ledger)
-            rec.metricsJson = w.registry.deltaJson();
-
-        // Draining per iteration resets the sampling phase, so the
-        // delta (and under a deterministic clock, its histogram) is a
-        // pure function of the iteration — the canonical merge can
-        // fold deltas in iteration order, worker-count independent.
-        if (cfg.profile)
-            rec.profileDelta = w.profiler.drain();
-
-        if (sh.cfg.progress) {
-            sh.cfg.progress->noteIteration(
-                static_cast<size_t>(rec.dl.verdict), local_bug);
-            if (measure_cov)
-                sh.cfg.progress->noteCoveragePermille(
-                    static_cast<uint64_t>(w.localCov.percent() * 10.0));
-        }
-
-        w.records.push_back(std::move(rec));
+    if (cfg.predict) {
+        rec->predictions = analysis::predictBlockingBugs(sr.ect);
+        rec->recipe = sr.recipe;
     }
+
+    if (measure_cov) {
+        // One delta (on the run's tree, built once for the deadlock
+        // check) feeds both the canonical merge and the worker's
+        // cumulative state.
+        w.scratch.compute(sr.ect, *sr.tree, &rec->cov);
+        w.localCov.applyDelta(rec->cov);
+        // The worker's cumulative coverage is a subset of the merged
+        // coverage at this iteration, so reaching the threshold
+        // locally proves the canonical cutoff is <= iter.
+        if (cfg.collectCoverage && w.localCov.percent() >= cfg.covThreshold)
+            atomicMin(sh.stopAt, iter);
+    }
+
+    if (cfg.raceDetect && !w.raced) {
+        analysis::RaceReport races = analysis::detectRaces(sr.ect);
+        if (races.any()) {
+            w.raced = true;
+            rec->race =
+                std::make_unique<analysis::RaceReport>(std::move(races));
+        }
+    }
+
+    const bool local_bug = rec->coreBug || rec->race;
+    if (local_bug && !w.bugged) {
+        w.bugged = true;
+        rec->bugRun = std::make_unique<SingleRun>(std::move(sr));
+        w.bugs.inc();
+        // The minimum over all workers' first-bug broadcasts is
+        // exactly the canonical first detection (each worker claims
+        // increasing indices, so its first bug is its minimum), so the
+        // watermark converges to it.
+        if (cfg.stopOnBug)
+            atomicMin(sh.stopAt, iter);
+    }
+
+    rec->wallMicros = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            steady_clock::now() - t0)
+            .count());
+    w.iterWall.observe(rec->wallMicros);
+
+    if (logEnabled(LogLevel::Debug)) {
+        debugLog(strFormat(
+            "campaign: worker %d iter %d/%d seed=%llu outcome=%s "
+            "verdict=%s wall_us=%llu",
+            w.id, iter, cfg.maxIterations,
+            static_cast<unsigned long long>(rec->seed),
+            runtime::runOutcomeName(rec->exec.outcome),
+            analysis::verdictName(rec->dl.verdict),
+            static_cast<unsigned long long>(rec->wallMicros)));
+    }
+
+    // Rendered here, once: the row (and its checkpoint block) carries
+    // the JSON, not a snapshot.
+    if (want_ledger)
+        rec->metricsJson = w.registry.deltaJson();
+
+    // Draining per iteration resets the sampling phase, so the delta
+    // (and under a deterministic clock, its histogram) is a pure
+    // function of the iteration — the canonical merge can fold deltas
+    // in iteration order, worker-count independent.
+    if (cfg.profile) {
+        rec->profileDelta = w.profiler.drain();
+        w.executedProfile.mergeFrom(rec->profileDelta);
+    }
+
+    if (sh.cfg.progress) {
+        sh.cfg.progress->noteIteration(static_cast<size_t>(rec->dl.verdict),
+                                       local_bug);
+        if (measure_cov)
+            sh.cfg.progress->noteCoveragePermille(
+                static_cast<uint64_t>(w.localCov.percent() * 10.0));
+    }
+    return rec;
 }
+
+/** Reorder-window slots per worker (the window is this times -jobs). */
+constexpr int kWindowPerJob = 64;
+
+/**
+ * The reorder window between the worker threads and the fold (jobs >
+ * 1). Iteration i's record lands in slot i mod W, and a worker claims i
+ * only while i <= cursor + W, so the slot is free by then and at most
+ * W records ever wait for the fold. Nobody sleeps in the steady state:
+ * the fold sleeps only until the record it awaits (the end of a batch)
+ * lands, and a worker only while its next claim lies past the window.
+ */
+class Window
+{
+  public:
+    Window(int size, int cursor, int workers)
+        : slots_(static_cast<size_t>(size)), next_(cursor + 1),
+          cursor_(cursor), live_(workers)
+    {
+    }
+
+    /** Frees the records run past the canonical stop. */
+    ~Window()
+    {
+        for (std::atomic<IterRecord *> &s : slots_)
+            delete s.load(std::memory_order_relaxed);
+    }
+
+    Window(const Window &) = delete;
+    Window &operator=(const Window &) = delete;
+
+    int size() const { return static_cast<int>(slots_.size()); }
+
+    /** Most records waiting for the fold at once. */
+    int peak() const { return peak_.load(std::memory_order_relaxed); }
+
+    // ---- Worker side
+
+    /**
+     * Claim the next iteration, sleeping while it lies past the
+     * window; 0 once nothing is left to claim (budget, stop broadcast,
+     * interrupt, or a closed window).
+     */
+    int
+    claim(const Shared &sh)
+    {
+        const int budget = sh.cfg.engine.maxIterations;
+        int n = next_.load(std::memory_order_relaxed);
+        for (;;) {
+            if (n > budget || n > sh.stopAt.load(std::memory_order_relaxed) ||
+                closed_.load(std::memory_order_relaxed) ||
+                interruptRequested())
+                return 0;
+            if (n > cursor_.load(std::memory_order_acquire) + size()) {
+                waitOpen(n - size());
+                n = next_.load(std::memory_order_relaxed);
+                continue;
+            }
+            if (next_.compare_exchange_weak(n, n + 1,
+                                            std::memory_order_relaxed))
+                return n;
+        }
+    }
+
+    /** Hand a record to the fold; wake it if this is the one it awaits. */
+    void
+    publish(std::unique_ptr<IterRecord> rec)
+    {
+        const int iter = rec->iter;
+        atomicMax(peak_, pending_.fetch_add(1, std::memory_order_relaxed) + 1);
+        slot(iter).store(rec.release());
+        if (awaited_.load() == iter) {
+            std::lock_guard<std::mutex> lock(mu_);
+            foldCv_.notify_one();
+        }
+    }
+
+    /** A worker exits (after its last publish). */
+    void
+    leave()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            live_.fetch_sub(1);
+        }
+        foldCv_.notify_one();
+    }
+
+    // ---- Fold side
+
+    /** True once every worker has left: no record can land any more. */
+    bool idle() const { return live_.load() == 0; }
+
+    /** Remove and return @p iter's record, or nullptr if it has not landed. */
+    std::unique_ptr<IterRecord>
+    take(int iter)
+    {
+        std::atomic<IterRecord *> &s = slot(iter);
+        IterRecord *rec = s.load(std::memory_order_acquire);
+        if (rec) {
+            s.store(nullptr, std::memory_order_relaxed);
+            pending_.fetch_sub(1, std::memory_order_relaxed);
+        }
+        return std::unique_ptr<IterRecord>(rec);
+    }
+
+    /** Publish the fold's cursor; wake workers waiting for the window. */
+    void
+    advance(int cursor)
+    {
+        cursor_.store(cursor);
+        if (blocked_.load() > 0) {
+            std::lock_guard<std::mutex> lock(mu_);
+            workerCv_.notify_all();
+        }
+    }
+
+    /**
+     * Sleep until the last missing record in [@p from, @p to] lands (a
+     * whole batch, in the common case), every worker has left, or an
+     * interrupt needs the window closed. Returns at once when nothing
+     * in the range is missing.
+     */
+    void
+    await(int from, int to)
+    {
+        int iter = to;
+        while (iter >= from && slot(iter).load() != nullptr)
+            --iter;
+        if (iter < from)
+            return;
+        std::unique_lock<std::mutex> lock(mu_);
+        awaited_.store(iter);
+        foldCv_.wait(lock, [&] {
+            return slot(iter).load() != nullptr || live_.load() == 0 ||
+                   (interruptRequested() && !closed_.load());
+        });
+        awaited_.store(0, std::memory_order_relaxed);
+    }
+
+    /** Stop all claims and wake every waiting worker. */
+    void
+    close()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            closed_.store(true);
+        }
+        workerCv_.notify_all();
+    }
+
+  private:
+    std::atomic<IterRecord *> &
+    slot(int iter)
+    {
+        return slots_[static_cast<size_t>(iter) % slots_.size()];
+    }
+
+    void
+    waitOpen(int need)
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        blocked_.fetch_add(1);
+        workerCv_.wait(lock, [&] {
+            return cursor_.load() >= need || closed_.load();
+        });
+        blocked_.fetch_sub(1);
+    }
+
+    std::vector<std::atomic<IterRecord *>> slots_;
+    /** Next iteration to claim (work distribution). */
+    std::atomic<int> next_;
+    /** Last folded iteration. */
+    std::atomic<int> cursor_;
+    /** Worker threads that have not left yet. */
+    std::atomic<int> live_;
+    /** Records published and not yet taken, and their peak. */
+    std::atomic<int> pending_{0};
+    std::atomic<int> peak_{0};
+    /** Iteration the sleeping fold awaits (0 = none). */
+    std::atomic<int> awaited_{0};
+    /** Workers sleeping until the window opens. */
+    std::atomic<int> blocked_{0};
+    std::atomic<bool> closed_{false};
+    std::mutex mu_;
+    std::condition_variable foldCv_;
+    std::condition_variable workerCv_;
+};
+
+/** A worker thread: claim, run, and publish until nothing is left. */
+void
+workerLoop(Shared &sh, Window &win, Worker &w)
+{
+    while (int iter = win.claim(sh)) {
+        std::unique_ptr<IterRecord> rec = runIteration(sh, w, iter);
+        if (!rec)
+            break; // cut short mid-run: drop the partial record
+        win.publish(std::move(rec));
+    }
+    win.leave();
+}
+
+/** Ledger rows buffered between writes (a fold batch is usually less). */
+constexpr size_t kLedgerBatchRows = 256;
 
 /**
  * The canonical fold's bookkeeping, shared by the threaded and
  * isolated drivers (the heavy material — saturation, iterations, bug
- * state — lives in the GoatResult being built).
+ * state — lives in the GoatResult being built), and the sink of its
+ * rows: the checkpoint log's open round, then the ledger.
  */
 struct FoldState
 {
+    const CampaignConfig &cfg;
     CoverageState merged;
-    std::vector<obs::LedgerEntry> rows;
     /** Last canonically merged iteration. */
     int cursor = 0;
-    /** Iterations executed across all workers (incl. overshoot). */
+    /**
+     * Iterations executed: restored from the checkpoint plus folded
+     * since (the isolated driver adds its supervisor's count at the
+     * end), so a commit never counts work a resume would redo.
+     */
     int executed = 0;
     /** A canonical stop condition was hit. */
     bool stopped = false;
@@ -369,10 +571,65 @@ struct FoldState
     int timeouts = 0;
     /** The -checkpoint log (closed when not checkpointing). */
     CheckpointLog log;
+    /** Cursor of the last checkpoint commit (-1 = none this run). */
+    int committed = -1;
+    /** The -ledger file (null without one). */
+    std::unique_ptr<obs::RunLedger> ledger;
+    /** Rows folded since the last ledger write. */
+    std::vector<obs::LedgerEntry> batch;
+    /**
+     * Rows finalizeCampaign may still stamp, with every later row:
+     * their lines wait for it, so the ledger stays in iteration order.
+     */
+    std::vector<obs::LedgerEntry> held;
+    /** The first bug row (report material without a live capture). */
+    obs::LedgerEntry bugRow;
 
-    explicit FoldState(const std::shared_ptr<const CoverageUniverse> &u)
-        : merged(u)
+    FoldState(const CampaignConfig &c,
+              const std::shared_ptr<const CoverageUniverse> &u)
+        : cfg(c), merged(u)
     {
+    }
+
+    /** A newly folded row: into the checkpoint round and the ledger. */
+    void
+    foldRow(obs::LedgerEntry &&e)
+    {
+        if (!cfg.checkpointPath.empty())
+            log.addRow(e);
+        emitRow(std::move(e));
+    }
+
+    /** Send a row to the ledger (held while it may still be stamped). */
+    void
+    emitRow(obs::LedgerEntry &&e)
+    {
+        if (e.bug && bugRow.iteration == 0)
+            bugRow = e;
+        if (!ledger)
+            return;
+        // Predictions may be confirmed, and the bug row gets the
+        // recipe, minimization, and lint cross-check stamps.
+        const bool stampable =
+            e.predicted > 0 ||
+            (e.bug && (!cfg.recordPath.empty() || cfg.minimize ||
+                       cfg.lintBridge));
+        if (stampable || !held.empty()) {
+            held.push_back(std::move(e));
+            return;
+        }
+        batch.push_back(std::move(e));
+        if (batch.size() >= kLedgerBatchRows)
+            flushLedger();
+    }
+
+    /** Write the buffered rows with one write. */
+    void
+    flushLedger()
+    {
+        if (ledger)
+            ledger->appendBatch(batch);
+        batch.clear();
     }
 };
 
@@ -387,13 +644,14 @@ refuseResume(CampaignResult &out, std::string why)
 
 /**
  * Restore a parsed checkpoint into the fold: merged bitmap, saturation
- * series, frozen rows (their iteration summaries re-enter
- * result.iterations), tallies, and bug/race watermarks. A bug/race
- * watermark that names no (bug) row of the prefix, or a malformed
- * coverage bitmap, refuses the resume (false, resumeError set).
+ * series, tallies, bug/race watermarks, and the frozen rows' iteration
+ * summaries (result.iterations); beginFold re-emits the rows. A
+ * bug/race watermark that names no (bug) row of the prefix, or a
+ * malformed coverage bitmap, refuses the resume (false, resumeError
+ * set).
  */
 bool
-restoreCheckpoint(CheckpointData &ck, const CampaignConfig &cfg,
+restoreCheckpoint(const CheckpointData &ck, const CampaignConfig &cfg,
                   FoldState &fs, engine::GoatResult &result,
                   CampaignResult &out)
 {
@@ -425,8 +683,7 @@ restoreCheckpoint(CheckpointData &ck, const CampaignConfig &cfg,
     fs.timeouts = ck.timeouts;
     for (const obs::SaturationSample &s : ck.satSamples)
         result.saturation.appendSample(s);
-    fs.rows = std::move(ck.rows);
-    for (const obs::LedgerEntry &row : fs.rows) {
+    for (const obs::LedgerEntry &row : ck.rows) {
         result.iterations.push_back(ioFromRow(row));
         if (cfg.progress)
             cfg.progress->noteIteration(
@@ -455,13 +712,17 @@ checkpointFailed(const CampaignConfig &cfg, CampaignResult &out)
     out.checkpointOk = false;
 }
 
-/** Append the fold's new rows and current summary to the log. */
+/**
+ * Append the open round and the fold's current summary to the log. The
+ * ledger is written first, so it never lags the last commit.
+ */
 void
 writeCheckpoint(const CampaignConfig &cfg, FoldState &fs,
                 const engine::GoatResult &result, CampaignResult &out)
 {
     const bool measure_cov =
         cfg.engine.collectCoverage || cfg.engine.coverageGuided;
+    fs.flushLedger();
     CheckpointData d;
     d.executed = fs.executed;
     d.respawns = fs.respawns;
@@ -472,8 +733,9 @@ writeCheckpoint(const CampaignConfig &cfg, FoldState &fs,
     d.stopped = fs.stopped;
     if (measure_cov)
         d.covBitmap = fs.merged.bitmapStr();
-    if (!fs.log.commit(d, fs.rows, result.saturation.samples()))
+    if (!fs.log.commit(d, result.saturation.samples()))
         checkpointFailed(cfg, out);
+    fs.committed = fs.cursor;
 }
 
 /**
@@ -529,15 +791,15 @@ materializeFirstBug(const CampaignConfig &cfg,
 
 /**
  * The merge epilogue shared by both drivers: recipe recording and
- * minimization, prediction confirmation (threaded only), the lint
- * cross-check, ledger emission, and campaign-level metrics.
+ * minimization, prediction confirmation (threaded only; @p pred_recipes
+ * maps each source iteration to its recipe), the lint cross-check, the
+ * stamps and ledger lines of the held rows, and campaign-level metrics.
  */
 void
 finalizeCampaign(const CampaignConfig &cfg,
                  const std::function<void()> &program,
-                 CampaignResult &out,
-                 std::vector<obs::LedgerEntry> &ledger_rows,
-                 std::vector<IterRecord *> *by_iter,
+                 CampaignResult &out, FoldState &fs,
+                 std::map<int, trace::Recipe> *pred_recipes,
                  std::vector<std::unique_ptr<Worker>> *workers,
                  std::chrono::steady_clock::time_point campaign_t0)
 {
@@ -581,9 +843,9 @@ finalizeCampaign(const CampaignConfig &cfg,
     // Prediction confirmation: replay-steered cross-checks run on this
     // (scheduler-free) thread after the workers joined, grouped by the
     // source iteration whose recipe seeds the synthesized schedules.
-    // The fold above appended predictions in ascending iteration
-    // order, so each group is a contiguous span.
-    if (ecfg.predict && by_iter) {
+    // The fold appended predictions in ascending iteration order, so
+    // each group is a contiguous span.
+    if (ecfg.predict && pred_recipes) {
         auto &preds = out.predict.report.predictions;
         out.predict.confirmRecipes.assign(preds.size(),
                                           trace::Recipe());
@@ -598,8 +860,7 @@ finalizeCampaign(const CampaignConfig &cfg,
                                        static_cast<ptrdiff_t>(idx),
                                    preds.begin() +
                                        static_cast<ptrdiff_t>(end));
-            trace::Recipe base =
-                (*by_iter)[static_cast<size_t>(src)]->recipe;
+            trace::Recipe base = std::move(pred_recipes->at(src));
             base.kernel = cfg.programName;
             engine::PredictOutcome po = engine::confirmPredictions(
                 program, base, std::move(sub));
@@ -614,9 +875,9 @@ finalizeCampaign(const CampaignConfig &cfg,
         out.predict.confirmedCount =
             out.predict.report.confirmedCount();
 
-        // Stamp rows whose iteration contributed confirmed
-        // predictions (the ledger is written below, at the end).
-        for (obs::LedgerEntry &e : ledger_rows) {
+        // Stamp rows whose iteration contributed confirmed predictions
+        // (every such row is held: it has predictions).
+        for (obs::LedgerEntry &e : fs.held) {
             int conf = 0;
             for (const analysis::Prediction &p : preds)
                 if (p.confirmed && p.iteration == e.iteration)
@@ -637,7 +898,7 @@ finalizeCampaign(const CampaignConfig &cfg,
             out.confirmedWarnings = static_cast<int>(
                 staticmodel::confirmFindings(out.lint,
                                              result.firstBugEct));
-            for (obs::LedgerEntry &e : ledger_rows)
+            for (obs::LedgerEntry &e : fs.held)
                 if (e.iteration == result.bugIteration)
                     e.confirmedWarnings = out.confirmedWarnings;
         }
@@ -645,8 +906,8 @@ finalizeCampaign(const CampaignConfig &cfg,
 
     if (result.bugFound &&
         (!out.recipePath.empty() || cfg.minimize)) {
-        // Stamp the repro fields onto the bug's ledger row.
-        for (obs::LedgerEntry &e : ledger_rows) {
+        // Stamp the repro fields onto the bug's (held) ledger row.
+        for (obs::LedgerEntry &e : fs.held) {
             if (e.iteration == result.bugIteration) {
                 e.recipePath = out.recipePath;
                 if (cfg.minimize && out.minimize.reproduced)
@@ -657,15 +918,14 @@ finalizeCampaign(const CampaignConfig &cfg,
         }
     }
 
-    // Campaign ledgers are written at merge time, sorted by global
-    // iteration id and truncated at the canonical cutoff, so the row
-    // count and per-row seed/verdict content match any worker count.
-    if (!ecfg.ledgerPath.empty()) {
-        obs::RunLedger ledger(ecfg.ledgerPath);
-        out.ledgerOk = ledger.ok();
-        for (const obs::LedgerEntry &e : ledger_rows)
-            ledger.append(e);
-        out.ledgerRows = ledger.linesWritten();
+    // The ledger got every row up to the first held one as it folded;
+    // the held rows follow now, stamped. Rows stop at the canonical
+    // cutoff, so the row count and per-row seed/verdict content match
+    // any worker count.
+    if (fs.ledger) {
+        fs.flushLedger();
+        fs.ledger->appendBatch(fs.held);
+        out.ledgerRows = fs.ledger->linesWritten();
     }
 
     // Fold the private worker registries into one snapshot and absorb
@@ -685,7 +945,7 @@ finalizeCampaign(const CampaignConfig &cfg,
     parent.counter("campaign.iterations.discarded")
         .inc(static_cast<uint64_t>(out.discardedIterations));
     parent.gauge("campaign.workers").setMax(out.jobs);
-    if (ecfg.predict && by_iter) {
+    if (ecfg.predict && pred_recipes) {
         parent.counter("campaign.predictions")
             .inc(static_cast<uint64_t>(
                 out.predict.report.predictions.size()));
@@ -716,10 +976,21 @@ finalizeCampaign(const CampaignConfig &cfg,
     }
 }
 
+/** Open the -ledger file, if any (ledger lines append across runs). */
+void
+openLedger(const CampaignConfig &cfg, FoldState &fs, CampaignResult &out)
+{
+    if (cfg.engine.ledgerPath.empty())
+        return;
+    fs.ledger = std::make_unique<obs::RunLedger>(cfg.engine.ledgerPath);
+    out.ledgerOk = fs.ledger->ok();
+}
+
 /**
  * Set the fold up for a run: restore the -resume checkpoint (after
- * its fingerprint check) and open the -checkpoint log. False when the
- * resume is refused (out.resumeError says why).
+ * its fingerprint check), open the -checkpoint log and the ledger, and
+ * emit the restored rows. False when the resume is refused
+ * (out.resumeError says why).
  */
 bool
 beginFold(const CampaignConfig &cfg, FoldState &fs,
@@ -730,6 +1001,7 @@ beginFold(const CampaignConfig &cfg, FoldState &fs,
         if (checkpointing &&
             !fs.log.create(cfg.checkpointPath, configFingerprint(cfg)))
             checkpointFailed(cfg, out);
+        openLedger(cfg, fs, out);
         return true;
     }
     CheckpointData ck;
@@ -743,17 +1015,22 @@ beginFold(const CampaignConfig &cfg, FoldState &fs,
     if (!restoreCheckpoint(ck, cfg, fs, result, out))
         return false;
     if (checkpointing &&
-        !fs.log.resume(cfg.checkpointPath, cfg.resumePath, ck, fs.rows,
+        !fs.log.resume(cfg.checkpointPath, cfg.resumePath, ck, ck.rows,
                        result.saturation.samples()))
         checkpointFailed(cfg, out);
+    openLedger(cfg, fs, out);
+    for (obs::LedgerEntry &row : ck.rows)
+        fs.emitRow(std::move(row));
     return true;
 }
 
 /**
- * In-process driver: worker threads, optionally in checkpoint rounds.
- * With no checkpoint/resume configured this is exactly one round over
- * the full budget — the classic path, byte-identical to what it
- * always produced.
+ * In-process driver. Worker threads, spawned once, claim iterations
+ * through a reorder window, and this thread folds their records in
+ * iteration order while they run: coverage, stop semantics, ledger
+ * rows, and a checkpoint round whenever the cursor crosses a round
+ * boundary. At -jobs=1 the single worker runs on this thread and each
+ * record is folded as soon as it is made.
  */
 CampaignResult
 runThreadedCampaign(const CampaignConfig &cfg,
@@ -763,13 +1040,14 @@ runThreadedCampaign(const CampaignConfig &cfg,
     auto campaign_t0 = steady_clock::now();
 
     const GoatConfig &ecfg = cfg.engine;
+    const int budget = ecfg.maxIterations;
     const bool measure_cov = ecfg.collectCoverage || ecfg.coverageGuided;
     const bool checkpointing = !cfg.checkpointPath.empty();
     const bool want_rows = !ecfg.ledgerPath.empty() || checkpointing ||
                            !cfg.resumePath.empty();
     int jobs = cfg.jobs < 1 ? 1 : cfg.jobs;
-    if (jobs > ecfg.maxIterations)
-        jobs = ecfg.maxIterations < 1 ? 1 : ecfg.maxIterations;
+    if (jobs > budget)
+        jobs = budget < 1 ? 1 : budget;
 
     CampaignResult out;
     out.jobs = jobs;
@@ -778,31 +1056,21 @@ runThreadedCampaign(const CampaignConfig &cfg,
     // merged state and every worker.
     const auto universe =
         std::make_shared<const CoverageUniverse>(ecfg.staticModel);
-    FoldState fs(universe);
+    FoldState fs(cfg, universe);
     if (!beginFold(cfg, fs, result, out))
         return out;
-    // A race restored from the checkpoint already owns the canonical
-    // first-race slot; fresh captures (necessarily later) never
-    // displace it.
-    const bool race_frozen = result.raceIteration > 0;
+    const int restored_executed = fs.executed;
 
     Shared sh(cfg, program);
     std::vector<std::unique_ptr<Worker>> workers;
     workers.reserve(static_cast<size_t>(jobs));
-    for (int i = 0; i < jobs; ++i) {
-        workers.push_back(std::make_unique<Worker>(universe));
-        workers.back()->id = i;
-    }
-
-    // Index records by global iteration id. Claims come from one
-    // atomic counter, so executed iterations form a contiguous prefix
-    // possibly followed by abandoned claims past the watermark.
-    std::vector<IterRecord *> by_iter(
-        static_cast<size_t>(ecfg.maxIterations) + 1, nullptr);
-    std::vector<int> worker_of(by_iter.size(), -1);
-    std::vector<int> wseq_of(by_iter.size(), 0);
+    for (int i = 0; i < jobs; ++i)
+        workers.push_back(std::make_unique<Worker>(i, universe));
 
     std::set<std::string> seen_pred;
+    // Recipe of every iteration contributing a prediction (the base of
+    // its confirmation replays).
+    std::map<int, trace::Recipe> pred_recipes;
 
     // The merge stage is profiled on the campaign thread: one scope
     // per canonically merged iteration, so its entry total is as
@@ -813,188 +1081,183 @@ runThreadedCampaign(const CampaignConfig &cfg,
         merge_prof_scope =
             std::make_unique<obs::ScopedProfiler>(merge_profiler);
 
-    while (!fs.stopped && fs.cursor < ecfg.maxIterations &&
-           !interruptRequested()) {
-        const int round_end =
-            checkpointing
-                ? std::min(ecfg.maxIterations,
-                           fs.cursor + std::max(1, cfg.checkpointEvery))
-                : ecfg.maxIterations;
-        sh.roundEnd.store(round_end, std::memory_order_relaxed);
-        sh.next.store(fs.cursor + 1, std::memory_order_relaxed);
+    // Checkpoint rounds end every checkpointEvery iterations past the
+    // restored cursor.
+    const int every = std::max(1, cfg.checkpointEvery);
+    int round_end = std::min(budget, fs.cursor + every);
 
-        if (jobs == 1) {
-            workerLoop(sh, *workers[0]);
-        } else {
-            std::vector<std::thread> threads;
-            threads.reserve(workers.size());
-            for (auto &w : workers)
-                threads.emplace_back(
-                    [&sh, &w]() { workerLoop(sh, *w); });
-            for (auto &t : threads)
-                t.join();
+    // Replay the sequential engine's loop over one record: fold its
+    // coverage, apply bug/threshold stop semantics (the fold stops
+    // exactly where -jobs=1 would), and emit its row.
+    auto foldMerge = [&](IterRecord &rec) {
+        const int i = rec.iter;
+        fs.cursor = i;
+        ++fs.executed;
+        obs::ProfileScope merge_prof(obs::Stage::Merge);
+
+        IterationOutcome io;
+        io.exec = rec.exec;
+        io.dl = std::move(rec.dl);
+        io.wallMicros = rec.wallMicros;
+
+        if (measure_cov) {
+            fs.merged.applyDelta(rec.cov);
+            io.coveragePct = fs.merged.percent();
+            result.finalCoverage = io.coveragePct;
+            // The saturation sample reads the canonical cumulative
+            // fold, so the series is identical for any worker count.
+            if (ecfg.collectCoverage)
+                result.saturation.sample(i, fs.merged);
         }
 
-        // Index this round's fresh records.
-        const int executed_before = fs.executed;
-        for (const auto &w : workers) {
-            for (size_t r = w->indexed; r < w->records.size(); ++r) {
-                IterRecord &rec = w->records[r];
-                by_iter[static_cast<size_t>(rec.iter)] = &rec;
-                worker_of[static_cast<size_t>(rec.iter)] = w->id;
-                wseq_of[static_cast<size_t>(rec.iter)] =
-                    static_cast<int>(r) + 1;
-                ++fs.executed;
-            }
-            w->indexed = w->records.size();
-        }
-        // Room for every row this round can merge, so the fold below
-        // does not move the (large) rows it already holds.
-        const size_t fresh = static_cast<size_t>(fs.executed - executed_before);
-        reserveMore(result.iterations, fresh);
-        if (want_rows)
-            reserveMore(fs.rows, fresh);
+        if (ecfg.profile)
+            result.profile.mergeFrom(rec.profileDelta);
 
-        // Canonical first race: each worker's capture is the minimum
-        // over its (increasing) claimed indices, so the global minimum
-        // over captures is the first race a sequential campaign would
-        // find.
-        int race_iter = -1;
-        const RaceCapture *race_capture = nullptr;
-        if (!race_frozen) {
-            for (const auto &w : workers) {
-                if (w->firstRace.iter >= 0 &&
-                    (race_iter < 0 || w->firstRace.iter < race_iter)) {
-                    race_iter = w->firstRace.iter;
-                    race_capture = &w->firstRace;
-                }
-            }
+        // A race restored from the checkpoint owns the canonical
+        // first-race slot; fresh captures (necessarily later) never
+        // displace it.
+        const bool first_race = rec.race && result.raceIteration <= 0;
+        if (first_race) {
+            result.firstRaces = std::move(*rec.race);
+            result.raceIteration = i;
         }
 
-        // Replay the sequential engine's loop over the merged records:
-        // fold coverage in iteration order, apply bug/threshold stop
-        // semantics, and cut off exactly where -jobs=1 would have
-        // stopped.
-        for (int i = fs.cursor + 1; i <= round_end; ++i) {
-            IterRecord *rec = by_iter[static_cast<size_t>(i)];
-            if (!rec)
-                break; // past the watermark: nothing more to merge
-            fs.cursor = i;
-            obs::ProfileScope merge_prof(obs::Stage::Merge);
-
-            IterationOutcome io;
-            io.exec = rec->exec;
-            io.dl = rec->dl;
-            io.wallMicros = rec->wallMicros;
-
-            if (measure_cov) {
-                fs.merged.applyDelta(rec->cov);
-                rec->cov = CoverageDelta(); // folded; free it
-                io.coveragePct = fs.merged.percent();
-                result.finalCoverage = io.coveragePct;
-                // The saturation sample reads the canonical cumulative
-                // fold, so the series is identical for any worker
-                // count.
-                if (ecfg.collectCoverage)
-                    result.saturation.sample(i, fs.merged);
+        // Fold this iteration's predictions in iteration order,
+        // keeping the first instance of each stable key — the same
+        // dedup a sequential pass over the traces would perform.
+        if (ecfg.predict) {
+            bool contributed = false;
+            for (const analysis::Prediction &p :
+                 rec.predictions.predictions) {
+                if (!seen_pred.insert(p.key()).second)
+                    continue;
+                analysis::Prediction q = p;
+                q.iteration = i;
+                out.predict.report.predictions.push_back(std::move(q));
+                contributed = true;
             }
+            if (contributed)
+                pred_recipes.emplace(i, std::move(rec.recipe));
+        }
 
+        const bool buggy = rec.coreBug || first_race;
+        if (buggy && !result.bugFound) {
+            result.bugFound = true;
+            result.bugIteration = i;
+            if (rec.bugRun) {
+                SingleRun &sr = *rec.bugRun;
+                result.firstBug = sr.dl;
+                result.firstBugExec = sr.exec;
+                engine::finalizeRecipe(sr);
+                sr.recipe.kernel = cfg.programName;
+                result.firstBugRecipe = sr.recipe;
+                result.report =
+                    analysis::deadlockReportStr(sr.ect, *sr.tree, sr.dl);
+                result.firstBugEct = std::move(sr.ect);
+            }
+        }
+
+        if (want_rows) {
+            obs::LedgerEntry e;
+            e.iteration = i;
+            e.seed = rec.seed;
+            e.delayBound = ecfg.delayBound;
+            e.outcome = runtime::runOutcomeName(io.exec.outcome);
+            e.verdict = analysis::verdictName(io.dl.verdict);
+            e.bug = buggy;
+            e.steps = io.exec.steps;
+            e.coveragePct = io.coveragePct;
+            if (ecfg.collectCoverage && io.coveragePct >= 0) {
+                e.satCovered =
+                    static_cast<int64_t>(fs.merged.coveredCount());
+                e.satTotal =
+                    static_cast<int64_t>(fs.merged.totalRequirements());
+            }
+            e.wallMicros = rec.wallMicros;
+            e.worker = rec.worker;
+            e.workerSeq = rec.wseq;
+            if (cfg.lintBridge)
+                e.staticWarnings = static_cast<int>(cfg.lint.size());
             if (ecfg.profile)
-                result.profile.mergeFrom(rec->profileDelta);
-
-            if (i == race_iter) {
-                result.firstRaces = race_capture->races;
-                result.raceIteration = i;
-            }
-
-            // Fold this iteration's predictions in iteration order,
-            // keeping the first instance of each stable key — the same
-            // dedup a sequential pass over the traces would perform.
-            if (ecfg.predict) {
-                for (const analysis::Prediction &p :
-                     rec->predictions.predictions) {
-                    if (!seen_pred.insert(p.key()).second)
-                        continue;
-                    analysis::Prediction q = p;
-                    q.iteration = i;
-                    out.predict.report.predictions.push_back(
-                        std::move(q));
-                }
-            }
-
-            bool buggy = rec->coreBug || i == race_iter;
-            if (buggy && !result.bugFound) {
-                result.bugFound = true;
-                result.bugIteration = i;
-                // The worker that executed the canonical first
-                // detection necessarily captured it as its own first
-                // bug.
-                for (const auto &w : workers) {
-                    if (w->firstBug.iter == i) {
-                        SingleRun &sr = w->firstBug.sr;
-                        result.firstBug = sr.dl;
-                        result.firstBugExec = sr.exec;
-                        result.firstBugEct = sr.ect;
-                        engine::finalizeRecipe(sr);
-                        sr.recipe.kernel = cfg.programName;
-                        result.firstBugRecipe = sr.recipe;
-                        result.report = analysis::deadlockReportStr(
-                            sr.ect, *sr.tree, sr.dl);
-                        break;
-                    }
-                }
-            }
-
-            if (want_rows) {
-                obs::LedgerEntry &e = fs.rows.emplace_back();
-                e.iteration = i;
-                e.seed = rec->seed;
-                e.delayBound = ecfg.delayBound;
-                e.outcome = runtime::runOutcomeName(rec->exec.outcome);
-                e.verdict = analysis::verdictName(rec->dl.verdict);
-                e.bug = buggy;
-                e.steps = rec->exec.steps;
-                e.coveragePct = io.coveragePct;
-                if (ecfg.collectCoverage && io.coveragePct >= 0) {
-                    e.satCovered =
-                        static_cast<int64_t>(fs.merged.coveredCount());
-                    e.satTotal = static_cast<int64_t>(
-                        fs.merged.totalRequirements());
-                }
-                e.wallMicros = rec->wallMicros;
-                e.worker = worker_of[static_cast<size_t>(i)];
-                e.workerSeq = wseq_of[static_cast<size_t>(i)];
-                if (cfg.lintBridge)
-                    e.staticWarnings = static_cast<int>(cfg.lint.size());
-                if (ecfg.profile)
-                    e.profileJson = rec->profileDelta.jsonRowStr();
-                if (ecfg.predict)
-                    e.predicted = static_cast<int>(
-                        rec->predictions.predictions.size());
-                e.metricsJson = std::move(rec->metricsJson);
-            }
-
-            result.iterations.push_back(std::move(io));
-
-            if (buggy && ecfg.stopOnBug) {
-                fs.stopped = true;
-                break;
-            }
-            if (ecfg.collectCoverage &&
-                fs.merged.percent() >= ecfg.covThreshold) {
-                fs.stopped = true;
-                break;
-            }
+                e.profileJson = rec.profileDelta.jsonRowStr();
+            if (ecfg.predict)
+                e.predicted =
+                    static_cast<int>(rec.predictions.predictions.size());
+            e.metricsJson = std::move(rec.metricsJson);
+            fs.foldRow(std::move(e));
         }
 
-        if (checkpointing)
-            writeCheckpoint(cfg, fs, result, out);
+        result.iterations.push_back(std::move(io));
 
-        // A gap in the merged prefix means the round was cut short by
-        // an interrupt — nothing further can fold.
-        if (fs.cursor < round_end && !fs.stopped)
-            break;
+        if ((buggy && ecfg.stopOnBug) ||
+            (ecfg.collectCoverage &&
+             fs.merged.percent() >= ecfg.covThreshold))
+            fs.stopped = true;
+    };
+    // A commit holds only folded state: it is a fold point, not a
+    // barrier, and the workers run on past it.
+    auto fold = [&](IterRecord &rec) {
+        foldMerge(rec);
+        if (checkpointing && (fs.cursor == round_end || fs.stopped)) {
+            writeCheckpoint(cfg, fs, result, out);
+            round_end = std::min(budget, fs.cursor + every);
+        }
+    };
+
+    const bool ran = !fs.stopped && fs.cursor < budget &&
+                     !interruptRequested();
+    if (ran && jobs == 1) {
+        while (!fs.stopped && fs.cursor < budget && !interruptRequested()) {
+            std::unique_ptr<IterRecord> rec =
+                runIteration(sh, *workers[0], fs.cursor + 1);
+            if (!rec)
+                break; // cut short mid-run: drop the partial record
+            fold(*rec);
+        }
+    } else if (ran) {
+        Window win(kWindowPerJob * jobs, fs.cursor, jobs);
+        std::vector<std::thread> threads;
+        threads.reserve(workers.size());
+        for (auto &w : workers)
+            threads.emplace_back(
+                [&sh, &win, &w]() { workerLoop(sh, win, *w); });
+        // Sleep for a quarter window at a time, so the fold wakes once
+        // per batch of records, not once per record.
+        const int batch = win.size() / 4;
+        for (;;) {
+            // Read before folding: a worker that has left published
+            // every record it made.
+            const bool drained = win.idle();
+            while (!fs.stopped && fs.cursor < budget) {
+                std::unique_ptr<IterRecord> rec = win.take(fs.cursor + 1);
+                if (!rec)
+                    break;
+                fold(*rec);
+                win.advance(fs.cursor);
+            }
+            if (fs.stopped || fs.cursor >= budget || drained)
+                break;
+            fs.flushLedger();
+            // On an interrupt, nothing more is claimed; the records
+            // already running still land and fold.
+            if (interruptRequested())
+                win.close();
+            win.await(fs.cursor + 1,
+                      std::max(fs.cursor + 1,
+                               std::min({fs.cursor + batch, budget,
+                                         sh.stopAt.load(
+                                             std::memory_order_relaxed)})));
+        }
+        win.close();
+        for (auto &t : threads)
+            t.join();
+        out.window = win.size();
+        out.windowPeak = win.peak();
     }
+    // The last round: cut short by a stop or an interrupt, or
+    // interrupted before its first record.
+    if (checkpointing && ran && fs.committed != fs.cursor)
+        writeCheckpoint(cfg, fs, result, out);
 
     if (interruptRequested()) {
         out.interrupted = true;
@@ -1009,15 +1272,16 @@ runThreadedCampaign(const CampaignConfig &cfg,
         merge_prof_scope.reset();
         result.profile.mergeFrom(merge_delta);
         for (const auto &w : workers)
-            for (const IterRecord &r : w->records)
-                out.executedProfile.mergeFrom(r.profileDelta);
+            out.executedProfile.mergeFrom(w->executedProfile);
         out.executedProfile.mergeFrom(merge_delta);
     }
 
     out.cutoffIteration = fs.cursor;
-    out.executedIterations = fs.executed;
+    out.executedIterations = restored_executed;
+    for (const auto &w : workers)
+        out.executedIterations += w->ran;
     out.discardedIterations =
-        fs.executed - static_cast<int>(result.iterations.size());
+        out.executedIterations - static_cast<int>(result.iterations.size());
     out.respawns = fs.respawns;
     out.crashes = fs.crashes;
     out.timeouts = fs.timeouts;
@@ -1027,12 +1291,8 @@ runThreadedCampaign(const CampaignConfig &cfg,
     // capture; rehydrate it from the pure (config, iteration) function
     // before the finalize stages consume it.
     if (result.bugFound && result.report.empty() &&
-        result.bugIteration >= 1 &&
-        result.bugIteration <= static_cast<int>(fs.rows.size()))
-        materializeFirstBug(
-            cfg, program,
-            fs.rows[static_cast<size_t>(result.bugIteration) - 1],
-            result);
+        fs.bugRow.iteration == result.bugIteration)
+        materializeFirstBug(cfg, program, fs.bugRow, result);
     if (result.raceIteration > 0 && !result.firstRaces.any()) {
         CoverageState scratch(ecfg.staticModel);
         SingleRun sr = engine::runCampaignIteration(
@@ -1040,7 +1300,7 @@ runThreadedCampaign(const CampaignConfig &cfg,
         result.firstRaces = analysis::detectRaces(sr.ect);
     }
 
-    finalizeCampaign(cfg, program, out, fs.rows, &by_iter, &workers,
+    finalizeCampaign(cfg, program, out, fs, &pred_recipes, &workers,
                      campaign_t0);
     return out;
 }
@@ -1068,7 +1328,8 @@ runIsolatedCampaign(const CampaignConfig &cfg,
     CampaignResult out;
     out.jobs = jobs;
     engine::GoatResult &result = out.merged;
-    FoldState fs(std::make_shared<const CoverageUniverse>(ecfg.staticModel));
+    FoldState fs(cfg,
+                 std::make_shared<const CoverageUniverse>(ecfg.staticModel));
     if (!beginFold(cfg, fs, result, out))
         return out;
 
@@ -1122,7 +1383,7 @@ runIsolatedCampaign(const CampaignConfig &cfg,
 
         const bool loss = supervisedLoss(row);
         result.iterations.push_back(std::move(io));
-        fs.rows.push_back(std::move(row));
+        fs.foldRow(std::move(row));
 
         if (buggy && ecfg.stopOnBug && !loss)
             fs.stopped = true;
@@ -1147,6 +1408,7 @@ runIsolatedCampaign(const CampaignConfig &cfg,
             writeCheckpoint(cfg, fs, result, out);
             last_ckpt = fs.cursor;
         }
+        fs.flushLedger();
     };
 
     SuperviseOutcome so;
@@ -1174,15 +1436,10 @@ runIsolatedCampaign(const CampaignConfig &cfg,
     out.timeouts = fs.timeouts;
     out.coverage = std::move(fs.merged);
 
-    if (result.bugFound && result.bugIteration >= 1 &&
-        result.bugIteration <= static_cast<int>(fs.rows.size()))
-        materializeFirstBug(
-            cfg, program,
-            fs.rows[static_cast<size_t>(result.bugIteration) - 1],
-            result);
+    if (result.bugFound && fs.bugRow.iteration == result.bugIteration)
+        materializeFirstBug(cfg, program, fs.bugRow, result);
 
-    finalizeCampaign(cfg, program, out, fs.rows, nullptr, nullptr,
-                     campaign_t0);
+    finalizeCampaign(cfg, program, out, fs, nullptr, nullptr, campaign_t0);
     return out;
 }
 

@@ -10,9 +10,12 @@
  * by running iterations concurrently while keeping the runtime itself
  * single-threaded: each worker owns a private Scheduler/engine stack
  * and a private obs::Registry (installed thread-locally via
- * ScopedRegistry), and the only cross-worker coordination is lock-free
- * (an atomic iteration counter for work distribution and an atomic
- * stop watermark for the early-stop broadcast).
+ * ScopedRegistry). The campaign is a pipeline: workers claim
+ * iterations from an atomic counter and hand their records to the
+ * campaign thread through a bounded reorder window, and the campaign
+ * thread folds them in iteration order while the workers run, streaming
+ * ledger rows and checkpoint rounds as it goes (docs/INTERNALS.md §8).
+ * An atomic stop watermark carries the early-stop broadcast.
  *
  * Determinism contract: a campaign's merged result is a pure function
  * of the configuration (notably -seed) and *independent of the worker
@@ -165,6 +168,11 @@ struct CampaignResult
     int executedIterations = 0;
     /** Executed iterations past the cutoff, discarded by the merge. */
     int discardedIterations = 0;
+    /** Reorder-window slots between workers and fold (0 = -jobs=1,
+     *  where each record is folded as soon as it is made). */
+    int window = 0;
+    /** Most records that ever waited in the window at once. */
+    int windowPeak = 0;
     /** Campaign wall time, microseconds. */
     uint64_t wallMicros = 0;
     /** Per-worker metric registries folded into one snapshot. */

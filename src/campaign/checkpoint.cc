@@ -74,19 +74,24 @@ appendNumLine(std::string &out, const char *key, T v)
     out += '\n';
 }
 
+/** Header of a fresh v2 log. */
+std::string
+logHeader(const std::string &fingerprint)
+{
+    return std::string(kMagicV2) + "\nfingerprint " + fingerprint + "\n";
+}
+
 /**
- * Append one checkpoint round: rows[rowFrom..], sat[satFrom..], the
- * summary keys and coverage block of @p d, and the commit line. The
- * log holds @p offset bytes before this round.
+ * Close one checkpoint round: append sat[satFrom..], the summary keys
+ * and coverage block of @p d, and the commit line for @p rowCount
+ * rows. @p out already holds the round's row blocks, and the log holds
+ * @p offset bytes before out[0].
  */
 void
 appendRound(std::string &out, uint64_t offset, const CheckpointData &d,
-            const std::vector<obs::LedgerEntry> &rows, size_t rowFrom,
-            const std::vector<obs::SaturationSample> &sat, size_t satFrom)
+            size_t rowCount, const std::vector<obs::SaturationSample> &sat,
+            size_t satFrom)
 {
-    const size_t start = out.size();
-    for (size_t r = rowFrom; r < rows.size(); ++r)
-        serializeRow(out, rows[r]);
     for (size_t i = satFrom; i < sat.size(); ++i) {
         const obs::SaturationSample &s = sat[i];
         out += strFormat("sat %d %llu %llu %llu %llu %llu %llu\n", s.iter,
@@ -105,16 +110,21 @@ appendRound(std::string &out, uint64_t offset, const CheckpointData &d,
     appendNumLine(out, "race_iteration", d.raceIteration);
     appendNumLine(out, "stopped", d.stopped ? 1 : 0);
     appendCovBlock(out, d.covBitmap);
-    out += strFormat("commit %zu %llu\n", rows.size(),
-                     static_cast<unsigned long long>(
-                         offset + (out.size() - start)));
+    out += strFormat("commit %zu %llu\n", rowCount,
+                     static_cast<unsigned long long>(offset + out.size()));
 }
 
-/** Header of a fresh v2 log. */
+/** A one-round log of @p rows and @p sat under @p d's summary. */
 std::string
-logHeader(const std::string &fingerprint)
+oneRoundLog(const CheckpointData &d,
+            const std::vector<obs::LedgerEntry> &rows,
+            const std::vector<obs::SaturationSample> &sat)
 {
-    return std::string(kMagicV2) + "\nfingerprint " + fingerprint + "\n";
+    std::string out = logHeader(d.fingerprint);
+    for (const obs::LedgerEntry &e : rows)
+        serializeRow(out, e);
+    appendRound(out, 0, d, rows.size(), sat, 0);
+    return out;
 }
 
 /**
@@ -282,9 +292,7 @@ parseRowLines(const std::vector<std::string> &lines, size_t *idx,
 std::string
 checkpointToString(const CheckpointData &d)
 {
-    std::string out = logHeader(d.fingerprint);
-    appendRound(out, out.size(), d, d.rows, 0, d.satSamples, 0);
-    return out;
+    return oneRoundLog(d, d.rows, d.satSamples);
 }
 
 bool
@@ -486,11 +494,8 @@ CheckpointLog::resume(const std::string &path, const std::string &from,
     }
     // A new path gets the committed prefix verbatim; a v1 checkpoint
     // is migrated to a one-round v2 log of the restored state.
-    std::string prefix = ck.committedLog;
-    if (prefix.empty()) {
-        prefix = logHeader(ck.fingerprint);
-        appendRound(prefix, prefix.size(), ck, rows, 0, sat, 0);
-    }
+    const std::string prefix =
+        ck.committedLog.empty() ? oneRoundLog(ck, rows, sat) : ck.committedLog;
     if (!atomicWriteFile(path, prefix))
         return false;
     fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
@@ -498,18 +503,25 @@ CheckpointLog::resume(const std::string &path, const std::string &from,
     return fd_ >= 0;
 }
 
+void
+CheckpointLog::addRow(const obs::LedgerEntry &e)
+{
+    if (fd_ < 0)
+        return; // closed: no round will be written
+    serializeRow(round_, e);
+    ++rows_;
+}
+
 bool
 CheckpointLog::commit(const CheckpointData &d,
-                      const std::vector<obs::LedgerEntry> &rows,
                       const std::vector<obs::SaturationSample> &sat)
 {
     if (fd_ < 0)
         return false;
-    std::string round;
-    appendRound(round, bytes_, d, rows, rows_, sat, sat_);
-    if (!append(round))
+    appendRound(round_, bytes_, d, rows_, sat, sat_);
+    if (!append(round_))
         return false;
-    rows_ = rows.size();
+    round_.clear();
     sat_ = sat.size();
     return true;
 }

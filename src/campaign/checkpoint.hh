@@ -187,13 +187,15 @@ class CheckpointLog
                 const std::vector<obs::LedgerEntry> &rows,
                 const std::vector<obs::SaturationSample> &sat);
 
+    /** Add one folded row to the round commit() appends next. */
+    void addRow(const obs::LedgerEntry &e);
+
     /**
-     * Append one round: the rows and samples past what the log holds,
-     * the summary and coverage block of @p d (d.rows is ignored), and
-     * the commit line.
+     * Append one round: the rows added since the last commit, the
+     * samples past what the log holds, the summary and coverage block
+     * of @p d (d.rows is ignored), and the commit line.
      */
     bool commit(const CheckpointData &d,
-                const std::vector<obs::LedgerEntry> &rows,
                 const std::vector<obs::SaturationSample> &sat);
 
   private:
@@ -202,9 +204,11 @@ class CheckpointLog
     int fd_ = -1;
     /** Bytes in the file (the next commit line's offset base). */
     uint64_t bytes_ = 0;
-    /** Rows / saturation samples already in the log. */
+    /** Rows in the log and the open round / samples in the log. */
     size_t rows_ = 0;
     size_t sat_ = 0;
+    /** The open round's serialized rows. */
+    std::string round_;
 };
 
 } // namespace goat::campaign

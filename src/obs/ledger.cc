@@ -33,16 +33,15 @@ appendStr(std::string &out, const char *key, const std::string &s)
     out += '"';
 }
 
-} // namespace
-
-std::string
-ledgerEntryJson(const LedgerEntry &e)
+/** Append ledgerEntryJson(@p e) to @p out (no newline). */
+void
+appendEntryJson(std::string &out, const LedgerEntry &e)
 {
     const std::string metrics =
         e.metricsJson.empty() ? e.metricsDelta.jsonStr() : std::string();
     const std::string &m = e.metricsJson.empty() ? metrics : e.metricsJson;
-    std::string out;
-    out.reserve(256 + m.size());
+    if (out.empty())
+        out.reserve(256 + m.size());
     out += "{\"iter\":";
     out += std::to_string(e.iteration);
     appendField(out, "seed", e.seed);
@@ -96,6 +95,15 @@ ledgerEntryJson(const LedgerEntry &e)
     out += ",\"metrics\":";
     out += m;
     out += '}';
+}
+
+} // namespace
+
+std::string
+ledgerEntryJson(const LedgerEntry &e)
+{
+    std::string out;
+    appendEntryJson(out, e);
     return out;
 }
 
@@ -125,6 +133,21 @@ RunLedger::append(const LedgerEntry &e)
     std::fputc('\n', f_);
     std::fflush(f_);
     ++lines_;
+}
+
+void
+RunLedger::appendBatch(const std::vector<LedgerEntry> &rows)
+{
+    if (!f_ || rows.empty())
+        return;
+    buf_.clear();
+    for (const LedgerEntry &e : rows) {
+        appendEntryJson(buf_, e);
+        buf_ += '\n';
+    }
+    std::fwrite(buf_.data(), 1, buf_.size(), f_);
+    std::fflush(f_);
+    lines_ += rows.size();
 }
 
 } // namespace goat::obs

@@ -22,8 +22,8 @@
  *
  * where `worker` is the 0-based worker id and `wseq` the 1-based
  * sequence number of the iteration within that worker. `iter` stays
- * the campaign-global iteration id: campaign ledgers are written
- * sorted by it at merge time, so `iter` is contiguous from 1 while
+ * the campaign-global iteration id: the campaign's merge writes rows
+ * in its order as it folds them, so `iter` is contiguous from 1 while
  * each worker's `wseq` values appear in increasing order.
  *
  * Lint-guided campaigns (`-lint-guided`, src/staticmodel/lint.hh)
@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hh"
 
@@ -163,9 +164,10 @@ struct LedgerEntry
 std::string ledgerEntryJson(const LedgerEntry &e);
 
 /**
- * Append-only JSONL writer. Lines are flushed as they are written so
- * a ledger is complete up to the last finished iteration even if the
- * campaign crashes or is killed.
+ * Append-only JSONL writer. append() flushes every line as it is
+ * written, so an engine ledger is complete up to the last finished
+ * iteration even if the run crashes or is killed; appendBatch() writes
+ * a campaign's fold batch with one write and one flush.
  */
 class RunLedger
 {
@@ -186,12 +188,17 @@ class RunLedger
     /** Write one entry as one line. */
     void append(const LedgerEntry &e);
 
+    /** Write @p rows as consecutive lines with one write and one flush. */
+    void appendBatch(const std::vector<LedgerEntry> &rows);
+
     size_t linesWritten() const { return lines_; }
 
   private:
     std::string path_;
     std::FILE *f_ = nullptr;
     size_t lines_ = 0;
+    /** appendBatch's render buffer, reused across batches. */
+    std::string buf_;
 };
 
 } // namespace goat::obs

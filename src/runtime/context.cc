@@ -16,6 +16,10 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
+#ifdef GOAT_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace goat::runtime {
 
 StackPool &
@@ -124,18 +128,22 @@ currentThreadStack(const void **bottom, size_t *size)
 #endif // GOAT_ASAN_FIBERS
 
 /**
- * Tell ASan a fresh fiber stack is about to be (re)used: record its
- * bounds for switch-time adoption and clear any poison left by the
- * previous tenant of a recycled stack.
+ * Tell the sanitizers a fresh fiber stack is about to be (re)used. For
+ * ASan: record its bounds for switch-time adoption and clear any poison
+ * left by the previous tenant of a recycled stack. For TSan: give the
+ * context a fiber of its own.
  */
 void
-asanPrepareStack([[maybe_unused]] FiberContext *ctx,
-                 [[maybe_unused]] void *stack_base,
-                 [[maybe_unused]] size_t stack_size)
+sanitizerPrepareStack([[maybe_unused]] FiberContext *ctx,
+                      [[maybe_unused]] void *stack_base,
+                      [[maybe_unused]] size_t stack_size)
 {
 #ifdef GOAT_ASAN_FIBERS
     ctx->asanSetStack(stack_base, stack_size);
     __asan_unpoison_memory_region(stack_base, stack_size);
+#endif
+#ifdef GOAT_TSAN_FIBERS
+    ctx->tsanPrepare();
 #endif
 }
 
@@ -182,6 +190,38 @@ goat_asan_fiber_entered()
 
 #endif // GOAT_ASAN_FIBERS
 
+#ifdef GOAT_TSAN_FIBERS
+
+FiberContext::~FiberContext()
+{
+    // Contexts die on the thread's own stack (~Scheduler), never while
+    // their fiber runs.
+    if (tsanOwned_)
+        __tsan_destroy_fiber(tsanFiber_);
+}
+
+void
+FiberContext::tsanPrepare()
+{
+    if (tsanOwned_)
+        __tsan_destroy_fiber(tsanFiber_);
+    tsanFiber_ = __tsan_create_fiber(0);
+    tsanOwned_ = true;
+}
+
+void
+FiberContext::tsanSwitch(FiberContext &from, FiberContext &to)
+{
+    // The scheduler's context never passes through prepare(): it runs
+    // on the thread's own fiber, adopted the first time it switches
+    // away.
+    if (from.tsanFiber_ == nullptr)
+        from.tsanFiber_ = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(to.tsanFiber_, 0);
+}
+
+#endif // GOAT_TSAN_FIBERS
+
 } // namespace goat::runtime
 
 #ifdef GOAT_USE_UCONTEXT
@@ -215,7 +255,7 @@ FiberContext::prepare(void *stack_base, size_t stack_size, FiberEntry entry,
     // Unpoison first: a recycled stack still carries the previous
     // fiber's frame redzones, and both makecontext and the priming
     // writes below land inside them.
-    asanPrepareStack(this, stack_base, stack_size);
+    sanitizerPrepareStack(this, stack_base, stack_size);
     if (getcontext(&uctx_) != 0)
         panic("getcontext failed");
     uctx_.uc_stack.ss_sp = stack_base;
@@ -235,6 +275,9 @@ FiberContext::swap(FiberContext &from, FiberContext &to)
 {
 #ifdef GOAT_ASAN_FIBERS
     asanBeginSwitch(from, to);
+#endif
+#ifdef GOAT_TSAN_FIBERS
+    tsanSwitch(from, to);
 #endif
     if (swapcontext(&from.uctx_, &to.uctx_) != 0)
         panic("swapcontext failed");
@@ -272,7 +315,7 @@ FiberContext::prepare(void *stack_base, size_t stack_size, FiberEntry entry,
     // Unpoison first: a recycled stack still carries the previous
     // fiber's frame redzones, and the priming writes below land
     // inside them.
-    asanPrepareStack(this, stack_base, stack_size);
+    sanitizerPrepareStack(this, stack_base, stack_size);
 
     auto top =
         reinterpret_cast<uintptr_t>(stack_base) + stack_size;
@@ -311,6 +354,9 @@ FiberContext::swap(FiberContext &from, FiberContext &to)
 {
 #ifdef GOAT_ASAN_FIBERS
     asanBeginSwitch(from, to);
+#endif
+#ifdef GOAT_TSAN_FIBERS
+    tsanSwitch(from, to);
 #endif
     goat_ctx_swap(&from.sp_, to.sp_);
 #ifdef GOAT_ASAN_FIBERS

@@ -40,6 +40,23 @@
 #endif
 #endif
 
+/**
+ * ThreadSanitizer keeps one shadow call stack and one vector clock per
+ * thread, so it too must be told about every fiber: under
+ * -fsanitize=thread each prepared context owns a TSan fiber
+ * (__tsan_create_fiber, destroyed with the context), the scheduler's
+ * context adopts the thread's own, and every switch is announced with
+ * __tsan_switch_to_fiber. The switch synchronizes, which matches the
+ * cooperative runtime: fibers of one thread never overlap.
+ */
+#if defined(__SANITIZE_THREAD__)
+#define GOAT_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GOAT_TSAN_FIBERS 1
+#endif
+#endif
+
 namespace goat::runtime {
 
 /** Entry function type for a fresh fiber. Must never return. */
@@ -109,6 +126,9 @@ class FiberContext
     FiberContext() = default;
     FiberContext(const FiberContext &) = delete;
     FiberContext &operator=(const FiberContext &) = delete;
+#ifdef GOAT_TSAN_FIBERS
+    ~FiberContext();
+#endif
 
     /**
      * Prepare a fresh context so the first swap() into it enters
@@ -136,6 +156,12 @@ class FiberContext
     /** Second half, on arrival back in @p from. */
     static void asanEndSwitch(FiberContext &from);
 #endif
+#ifdef GOAT_TSAN_FIBERS
+    /** Give this (fresh) context a TSan fiber of its own. */
+    void tsanPrepare();
+    /** Announce the switch to TSan (before the real swap). */
+    static void tsanSwitch(FiberContext &from, FiberContext &to);
+#endif
 
   private:
 #ifdef GOAT_USE_UCONTEXT
@@ -151,6 +177,13 @@ class FiberContext
         own thread-stack context). */
     const void *asanBottom_ = nullptr;
     size_t asanSize_ = 0;
+#endif
+#ifdef GOAT_TSAN_FIBERS
+    /** TSan fiber entered by switching here (prepare() creates one;
+        the scheduler's context adopts the thread's own). */
+    void *tsanFiber_ = nullptr;
+    /** tsanFiber_ was created by prepare() and dies with the context. */
+    bool tsanOwned_ = false;
 #endif
 };
 

@@ -11,6 +11,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -149,8 +151,8 @@ TEST(Campaign, MergeDeterminismWithTinyEctRing)
 }
 
 // Ledger row count (and file line count) is the same for any worker
-// count: campaign ledgers are buffered and written at merge time,
-// truncated at the canonical cutoff.
+// count: the fold streams campaign ledger rows in iteration order and
+// stops at the canonical cutoff.
 TEST(Campaign, LedgerRowCountMatchesAcrossJobCounts)
 {
     const goker::KernelInfo &k = kernel("cockroach_1055");
@@ -380,4 +382,243 @@ TEST(Campaign, CoverageThresholdStopIsDeterministic)
         EXPECT_GE(r.merged.finalCoverage, 50.0);
     }
     EXPECT_EQ(cutoffs[0], cutoffs[1]);
+}
+
+namespace {
+
+/** Every line of @p path. */
+std::vector<std::string>
+readLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
+}
+
+/** The bytes of @p path ("" when missing). */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/**
+ * The placement-free part of a rendered metrics object: its counters,
+ * minus the per-worker first-bug tally and stack-pool reuse. Gauges
+ * and histograms (engine.iter_wall_us among them) are cumulative per
+ * worker registry.
+ */
+std::string
+canonicalMetrics(const std::string &json)
+{
+    const std::string open = "{\"counters\":{";
+    if (json.compare(0, open.size(), open) != 0)
+        return "?" + json;
+    std::string body =
+        json.substr(open.size(), json.find('}') - open.size());
+    std::string out;
+    std::stringstream pairs(body);
+    std::string kv;
+    while (std::getline(pairs, kv, ',')) {
+        if (kv.rfind("\"engine.bugs_found\"", 0) == 0 ||
+            kv.rfind("\"sched.stackpool.", 0) == 0)
+            continue;
+        out += kv + ",";
+    }
+    return out;
+}
+
+/** A ledger line without wall_us, worker, wseq, and placement metrics. */
+std::string
+canonicalRow(const std::string &line)
+{
+    static const std::regex host(",\"(wall_us|worker|wseq)\":[0-9]+");
+    const size_t m = line.find(",\"metrics\":");
+    if (m == std::string::npos)
+        return "?" + line;
+    return std::regex_replace(line.substr(0, m), host, "") + " " +
+           canonicalMetrics(line.substr(m + 11));
+}
+
+std::vector<std::string>
+canonicalLedger(const std::string &path)
+{
+    std::vector<std::string> rows;
+    for (const std::string &line : readLines(path))
+        rows.push_back(canonicalRow(line));
+    return rows;
+}
+
+/**
+ * A checkpoint log line by line, with the same fields dropped as from
+ * ledger rows and without commit byte offsets (they count the dropped
+ * bytes).
+ */
+std::vector<std::string>
+canonicalLog(const std::string &path)
+{
+    std::vector<std::string> out;
+    for (const std::string &line : readLines(path)) {
+        if (line.rfind("wall_us ", 0) == 0 || line.rfind("worker ", 0) == 0 ||
+            line.rfind("wseq ", 0) == 0)
+            continue;
+        if (line.rfind("metrics ", 0) == 0)
+            out.push_back("metrics " + canonicalMetrics(line.substr(8)));
+        else if (line.rfind("commit ", 0) == 0)
+            out.push_back(line.substr(0, line.rfind(' ')));
+        else
+            out.push_back(line);
+    }
+    return out;
+}
+
+/** What a campaign leaves behind, in the canonical view. */
+struct CanonicalRun
+{
+    std::vector<std::string> ledger;
+    std::vector<std::string> log;
+    std::string bitmap;
+    int bugIteration = 0;
+    int raceIteration = 0;
+    int cutoff = 0;
+    int confirmed = 0;
+    std::string recipe;
+    std::string minRecipe;
+};
+
+CanonicalRun
+runCanonical(CampaignConfig cfg, const goker::KernelInfo &k)
+{
+    const std::string stem = testing::TempDir() + "pipelined";
+    cfg.engine.ledgerPath = stem + ".jsonl";
+    std::remove(cfg.engine.ledgerPath.c_str());
+    if (cfg.checkpointEvery > 0)
+        cfg.checkpointPath = stem + ".ck";
+    if (cfg.minimize)
+        cfg.recordPath = stem + ".recipe";
+    CampaignResult r = runCampaign(cfg, k.fn);
+    CanonicalRun c;
+    c.ledger = canonicalLedger(cfg.engine.ledgerPath);
+    if (!cfg.checkpointPath.empty())
+        c.log = canonicalLog(cfg.checkpointPath);
+    c.bitmap = r.coverage.bitmapStr();
+    c.bugIteration = r.merged.bugIteration;
+    c.raceIteration = r.merged.raceIteration;
+    c.cutoff = r.cutoffIteration;
+    c.confirmed = r.predict.confirmedCount;
+    if (!cfg.recordPath.empty()) {
+        c.recipe = readFile(cfg.recordPath);
+        c.minRecipe = readFile(cfg.recordPath + ".min");
+    }
+    EXPECT_EQ(r.ledgerRows, r.merged.iterations.size());
+    EXPECT_LE(r.windowPeak, r.window);
+    return c;
+}
+
+void
+expectSameCanonical(const CanonicalRun &a, const CanonicalRun &b)
+{
+    EXPECT_EQ(a.ledger, b.ledger);
+    EXPECT_EQ(a.log, b.log);
+    EXPECT_EQ(a.bitmap, b.bitmap);
+    EXPECT_EQ(a.bugIteration, b.bugIteration);
+    EXPECT_EQ(a.raceIteration, b.raceIteration);
+    EXPECT_EQ(a.cutoff, b.cutoff);
+    EXPECT_EQ(a.confirmed, b.confirmed);
+    EXPECT_EQ(a.recipe, b.recipe);
+    EXPECT_EQ(a.minRecipe, b.minRecipe);
+}
+
+} // namespace
+
+// The pipelined fold is placement-free: for every worker count,
+// checkpoint round size, and stop rule, the canonical ledger rows, the
+// checkpoint commit bodies, the coverage bitmap, the bug/race
+// watermarks, and the finalize stamps (predicted_confirmed, recipe,
+// min_yields) match -jobs=1.
+TEST(Campaign, PipelinedFoldMatchesJobs1)
+{
+    const goker::KernelInfo &k = kernel("kubernetes_11298");
+    for (bool stop : {false, true}) {
+        for (int every : {1, 7, 0}) {
+            CampaignConfig cfg = baseConfig(k, 1);
+            cfg.engine.maxIterations = 120;
+            cfg.engine.raceDetect = true;
+            cfg.engine.stopOnBug = stop;
+            cfg.checkpointEvery = every;
+            const CanonicalRun ref = runCanonical(cfg, k);
+            ASSERT_FALSE(ref.ledger.empty());
+            if (stop) {
+                EXPECT_LT(ref.cutoff, 120); // the stop path is exercised
+            }
+            if (every > 0) {
+                EXPECT_FALSE(ref.log.empty());
+            }
+            for (int jobs : {2, 4, 8}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "stop=" << stop << " every=" << every
+                             << " jobs=" << jobs);
+                cfg.jobs = jobs;
+                expectSameCanonical(ref, runCanonical(cfg, k));
+            }
+        }
+    }
+
+    // The finalize stamps: confirmed predictions, the recorded recipe,
+    // and the minimized yield count land on held rows.
+    const goker::KernelInfo &p = kernel("cockroach_7504");
+    CampaignConfig cfg = baseConfig(p, 1);
+    cfg.engine.maxIterations = 300;
+    cfg.engine.raceDetect = true;
+    cfg.engine.predict = true;
+    cfg.minimize = true;
+    cfg.checkpointEvery = 0;
+    const CanonicalRun ref = runCanonical(cfg, p);
+    ASSERT_GT(ref.confirmed, 0);
+    ASSERT_FALSE(ref.minRecipe.empty());
+    size_t stamped = 0;
+    for (const std::string &row : ref.ledger)
+        stamped += row.find("\"predicted_confirmed\"") != std::string::npos;
+    EXPECT_GT(stamped, 0u);
+    bool bug_row_stamped = false;
+    for (const std::string &row : ref.ledger)
+        bug_row_stamped |= row.find("\"recipe\"") != std::string::npos &&
+                           row.find("\"min_yields\"") != std::string::npos;
+    EXPECT_TRUE(bug_row_stamped);
+    for (int jobs : {2, 4, 8}) {
+        SCOPED_TRACE(::testing::Message() << "predict jobs=" << jobs);
+        cfg.jobs = jobs;
+        expectSameCanonical(ref, runCanonical(cfg, p));
+    }
+}
+
+// The reorder window bounds the records waiting for the fold: over a
+// long campaign with a ledger and checkpoint rounds, the peak never
+// exceeds the window, and every iteration still folds.
+TEST(Campaign, PendingRecordsNeverExceedWindow)
+{
+    const goker::KernelInfo &k = kernel("cockroach_1055");
+    CampaignConfig cfg = baseConfig(k, 4);
+    cfg.engine.maxIterations = 20000;
+    cfg.engine.stopOnBug = false;
+    const std::string stem = testing::TempDir() + "window";
+    cfg.engine.ledgerPath = stem + ".jsonl";
+    cfg.checkpointPath = stem + ".ck";
+    cfg.checkpointEvery = 500;
+    std::remove(cfg.engine.ledgerPath.c_str());
+    CampaignResult r = runCampaign(cfg, k.fn);
+    EXPECT_GT(r.window, 0);
+    EXPECT_GT(r.windowPeak, 0);
+    EXPECT_LE(r.windowPeak, r.window);
+    EXPECT_EQ(r.cutoffIteration, 20000);
+    EXPECT_EQ(r.executedIterations, 20000);
+    EXPECT_EQ(r.ledgerRows, 20000u);
+    std::remove(cfg.engine.ledgerPath.c_str());
+    std::remove(cfg.checkpointPath.c_str());
 }

@@ -453,3 +453,38 @@ TEST(HbWalkerInput, MalformedSelectCaseIsIgnored)
         EXPECT_FALSE(predictBlockingBugs(ect).any()) << text;
     }
 }
+
+// detectRaces reads clocks only at accesses, so it stops walking at the
+// last one: the sync events after it cannot change the report.
+TEST(HbRace, WalkStopsAtLastAccess)
+{
+    auto build = [](bool tail) {
+        TraceBuilder t;
+        t.add(1, EventType::GoCreate, 2);
+        t.add(2, EventType::GoStart);
+        t.add(1, EventType::VarWrite, 7);
+        t.add(2, EventType::VarWrite, 7);
+        t.add(2, EventType::MuLock, 3, 0);
+        t.add(2, EventType::VarRead, 8);
+        t.add(2, EventType::MuUnlock, 3, 0);
+        t.add(1, EventType::MuLock, 3, 0);
+        t.add(1, EventType::VarWrite, 8);
+        t.add(2, EventType::VarRead, 7);
+        if (tail) {
+            t.add(1, EventType::MuUnlock, 3, 0);
+            t.add(2, EventType::ChSend, 5, 0, 1);
+            t.add(1, EventType::ChRecv, 5, 1, 0, 1);
+            t.add(1, EventType::WgWait, 9, 0);
+        }
+        return t.ect;
+    };
+    const RaceReport full = detectRaces(build(true));
+    const RaceReport cut = detectRaces(build(false));
+    ASSERT_TRUE(cut.any());
+    EXPECT_EQ(full.str(), cut.str());
+
+    TraceBuilder none;
+    none.add(1, EventType::GoCreate, 2);
+    none.add(2, EventType::MuLock, 3, 0);
+    EXPECT_FALSE(detectRaces(none.ect).any());
+}

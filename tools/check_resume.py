@@ -23,6 +23,11 @@ Scenarios:
     appended to the checkpoint log back to back), then the same log
     cut at a random byte inside its last round (a torn append): both
     resume canonical-identical, the cut one from its previous commit;
+  * SIGKILL a -jobs=4 -checkpoint-every=1 -cov -race soak of
+    etcd_7443: committing every iteration makes the fold the
+    bottleneck, so the workers run up to a reorder window ahead of the
+    last commit when the kill lands; the resumed ledger (coverage
+    included) is canonical-identical to an uninterrupted run;
   * SIGTERM mid-campaign: graceful flush — the process exits 143
     (128+SIGTERM), the checkpoint and the ledger agree on the merged
     prefix, the prefix is canonical with the reference, and the
@@ -51,6 +56,9 @@ KERNEL = "cockroach_7504"
 DELAY = 1
 ITERS = 20000
 EVERY = 512
+# The run-ahead leg: a soak kernel, committing every iteration.
+RUNAHEAD_KERNEL = "etcd_7443"
+RUNAHEAD_ITERS = 3000
 
 
 def fail(msg):
@@ -97,13 +105,13 @@ def run(goat, ledger, **kw):
 
 
 def kill_mid_run(goat, ledger, checkpoint, sig, jobs=1, cov=False,
-                 every=EVERY):
-    """Start a checkpointed campaign, deliver @sig at a random point
-    after the first checkpoint round commits, and return the exit
-    status."""
-    proc = subprocess.Popen(cmd(goat, ledger, jobs=jobs,
-                                checkpoint=checkpoint, cov=cov,
-                                every=every),
+                 every=EVERY, command=None, iters=ITERS):
+    """Start a checkpointed campaign (@command, or the default one),
+    deliver @sig at a random point after the first checkpoint round
+    commits, and return the exit status."""
+    proc = subprocess.Popen(command or cmd(goat, ledger, jobs=jobs,
+                                           checkpoint=checkpoint, cov=cov,
+                                           every=every),
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + 60
@@ -123,7 +131,7 @@ def kill_mid_run(goat, ledger, checkpoint, sig, jobs=1, cov=False,
     # random target size lands the kill at an arbitrary point of some
     # later round (mid-append included), however fast the campaign
     # runs, and well before its end.
-    rounds = ITERS // (every or 64)
+    rounds = iters // (every or 64)
     target = random.uniform(first, first * rounds * 0.6)
     while proc.poll() is None and checkpoint.stat().st_size < target:
         time.sleep(0.0005)
@@ -255,6 +263,58 @@ def check_cov_resume(goat, tmp):
           "-jobs=1 canonical-identical incl. coverage")
 
 
+def check_runahead_kill(goat, tmp):
+    """SIGKILL while the workers run ahead of the last commit, then
+    resume in place: canonical-identical to an uninterrupted run."""
+    def soak(ledger, checkpoint=None):
+        c = [goat, f"-kernel={RUNAHEAD_KERNEL}", "-d=2",
+             f"-freq={RUNAHEAD_ITERS}", "-cov", "-race", "-keep-going",
+             "-jobs=4", f"-ledger={ledger}"]
+        if checkpoint is not None:
+            c += [f"-checkpoint={checkpoint}", "-checkpoint-every=1"]
+        return c
+
+    ref_ledger = tmp / "runahead_ref.jsonl"
+    proc = subprocess.run(soak(ref_ledger), capture_output=True,
+                          text=True, timeout=120)
+    if proc.returncode != 0:
+        fail(f"run-ahead reference exited {proc.returncode}: "
+             f"{proc.stdout}{proc.stderr}")
+    ref = canonical_rows(ref_ledger)
+    if len(ref) != RUNAHEAD_ITERS:
+        fail(f"run-ahead reference has {len(ref)} rows, expected "
+             f"{RUNAHEAD_ITERS}")
+    ref_cov = coverage_series(ref, "uninterrupted run-ahead soak")
+
+    ck = tmp / "runahead.ck"
+    rc = kill_mid_run(goat, None, ck, signal.SIGKILL,
+                      command=soak(tmp / "runahead_part.jsonl", ck),
+                      iters=RUNAHEAD_ITERS, every=1)
+    if rc != -signal.SIGKILL:
+        fail(f"run-ahead SIGKILL run exited {rc}, expected "
+             f"{-signal.SIGKILL}")
+    cursor = read_cursor(ck)
+    if not 0 < cursor < RUNAHEAD_ITERS:
+        fail(f"run-ahead kill landed outside the campaign (cursor "
+             f"{cursor}) — timing too coarse")
+    res = tmp / "runahead_res.jsonl"
+    proc = subprocess.run(soak(res, ck) + [f"-resume={ck}"],
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0:
+        fail(f"run-ahead resume exited {proc.returncode}: "
+             f"{proc.stdout}{proc.stderr}")
+    rows = canonical_rows(res)
+    if coverage_series(rows, "run-ahead resume") != ref_cov:
+        fail("run-ahead resume: coverage_pct/covered/req_total differ "
+             "from the uninterrupted run")
+    if rows != ref:
+        fail(f"run-ahead resume (cursor {cursor}) ledger differs from "
+             f"the uninterrupted run")
+    print(f"check_resume: OK — -jobs=4 -checkpoint-every=1 soak SIGKILL "
+          f"at iteration {cursor}, resume in place canonical-identical "
+          f"incl. coverage")
+
+
 def main():
     if len(sys.argv) < 2:
         fail("usage: check_resume.py /path/to/goat")
@@ -305,6 +365,7 @@ def main():
 
         check_cov_resume(goat, tmp)
         check_default_round_kill(goat, tmp, ref)
+        check_runahead_kill(goat, tmp)
 
         # SIGTERM: graceful flush. Exit 143, ledger and checkpoint
         # agree on the merged prefix, prefix canonical, resumable.

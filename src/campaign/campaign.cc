@@ -543,6 +543,9 @@ workerLoop(Shared &sh, Window &win, Worker &w)
     win.leave();
 }
 
+/** Iterations a campaign runs on its own thread before it fans out. */
+constexpr int kInlineIterations = 16;
+
 /** Ledger rows buffered between writes (a fold batch is usually less). */
 constexpr size_t kLedgerBatchRows = 256;
 
@@ -928,7 +931,8 @@ finalizeCampaign(const CampaignConfig &cfg,
         out.ledgerRows = fs.ledger->linesWritten();
     }
 
-    // Fold the private worker registries into one snapshot and absorb
+    // Fold the private registries of the workers that exist (one
+    // unless the campaign fanned out) into one snapshot and absorb
     // them into the campaign-level registry, plus campaign bookkeeping.
     obs::Registry &parent = obs::Registry::current();
     if (workers) {
@@ -945,6 +949,7 @@ finalizeCampaign(const CampaignConfig &cfg,
     parent.counter("campaign.iterations.discarded")
         .inc(static_cast<uint64_t>(out.discardedIterations));
     parent.gauge("campaign.workers").setMax(out.jobs);
+    parent.counter("campaign.fanouts").inc(out.window > 0 ? 1 : 0);
     if (ecfg.predict && pred_recipes) {
         parent.counter("campaign.predictions")
             .inc(static_cast<uint64_t>(
@@ -1025,12 +1030,13 @@ beginFold(const CampaignConfig &cfg, FoldState &fs,
 }
 
 /**
- * In-process driver. Worker threads, spawned once, claim iterations
- * through a reorder window, and this thread folds their records in
- * iteration order while they run: coverage, stop semantics, ledger
- * rows, and a checkpoint round whenever the cursor crosses a round
- * boundary. At -jobs=1 the single worker runs on this thread and each
- * record is folded as soon as it is made.
+ * In-process campaign. The first kInlineIterations iterations (every one
+ * at -jobs=1) run on this thread, each folded as soon as it is made. A
+ * campaign still running after them fans out: its workers run on their
+ * own threads and claim iterations through a reorder window, and this
+ * thread folds their records in iteration order while they run. The
+ * fold is the same either way: coverage, stop semantics, ledger rows,
+ * and a checkpoint round whenever the cursor crosses a round boundary.
  */
 CampaignResult
 runThreadedCampaign(const CampaignConfig &cfg,
@@ -1062,10 +1068,10 @@ runThreadedCampaign(const CampaignConfig &cfg,
     const int restored_executed = fs.executed;
 
     Shared sh(cfg, program);
+    // Worker 0 runs the inline prefix; the others are made only if the
+    // campaign fans out.
     std::vector<std::unique_ptr<Worker>> workers;
-    workers.reserve(static_cast<size_t>(jobs));
-    for (int i = 0; i < jobs; ++i)
-        workers.push_back(std::make_unique<Worker>(i, universe));
+    workers.push_back(std::make_unique<Worker>(0, universe));
 
     std::set<std::string> seen_pred;
     // Recipe of every iteration contributing a prediction (the base of
@@ -1204,17 +1210,26 @@ runThreadedCampaign(const CampaignConfig &cfg,
         }
     };
 
-    const bool ran = !fs.stopped && fs.cursor < budget &&
-                     !interruptRequested();
-    if (ran && jobs == 1) {
-        while (!fs.stopped && fs.cursor < budget && !interruptRequested()) {
-            std::unique_ptr<IterRecord> rec =
-                runIteration(sh, *workers[0], fs.cursor + 1);
-            if (!rec)
-                break; // cut short mid-run: drop the partial record
-            fold(*rec);
-        }
-    } else if (ran) {
+    auto running = [&] {
+        return !fs.stopped && fs.cursor < budget && !interruptRequested();
+    };
+    const bool ran = running();
+    // The inline prefix: this thread runs each iteration on worker 0
+    // and folds it at once. Most stop-on-bug campaigns end here; at
+    // -jobs=1 it is the whole campaign.
+    const int inline_end =
+        jobs == 1 ? budget : std::min(budget, fs.cursor + kInlineIterations);
+    while (running() && fs.cursor < inline_end) {
+        std::unique_ptr<IterRecord> rec =
+            runIteration(sh, *workers[0], fs.cursor + 1);
+        if (!rec)
+            break; // cut short mid-run: drop the partial record
+        fold(*rec);
+    }
+    // Fan out what is left to worker threads.
+    if (running()) {
+        for (int i = 1; i < jobs; ++i)
+            workers.push_back(std::make_unique<Worker>(i, universe));
         Window win(kWindowPerJob * jobs, fs.cursor, jobs);
         std::vector<std::thread> threads;
         threads.reserve(workers.size());

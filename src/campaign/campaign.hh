@@ -10,11 +10,16 @@
  * by running iterations concurrently while keeping the runtime itself
  * single-threaded: each worker owns a private Scheduler/engine stack
  * and a private obs::Registry (installed thread-locally via
- * ScopedRegistry). The campaign is a pipeline: workers claim
- * iterations from an atomic counter and hand their records to the
- * campaign thread through a bounded reorder window, and the campaign
- * thread folds them in iteration order while the workers run, streaming
- * ledger rows and checkpoint rounds as it goes (docs/INTERNALS.md §8).
+ * ScopedRegistry). A campaign first runs up to 16 iterations inline on
+ * the calling thread, folding each one at once; most stop-on-bug
+ * campaigns end there, and at -jobs=1 the prefix is the whole budget.
+ * Only a campaign still running after it fans out, and only then are
+ * its other workers made and their threads spawned. The fanned-out
+ * campaign is a pipeline: workers claim iterations from an atomic
+ * counter and hand their records to the campaign thread through a
+ * bounded reorder window, and the campaign thread folds them in
+ * iteration order while the workers run, streaming ledger rows and
+ * checkpoint rounds as it goes (docs/INTERNALS.md §8).
  * An atomic stop watermark carries the early-stop broadcast.
  *
  * Determinism contract: a campaign's merged result is a pure function
@@ -160,7 +165,8 @@ struct CampaignResult
     engine::GoatResult merged;
     /** Merged Req1–Req5 coverage (meaningful with collectCoverage). */
     analysis::CoverageState coverage;
-    /** Worker threads actually used. */
+    /** Workers (cfg.jobs clamped to the budget); only worker 0 runs
+     *  in a campaign that never fans out (window == 0). */
     int jobs = 1;
     /** Last iteration contributing to `merged` (the canonical stop). */
     int cutoffIteration = 0;
@@ -168,10 +174,12 @@ struct CampaignResult
     int executedIterations = 0;
     /** Executed iterations past the cutoff, discarded by the merge. */
     int discardedIterations = 0;
-    /** Reorder-window slots between workers and fold (0 = -jobs=1,
-     *  where each record is folded as soon as it is made). */
+    /** Reorder-window slots between workers and fold (0 = never
+     *  fanned out: every iteration ran inline and was folded as soon
+     *  as it was made, as always at -jobs=1). */
     int window = 0;
-    /** Most records that ever waited in the window at once. */
+    /** Most records that ever waited in the window at once (0 = never
+     *  fanned out). */
     int windowPeak = 0;
     /** Campaign wall time, microseconds. */
     uint64_t wallMicros = 0;
@@ -254,8 +262,11 @@ struct CampaignResult
  * metrics into the canonical result.
  *
  * Must be called from a thread with no live Scheduler (it joins its
- * workers before returning). The caller's Registry::current() receives
- * the folded worker metrics plus campaign-level bookkeeping counters.
+ * workers before returning). Campaigns may run concurrently from
+ * several threads, each with its own current registry. The caller's
+ * Registry::current() receives the folded worker metrics plus
+ * campaign-level bookkeeping, among them the counters campaign.runs
+ * and campaign.fanouts (campaigns that ran past the inline prefix).
  */
 CampaignResult runCampaign(const CampaignConfig &cfg,
                            const std::function<void()> &program);

@@ -14,6 +14,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/campaign.hh"
@@ -49,6 +50,22 @@ baseConfig(const goker::KernelInfo &k, int jobs)
     cfg.engine.staticModel = goker::kernelCuTable(k);
     cfg.jobs = jobs;
     return cfg;
+}
+
+/** Iterations a campaign runs inline before it fans out
+ *  (kInlineIterations in campaign.cc). */
+constexpr int kInlinePrefix = 16;
+
+/** A kernel whose first bug (seed 7, D=2) lands at iteration 29, past
+ *  the inline prefix, so its stop-on-bug campaigns fan out. */
+const char *const kLateBugKernel = "serving_2137";
+
+/** A -jobs>1 leg reached the reorder window and the worker threads. */
+void
+expectFannedOut(const CampaignResult &r)
+{
+    EXPECT_GT(r.window, 0) << "jobs=" << r.jobs
+                           << " ended inside the inline prefix";
 }
 
 size_t
@@ -91,14 +108,23 @@ expectIdentical(const CampaignResult &a, const CampaignResult &b)
 } // namespace
 
 // The acceptance contract: same seed -> identical merged coverage
-// bitmap and verdicts for jobs=1 vs jobs=4 vs jobs=8, on two kernels.
+// bitmap and verdicts for jobs=1 vs jobs=4 vs jobs=8. cockroach_1055
+// and moby_28462 find their bugs inside the inline prefix, so they run
+// their whole budget; the late-bug kernel stops on its bug past it.
+// Every jobs>1 leg fans out.
 TEST(Campaign, MergeDeterminismAcrossJobCounts)
 {
-    for (const char *name : {"cockroach_1055", "moby_28462"}) {
+    for (const char *name :
+         {"cockroach_1055", "moby_28462", kLateBugKernel}) {
         const goker::KernelInfo &k = kernel(name);
-        CampaignResult r1 = runCampaign(baseConfig(k, 1), k.fn);
-        CampaignResult r4 = runCampaign(baseConfig(k, 4), k.fn);
-        CampaignResult r8 = runCampaign(baseConfig(k, 8), k.fn);
+        auto config = [&](int jobs) {
+            CampaignConfig cfg = baseConfig(k, jobs);
+            cfg.engine.stopOnBug = std::string(name) == kLateBugKernel;
+            return cfg;
+        };
+        CampaignResult r1 = runCampaign(config(1), k.fn);
+        CampaignResult r4 = runCampaign(config(4), k.fn);
+        CampaignResult r8 = runCampaign(config(8), k.fn);
         SCOPED_TRACE(name);
         EXPECT_TRUE(r1.merged.bugFound);
         expectIdentical(r1, r4);
@@ -106,6 +132,8 @@ TEST(Campaign, MergeDeterminismAcrossJobCounts)
         EXPECT_EQ(r1.jobs, 1);
         EXPECT_EQ(r4.jobs, 4);
         EXPECT_EQ(r8.jobs, 8);
+        expectFannedOut(r4);
+        expectFannedOut(r8);
     }
 }
 
@@ -113,7 +141,10 @@ TEST(Campaign, MergeDeterminismAcrossJobCounts)
 // policy must not consult the worker's cumulative coverage, so the
 // merged result stays identical across worker counts. A policy that
 // read the worker's coverage made cockroach_1055 find its first bug at
-// iteration 2 with one worker and at iteration 3 with four.
+// iteration 2 with one worker and at iteration 3 with four. The first
+// 16 iterations run on one worker whatever the count, so the campaigns
+// run a budget of 40 without stopping: iterations 17..40 run on four
+// workers whose coverage differs from the single worker's.
 TEST(Campaign, PrioritySitesWithCoverageMatchAcrossJobCounts)
 {
     for (const char *name : {"cockroach_1055", "cockroach_7504"}) {
@@ -121,7 +152,7 @@ TEST(Campaign, PrioritySitesWithCoverageMatchAcrossJobCounts)
         auto config = [&](int jobs) {
             CampaignConfig cfg = baseConfig(k, jobs);
             cfg.engine.seedBase = 1;
-            cfg.engine.maxIterations = 20;
+            cfg.engine.stopOnBug = false;
             cfg.engine.prioritySites = goker::kernelMhpSites(k);
             return cfg;
         };
@@ -131,31 +162,38 @@ TEST(Campaign, PrioritySitesWithCoverageMatchAcrossJobCounts)
         CampaignResult r1 = runCampaign(c1, k.fn);
         CampaignResult r4 = runCampaign(config(4), k.fn);
         expectIdentical(r1, r4);
+        expectFannedOut(r4);
     }
 }
 
 // Same contract with the ECT ring squeezed to its 16-row floor: every
 // execution wraps and flushes mid-run many times, and the merged
 // digest must still be byte-identical to jobs=1 (the ring is a format
-// change, not a semantic one).
+// change, not a semantic one). The campaign runs its whole budget, so
+// the worker threads' rings are squeezed too.
 TEST(Campaign, MergeDeterminismWithTinyEctRing)
 {
     size_t prev = trace::defaultEctRingCapacity();
     trace::setDefaultEctRingCapacity(16);
     const goker::KernelInfo &k = kernel("cockroach_1055");
-    CampaignResult r1 = runCampaign(baseConfig(k, 1), k.fn);
-    CampaignResult r4 = runCampaign(baseConfig(k, 4), k.fn);
+    CampaignConfig c1 = baseConfig(k, 1);
+    c1.engine.stopOnBug = false;
+    CampaignConfig c4 = c1;
+    c4.jobs = 4;
+    CampaignResult r1 = runCampaign(c1, k.fn);
+    CampaignResult r4 = runCampaign(c4, k.fn);
     trace::setDefaultEctRingCapacity(prev);
     EXPECT_TRUE(r1.merged.bugFound);
     expectIdentical(r1, r4);
+    expectFannedOut(r4);
 }
 
 // Ledger row count (and file line count) is the same for any worker
 // count: the fold streams campaign ledger rows in iteration order and
-// stops at the canonical cutoff.
+// stops at the canonical cutoff, here past the inline prefix.
 TEST(Campaign, LedgerRowCountMatchesAcrossJobCounts)
 {
-    const goker::KernelInfo &k = kernel("cockroach_1055");
+    const goker::KernelInfo &k = kernel(kLateBugKernel);
     std::string p1 = testing::TempDir() + "campaign_j1.jsonl";
     std::string p4 = testing::TempDir() + "campaign_j4.jsonl";
     std::remove(p1.c_str());
@@ -171,6 +209,7 @@ TEST(Campaign, LedgerRowCountMatchesAcrossJobCounts)
 
     EXPECT_GT(r1.ledgerRows, 0u);
     EXPECT_EQ(r1.ledgerRows, r4.ledgerRows);
+    expectFannedOut(r4);
     EXPECT_EQ(lineCount(p1), r1.ledgerRows);
     EXPECT_EQ(lineCount(p4), r4.ledgerRows);
     EXPECT_EQ(r1.ledgerRows, r1.merged.iterations.size());
@@ -190,41 +229,68 @@ TEST(Campaign, LedgerRowCountMatchesAcrossJobCounts)
 // Early-stop semantics: the merged result stops exactly at the
 // canonical first detection; workers past the broadcast watermark may
 // execute extra iterations, but those are discarded, never merged.
+// cockroach_1055 finds its bug at iteration 2, inside the inline
+// prefix, so at -jobs=4 nothing fans out and nothing is discarded; the
+// late-bug kernel finds its bug after the prefix, so the stop is
+// broadcast to the worker threads.
 TEST(Campaign, EarlyStopBroadcastPreservesCanonicalCutoff)
 {
-    const goker::KernelInfo &k = kernel("cockroach_1055");
-    for (int jobs : {1, 4}) {
-        CampaignConfig cfg = baseConfig(k, jobs);
-        CampaignResult r = runCampaign(cfg, k.fn);
-        SCOPED_TRACE(jobs);
-        ASSERT_TRUE(r.merged.bugFound);
-        EXPECT_EQ(static_cast<int>(r.merged.iterations.size()),
-                  r.merged.bugIteration);
-        EXPECT_EQ(r.cutoffIteration, r.merged.bugIteration);
-        EXPECT_GE(r.executedIterations,
-                  static_cast<int>(r.merged.iterations.size()));
-        EXPECT_EQ(r.discardedIterations,
-                  r.executedIterations -
+    for (const char *name : {"cockroach_1055", kLateBugKernel}) {
+        const goker::KernelInfo &k = kernel(name);
+        const bool past_prefix = std::string(name) == kLateBugKernel;
+        for (int jobs : {1, 4}) {
+            CampaignConfig cfg = baseConfig(k, jobs);
+            CampaignResult r = runCampaign(cfg, k.fn);
+            SCOPED_TRACE(::testing::Message() << name << " jobs=" << jobs);
+            ASSERT_TRUE(r.merged.bugFound);
+            EXPECT_EQ(r.merged.bugIteration > kInlinePrefix, past_prefix);
+            EXPECT_EQ(static_cast<int>(r.merged.iterations.size()),
+                      r.merged.bugIteration);
+            EXPECT_EQ(r.cutoffIteration, r.merged.bugIteration);
+            EXPECT_GE(r.executedIterations,
                       static_cast<int>(r.merged.iterations.size()));
-        EXPECT_LE(r.executedIterations, cfg.engine.maxIterations);
+            EXPECT_EQ(r.discardedIterations,
+                      r.executedIterations -
+                          static_cast<int>(r.merged.iterations.size()));
+            EXPECT_LE(r.executedIterations, cfg.engine.maxIterations);
+            if (jobs == 1 || !past_prefix) {
+                EXPECT_EQ(r.window, 0);
+                EXPECT_EQ(r.discardedIterations, 0);
+            } else {
+                expectFannedOut(r);
+            }
+        }
     }
 }
 
 // With stop-on-bug off the campaign runs the whole budget and every
-// iteration is merged, regardless of worker count.
+// iteration is merged, regardless of worker count. The budgets around
+// the inline prefix: at -jobs=4 a budget of 15 or 16 never fans out,
+// one of 17 fans out for its last iteration, and each matches -jobs=1.
 TEST(Campaign, FixedBudgetExecutesEveryIteration)
 {
     const goker::KernelInfo &k = kernel("moby_28462");
-    for (int jobs : {1, 4}) {
-        CampaignConfig cfg = baseConfig(k, jobs);
-        cfg.engine.maxIterations = 12;
-        cfg.engine.stopOnBug = false;
-        CampaignResult r = runCampaign(cfg, k.fn);
-        SCOPED_TRACE(jobs);
-        EXPECT_EQ(r.executedIterations, 12);
-        EXPECT_EQ(r.discardedIterations, 0);
-        EXPECT_EQ(r.merged.iterations.size(), 12u);
-        EXPECT_EQ(r.cutoffIteration, 12);
+    for (int budget :
+         {12, kInlinePrefix - 1, kInlinePrefix, kInlinePrefix + 1}) {
+        CampaignResult r1;
+        for (int jobs : {1, 4}) {
+            CampaignConfig cfg = baseConfig(k, jobs);
+            cfg.engine.maxIterations = budget;
+            cfg.engine.stopOnBug = false;
+            CampaignResult r = runCampaign(cfg, k.fn);
+            SCOPED_TRACE(::testing::Message()
+                         << "budget=" << budget << " jobs=" << jobs);
+            EXPECT_EQ(r.executedIterations, budget);
+            EXPECT_EQ(r.discardedIterations, 0);
+            EXPECT_EQ(r.merged.iterations.size(),
+                      static_cast<size_t>(budget));
+            EXPECT_EQ(r.cutoffIteration, budget);
+            EXPECT_EQ(r.window > 0, jobs > 1 && budget > kInlinePrefix);
+            if (jobs == 1)
+                r1 = std::move(r);
+            else
+                expectIdentical(r1, r);
+        }
     }
 }
 
@@ -234,10 +300,11 @@ TEST(Campaign, WorkerMetricsFoldAndJobClamp)
 {
     const goker::KernelInfo &k = kernel("cockroach_1055");
     CampaignConfig cfg = baseConfig(k, 64);
-    cfg.engine.maxIterations = 6;
+    cfg.engine.maxIterations = 20;
     cfg.engine.stopOnBug = false;
     CampaignResult r = runCampaign(cfg, k.fn);
-    EXPECT_EQ(r.jobs, 6); // clamped to maxIterations
+    EXPECT_EQ(r.jobs, 20); // clamped to maxIterations
+    expectFannedOut(r);
     auto it = r.workerMetrics.counters.find("engine.iterations");
     ASSERT_NE(it, r.workerMetrics.counters.end());
     EXPECT_EQ(it->second,
@@ -294,6 +361,7 @@ TEST(Campaign, ProfileMergeIsByteIdenticalAcrossJobCounts)
     EXPECT_GT(r1.merged.profile.stage(obs::Stage::TraceAppend).total, 0u);
     EXPECT_EQ(r1.merged.profile.jsonStr(), r4.merged.profile.jsonStr());
     EXPECT_EQ(r1.executedProfile.jsonStr(), r4.executedProfile.jsonStr());
+    expectFannedOut(r4);
 }
 
 // Under the real clock, sum_ns is host noise but the entry counters
@@ -305,12 +373,13 @@ TEST(Campaign, ProfileEntryCountsDeterministicUnderRealClock)
     CampaignConfig c1 = baseConfig(k, 1);
     c1.engine.profile = true;
     c1.engine.stopOnBug = false;
-    c1.engine.maxIterations = 15;
+    c1.engine.maxIterations = 30;
     CampaignConfig c4 = c1;
     c4.jobs = 4;
 
     CampaignResult r1 = runCampaign(c1, k.fn);
     CampaignResult r4 = runCampaign(c4, k.fn);
+    expectFannedOut(r4);
 
     for (size_t i = 0; i < obs::kNumStages; ++i) {
         SCOPED_TRACE(obs::stageName(static_cast<obs::Stage>(i)));
@@ -327,9 +396,10 @@ TEST(Campaign, ProfileOffRecordsNothing)
 {
     const goker::KernelInfo &k = kernel("cockroach_1055");
     CampaignConfig cfg = baseConfig(k, 2);
-    cfg.engine.maxIterations = 4;
+    cfg.engine.maxIterations = 30;
     cfg.engine.stopOnBug = false;
     CampaignResult r = runCampaign(cfg, k.fn);
+    expectFannedOut(r);
     EXPECT_TRUE(r.merged.profile.empty());
     EXPECT_TRUE(r.executedProfile.empty());
 }
@@ -348,6 +418,7 @@ TEST(Campaign, SaturationSeriesIsByteIdenticalAcrossJobCounts)
 
     CampaignResult r1 = runCampaign(c1, k.fn);
     CampaignResult r4 = runCampaign(c4, k.fn);
+    expectFannedOut(r4);
 
     ASSERT_EQ(r1.merged.saturation.samples().size(), 20u);
     EXPECT_EQ(r1.merged.saturation.jsonlStr(),
@@ -366,20 +437,23 @@ TEST(Campaign, SaturationSeriesIsByteIdenticalAcrossJobCounts)
 }
 
 // A coverage threshold stops the merged campaign at the same canonical
-// iteration for any worker count.
+// iteration for any worker count. cockroach_10214 crosses 90% past the
+// inline prefix, so the stop reaches the worker threads.
 TEST(Campaign, CoverageThresholdStopIsDeterministic)
 {
-    const goker::KernelInfo &k = kernel("moby_28462");
+    const goker::KernelInfo &k = kernel("cockroach_10214");
     std::vector<int> cutoffs;
     for (int jobs : {1, 4}) {
         CampaignConfig cfg = baseConfig(k, jobs);
-        cfg.engine.maxIterations = 30;
         cfg.engine.stopOnBug = false;
-        cfg.engine.covThreshold = 50.0;
+        cfg.engine.covThreshold = 90.0;
         CampaignResult r = runCampaign(cfg, k.fn);
         cutoffs.push_back(r.cutoffIteration);
         SCOPED_TRACE(jobs);
-        EXPECT_GE(r.merged.finalCoverage, 50.0);
+        EXPECT_GE(r.merged.finalCoverage, 90.0);
+        EXPECT_LT(r.cutoffIteration, cfg.engine.maxIterations);
+        if (jobs > 1)
+            expectFannedOut(r);
     }
     EXPECT_EQ(cutoffs[0], cutoffs[1]);
 }
@@ -490,6 +564,8 @@ struct CanonicalRun
     int confirmed = 0;
     std::string recipe;
     std::string minRecipe;
+    /** Reorder-window slots (0 = never fanned out); not compared. */
+    int window = 0;
 };
 
 CanonicalRun
@@ -512,6 +588,7 @@ runCanonical(CampaignConfig cfg, const goker::KernelInfo &k)
     c.raceIteration = r.merged.raceIteration;
     c.cutoff = r.cutoffIteration;
     c.confirmed = r.predict.confirmedCount;
+    c.window = r.window;
     if (!cfg.recordPath.empty()) {
         c.recipe = readFile(cfg.recordPath);
         c.minRecipe = readFile(cfg.recordPath + ".min");
@@ -555,7 +632,10 @@ TEST(Campaign, PipelinedFoldMatchesJobs1)
             const CanonicalRun ref = runCanonical(cfg, k);
             ASSERT_FALSE(ref.ledger.empty());
             if (stop) {
-                EXPECT_LT(ref.cutoff, 120); // the stop path is exercised
+                // The stop path is exercised, and past the inline
+                // prefix, so the stop reaches the worker threads.
+                EXPECT_LT(ref.cutoff, 120);
+                EXPECT_GT(ref.cutoff, kInlinePrefix);
             }
             if (every > 0) {
                 EXPECT_FALSE(ref.log.empty());
@@ -565,16 +645,20 @@ TEST(Campaign, PipelinedFoldMatchesJobs1)
                              << "stop=" << stop << " every=" << every
                              << " jobs=" << jobs);
                 cfg.jobs = jobs;
-                expectSameCanonical(ref, runCanonical(cfg, k));
+                const CanonicalRun run = runCanonical(cfg, k);
+                expectSameCanonical(ref, run);
+                EXPECT_GT(run.window, 0) << "ended inside the inline prefix";
             }
         }
     }
 
     // The finalize stamps: confirmed predictions, the recorded recipe,
-    // and the minimized yield count land on held rows.
+    // and the minimized yield count land on held rows. The bug lands
+    // inside the inline prefix, so the campaign keeps going to fan out.
     const goker::KernelInfo &p = kernel("cockroach_7504");
     CampaignConfig cfg = baseConfig(p, 1);
-    cfg.engine.maxIterations = 300;
+    cfg.engine.maxIterations = 60;
+    cfg.engine.stopOnBug = false;
     cfg.engine.raceDetect = true;
     cfg.engine.predict = true;
     cfg.minimize = true;
@@ -594,7 +678,9 @@ TEST(Campaign, PipelinedFoldMatchesJobs1)
     for (int jobs : {2, 4, 8}) {
         SCOPED_TRACE(::testing::Message() << "predict jobs=" << jobs);
         cfg.jobs = jobs;
-        expectSameCanonical(ref, runCanonical(cfg, p));
+        const CanonicalRun run = runCanonical(cfg, p);
+        expectSameCanonical(ref, run);
+        EXPECT_GT(run.window, 0) << "ended inside the inline prefix";
     }
 }
 
@@ -621,4 +707,61 @@ TEST(Campaign, PendingRecordsNeverExceedWindow)
     EXPECT_EQ(r.ledgerRows, 20000u);
     std::remove(cfg.engine.ledgerPath.c_str());
     std::remove(cfg.checkpointPath.c_str());
+}
+
+// campaign.fanouts counts the campaigns that ran past the inline
+// prefix: at -jobs=4 a budget of 16 stays inline and one of 17 fans
+// out; at -jobs=1 nothing fans out.
+TEST(Campaign, FanoutsCountCampaignsPastThePrefix)
+{
+    obs::Registry reg;
+    obs::ScopedRegistry scope(reg);
+    const goker::KernelInfo &k = kernel("moby_28462");
+    for (int jobs : {1, 4}) {
+        for (int budget : {kInlinePrefix, kInlinePrefix + 1}) {
+            CampaignConfig cfg = baseConfig(k, jobs);
+            cfg.engine.maxIterations = budget;
+            cfg.engine.stopOnBug = false;
+            runCampaign(cfg, k.fn);
+        }
+    }
+    EXPECT_EQ(reg.counter("campaign.runs").value(), 4u);
+    EXPECT_EQ(reg.counter("campaign.fanouts").value(), 1u);
+}
+
+// Two -jobs=4 campaigns started at once from two threads both fan out
+// and both match their -jobs=1 runs.
+TEST(Campaign, ConcurrentCampaignsMatchJobs1)
+{
+    const goker::KernelInfo &a = kernel("kubernetes_11298");
+    const goker::KernelInfo &b = kernel("etcd_7443");
+    CampaignConfig ca = baseConfig(a, 4);
+    CampaignConfig cb = baseConfig(b, 4);
+    ca.engine.raceDetect = cb.engine.raceDetect = true;
+    ca.engine.stopOnBug = cb.engine.stopOnBug = false;
+    ca.engine.maxIterations = cb.engine.maxIterations = 400;
+    CampaignResult ra, rb;
+    auto run = [](const CampaignConfig &cfg, const goker::KernelInfo &k,
+                  CampaignResult *out) {
+        obs::Registry reg; // the global registry is not thread-safe
+        obs::ScopedRegistry scope(reg);
+        *out = runCampaign(cfg, k.fn);
+    };
+    std::thread ta(run, std::cref(ca), std::cref(a), &ra);
+    std::thread tb(run, std::cref(cb), std::cref(b), &rb);
+    ta.join();
+    tb.join();
+    expectFannedOut(ra);
+    expectFannedOut(rb);
+    ca.jobs = cb.jobs = 1;
+    CampaignResult ref_a = runCampaign(ca, a.fn);
+    CampaignResult ref_b = runCampaign(cb, b.fn);
+    {
+        SCOPED_TRACE("kubernetes_11298");
+        expectIdentical(ref_a, ra);
+    }
+    {
+        SCOPED_TRACE("etcd_7443");
+        expectIdentical(ref_b, rb);
+    }
 }

@@ -6,13 +6,17 @@
  * parameterized property suite — that GoAT (the best of D0–D4)
  * detects every kernel's bug within an iteration budget while every
  * kernel also terminates cleanly when its buggy interleaving is not
- * taken (no kernel hangs the harness).
+ * taken (no kernel hangs the harness) — plus a golden of every
+ * tool's Table IV cell on every kernel.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <set>
+#include <string>
 
 #include "goat/engine.hh"
 #include "goat/tool.hh"
@@ -157,3 +161,60 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
     });
+
+// ---------------------------------------------------------------------
+// Table IV golden: every non-hostile kernel × all eight tools, at the
+// full 1000-execution cap. Pins runTool's cells (verdict label and
+// first-detection iteration) byte for byte. Regenerate with
+// GOAT_UPDATE_GOLDEN=1 only after an intended change of detection
+// semantics.
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::string
+table4Dump()
+{
+    const ToolKind tools[] = {ToolKind::GoatD0, ToolKind::GoatD1,
+                              ToolKind::GoatD2, ToolKind::GoatD3,
+                              ToolKind::GoatD4, ToolKind::Builtin,
+                              ToolKind::LockDL, ToolKind::Goleak};
+    std::string out = "kernel";
+    for (ToolKind t : tools)
+        out += std::string("\t") + toolName(t);
+    out += "\n";
+    for (const KernelInfo *k : KernelRegistry::instance().all()) {
+        out += k->name;
+        for (ToolKind t : tools)
+            out += "\t" +
+                   runTool(t, k->fn, 1000, 0xC0FFEE, 0.02, 400'000)
+                       .cellStr();
+        out += "\n";
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Table4Golden, ToolCellsMatchGolden)
+{
+    const std::string path =
+        GOAT_SOURCE_DIR "/tests/golden/table4_goker.txt";
+    std::string dump = table4Dump();
+    const char *update = std::getenv("GOAT_UPDATE_GOLDEN");
+    if (update && *update) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr) << path;
+        std::fwrite(dump.data(), 1, dump.size(), f);
+        std::fclose(f);
+    }
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr) << path;
+    std::string golden;
+    char buf[1 << 16];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+        golden.append(buf, n);
+    std::fclose(f);
+    EXPECT_EQ(dump, golden);
+}

@@ -15,14 +15,11 @@
 #include <functional>
 #include <vector>
 
-#include "analysis/deadlock.hh"
-#include "analysis/goroutine_tree.hh"
 #include "base/logging.hh"
-#include "goat/engine.hh"
+#include "campaign/campaign.hh"
 #include "goat/tool.hh"
 #include "goker/registry.hh"
 #include "perturb/perturb.hh"
-#include "trace/ect.hh"
 
 using namespace goat;
 using namespace goat::engine;
@@ -47,29 +44,18 @@ const std::vector<std::string> subset = {
  * per-CU yield probability) and noise level.
  */
 ToolCampaign
-campaign(const std::function<void()> &program, int bound, double prob,
-         double noise, uint64_t seed_base)
+detectCampaign(const std::function<void()> &program, int bound, double prob,
+               double noise, uint64_t seed_base)
 {
     ToolCampaign out;
     for (int iter = 1; iter <= maxIter; ++iter) {
-        uint64_t seed = iterSeed(seed_base, iter);
+        uint64_t seed = campaignIterationSeed(seed_base, iter);
         out.iterationsRun = iter;
-        runtime::SchedConfig cfg;
-        cfg.seed = seed;
-        cfg.noiseProb = noise;
-        cfg.stepBudget = 400'000;
-        perturb::YieldPerturber perturber(bound, seed, prob);
-        if (bound > 0)
-            cfg.perturb = perturber.hook();
-        runtime::Scheduler sched(cfg);
-        trace::EctRecorder rec;
-        sched.addSink(&rec);
-        runtime::ExecResult exec = sched.run(program);
-        analysis::GoroutineTree tree(rec.ect());
-        analysis::DeadlockReport dl = analysis::deadlockCheck(tree);
-        bool buggy = dl.buggy() ||
-                     exec.outcome == runtime::RunOutcome::StepBudget;
-        if (buggy) {
+        SingleRun sr = runOnceHooked(
+            program, seed, perturb::YieldPerturber(bound, seed, prob).hook(),
+            noise, 400'000, bound);
+        if (sr.dl.buggy() ||
+            sr.exec.outcome == runtime::RunOutcome::StepBudget) {
             out.verdict.detected = true;
             out.firstDetectIteration = iter;
             return out;
@@ -116,7 +102,7 @@ main()
         char title[64];
         std::snprintf(title, sizeof(title), "D = %d", d);
         report(title, [&](const goker::KernelInfo &k) {
-            return campaign(k.fn, d, 0.25, 0.02, 0xAB1 + d);
+            return detectCampaign(k.fn, d, 0.25, 0.02, 0xAB1 + d);
         });
     }
 
@@ -125,7 +111,7 @@ main()
         char title[64];
         std::snprintf(title, sizeof(title), "yield prob = %.2f", p);
         report(title, [&](const goker::KernelInfo &k) {
-            return campaign(k.fn, 3, p, 0.02, 0xAB2);
+            return detectCampaign(k.fn, 3, p, 0.02, 0xAB2);
         });
     }
 
@@ -134,7 +120,7 @@ main()
         char title[64];
         std::snprintf(title, sizeof(title), "noise prob = %.3f", noise);
         report(title, [&](const goker::KernelInfo &k) {
-            return campaign(k.fn, 0, 0.25, noise, 0xAB3);
+            return detectCampaign(k.fn, 0, 0.25, noise, 0xAB3);
         });
     }
 
@@ -157,9 +143,9 @@ main()
             cfg.stopOnBug = false;
             cfg.seedBase = 0xAB4;
             cfg.staticModel = goker::kernelCuTable(*k);
-            GoatEngine engine(cfg);
-            GoatResult r = engine.run(k->fn);
-            final_cov[guided] = r.finalCoverage;
+            final_cov[guided] =
+                campaign::runCampaign({.engine = cfg}, k->fn)
+                    .merged.finalCoverage;
         }
         std::printf("  %-20s random %.2f%%  guided %.2f%%\n", name,
                     final_cov[0], final_cov[1]);

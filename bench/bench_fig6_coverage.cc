@@ -13,7 +13,7 @@
 
 #include "analysis/coverage.hh"
 #include "base/logging.hh"
-#include "goat/engine.hh"
+#include "campaign/campaign.hh"
 #include "goker/registry.hh"
 
 using namespace goat;
@@ -39,8 +39,8 @@ coverageSeries(const goker::KernelInfo &kernel)
         cfg.stopOnBug = false;    // the coverage study keeps iterating
         cfg.seedBase = 0xE7C0 + d;
         cfg.staticModel = goker::kernelCuTable(kernel);
-        GoatEngine engine(cfg);
-        GoatResult result = engine.run(kernel.fn);
+        GoatResult result =
+            campaign::runCampaign({.engine = cfg}, kernel.fn).merged;
         std::vector<double> pct;
         for (const auto &it : result.iterations)
             pct.push_back(it.coveragePct);

@@ -18,7 +18,7 @@
 #include <cstdio>
 
 #include "analysis/report.hh"
-#include "goat/engine.hh"
+#include "campaign/campaign.hh"
 #include "goker/registry.hh"
 
 using namespace goat;
@@ -34,8 +34,7 @@ campaignLength(const goker::KernelInfo &kernel, int delay_bound,
     cfg.delayBound = delay_bound;
     cfg.maxIterations = 2000;
     cfg.seedBase = seed;
-    GoatEngine engine(cfg);
-    GoatResult r = engine.run(kernel.fn);
+    GoatResult r = campaign::runCampaign({.engine = cfg}, kernel.fn).merged;
     return r.bugFound ? r.bugIteration : -1;
 }
 
@@ -70,8 +69,7 @@ main()
     GoatConfig cfg;
     cfg.delayBound = 2;
     cfg.maxIterations = 2000;
-    GoatEngine engine(cfg);
-    GoatResult r = engine.run(kernel->fn);
+    GoatResult r = campaign::runCampaign({.engine = cfg}, kernel->fn).merged;
     if (!r.bugFound) {
         std::printf("unexpected: bug not found\n");
         return 1;

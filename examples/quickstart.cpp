@@ -14,9 +14,9 @@
 #include <cstdio>
 #include <memory>
 
+#include "campaign/campaign.hh"
 #include "chan/chan.hh"
 #include "chan/select.hh"
-#include "goat/engine.hh"
 #include "runtime/api.hh"
 
 using namespace goat;
@@ -66,8 +66,8 @@ main()
     engine::GoatConfig cfg;
     cfg.delayBound = 2;      // inject up to 2 random yields per run
     cfg.maxIterations = 100; // the -freq flag
-    engine::GoatEngine goat_engine(cfg);
-    engine::GoatResult result = goat_engine.run(program);
+    engine::GoatResult result =
+        campaign::runCampaign({.engine = cfg}, program).merged;
 
     if (result.bugFound) {
         std::printf("bug found at iteration %d: %s\n\n",

@@ -15,8 +15,8 @@
 #include <memory>
 
 #include "analysis/happens_before.hh"
+#include "campaign/campaign.hh"
 #include "chan/chan.hh"
-#include "goat/engine.hh"
 #include "runtime/api.hh"
 #include "sync/sharedvar.hh"
 #include "sync/sync.hh"
@@ -89,8 +89,8 @@ hunt(const char *title, void (*prog)())
     cfg.raceDetect = true;
     cfg.delayBound = 2;
     cfg.maxIterations = 200;
-    engine::GoatEngine engine(cfg);
-    engine::GoatResult result = engine.run(prog);
+    engine::GoatResult result =
+        campaign::runCampaign({.engine = cfg}, prog).merged;
     std::printf("%s:\n", title);
     if (result.raceIteration > 0) {
         std::printf("  %zu race(s) found at iteration %d:\n",

@@ -13,10 +13,10 @@
 #include <cstdio>
 #include <memory>
 
+#include "campaign/campaign.hh"
 #include "chan/chan.hh"
 #include "chan/select.hh"
 #include "chan/time.hh"
-#include "goat/engine.hh"
 #include "runtime/api.hh"
 #include "sync/sync.hh"
 
@@ -91,8 +91,9 @@ main()
     cfg.collectCoverage = true;
     cfg.covThreshold = 200.0; // keep exploring the full budget
     cfg.stopOnBug = true;     // any deadlock would abort the campaign
-    engine::GoatEngine engine(cfg);
-    engine::GoatResult result = engine.run(pipeline);
+    campaign::CampaignResult run =
+        campaign::runCampaign({.engine = cfg}, pipeline);
+    const engine::GoatResult &result = run.merged;
 
     if (result.bugFound) {
         std::printf("unexpected bug: %s\n%s\n",
@@ -108,7 +109,7 @@ main()
     std::printf("coverage after run %zu: %.1f%%\n\n",
                 result.iterations.size(), result.finalCoverage);
 
-    const auto &cov = engine.coverage();
+    const auto &cov = run.coverage;
     std::printf("covered %zu of %zu requirement instances\n\n",
                 cov.coveredCount(), cov.totalRequirements());
 

@@ -1092,7 +1092,7 @@ runThreadedCampaign(const CampaignConfig &cfg,
     const int every = std::max(1, cfg.checkpointEvery);
     int round_end = std::min(budget, fs.cursor + every);
 
-    // Replay the sequential engine's loop over one record: fold its
+    // Run the sequential campaign loop over one record: fold its
     // coverage, apply bug/threshold stop semantics (the fold stops
     // exactly where -jobs=1 would), and emit its row.
     auto foldMerge = [&](IterRecord &rec) {

@@ -45,8 +45,7 @@
  * The one documented exception is coverage-*guided* perturbation: the
  * guided policy feeds on cumulative coverage, which is inherently
  * order-dependent, so guided campaigns are reproducible only for a
- * fixed worker count (exactly reproducing the sequential engine at
- * jobs=1).
+ * fixed worker count.
  */
 
 #ifndef GOAT_CAMPAIGN_CAMPAIGN_HH
@@ -64,22 +63,23 @@ namespace goat::campaign {
 
 /**
  * Campaign configuration: the shared per-iteration engine config plus
- * the worker count.
+ * the worker count. Every field has a default member initializer, so a
+ * caller names only what it sets: `runCampaign({.engine = cfg}, p)`.
  */
 struct CampaignConfig
 {
     /** Per-iteration configuration (seed base, delay bound, budget…). */
-    engine::GoatConfig engine;
+    engine::GoatConfig engine{};
     /** Worker threads; values < 1 are treated as 1. */
     int jobs = 1;
     /** Program/kernel label stamped into recorded recipes. */
-    std::string programName;
+    std::string programName{};
     /**
      * Write the first bug's repro recipe here ("" disables). Capture
      * happens at merge time on the canonical first detection, so the
      * recipe bytes are identical for any worker count.
      */
-    std::string recordPath;
+    std::string recordPath{};
     /**
      * Minimize the captured recipe's yield set (engine::minimizeRecipe)
      * after the campaign; the minimized recipe is written to
@@ -97,7 +97,7 @@ struct CampaignConfig
      */
     bool lintBridge = false;
     /** The findings driving the bridge (with lintBridge). */
-    staticmodel::LintReport lint;
+    staticmodel::LintReport lint{};
     /**
      * Live-progress counters the workers publish to (relaxed atomics,
      * bumped once per iteration). Optional; a ProgressReporter
@@ -141,7 +141,7 @@ struct CampaignConfig
      * append-only log (campaign/checkpoint.hh), so a killed campaign
      * resumes losing at most one round of work.
      */
-    std::string checkpointPath;
+    std::string checkpointPath{};
     /** Iterations per checkpoint round (with checkpointPath). */
     int checkpointEvery = 64;
     /**
@@ -149,14 +149,14 @@ struct CampaignConfig
      * (-resume; "" = off). The merged result of a killed-and-resumed
      * campaign is canonically identical to an uninterrupted run.
      */
-    std::string resumePath;
+    std::string resumePath{};
 };
 
 /**
  * Result of a multi-worker campaign.
  *
  * `merged` holds the canonical, worker-count-independent view (the
- * same GoatResult a sequential engine produces); the remaining fields
+ * same GoatResult a -jobs=1 campaign produces); the remaining fields
  * report how the campaign actually executed.
  */
 struct CampaignResult

@@ -29,9 +29,11 @@
 namespace goat::detectors {
 
 /**
- * Lock-set deadlock monitor; attach to a Scheduler as a trace sink.
- * The lock-order graph persists across executions when the same
- * instance is reused (as the real tool accumulates order knowledge).
+ * Lock-set deadlock monitor; attach to a Scheduler as a trace sink, or
+ * feed it a recorded trace's events in order after the run (runTool
+ * does). The lock-order graph persists across executions when the
+ * same instance is reused (as the real tool accumulates order
+ * knowledge).
  */
 class LockDL : public trace::TraceSink
 {

@@ -1,15 +1,11 @@
 #include "goat/engine.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 
-#include "analysis/report.hh"
 #include "base/fmt.hh"
-#include "base/logging.hh"
-#include "obs/ledger.hh"
-#include "obs/metrics.hh"
 #include "perturb/guided.hh"
 #include "perturb/perturb.hh"
 #include "perturb/replay.hh"
@@ -17,7 +13,6 @@
 
 namespace goat::engine {
 
-using analysis::DeadlockReport;
 using analysis::GoroutineTree;
 using analysis::Verdict;
 using runtime::RunOutcome;
@@ -32,6 +27,63 @@ mixSeed(uint64_t base, int iter)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
+}
+
+/**
+ * Stamp @p sr's recipe: the run parameters of @p params (kernel, seed,
+ * delay bound, noise, step budget, iteration), the schedule decisions
+ * the run took, and its outcome and verdict.
+ */
+void
+stampRecipe(SingleRun &sr, const trace::Recipe &params, uint64_t hook_calls,
+            std::vector<trace::RecipeYield> yields)
+{
+    trace::Recipe &r = sr.recipe;
+    r.kernel = params.kernel;
+    r.seed = params.seed;
+    r.delayBound = params.delayBound;
+    r.noiseProb = params.noiseProb;
+    r.stepBudget = params.stepBudget;
+    r.iteration = params.iteration;
+    r.hookCalls = hook_calls;
+    r.yields = std::move(yields);
+    r.outcome = runtime::runOutcomeName(sr.exec.outcome);
+    r.verdict = analysis::verdictName(sr.dl.verdict);
+}
+
+/**
+ * Run @p program under @p params' seed, noise and step budget with the
+ * policy hook @p inner wrapped in a ScheduleRecorder, so the run's
+ * decision stream lands in its stamped recipe. A null @p inner (D = 0)
+ * still counts calls but never perturbs.
+ */
+SingleRun
+runRecorded(const std::function<void()> &program,
+            const trace::Recipe &params, runtime::PerturbHook inner)
+{
+    perturb::ScheduleRecorder recorder;
+    SingleRun sr = runOnceHooked(program, params.seed,
+                                 recorder.wrap(std::move(inner)),
+                                 params.noiseProb, params.stepBudget,
+                                 params.delayBound);
+    stampRecipe(sr, params, recorder.calls(), recorder.yields());
+    return sr;
+}
+
+/**
+ * Run @p program under @p params' seed, noise and step budget, yielding
+ * exactly at the hook calls @p calls, with the recipe stamped.
+ */
+SingleRun
+runReplayed(const std::function<void()> &program,
+            const trace::Recipe &params, std::vector<uint64_t> calls)
+{
+    perturb::ReplayPerturber rp(std::move(calls));
+    SingleRun sr = runOnceHooked(program, params.seed, rp.hook(),
+                                 params.noiseProb, params.stepBudget,
+                                 params.delayBound);
+    stampRecipe(sr, params, rp.calls(), rp.injected());
+    return sr;
 }
 
 } // namespace
@@ -50,25 +102,22 @@ runOnceHooked(const std::function<void()> &program, uint64_t seed,
     runtime::Scheduler sched(cfg);
     SingleRun out;
 
-    // Hot path: record through the worker's binary ring buffer and
-    // batch-convert to the rich Ect once, after the run. The ring is
-    // per thread; if a program under test recursively enters the
-    // engine (the ring is then still bound), fall back to the classic
-    // sink recorder for the nested run.
-    thread_local trace::EctRing ring;
-    if (!ring.active()) {
-        if (ring.capacity() != trace::defaultEctRingCapacity())
-            ring.setCapacity(trace::defaultEctRingCapacity());
-        ring.bind(&out.ect);
-        sched.setRing(&ring);
-        out.exec = sched.run(program);
-        ring.finish();
-    } else {
-        trace::EctRecorder rec;
-        sched.addSink(&rec);
-        out.exec = sched.run(program);
-        out.ect = std::move(rec.ect());
-    }
+    // Record through the worker's binary ring buffer and batch-convert
+    // to the rich Ect once, after the run. The ring is per thread; if a
+    // program under test recursively enters the engine (the ring is
+    // then still bound), the nested run records through a ring of its
+    // own.
+    thread_local trace::EctRing thread_ring;
+    std::optional<trace::EctRing> nested_ring;
+    trace::EctRing *ring = &thread_ring;
+    if (thread_ring.active())
+        ring = &nested_ring.emplace();
+    else if (thread_ring.capacity() != trace::defaultEctRingCapacity())
+        thread_ring.setCapacity(trace::defaultEctRingCapacity());
+    ring->bind(&out.ect);
+    sched.setRing(ring);
+    out.exec = sched.run(program);
+    ring->finish();
 
     out.ect.setMeta("seed", std::to_string(seed));
     out.ect.setMeta("outcome", runtime::runOutcomeName(out.exec.outcome));
@@ -141,22 +190,24 @@ runCampaignIteration(const GoatConfig &cfg,
                      const std::function<void()> &program, int iter,
                      analysis::CoverageState *guided_cov)
 {
-    uint64_t seed = mixSeed(cfg.seedBase, iter);
+    trace::Recipe params;
+    params.seed = mixSeed(cfg.seedBase, iter);
+    params.delayBound = cfg.delayBound;
+    params.noiseProb = cfg.noiseProb;
+    params.stepBudget = cfg.stepBudget;
+    params.iteration = iter;
 
     // Every campaign iteration records its schedule-decision stream —
     // at most D yields plus a call counter — so any run can be handed
-    // out as a repro recipe without re-finding it. The recorder wraps
-    // the policy hook; a null inner hook (D = 0) still counts calls
-    // but never perturbs, leaving the schedule untouched.
-    perturb::ScheduleRecorder recorder;
-    perturb::YieldPerturber uniform(cfg.delayBound, seed);
+    // out as a repro recipe without re-finding it.
+    perturb::YieldPerturber uniform(cfg.delayBound, params.seed);
     // Only a coverage-guided campaign may consult cumulative coverage:
     // a priority-only policy (-lint-guided, -mhp-prune) must stay a pure
     // function of the seed, or its decisions at non-priority sites would
     // depend on which iterations this worker happened to run before.
     perturb::GuidedPerturber guided(cfg.coverageGuided ? guided_cov
                                                        : nullptr,
-                                    cfg.delayBound, seed);
+                                    cfg.delayBound, params.seed);
     if (!cfg.prioritySites.empty())
         guided.setPrioritySites(cfg.prioritySites);
     runtime::PerturbHook inner;
@@ -164,22 +215,7 @@ runCampaignIteration(const GoatConfig &cfg,
         inner = guided.hook();
     else if (cfg.delayBound > 0)
         inner = uniform.hook();
-
-    SingleRun sr =
-        runOnceHooked(program, seed, recorder.wrap(std::move(inner)),
-                      cfg.noiseProb, cfg.stepBudget, cfg.delayBound);
-
-    trace::Recipe &r = sr.recipe;
-    r.seed = seed;
-    r.delayBound = cfg.delayBound;
-    r.noiseProb = cfg.noiseProb;
-    r.stepBudget = cfg.stepBudget;
-    r.iteration = iter;
-    r.hookCalls = recorder.calls();
-    r.yields = recorder.yields();
-    r.outcome = runtime::runOutcomeName(sr.exec.outcome);
-    r.verdict = analysis::verdictName(sr.dl.verdict);
-    return sr;
+    return runRecorded(program, params, std::move(inner));
 }
 
 void
@@ -204,26 +240,11 @@ replayRecipe(const std::function<void()> &program,
         // hangs until the step budget trips. No recorded trace
         // fingerprint or verdict can be asserted in-process — the
         // recorded values name the supervisor's classification.
-        perturb::ScheduleRecorder recorder;
         perturb::YieldPerturber uniform(recipe.delayBound, recipe.seed);
         runtime::PerturbHook inner;
         if (recipe.delayBound > 0)
             inner = uniform.hook();
-        out.sr = runOnceHooked(program, recipe.seed,
-                               recorder.wrap(std::move(inner)),
-                               recipe.noiseProb, recipe.stepBudget,
-                               recipe.delayBound);
-        trace::Recipe &r = out.sr.recipe;
-        r.kernel = recipe.kernel;
-        r.seed = recipe.seed;
-        r.delayBound = recipe.delayBound;
-        r.noiseProb = recipe.noiseProb;
-        r.stepBudget = recipe.stepBudget;
-        r.iteration = recipe.iteration;
-        r.hookCalls = recorder.calls();
-        r.yields = recorder.yields();
-        r.outcome = runtime::runOutcomeName(out.sr.exec.outcome);
-        r.verdict = analysis::verdictName(out.sr.dl.verdict);
+        out.sr = runRecorded(program, recipe, std::move(inner));
         finalizeRecipe(out.sr);
         out.buggy = out.sr.dl.buggy() ||
                     out.sr.exec.outcome == RunOutcome::StepBudget;
@@ -231,24 +252,10 @@ replayRecipe(const std::function<void()> &program,
         return out;
     }
 
-    perturb::ReplayPerturber rp(
-        perturb::ReplayPerturber::callsOf(recipe));
-    out.sr = runOnceHooked(program, recipe.seed, rp.hook(),
-                           recipe.noiseProb, recipe.stepBudget,
-                           recipe.delayBound);
-
-    trace::Recipe &r = out.sr.recipe;
-    r.kernel = recipe.kernel;
-    r.seed = recipe.seed;
-    r.delayBound = recipe.delayBound;
-    r.noiseProb = recipe.noiseProb;
-    r.stepBudget = recipe.stepBudget;
-    r.iteration = recipe.iteration;
-    r.hookCalls = rp.calls();
-    r.yields = rp.injected();
-    r.outcome = runtime::runOutcomeName(out.sr.exec.outcome);
-    r.verdict = analysis::verdictName(out.sr.dl.verdict);
+    out.sr = runReplayed(program, recipe,
+                         perturb::ReplayPerturber::callsOf(recipe));
     finalizeRecipe(out.sr);
+    const trace::Recipe &r = out.sr.recipe;
 
     out.buggy = out.sr.dl.buggy() ||
                 out.sr.exec.outcome == RunOutcome::StepBudget;
@@ -291,25 +298,17 @@ minimizeRecipe(const std::function<void()> &program,
     {
         bool ok = false;
         SingleRun sr;
-        std::vector<trace::RecipeYield> injected;
-        uint64_t calls = 0;
     };
     // A candidate reproduces when its deterministic replay is still
     // buggy with the *recorded* verdict — dropping to a different bug
     // class does not count as the same repro.
     auto tryCalls = [&](const std::vector<uint64_t> &calls) {
-        perturb::ReplayPerturber rp(calls);
         Cand c;
-        c.sr = runOnceHooked(program, recipe.seed, rp.hook(),
-                             recipe.noiseProb, recipe.stepBudget,
-                             recipe.delayBound);
+        c.sr = runReplayed(program, recipe, calls);
         ++out.replays;
         bool buggy = c.sr.dl.buggy() ||
                      c.sr.exec.outcome == RunOutcome::StepBudget;
-        c.ok = buggy &&
-               analysis::verdictName(c.sr.dl.verdict) == recipe.verdict;
-        c.injected = rp.injected();
-        c.calls = rp.calls();
+        c.ok = buggy && c.sr.recipe.verdict == recipe.verdict;
         return c;
     };
 
@@ -346,13 +345,14 @@ minimizeRecipe(const std::function<void()> &program,
     // Re-finalize from the minimal run: the surviving call indices are
     // original-stream positions, but the sites they hit (and the trace
     // they produce) belong to the minimal schedule.
+    finalizeRecipe(best.sr);
     trace::Recipe &m = out.minimized;
-    m.yields = best.injected;
-    m.hookCalls = best.calls;
-    m.outcome = runtime::runOutcomeName(best.sr.exec.outcome);
-    m.verdict = analysis::verdictName(best.sr.dl.verdict);
-    m.ectEvents = best.sr.ect.size();
-    m.ectHash = trace::ectFingerprint(best.sr.ect);
+    m.yields = std::move(best.sr.recipe.yields);
+    m.hookCalls = best.sr.recipe.hookCalls;
+    m.outcome = std::move(best.sr.recipe.outcome);
+    m.verdict = std::move(best.sr.recipe.verdict);
+    m.ectEvents = best.sr.recipe.ectEvents;
+    m.ectHash = best.sr.recipe.ectHash;
     return out;
 }
 
@@ -397,27 +397,12 @@ confirmPredictions(const std::function<void()> &program,
                             trace::Recipe *recipe_out) {
         std::sort(cand.begin(), cand.end());
         cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-        perturb::ReplayPerturber rp(cand);
-        SingleRun sr =
-            runOnceHooked(program, base.seed, rp.hook(),
-                          base.noiseProb, base.stepBudget,
-                          base.delayBound);
+        SingleRun sr = runReplayed(program, base, std::move(cand));
         ++out.replays;
         bool buggy = sr.dl.buggy() ||
                      sr.exec.outcome == RunOutcome::StepBudget;
         if (!buggy)
             return false;
-        trace::Recipe &r = sr.recipe;
-        r.kernel = base.kernel;
-        r.seed = base.seed;
-        r.delayBound = base.delayBound;
-        r.noiseProb = base.noiseProb;
-        r.stepBudget = base.stepBudget;
-        r.iteration = base.iteration;
-        r.hookCalls = rp.calls();
-        r.yields = rp.injected();
-        r.outcome = runtime::runOutcomeName(sr.exec.outcome);
-        r.verdict = analysis::verdictName(sr.dl.verdict);
         finalizeRecipe(sr);
         *recipe_out = sr.recipe;
         return true;
@@ -460,154 +445,6 @@ confirmPredictions(const std::function<void()> &program,
     }
     out.report = std::move(report);
     return out;
-}
-
-GoatEngine::GoatEngine(GoatConfig cfg)
-    : cfg_(std::move(cfg)), cov_(cfg_.staticModel)
-{
-}
-
-uint64_t
-GoatEngine::iterationSeed(int iter) const
-{
-    return mixSeed(cfg_.seedBase, iter);
-}
-
-GoatResult
-GoatEngine::run(const std::function<void()> &program)
-{
-    using std::chrono::steady_clock;
-
-    GoatResult result;
-    bool guided = cfg_.coverageGuided;
-
-    // Stage profiler: installed for the whole run, drained per
-    // iteration so ledger rows carry per-iteration deltas and the
-    // folded result matches a campaign's canonical merge.
-    obs::Profiler profiler;
-    std::unique_ptr<obs::ScopedProfiler> prof_scope;
-    if (cfg_.profile)
-        prof_scope = std::make_unique<obs::ScopedProfiler>(profiler);
-
-    auto &reg = obs::Registry::current();
-    obs::Counter &iterations_total = reg.counter("engine.iterations");
-    obs::Counter &campaigns_total = reg.counter("engine.campaigns");
-    obs::Counter &bugs_total = reg.counter("engine.bugs_found");
-    obs::Histogram &iter_wall = reg.histogram(
-        "engine.iter_wall_us",
-        {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000});
-    campaigns_total.inc();
-
-    obs::RunLedger ledger(cfg_.ledgerPath);
-    if (ledger.enabled())
-        reg.markDeltaBaseline();
-
-    for (int iter = 1; iter <= cfg_.maxIterations; ++iter) {
-        uint64_t seed = iterationSeed(iter);
-        auto t0 = steady_clock::now();
-        SingleRun sr = runCampaignIteration(cfg_, program, iter, &cov_);
-
-        IterationOutcome io;
-        io.exec = sr.exec;
-        io.dl = sr.dl;
-        iterations_total.inc();
-
-        if (cfg_.collectCoverage || guided) {
-            cov_.addEct(sr.ect, *sr.tree);
-            io.coveragePct = cov_.percent();
-            result.finalCoverage = io.coveragePct;
-            if (cfg_.collectCoverage)
-                result.saturation.sample(iter, cov_);
-        }
-
-        if (cfg_.raceDetect && result.raceIteration < 0) {
-            analysis::RaceReport races = analysis::detectRaces(sr.ect);
-            if (races.any()) {
-                result.firstRaces = std::move(races);
-                result.raceIteration = iter;
-            }
-        }
-
-        bool buggy = sr.dl.buggy() ||
-                     sr.exec.outcome == RunOutcome::StepBudget ||
-                     (cfg_.raceDetect && result.raceIteration == iter);
-        if (buggy && !result.bugFound) {
-            result.bugFound = true;
-            result.bugIteration = iter;
-            result.firstBug = sr.dl;
-            result.firstBugExec = sr.exec;
-            result.firstBugEct = sr.ect;
-            finalizeRecipe(sr);
-            result.firstBugRecipe = sr.recipe;
-            result.report =
-                analysis::deadlockReportStr(sr.ect, *sr.tree, sr.dl);
-            bugs_total.inc();
-        }
-
-        io.wallMicros = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                steady_clock::now() - t0)
-                .count());
-        iter_wall.observe(io.wallMicros);
-
-        if (logEnabled(LogLevel::Debug)) {
-            std::string line = strFormat(
-                "goat: iter %d/%d seed=%llu outcome=%s verdict=%s "
-                "steps=%llu wall_us=%llu",
-                iter, cfg_.maxIterations,
-                static_cast<unsigned long long>(seed),
-                runtime::runOutcomeName(sr.exec.outcome),
-                analysis::verdictName(sr.dl.verdict),
-                static_cast<unsigned long long>(sr.exec.steps),
-                static_cast<unsigned long long>(io.wallMicros));
-            if (io.coveragePct >= 0)
-                line += strFormat(" coverage=%.1f%%", io.coveragePct);
-            debugLog(line);
-        }
-
-        obs::ProfileSnapshot prof_delta;
-        if (cfg_.profile) {
-            prof_delta = profiler.drain();
-            result.profile.mergeFrom(prof_delta);
-        }
-
-        if (ledger.enabled()) {
-            obs::LedgerEntry e;
-            e.iteration = iter;
-            e.seed = seed;
-            e.delayBound = cfg_.delayBound;
-            e.outcome = runtime::runOutcomeName(sr.exec.outcome);
-            e.verdict = analysis::verdictName(sr.dl.verdict);
-            e.bug = buggy;
-            e.steps = sr.exec.steps;
-            e.coveragePct = io.coveragePct;
-            if (cfg_.collectCoverage) {
-                e.satCovered =
-                    static_cast<int64_t>(cov_.coveredCount());
-                e.satTotal =
-                    static_cast<int64_t>(cov_.totalRequirements());
-            }
-            e.wallMicros = io.wallMicros;
-            if (cfg_.profile)
-                e.profileJson = prof_delta.jsonRowStr();
-            e.metricsJson = reg.deltaJson();
-            ledger.append(e);
-        }
-
-        result.iterations.push_back(std::move(io));
-
-        if (result.bugFound && cfg_.stopOnBug)
-            break;
-        if (cfg_.collectCoverage && cov_.percent() >= cfg_.covThreshold)
-            break;
-    }
-
-    if (result.bugFound) {
-        debugLog(strFormat("goat: bug found at iteration %d (%s)",
-                           result.bugIteration,
-                           result.firstBug.shortStr().c_str()));
-    }
-    return result;
 }
 
 } // namespace goat::engine

@@ -1,13 +1,15 @@
 /**
  * @file
- * The GoAT engine: orchestrates testing iterations of a program under
- * test (paper fig. 1). Each iteration runs the program on a fresh
+ * The GoAT engine: one testing iteration of a program under test
+ * (paper fig. 1). runCampaignIteration runs the program on a fresh
  * scheduler with (a) tracing enabled, (b) the bounded random-yield
- * perturbation installed (delay bound D), and (c) a fresh seed; the
- * resulting ECT is fed to the offline analyses — goroutine tree,
- * DeadlockCheck (Procedure 1), and coverage measurement. Iterations
- * stop when a bug is detected, the coverage threshold is reached, or
- * the iteration budget (-freq) is exhausted.
+ * perturbation installed (delay bound D), and (c) a fresh seed, and
+ * applies DeadlockCheck (Procedure 1) to the resulting ECT. The
+ * campaign loop around it — coverage, races, stop rules, ledger —
+ * is campaign::runCampaign (campaign/campaign.hh): iterations stop
+ * when a bug is detected, the coverage threshold is reached, or the
+ * iteration budget (-freq) is exhausted. Replay, minimization and
+ * prediction confirmation re-run recorded schedules.
  */
 
 #ifndef GOAT_GOAT_ENGINE_HH
@@ -145,30 +147,6 @@ struct GoatResult
 };
 
 /**
- * The testing/analysis engine.
- */
-class GoatEngine
-{
-  public:
-    explicit GoatEngine(GoatConfig cfg);
-
-    /**
-     * Run the testing campaign on @p program.
-     */
-    GoatResult run(const std::function<void()> &program);
-
-    /** Cumulative coverage state across the campaign. */
-    const analysis::CoverageState &coverage() const { return cov_; }
-
-    /** Seed used for iteration @p iter (1-based) of this config. */
-    uint64_t iterationSeed(int iter) const;
-
-  private:
-    GoatConfig cfg_;
-    analysis::CoverageState cov_;
-};
-
-/**
  * Convenience: run one traced execution with delay bound @p d and
  * return (ExecResult, Ect, DeadlockReport).
  */
@@ -226,10 +204,10 @@ SingleRun runOnceHooked(const std::function<void()> &program,
 uint64_t campaignIterationSeed(uint64_t base, int iter);
 
 /**
- * Execute and analyze iteration @p iter exactly as GoatEngine::run
- * does: derive the iteration seed, install the uniform (or coverage-
- * guided) perturbation policy, run the program on a fresh scheduler,
- * and apply Procedure 1 to the trace. @p guided_cov is the cumulative
+ * Execute and analyze campaign iteration @p iter: derive the
+ * iteration seed, install the uniform (or coverage-guided)
+ * perturbation policy, run the program on a fresh scheduler, and
+ * apply Procedure 1 to the trace. @p guided_cov is the cumulative
  * coverage state feeding the guided policy; required (non-null) when
  * cfg.coverageGuided, ignored otherwise.
  */

@@ -1,10 +1,11 @@
 #include "goat/tool.hh"
 
+#include <algorithm>
+
 #include "base/fmt.hh"
 #include "detectors/builtin.hh"
 #include "detectors/goleak.hh"
 #include "detectors/lockdl.hh"
-#include "perturb/perturb.hh"
 
 namespace goat::engine {
 
@@ -39,15 +40,6 @@ toolDelayBound(ToolKind t)
       case ToolKind::GoatD4: return 4;
       default: return -1;
     }
-}
-
-uint64_t
-iterSeed(uint64_t base, int iter)
-{
-    uint64_t x = base + 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(iter);
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
 }
 
 std::string
@@ -137,44 +129,34 @@ runTool(ToolKind tool, const std::function<void()> &program, int max_iter,
         uint64_t seed_base, double noise_prob, uint64_t step_budget)
 {
     ToolCampaign campaign;
-    int d = toolDelayBound(tool);
 
-    // LockDL accumulates its lock-order graph across executions.
+    // Every tool runs the campaign iteration: the baselines see the
+    // same unperturbed (D = 0) schedule as goat-d0, captured through
+    // the ring like any run, and each classifies it its own way.
+    GoatConfig cfg;
+    cfg.delayBound = std::max(toolDelayBound(tool), 0);
+    cfg.seedBase = seed_base;
+    cfg.noiseProb = noise_prob;
+    cfg.stepBudget = step_budget;
+
+    // LockDL accumulates its lock-order graph across executions and
+    // reads each run's trace after the fact.
     detectors::LockDL lockdl;
 
     for (int iter = 1; iter <= max_iter; ++iter) {
-        uint64_t seed = iterSeed(seed_base, iter);
         campaign.iterationsRun = iter;
+        SingleRun sr = runCampaignIteration(cfg, program, iter, nullptr);
 
-        runtime::SchedConfig cfg;
-        cfg.seed = seed;
-        cfg.noiseProb = noise_prob;
-        cfg.stepBudget = step_budget;
-        perturb::YieldPerturber perturber(d > 0 ? d : 0, seed);
-        if (d > 0)
-            cfg.perturb = perturber.hook();
-
-        runtime::Scheduler sched(cfg);
-        trace::EctRecorder rec;
-        size_t lockdl_warnings_before = lockdl.warnings().size();
-        if (d >= 0) {
-            sched.addSink(&rec); // GoAT traces
-        } else if (tool == ToolKind::LockDL) {
+        bool lockdl_warned = false;
+        if (tool == ToolKind::LockDL) {
+            size_t warnings_before = lockdl.warnings().size();
             lockdl.resetExecutionState();
-            sched.addSink(&lockdl);
+            for (const trace::Event &ev : sr.ect.events())
+                lockdl.onEvent(ev);
+            lockdl_warned = lockdl.warnings().size() > warnings_before;
         }
 
-        runtime::ExecResult exec = sched.run(program);
-
-        DeadlockReport dl;
-        if (d >= 0) {
-            analysis::GoroutineTree tree(rec.ect());
-            dl = analysis::deadlockCheck(tree);
-        }
-        bool lockdl_warned =
-            lockdl.warnings().size() > lockdl_warnings_before;
-
-        ToolVerdict v = classifyRun(tool, exec, dl, lockdl_warned);
+        ToolVerdict v = classifyRun(tool, sr.exec, sr.dl, lockdl_warned);
         if (v.detected) {
             campaign.verdict = v;
             campaign.firstDetectIteration = iter;

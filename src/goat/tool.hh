@@ -77,17 +77,16 @@ ToolVerdict classifyRun(ToolKind tool, const runtime::ExecResult &exec,
  * Run a detection campaign: iterate executions under @p tool until it
  * detects a bug or @p max_iter runs complete.
  *
- * All tools share the same seed schedule, so iteration i of every tool
- * replays the same native nondeterminism; GoAT's D > 0 additionally
- * perturbs it.
+ * Each iteration is runCampaignIteration(iteration i) at the tool's
+ * delay bound (D = 0 for the baselines), classified by classifyRun.
+ * All tools share the campaign seed schedule, so iteration i of every
+ * tool replays the same native nondeterminism; GoAT's D > 0
+ * additionally perturbs it.
  */
 ToolCampaign runTool(ToolKind tool, const std::function<void()> &program,
                      int max_iter, uint64_t seed_base,
                      double noise_prob = 0.02,
                      uint64_t step_budget = 2'000'000);
-
-/** Seed for iteration @p iter (1-based) of a campaign. */
-uint64_t iterSeed(uint64_t base, int iter);
 
 } // namespace goat::engine
 

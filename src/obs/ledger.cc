@@ -59,7 +59,7 @@ appendEntryJson(std::string &out, const LedgerEntry &e)
         appendField(out, "req_total", e.satTotal);
     }
     appendField(out, "wall_us", e.wallMicros);
-    // Worker tags appear only on multi-worker campaign ledgers.
+    // Campaign rows carry worker tags; untagged rows (worker -1) omit them.
     if (e.worker >= 0) {
         appendField(out, "worker", e.worker);
         appendField(out, "wseq", e.workerSeq);

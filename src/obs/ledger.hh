@@ -15,8 +15,8 @@
  *    "verdict":"pass","bug":false,"steps":412,"coverage_pct":63.1,
  *    "wall_us":184,"metrics":{"counters":{...},...}}
  *
- * Multi-worker campaigns (src/campaign, `-jobs=N`) additionally tag
- * every line with the worker that executed the iteration:
+ * Campaigns (src/campaign, any `-jobs=N`) additionally tag every line
+ * with the worker that executed the iteration:
  *
  *   ...,"worker":3,"wseq":17,...
  *
@@ -81,7 +81,7 @@ struct LedgerEntry
     double coveragePct = -1.0;
     /** Host wall-clock cost of the execution + analysis, microseconds. */
     uint64_t wallMicros = 0;
-    /** Campaign worker that ran the iteration (-1 = single-engine). */
+    /** Campaign worker that ran the iteration (-1 = untagged row). */
     int worker = -1;
     /** 1-based iteration sequence within the worker (with worker). */
     int workerSeq = 0;
@@ -165,9 +165,9 @@ std::string ledgerEntryJson(const LedgerEntry &e);
 
 /**
  * Append-only JSONL writer. append() flushes every line as it is
- * written, so an engine ledger is complete up to the last finished
- * iteration even if the run crashes or is killed; appendBatch() writes
- * a campaign's fold batch with one write and one flush.
+ * written, so the file is complete up to the last appended row even if
+ * the process crashes or is killed; appendBatch() writes a campaign's
+ * fold batch with one write and one flush.
  */
 class RunLedger
 {

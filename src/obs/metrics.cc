@@ -263,14 +263,6 @@ Registry::deltaJson()
 }
 
 void
-Registry::markDeltaBaseline()
-{
-    std::lock_guard<std::mutex> guard(mtx_);
-    for (auto &[name, c] : counters_)
-        c.base = c.inst.value();
-}
-
-void
 Registry::absorb(const Snapshot &s)
 {
     for (const auto &[name, v] : s.counters)

@@ -27,7 +27,7 @@
  * renders the same object straight from the live instruments against
  * a per-counter baseline the registry keeps, and moves the baseline
  * forward. A registry therefore has at most one ledger consumer (a
- * campaign worker, an -isolate shard, or GoatEngine::run).
+ * campaign worker or an -isolate shard).
  */
 
 #ifndef GOAT_OBS_METRICS_HH
@@ -188,14 +188,10 @@ class Registry
      * gauge, every histogram" as one JSON object and move the counter
      * baseline forward. Byte-identical to
      * `snapshot().deltaFrom(prev).jsonStr()` with `prev` the snapshot
-     * at the previous call, at markDeltaBaseline(), or at the last
-     * resetAll() (all zero for a fresh registry), but without building
-     * either snapshot.
+     * at the previous call or at the last resetAll() (all zero for a
+     * fresh registry), but without building either snapshot.
      */
     std::string deltaJson();
-
-    /** Move the deltaJson() baseline to the current counter values. */
-    void markDeltaBaseline();
 
     /**
      * Fold a snapshot into this registry's instruments (find-or-create

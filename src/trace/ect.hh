@@ -96,7 +96,9 @@ class TraceSink
 };
 
 /**
- * The standard tracing monitor: appends every event to an Ect.
+ * Sink that appends every event to an Ect. Engine runs capture
+ * through trace::EctRing instead; this is the simple reference the
+ * ring is tested against.
  */
 class EctRecorder : public TraceSink
 {

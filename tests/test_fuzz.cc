@@ -16,6 +16,7 @@
 
 #include "analysis/validate.hh"
 #include "base/rng.hh"
+#include "campaign/campaign.hh"
 #include "chan/chan.hh"
 #include "chan/select.hh"
 #include "goat/engine.hh"
@@ -148,8 +149,7 @@ TEST_P(Fuzz, SurvivesPerturbedCampaign)
     cfg.delayBound = 4;
     cfg.maxIterations = 10;
     cfg.seedBase = seed;
-    engine::GoatEngine eng(cfg);
-    auto result = eng.run(prog);
+    auto result = campaign::runCampaign({.engine = cfg}, prog).merged;
     EXPECT_FALSE(result.bugFound)
         << (result.report.empty() ? "?" : result.report);
 }

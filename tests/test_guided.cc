@@ -85,11 +85,10 @@ TEST(Guided, EngineIntegrationDetectsBug)
     cfg.coverageGuided = true;
     cfg.delayBound = 3;
     cfg.maxIterations = 300;
-    engine::GoatEngine eng(cfg);
     const auto *kernel =
         goker::KernelRegistry::instance().find("moby_28462");
     ASSERT_NE(kernel, nullptr);
-    auto result = eng.run(kernel->fn);
+    auto result = campaign::runCampaign({.engine = cfg}, kernel->fn).merged;
     EXPECT_TRUE(result.bugFound);
     // Guided mode implies coverage collection.
     EXPECT_GE(result.finalCoverage, 0.0);
@@ -103,10 +102,10 @@ TEST(Guided, DeterministicPerSeed)
         cfg.delayBound = 2;
         cfg.maxIterations = 50;
         cfg.seedBase = seed;
-        engine::GoatEngine eng(cfg);
         const auto *k =
             goker::KernelRegistry::instance().find("moby_4951");
-        return eng.run(k->fn).bugIteration;
+        return campaign::runCampaign({.engine = cfg}, k->fn)
+            .merged.bugIteration;
     };
     EXPECT_EQ(run(11), run(11));
 }
@@ -122,8 +121,9 @@ TEST(Guided, NeverWorseAtDetectingTheAblationSubset)
         cfg.coverageGuided = true;
         cfg.delayBound = 3;
         cfg.maxIterations = 500;
-        engine::GoatEngine eng(cfg);
-        EXPECT_TRUE(eng.run(k->fn).bugFound) << name;
+        EXPECT_TRUE(
+            campaign::runCampaign({.engine = cfg}, k->fn).merged.bugFound)
+            << name;
     }
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/validate.hh"
+#include "campaign/campaign.hh"
 #include "chan/chan.hh"
 #include "chan/select.hh"
 #include "chan/time.hh"
@@ -219,11 +220,10 @@ TEST(Integration, KvStoreSurvivesGoatCampaign)
     engine::GoatConfig cfg;
     cfg.delayBound = 3;
     cfg.maxIterations = 30;
-    engine::GoatEngine eng(cfg);
-    auto result = eng.run([] {
+    auto result = campaign::runCampaign({.engine = cfg}, [] {
         std::map<int, int> state;
         kvApp(2, 3, &state);
-    });
+    }).merged;
     EXPECT_FALSE(result.bugFound)
         << (result.report.empty() ? "?" : result.report);
 }
@@ -244,11 +244,10 @@ TEST(Integration, RouterCleanUnderGoatCampaign)
     engine::GoatConfig cfg;
     cfg.delayBound = 2;
     cfg.maxIterations = 25;
-    engine::GoatEngine eng(cfg);
-    auto result = eng.run([] {
+    auto result = campaign::runCampaign({.engine = cfg}, [] {
         int a = 0, t = 0;
         routerApp(4, &a, &t);
-    });
+    }).merged;
     EXPECT_FALSE(result.bugFound)
         << (result.report.empty() ? "?" : result.report);
 }
@@ -274,8 +273,7 @@ TEST(Integration, RouterWithoutDrainLeaksBackend)
     };
     engine::GoatConfig cfg;
     cfg.maxIterations = 10;
-    engine::GoatEngine eng(cfg);
-    auto result = eng.run(buggy);
+    auto result = campaign::runCampaign({.engine = cfg}, buggy).merged;
     EXPECT_TRUE(result.bugFound);
     EXPECT_EQ(result.firstBug.verdict,
               analysis::Verdict::PartialDeadlock);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "base/fmt.hh"
+#include "campaign/campaign.hh"
 #include "chan/chan.hh"
 #include "goat/engine.hh"
 #include "obs/chrome_trace.hh"
@@ -205,9 +206,9 @@ TEST(Metrics, DeltaJsonMatchesSnapshotDeltaOracle)
 {
     // Randomized property: deltaJson() is byte-identical to rendering
     // snapshot().deltaFrom(prev), where prev is the snapshot at the
-    // previous render (or at markDeltaBaseline/resetAll; all zero for
-    // a fresh registry). Names include ones that need JSON escaping,
-    // and instruments keep being registered between renders.
+    // previous render (or at resetAll; all zero for a fresh registry).
+    // Names include ones that need JSON escaping, and instruments keep
+    // being registered between renders.
     const std::vector<std::string> names = {
         "engine.iterations", "sched.dispatches", "q\"uote", "back\\slash",
         "tab\tname", std::string("ctl\x01x"), "z"};
@@ -235,9 +236,6 @@ TEST(Metrics, DeltaJsonMatchesSnapshotDeltaOracle)
               case 5:
                 if (rng() % 8 == 0) {
                     reg.resetAll();
-                    prev = reg.snapshot();
-                } else if (rng() % 8 == 0) {
-                    reg.markDeltaBaseline();
                     prev = reg.snapshot();
                 }
                 break;
@@ -355,8 +353,8 @@ TEST(Ledger, EngineWritesOneLinePerIteration)
     cfg.stopOnBug = false;
     cfg.collectCoverage = true;
     cfg.ledgerPath = path;
-    engine::GoatEngine engine(cfg);
-    engine::GoatResult result = engine.run(leakyProgram);
+    engine::GoatResult result =
+        campaign::runCampaign({.engine = cfg}, leakyProgram).merged;
     EXPECT_TRUE(result.bugFound);
 
     std::vector<std::string> lines = readLines(path);
@@ -556,8 +554,8 @@ TEST(Saturation, JsonlAndHtmlRenderFromCoverageFolds)
     cfg.maxIterations = 3;
     cfg.stopOnBug = false;
     cfg.collectCoverage = true;
-    engine::GoatEngine eng(cfg);
-    engine::GoatResult res = eng.run(leakyProgram);
+    engine::GoatResult res =
+        campaign::runCampaign({.engine = cfg}, leakyProgram).merged;
 
     ASSERT_EQ(res.saturation.samples().size(), 3u);
     std::string jl = res.saturation.jsonlStr();

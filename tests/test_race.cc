@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/happens_before.hh"
+#include "campaign/campaign.hh"
 #include "chan/chan.hh"
 #include "chan/select.hh"
 #include "goat/engine.hh"
@@ -223,14 +224,13 @@ TEST(Race, EngineRaceDetectIntegration)
     engine::GoatConfig cfg;
     cfg.raceDetect = true;
     cfg.maxIterations = 5;
-    engine::GoatEngine eng(cfg);
-    auto result = eng.run([] {
+    auto result = campaign::runCampaign({.engine = cfg}, [] {
         auto v = std::make_shared<gosync::SharedVar<int>>(0);
         go([v] { v->store(1); });
         go([v] { v->store(2); });
         for (int i = 0; i < 4; ++i)
             yield();
-    });
+    }).merged;
     EXPECT_GT(result.raceIteration, 0);
     EXPECT_TRUE(result.firstRaces.any());
     EXPECT_TRUE(result.bugFound);

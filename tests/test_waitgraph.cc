@@ -11,6 +11,7 @@
 #include "analysis/deadlock.hh"
 #include "analysis/report.hh"
 #include "analysis/waitgraph.hh"
+#include "campaign/campaign.hh"
 #include "chan/chan.hh"
 #include "chan/select.hh"
 #include "goker/registry.hh"
@@ -161,8 +162,7 @@ TEST(WaitGraphTest, Listing1MixedCycleInReport)
     engine::GoatConfig cfg;
     cfg.delayBound = 2;
     cfg.maxIterations = 2000;
-    engine::GoatEngine eng(cfg);
-    auto result = eng.run(kernel->fn);
+    auto result = campaign::runCampaign({.engine = cfg}, kernel->fn).merged;
     ASSERT_TRUE(result.bugFound);
     EXPECT_NE(result.report.find("root-cause wait chains"),
               std::string::npos);

@@ -1029,9 +1029,10 @@ CoverageState::mergeFrom(const CoverageState &other)
 }
 
 bool
-CoverageState::restoreBitmap(const std::string &bitmap)
+parseBitmap(const std::string &bitmap, CoverageDelta *out)
 {
     Catalog &cat = Catalog::instance();
+    out->clear();
     size_t pos = 0;
     while (pos < bitmap.size()) {
         size_t eol = bitmap.find('\n', pos);
@@ -1049,11 +1050,18 @@ CoverageState::restoreBitmap(const std::string &bitmap)
         if (!parseKey(cat, line.substr(2), true, &gk, &t))
             return false;
         ReqId id = reqId(cat.group(gk), t);
-        if (line[0] == '1')
-            cover(id);
-        else
-            require(id);
+        (line[0] == '1' ? out->covered : out->required).push_back(id);
     }
+    return true;
+}
+
+bool
+CoverageState::restoreBitmap(const std::string &bitmap)
+{
+    CoverageDelta d;
+    if (!parseBitmap(bitmap, &d))
+        return false;
+    applyDelta(d);
     return true;
 }
 

@@ -27,7 +27,7 @@
  * integer ids (see ReqId); states are bit sets over those ids. Key
  * strings ("<file>:<line> <kind>[/case<i>] <type>", node-level ones
  * prefixed "<nodeKey>|") are rendered only by the report calls
- * (bitmapStr, uncovered, tableStr) and parsed only by restoreBitmap.
+ * (bitmapStr, uncovered, tableStr) and parsed only by parseBitmap.
  *
  * One execution's contribution is computed by a CoverageScratch as a
  * small CoverageDelta — exactly what a fresh state on the static
@@ -165,6 +165,16 @@ struct CoverageDelta
 };
 
 /**
+ * Parse a CoverageState::bitmapStr() serialization into the delta that
+ * restores it: the uncovered requirements in `required`, the covered
+ * ones in `covered`. ReqIds are process-local, so key strings are what
+ * crosses a process boundary (a checkpoint, a shard digest); this turns
+ * them back into ids of this process. Returns false on a malformed line
+ * or requirement key.
+ */
+bool parseBitmap(const std::string &bitmap, CoverageDelta *out);
+
+/**
  * Computes CoverageDeltas on one universe. Owns lookup caches that
  * persist across executions and per-execution flags reset through a
  * touched list, so once warm a delta costs no interning, string
@@ -244,12 +254,12 @@ class CoverageState
 
     /**
      * Union a bitmapStr() serialization into this state (checkpoint
-     * restore; supervised-shard digest fold). Only the requirement
+     * restore): parseBitmap, then applyDelta. Only the requirement
      * universe and covered set are rebuilt — exactly the components
      * every merged-state consumer (percent, counts, bitmapStr,
      * saturation sampling, further mergeFrom folds) reads; the CU
-     * table repopulates as fresh iterations merge in. Returns false
-     * on a malformed line or requirement key.
+     * table repopulates as fresh iterations merge in. Returns false,
+     * changing nothing, on a malformed line or requirement key.
      */
     bool restoreBitmap(const std::string &bitmap);
 

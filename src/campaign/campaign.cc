@@ -70,9 +70,13 @@ verdictFromName(const std::string &name)
     return analysis::Verdict::Pass;
 }
 
+/** Ledger outcomes of the supervised losses (-isolate). */
+constexpr char kCrashed[] = "crashed";
+constexpr char kTimedOut[] = "timeout";
+
 /**
  * Inverse of runtime::runOutcomeName, extended with the supervised
- * outcomes ("crashed" → Crash, "timeout" → StepBudget): frozen and
+ * outcomes (kCrashed → Crash, kTimedOut → StepBudget): frozen and
  * shard-digest rows carry names, not enums.
  */
 RunOutcome
@@ -83,23 +87,20 @@ outcomeFromName(const std::string &name)
         if (name == runtime::runOutcomeName(o))
             return o;
     }
-    if (name == "crashed")
+    if (name == kCrashed)
         return RunOutcome::Crash;
-    if (name == "timeout")
+    if (name == kTimedOut)
         return RunOutcome::StepBudget;
     return RunOutcome::Ok;
 }
 
-/**
- * A supervised shard loss (process crash or watchdog timeout), as
- * opposed to an in-process detection. Loss rows are bug rows but are
- * exempt from -stop-on-bug: the supervisor's whole point is that the
- * campaign continues past them.
- */
+/** The campaign keeps rows: for a ledger, a checkpoint, a resume, or
+ *  -isolate (a shard's first bug is rehydrated from its row). */
 bool
-supervisedLoss(const obs::LedgerEntry &e)
+wantRows(const CampaignConfig &cfg)
 {
-    return e.outcome == "crashed" || e.outcome == "timeout";
+    return !cfg.engine.ledgerPath.empty() || !cfg.checkpointPath.empty() ||
+           !cfg.resumePath.empty() || cfg.isolate;
 }
 
 /** Reconstruct the iteration summary from a frozen/digest row. */
@@ -117,14 +118,14 @@ ioFromRow(const obs::LedgerEntry &e)
 
 /**
  * Everything one worker records about one executed iteration. Records
- * reach the fold through the reorder window and are freed once folded.
- * The trace itself is dropped after analysis (except for the worker's
- * first bug) — only the merge-relevant digest is kept.
+ * reach the fold through the reorder window (or, under -isolate, from
+ * a shard's digest) and are freed once folded. The trace itself is
+ * dropped after analysis (except for the worker's first bug) — only
+ * the merge-relevant digest is kept.
  */
 struct IterRecord
 {
     int iter = 0;
-    uint64_t seed = 0;
     /** Worker that ran it, and the 1-based sequence number there. */
     int worker = 0;
     int wseq = 0;
@@ -132,6 +133,17 @@ struct IterRecord
     analysis::DeadlockReport dl;
     /** dl.buggy() or watchdog; races are folded in canonically. */
     bool coreBug = false;
+    /**
+     * A supervised shard loss (-isolate): kCrashed (the shard died on
+     * this iteration; crashCause names how) or kTimedOut (its watchdog
+     * fired); "" for an iteration that ran to completion. A loss is a
+     * bug exempt from -stop-on-bug: the supervisor's whole point is
+     * that the campaign continues past it.
+     */
+    std::string loss;
+    std::string crashCause;
+    /** The shard's respawns before the loss (-1 = not a loss). */
+    int respawns = -1;
     uint64_t wallMicros = 0;
     /** This iteration's coverage contribution (with -cov). */
     CoverageDelta cov;
@@ -233,9 +245,6 @@ runIteration(Shared &sh, Worker &w, int iter)
 
     const GoatConfig &cfg = sh.cfg.engine;
     const bool measure_cov = cfg.collectCoverage || cfg.coverageGuided;
-    const bool want_ledger = !cfg.ledgerPath.empty() ||
-                             !sh.cfg.checkpointPath.empty() ||
-                             !sh.cfg.resumePath.empty();
 
     // Bind this thread's metrics to the worker's private registry for
     // the iteration (covers the scheduler's per-run flush too).
@@ -252,7 +261,6 @@ runIteration(Shared &sh, Worker &w, int iter)
 
     auto rec = std::make_unique<IterRecord>();
     rec->iter = iter;
-    rec->seed = engine::campaignIterationSeed(cfg.seedBase, iter);
     rec->worker = w.id;
     rec->wseq = ++w.ran;
     rec->exec = sr.exec;
@@ -312,7 +320,8 @@ runIteration(Shared &sh, Worker &w, int iter)
             "campaign: worker %d iter %d/%d seed=%llu outcome=%s "
             "verdict=%s wall_us=%llu",
             w.id, iter, cfg.maxIterations,
-            static_cast<unsigned long long>(rec->seed),
+            static_cast<unsigned long long>(
+                engine::campaignIterationSeed(cfg.seedBase, iter)),
             runtime::runOutcomeName(rec->exec.outcome),
             analysis::verdictName(rec->dl.verdict),
             static_cast<unsigned long long>(rec->wallMicros)));
@@ -320,7 +329,7 @@ runIteration(Shared &sh, Worker &w, int iter)
 
     // Rendered here, once: the row (and its checkpoint block) carries
     // the JSON, not a snapshot.
-    if (want_ledger)
+    if (wantRows(sh.cfg))
         rec->metricsJson = w.registry.deltaJson();
 
     // Draining per iteration resets the sampling phase, so the delta
@@ -550,28 +559,34 @@ constexpr int kInlineIterations = 16;
 constexpr size_t kLedgerBatchRows = 256;
 
 /**
- * The canonical fold's bookkeeping, shared by the threaded and
- * isolated drivers (the heavy material — saturation, iterations, bug
- * state — lives in the GoatResult being built), and the sink of its
- * rows: the checkpoint log's open round, then the ledger.
+ * The canonical fold's bookkeeping (the heavy material — saturation,
+ * iterations, bug state — lives in the result being built), and the
+ * sink of its rows: the checkpoint log's open round, then the ledger.
+ * Every executor hands its records to fold() in iteration order.
  */
 struct FoldState
 {
     const CampaignConfig &cfg;
+    CampaignResult &out;
     CoverageState merged;
     /** Last canonically merged iteration. */
     int cursor = 0;
     /**
      * Iterations executed: restored from the checkpoint plus folded
-     * since (the isolated driver adds its supervisor's count at the
-     * end), so a commit never counts work a resume would redo.
+     * since, so a commit never counts work a resume would redo. The
+     * overshoot run past the cursor is added to
+     * CampaignResult::executedIterations when the campaign ends.
      */
     int executed = 0;
     /** A canonical stop condition was hit. */
     bool stopped = false;
-    int respawns = 0;
-    int crashes = 0;
-    int timeouts = 0;
+    /** Cursor at which the open checkpoint round ends. */
+    int roundEnd = 0;
+    /** Stable keys of the predictions folded so far. */
+    std::set<std::string> seenPred;
+    /** Recipe of every iteration contributing a prediction (the base
+     *  of its confirmation replays). */
+    std::map<int, trace::Recipe> predRecipes;
     /** The -checkpoint log (closed when not checkpointing). */
     CheckpointLog log;
     /** Cursor of the last checkpoint commit (-1 = none this run). */
@@ -588,9 +603,9 @@ struct FoldState
     /** The first bug row (report material without a live capture). */
     obs::LedgerEntry bugRow;
 
-    FoldState(const CampaignConfig &c,
+    FoldState(const CampaignConfig &c, CampaignResult &o,
               const std::shared_ptr<const CoverageUniverse> &u)
-        : cfg(c), merged(u)
+        : cfg(c), out(o), merged(u)
     {
     }
 
@@ -654,10 +669,10 @@ refuseResume(CampaignResult &out, std::string why)
  * set).
  */
 bool
-restoreCheckpoint(const CheckpointData &ck, const CampaignConfig &cfg,
-                  FoldState &fs, engine::GoatResult &result,
-                  CampaignResult &out)
+restoreCheckpoint(const CheckpointData &ck, FoldState &fs)
 {
+    const CampaignConfig &cfg = fs.cfg;
+    engine::GoatResult &result = fs.out.merged;
     const bool measure_cov =
         cfg.engine.collectCoverage || cfg.engine.coverageGuided;
     auto names_row = [&ck](int iter) {
@@ -667,23 +682,23 @@ restoreCheckpoint(const CheckpointData &ck, const CampaignConfig &cfg,
         (ck.bugIteration > 0 &&
          !ck.rows[static_cast<size_t>(ck.bugIteration) - 1].bug))
         return refuseResume(
-            out, strFormat("checkpoint bug_iteration %d is not a bug row "
-                           "of its %d-row prefix",
-                           ck.bugIteration, ck.cursor));
+            fs.out, strFormat("checkpoint bug_iteration %d is not a bug "
+                              "row of its %d-row prefix",
+                              ck.bugIteration, ck.cursor));
     if (!names_row(ck.raceIteration))
         return refuseResume(
-            out, strFormat("checkpoint race_iteration %d is not a row of "
-                           "its %d-row prefix",
-                           ck.raceIteration, ck.cursor));
+            fs.out, strFormat("checkpoint race_iteration %d is not a row "
+                              "of its %d-row prefix",
+                              ck.raceIteration, ck.cursor));
     if (!ck.covBitmap.empty() && !fs.merged.restoreBitmap(ck.covBitmap))
-        return refuseResume(out,
+        return refuseResume(fs.out,
                             "malformed coverage bitmap in checkpoint");
     fs.cursor = ck.cursor;
     fs.executed = ck.executed;
     fs.stopped = ck.stopped;
-    fs.respawns = ck.respawns;
-    fs.crashes = ck.crashes;
-    fs.timeouts = ck.timeouts;
+    fs.out.respawns = ck.respawns;
+    fs.out.crashes = ck.crashes;
+    fs.out.timeouts = ck.timeouts;
     for (const obs::SaturationSample &s : ck.satSamples)
         result.saturation.appendSample(s);
     for (const obs::LedgerEntry &row : ck.rows) {
@@ -701,18 +716,18 @@ restoreCheckpoint(const CheckpointData &ck, const CampaignConfig &cfg,
     }
     if (ck.raceIteration > 0)
         result.raceIteration = ck.raceIteration;
-    out.resumed = true;
-    out.resumeFrom = ck.cursor;
+    fs.out.resumed = true;
+    fs.out.resumeFrom = ck.cursor;
     return true;
 }
 
 /** Record a checkpoint I/O failure (warned once per campaign). */
 void
-checkpointFailed(const CampaignConfig &cfg, CampaignResult &out)
+checkpointFailed(FoldState &fs)
 {
-    if (out.checkpointOk)
-        warn("cannot write checkpoint file " + cfg.checkpointPath);
-    out.checkpointOk = false;
+    if (fs.out.checkpointOk)
+        warn("cannot write checkpoint file " + fs.cfg.checkpointPath);
+    fs.out.checkpointOk = false;
 }
 
 /**
@@ -720,25 +735,270 @@ checkpointFailed(const CampaignConfig &cfg, CampaignResult &out)
  * ledger is written first, so it never lags the last commit.
  */
 void
-writeCheckpoint(const CampaignConfig &cfg, FoldState &fs,
-                const engine::GoatResult &result, CampaignResult &out)
+writeCheckpoint(FoldState &fs)
 {
-    const bool measure_cov =
-        cfg.engine.collectCoverage || cfg.engine.coverageGuided;
+    const GoatConfig &ecfg = fs.cfg.engine;
+    const engine::GoatResult &result = fs.out.merged;
     fs.flushLedger();
     CheckpointData d;
     d.executed = fs.executed;
-    d.respawns = fs.respawns;
-    d.crashes = fs.crashes;
-    d.timeouts = fs.timeouts;
+    d.respawns = fs.out.respawns;
+    d.crashes = fs.out.crashes;
+    d.timeouts = fs.out.timeouts;
     d.bugIteration = result.bugFound ? result.bugIteration : -1;
     d.raceIteration = result.raceIteration;
     d.stopped = fs.stopped;
-    if (measure_cov)
+    if (ecfg.collectCoverage || ecfg.coverageGuided)
         d.covBitmap = fs.merged.bitmapStr();
     if (!fs.log.commit(d, result.saturation.samples()))
-        checkpointFailed(cfg, out);
+        checkpointFailed(fs);
     fs.committed = fs.cursor;
+}
+
+/**
+ * The ledger row fields a record determines on its own. The fold adds
+ * the canonical ones (coverage, the race-aware bug flag, lint stamps);
+ * a shard child ships exactly this row.
+ */
+obs::LedgerEntry
+recordRow(const GoatConfig &cfg, IterRecord &rec)
+{
+    obs::LedgerEntry e;
+    e.iteration = rec.iter;
+    e.seed = engine::campaignIterationSeed(cfg.seedBase, rec.iter);
+    e.delayBound = cfg.delayBound;
+    e.outcome = rec.loss.empty() ? runtime::runOutcomeName(rec.exec.outcome)
+                                 : rec.loss;
+    e.verdict = analysis::verdictName(rec.dl.verdict);
+    e.bug = rec.coreBug;
+    e.steps = rec.exec.steps;
+    e.wallMicros = rec.wallMicros;
+    e.worker = rec.worker;
+    e.workerSeq = rec.wseq;
+    e.crashCause = std::move(rec.crashCause);
+    e.respawns = rec.respawns;
+    if (cfg.profile)
+        e.profileJson = rec.profileDelta.jsonRowStr();
+    if (cfg.predict)
+        e.predicted = static_cast<int>(rec.predictions.predictions.size());
+    e.metricsJson = std::move(rec.metricsJson);
+    return e;
+}
+
+/**
+ * The sequential campaign loop over one record, whichever executor made
+ * it: fold its coverage, apply bug/threshold stop semantics (the fold
+ * stops exactly where -jobs=1 would), emit its row, and commit the
+ * checkpoint round it closes. A commit holds only folded state: it is a
+ * fold point, not a barrier, and the executors run on past it.
+ */
+void
+fold(FoldState &fs, IterRecord &rec)
+{
+    const CampaignConfig &cfg = fs.cfg;
+    const GoatConfig &ecfg = cfg.engine;
+    engine::GoatResult &result = fs.out.merged;
+    const bool measure_cov = ecfg.collectCoverage || ecfg.coverageGuided;
+    const bool want_rows = wantRows(cfg);
+    const int i = rec.iter;
+    fs.cursor = i;
+    ++fs.executed;
+    if (!rec.loss.empty())
+        ++(rec.loss == kTimedOut ? fs.out.timeouts : fs.out.crashes);
+    obs::ProfileScope merge_prof(obs::Stage::Merge);
+
+    IterationOutcome io;
+    if (measure_cov) {
+        fs.merged.applyDelta(rec.cov);
+        io.coveragePct = fs.merged.percent();
+        result.finalCoverage = io.coveragePct;
+        // The saturation sample reads the canonical cumulative
+        // fold, so the series is identical for any worker count.
+        if (ecfg.collectCoverage)
+            result.saturation.sample(i, fs.merged);
+    }
+
+    if (ecfg.profile)
+        result.profile.mergeFrom(rec.profileDelta);
+
+    // A race restored from the checkpoint owns the canonical
+    // first-race slot; fresh captures (necessarily later) never
+    // displace it.
+    const bool first_race = rec.race && result.raceIteration <= 0;
+    if (first_race) {
+        result.firstRaces = std::move(*rec.race);
+        result.raceIteration = i;
+    }
+
+    // Fold this iteration's predictions in iteration order,
+    // keeping the first instance of each stable key — the same
+    // dedup a sequential pass over the traces would perform.
+    if (ecfg.predict) {
+        bool contributed = false;
+        for (const analysis::Prediction &p : rec.predictions.predictions) {
+            if (!fs.seenPred.insert(p.key()).second)
+                continue;
+            analysis::Prediction q = p;
+            q.iteration = i;
+            fs.out.predict.report.predictions.push_back(std::move(q));
+            contributed = true;
+        }
+        if (contributed)
+            fs.predRecipes.emplace(i, std::move(rec.recipe));
+    }
+
+    const bool buggy = rec.coreBug || first_race;
+    if (buggy && !result.bugFound) {
+        result.bugFound = true;
+        result.bugIteration = i;
+        if (rec.bugRun) {
+            SingleRun &sr = *rec.bugRun;
+            result.firstBug = sr.dl;
+            result.firstBugExec = sr.exec;
+            engine::finalizeRecipe(sr);
+            sr.recipe.kernel = cfg.programName;
+            result.firstBugRecipe = sr.recipe;
+            result.report =
+                analysis::deadlockReportStr(sr.ect, *sr.tree, sr.dl);
+            result.firstBugEct = std::move(sr.ect);
+        }
+    }
+
+    if (want_rows) {
+        obs::LedgerEntry e = recordRow(ecfg, rec);
+        e.bug = buggy;
+        e.coveragePct = io.coveragePct;
+        if (ecfg.collectCoverage && io.coveragePct >= 0) {
+            e.satCovered = static_cast<int64_t>(fs.merged.coveredCount());
+            e.satTotal = static_cast<int64_t>(fs.merged.totalRequirements());
+        }
+        if (cfg.lintBridge)
+            e.staticWarnings = static_cast<int>(cfg.lint.size());
+        fs.foldRow(std::move(e));
+    }
+
+    io.exec = rec.exec;
+    io.dl = std::move(rec.dl);
+    io.wallMicros = rec.wallMicros;
+    result.iterations.push_back(std::move(io));
+
+    if ((buggy && ecfg.stopOnBug && rec.loss.empty()) ||
+        (ecfg.collectCoverage && fs.merged.percent() >= ecfg.covThreshold))
+        fs.stopped = true;
+
+    if (!cfg.checkpointPath.empty() && (i == fs.roundEnd || fs.stopped)) {
+        writeCheckpoint(fs);
+        fs.roundEnd = std::min(ecfg.maxIterations,
+                               i + std::max(1, cfg.checkpointEvery));
+    }
+}
+
+/**
+ * Turn a shard event into the record the fold takes: a loss record for
+ * a Crash or Timeout, the decoded digest for a Result (nullptr, with a
+ * warning, when it does not decode).
+ */
+std::unique_ptr<IterRecord>
+shardRecord(ShardEvent &ev)
+{
+    auto rec = std::make_unique<IterRecord>();
+    rec->iter = ev.iteration;
+    rec->worker = ev.shard;
+    rec->wseq = ev.wseq;
+    if (ev.kind != ShardEvent::Kind::Result) {
+        const bool timeout = ev.kind == ShardEvent::Kind::Timeout;
+        rec->loss = timeout ? kTimedOut : kCrashed;
+        rec->exec.outcome = outcomeFromName(rec->loss);
+        rec->dl.verdict = timeout ? analysis::Verdict::Timeout
+                                  : analysis::Verdict::Crash;
+        rec->coreBug = true;
+        if (!timeout)
+            rec->crashCause = std::move(ev.cause);
+        rec->respawns = ev.respawns;
+        return rec;
+    }
+    ShardDigest d;
+    if (!digestFromString(ev.body, &d) || d.row.iteration != ev.iteration ||
+        !analysis::parseBitmap(d.covBitmap, &rec->cov)) {
+        warn(strFormat("shard %d sent a malformed digest for iteration %d",
+                       ev.shard, ev.iteration));
+        return nullptr;
+    }
+    rec->exec.outcome = outcomeFromName(d.row.outcome);
+    rec->exec.steps = d.row.steps;
+    rec->dl.verdict = verdictFromName(d.row.verdict);
+    rec->coreBug = d.row.bug;
+    rec->wallMicros = d.row.wallMicros;
+    rec->metricsJson = std::move(d.row.metricsJson);
+    return rec;
+}
+
+/**
+ * The forked-shard executor (-isolate): the supervisor forks the shards,
+ * and each child runs runIteration on a Worker of its own, made after
+ * the fork on the parent's universe, and ships the record's row and
+ * coverage as a ShardDigest. This thread turns every result and loss
+ * back into a record and folds the contiguous prefix in iteration
+ * order. Returns the number of iterations the shards resolved.
+ */
+int
+runShards(Shared &sh, FoldState &fs,
+          const std::shared_ptr<const CoverageUniverse> &universe)
+{
+    const GoatConfig &ecfg = sh.cfg.engine;
+    const bool measure_cov = ecfg.collectCoverage || ecfg.coverageGuided;
+    obs::ProgressCounters *progress = sh.cfg.progress;
+
+    std::unique_ptr<Worker> child; // made in each forked child
+    auto body = [&](int iter, int shard, int wseq) {
+        if (!child)
+            child = std::make_unique<Worker>(shard, universe);
+        std::unique_ptr<IterRecord> rec = runIteration(sh, *child, iter);
+        if (!rec)
+            return std::string();
+        rec->wseq = wseq;
+        ShardDigest d;
+        d.row = recordRow(ecfg, *rec);
+        if (measure_cov) {
+            CoverageState cov(universe);
+            cov.applyDelta(rec->cov);
+            d.covBitmap = cov.bitmapStr();
+        }
+        return digestToString(d);
+    };
+
+    // Records arrive in shard-completion order; the fold takes the
+    // contiguous iteration prefix.
+    std::map<int, std::unique_ptr<IterRecord>> pending;
+    int resolved = 0;
+    auto on_event = [&](ShardEvent &&ev) {
+        if (ev.kind == ShardEvent::Kind::Respawn) {
+            ++fs.out.respawns;
+            if (progress)
+                progress->respawns.fetch_add(1, std::memory_order_relaxed);
+            return;
+        }
+        ++resolved;
+        std::unique_ptr<IterRecord> rec = shardRecord(ev);
+        if (!rec)
+            return;
+        // The child's progress counters are its own copy.
+        if (progress)
+            progress->noteIteration(static_cast<size_t>(rec->dl.verdict),
+                                    rec->coreBug);
+        pending.emplace(rec->iter, std::move(rec));
+        for (auto it = pending.begin(); !fs.stopped && it != pending.end() &&
+                                        it->first == fs.cursor + 1;
+             it = pending.erase(it))
+            fold(fs, *it->second);
+        if (progress && measure_cov)
+            progress->noteCoveragePermille(
+                static_cast<uint64_t>(fs.merged.percent() * 10.0));
+        fs.flushLedger();
+    };
+    superviseCampaign(sh.cfg, fs.cursor + 1, body, on_event,
+                      [&] { return fs.stopped; });
+    return resolved;
 }
 
 /**
@@ -756,7 +1016,7 @@ materializeFirstBug(const CampaignConfig &cfg,
                     const obs::LedgerEntry &row,
                     engine::GoatResult &result)
 {
-    if (supervisedLoss(row)) {
+    if (row.outcome == kCrashed || row.outcome == kTimedOut) {
         trace::Recipe r;
         r.kernel = cfg.programName;
         r.seed = row.seed;
@@ -793,21 +1053,20 @@ materializeFirstBug(const CampaignConfig &cfg,
 }
 
 /**
- * The merge epilogue shared by both drivers: recipe recording and
- * minimization, prediction confirmation (threaded only; @p pred_recipes
- * maps each source iteration to its recipe), the lint cross-check, the
- * stamps and ledger lines of the held rows, and campaign-level metrics.
+ * The merge epilogue: recipe recording and minimization, prediction
+ * confirmation, the lint cross-check, the stamps and ledger lines of
+ * the held rows, and campaign-level metrics (folding in the registries
+ * of the in-process @p workers).
  */
 void
-finalizeCampaign(const CampaignConfig &cfg,
-                 const std::function<void()> &program,
-                 CampaignResult &out, FoldState &fs,
-                 std::map<int, trace::Recipe> *pred_recipes,
-                 std::vector<std::unique_ptr<Worker>> *workers,
+finalizeCampaign(FoldState &fs, const std::function<void()> &program,
+                 const std::vector<std::unique_ptr<Worker>> &workers,
                  std::chrono::steady_clock::time_point campaign_t0)
 {
     using std::chrono::steady_clock;
+    const CampaignConfig &cfg = fs.cfg;
     const GoatConfig &ecfg = cfg.engine;
+    CampaignResult &out = fs.out;
     engine::GoatResult &result = out.merged;
 
     // Repro-recipe capture: the canonical first bug's decision stream
@@ -848,7 +1107,7 @@ finalizeCampaign(const CampaignConfig &cfg,
     // source iteration whose recipe seeds the synthesized schedules.
     // The fold appended predictions in ascending iteration order, so
     // each group is a contiguous span.
-    if (ecfg.predict && pred_recipes) {
+    if (ecfg.predict) {
         auto &preds = out.predict.report.predictions;
         out.predict.confirmRecipes.assign(preds.size(),
                                           trace::Recipe());
@@ -863,7 +1122,7 @@ finalizeCampaign(const CampaignConfig &cfg,
                                        static_cast<ptrdiff_t>(idx),
                                    preds.begin() +
                                        static_cast<ptrdiff_t>(end));
-            trace::Recipe base = std::move(pred_recipes->at(src));
+            trace::Recipe base = std::move(fs.predRecipes.at(src));
             base.kernel = cfg.programName;
             engine::PredictOutcome po = engine::confirmPredictions(
                 program, base, std::move(sub));
@@ -932,15 +1191,14 @@ finalizeCampaign(const CampaignConfig &cfg,
     }
 
     // Fold the private registries of the workers that exist (one
-    // unless the campaign fanned out) into one snapshot and absorb
-    // them into the campaign-level registry, plus campaign bookkeeping.
+    // unless the campaign fanned out; none under -isolate, whose rows
+    // carry the shards' metrics) into one snapshot and absorb them into
+    // the campaign-level registry, plus campaign bookkeeping.
     obs::Registry &parent = obs::Registry::current();
-    if (workers) {
-        for (const auto &w : *workers) {
-            obs::Snapshot s = w->registry.snapshot();
-            out.workerMetrics.mergeFrom(s);
-            parent.absorb(s);
-        }
+    for (const auto &w : workers) {
+        obs::Snapshot s = w->registry.snapshot();
+        out.workerMetrics.mergeFrom(s);
+        parent.absorb(s);
     }
     parent.counter("engine.campaigns").inc();
     parent.counter("campaign.runs").inc();
@@ -950,7 +1208,7 @@ finalizeCampaign(const CampaignConfig &cfg,
         .inc(static_cast<uint64_t>(out.discardedIterations));
     parent.gauge("campaign.workers").setMax(out.jobs);
     parent.counter("campaign.fanouts").inc(out.window > 0 ? 1 : 0);
-    if (ecfg.predict && pred_recipes) {
+    if (ecfg.predict) {
         parent.counter("campaign.predictions")
             .inc(static_cast<uint64_t>(
                 out.predict.report.predictions.size()));
@@ -983,12 +1241,13 @@ finalizeCampaign(const CampaignConfig &cfg,
 
 /** Open the -ledger file, if any (ledger lines append across runs). */
 void
-openLedger(const CampaignConfig &cfg, FoldState &fs, CampaignResult &out)
+openLedger(FoldState &fs)
 {
-    if (cfg.engine.ledgerPath.empty())
+    const std::string &path = fs.cfg.engine.ledgerPath;
+    if (path.empty())
         return;
-    fs.ledger = std::make_unique<obs::RunLedger>(cfg.engine.ledgerPath);
-    out.ledgerOk = fs.ledger->ok();
+    fs.ledger = std::make_unique<obs::RunLedger>(path);
+    fs.out.ledgerOk = fs.ledger->ok();
 }
 
 /**
@@ -998,59 +1257,57 @@ openLedger(const CampaignConfig &cfg, FoldState &fs, CampaignResult &out)
  * (out.resumeError says why).
  */
 bool
-beginFold(const CampaignConfig &cfg, FoldState &fs,
-          engine::GoatResult &result, CampaignResult &out)
+beginFold(FoldState &fs)
 {
+    const CampaignConfig &cfg = fs.cfg;
     const bool checkpointing = !cfg.checkpointPath.empty();
     if (cfg.resumePath.empty()) {
         if (checkpointing &&
             !fs.log.create(cfg.checkpointPath, configFingerprint(cfg)))
-            checkpointFailed(cfg, out);
-        openLedger(cfg, fs, out);
+            checkpointFailed(fs);
+        openLedger(fs);
         return true;
     }
     CheckpointData ck;
     std::string err;
     if (!readCheckpointFile(cfg.resumePath, &ck, &err))
-        return refuseResume(out, err);
+        return refuseResume(fs.out, err);
     if (ck.fingerprint != configFingerprint(cfg))
-        return refuseResume(out, "checkpoint fingerprint mismatch: " +
-                                     ck.fingerprint + " vs " +
-                                     configFingerprint(cfg));
-    if (!restoreCheckpoint(ck, cfg, fs, result, out))
+        return refuseResume(fs.out, "checkpoint fingerprint mismatch: " +
+                                        ck.fingerprint + " vs " +
+                                        configFingerprint(cfg));
+    if (!restoreCheckpoint(ck, fs))
         return false;
     if (checkpointing &&
         !fs.log.resume(cfg.checkpointPath, cfg.resumePath, ck, ck.rows,
-                       result.saturation.samples()))
-        checkpointFailed(cfg, out);
-    openLedger(cfg, fs, out);
+                       fs.out.merged.saturation.samples()))
+        checkpointFailed(fs);
+    openLedger(fs);
     for (obs::LedgerEntry &row : ck.rows)
         fs.emitRow(std::move(row));
     return true;
 }
 
+} // namespace
+
 /**
- * In-process campaign. The first kInlineIterations iterations (every one
- * at -jobs=1) run on this thread, each folded as soon as it is made. A
- * campaign still running after them fans out: its workers run on their
- * own threads and claim iterations through a reorder window, and this
- * thread folds their records in iteration order while they run. The
- * fold is the same either way: coverage, stop semantics, ledger rows,
- * and a checkpoint round whenever the cursor crosses a round boundary.
+ * The one campaign driver: set the fold up, run the iterations on one
+ * executor, and finish. In process, the first kInlineIterations
+ * iterations (every one at -jobs=1) run on this thread, each folded as
+ * soon as it is made, and a campaign still running after them fans out
+ * to worker threads. Under -isolate, forked shards run every iteration
+ * instead. The fold is the same either way: coverage, stop semantics,
+ * ledger rows, and a checkpoint round whenever the cursor reaches a
+ * round's end.
  */
 CampaignResult
-runThreadedCampaign(const CampaignConfig &cfg,
-                    const std::function<void()> &program)
+runCampaign(const CampaignConfig &cfg, const std::function<void()> &program)
 {
     using std::chrono::steady_clock;
     auto campaign_t0 = steady_clock::now();
 
     const GoatConfig &ecfg = cfg.engine;
     const int budget = ecfg.maxIterations;
-    const bool measure_cov = ecfg.collectCoverage || ecfg.coverageGuided;
-    const bool checkpointing = !cfg.checkpointPath.empty();
-    const bool want_rows = !ecfg.ledgerPath.empty() || checkpointing ||
-                           !cfg.resumePath.empty();
     int jobs = cfg.jobs < 1 ? 1 : cfg.jobs;
     if (jobs > budget)
         jobs = budget < 1 ? 1 : budget;
@@ -1062,21 +1319,14 @@ runThreadedCampaign(const CampaignConfig &cfg,
     // merged state and every worker.
     const auto universe =
         std::make_shared<const CoverageUniverse>(ecfg.staticModel);
-    FoldState fs(cfg, universe);
-    if (!beginFold(cfg, fs, result, out))
+    FoldState fs(cfg, out, universe);
+    if (!beginFold(fs))
         return out;
     const int restored_executed = fs.executed;
-
-    Shared sh(cfg, program);
-    // Worker 0 runs the inline prefix; the others are made only if the
-    // campaign fans out.
-    std::vector<std::unique_ptr<Worker>> workers;
-    workers.push_back(std::make_unique<Worker>(0, universe));
-
-    std::set<std::string> seen_pred;
-    // Recipe of every iteration contributing a prediction (the base of
-    // its confirmation replays).
-    std::map<int, trace::Recipe> pred_recipes;
+    // Checkpoint rounds end every checkpointEvery iterations past the
+    // restored cursor.
+    fs.roundEnd =
+        std::min(budget, fs.cursor + std::max(1, cfg.checkpointEvery));
 
     // The merge stage is profiled on the campaign thread: one scope
     // per canonically merged iteration, so its entry total is as
@@ -1087,147 +1337,38 @@ runThreadedCampaign(const CampaignConfig &cfg,
         merge_prof_scope =
             std::make_unique<obs::ScopedProfiler>(merge_profiler);
 
-    // Checkpoint rounds end every checkpointEvery iterations past the
-    // restored cursor.
-    const int every = std::max(1, cfg.checkpointEvery);
-    int round_end = std::min(budget, fs.cursor + every);
-
-    // Run the sequential campaign loop over one record: fold its
-    // coverage, apply bug/threshold stop semantics (the fold stops
-    // exactly where -jobs=1 would), and emit its row.
-    auto foldMerge = [&](IterRecord &rec) {
-        const int i = rec.iter;
-        fs.cursor = i;
-        ++fs.executed;
-        obs::ProfileScope merge_prof(obs::Stage::Merge);
-
-        IterationOutcome io;
-        io.exec = rec.exec;
-        io.dl = std::move(rec.dl);
-        io.wallMicros = rec.wallMicros;
-
-        if (measure_cov) {
-            fs.merged.applyDelta(rec.cov);
-            io.coveragePct = fs.merged.percent();
-            result.finalCoverage = io.coveragePct;
-            // The saturation sample reads the canonical cumulative
-            // fold, so the series is identical for any worker count.
-            if (ecfg.collectCoverage)
-                result.saturation.sample(i, fs.merged);
-        }
-
-        if (ecfg.profile)
-            result.profile.mergeFrom(rec.profileDelta);
-
-        // A race restored from the checkpoint owns the canonical
-        // first-race slot; fresh captures (necessarily later) never
-        // displace it.
-        const bool first_race = rec.race && result.raceIteration <= 0;
-        if (first_race) {
-            result.firstRaces = std::move(*rec.race);
-            result.raceIteration = i;
-        }
-
-        // Fold this iteration's predictions in iteration order,
-        // keeping the first instance of each stable key — the same
-        // dedup a sequential pass over the traces would perform.
-        if (ecfg.predict) {
-            bool contributed = false;
-            for (const analysis::Prediction &p :
-                 rec.predictions.predictions) {
-                if (!seen_pred.insert(p.key()).second)
-                    continue;
-                analysis::Prediction q = p;
-                q.iteration = i;
-                out.predict.report.predictions.push_back(std::move(q));
-                contributed = true;
-            }
-            if (contributed)
-                pred_recipes.emplace(i, std::move(rec.recipe));
-        }
-
-        const bool buggy = rec.coreBug || first_race;
-        if (buggy && !result.bugFound) {
-            result.bugFound = true;
-            result.bugIteration = i;
-            if (rec.bugRun) {
-                SingleRun &sr = *rec.bugRun;
-                result.firstBug = sr.dl;
-                result.firstBugExec = sr.exec;
-                engine::finalizeRecipe(sr);
-                sr.recipe.kernel = cfg.programName;
-                result.firstBugRecipe = sr.recipe;
-                result.report =
-                    analysis::deadlockReportStr(sr.ect, *sr.tree, sr.dl);
-                result.firstBugEct = std::move(sr.ect);
-            }
-        }
-
-        if (want_rows) {
-            obs::LedgerEntry e;
-            e.iteration = i;
-            e.seed = rec.seed;
-            e.delayBound = ecfg.delayBound;
-            e.outcome = runtime::runOutcomeName(io.exec.outcome);
-            e.verdict = analysis::verdictName(io.dl.verdict);
-            e.bug = buggy;
-            e.steps = io.exec.steps;
-            e.coveragePct = io.coveragePct;
-            if (ecfg.collectCoverage && io.coveragePct >= 0) {
-                e.satCovered =
-                    static_cast<int64_t>(fs.merged.coveredCount());
-                e.satTotal =
-                    static_cast<int64_t>(fs.merged.totalRequirements());
-            }
-            e.wallMicros = rec.wallMicros;
-            e.worker = rec.worker;
-            e.workerSeq = rec.wseq;
-            if (cfg.lintBridge)
-                e.staticWarnings = static_cast<int>(cfg.lint.size());
-            if (ecfg.profile)
-                e.profileJson = rec.profileDelta.jsonRowStr();
-            if (ecfg.predict)
-                e.predicted =
-                    static_cast<int>(rec.predictions.predictions.size());
-            e.metricsJson = std::move(rec.metricsJson);
-            fs.foldRow(std::move(e));
-        }
-
-        result.iterations.push_back(std::move(io));
-
-        if ((buggy && ecfg.stopOnBug) ||
-            (ecfg.collectCoverage &&
-             fs.merged.percent() >= ecfg.covThreshold))
-            fs.stopped = true;
-    };
-    // A commit holds only folded state: it is a fold point, not a
-    // barrier, and the workers run on past it.
-    auto fold = [&](IterRecord &rec) {
-        foldMerge(rec);
-        if (checkpointing && (fs.cursor == round_end || fs.stopped)) {
-            writeCheckpoint(cfg, fs, result, out);
-            round_end = std::min(budget, fs.cursor + every);
-        }
-    };
-
+    Shared sh(cfg, program);
+    // In-process workers: worker 0 runs the inline prefix; the others
+    // are made only if the campaign fans out.
+    std::vector<std::unique_ptr<Worker>> workers;
+    int shard_resolved = 0;
     auto running = [&] {
         return !fs.stopped && fs.cursor < budget && !interruptRequested();
     };
     const bool ran = running();
-    // The inline prefix: this thread runs each iteration on worker 0
-    // and folds it at once. Most stop-on-bug campaigns end here; at
-    // -jobs=1 it is the whole campaign.
-    const int inline_end =
-        jobs == 1 ? budget : std::min(budget, fs.cursor + kInlineIterations);
-    while (running() && fs.cursor < inline_end) {
-        std::unique_ptr<IterRecord> rec =
-            runIteration(sh, *workers[0], fs.cursor + 1);
-        if (!rec)
-            break; // cut short mid-run: drop the partial record
-        fold(*rec);
+    if (cfg.isolate) {
+        // Forked shards run every iteration: no prefix, and the
+        // campaign starts no thread before a fork.
+        if (ran)
+            shard_resolved = runShards(sh, fs, universe);
+    } else {
+        workers.push_back(std::make_unique<Worker>(0, universe));
+        // The inline prefix: most stop-on-bug campaigns end here; at
+        // -jobs=1 it is the whole campaign.
+        const int inline_end =
+            jobs == 1 ? budget
+                      : std::min(budget, fs.cursor + kInlineIterations);
+        while (running() && fs.cursor < inline_end) {
+            std::unique_ptr<IterRecord> rec =
+                runIteration(sh, *workers[0], fs.cursor + 1);
+            if (!rec)
+                break; // cut short mid-run: drop the partial record
+            fold(fs, *rec);
+        }
     }
-    // Fan out what is left to worker threads.
-    if (running()) {
+    // Fan out what is left to worker threads, while this thread folds
+    // their records in iteration order.
+    if (running() && !cfg.isolate) {
         for (int i = 1; i < jobs; ++i)
             workers.push_back(std::make_unique<Worker>(i, universe));
         Window win(kWindowPerJob * jobs, fs.cursor, jobs);
@@ -1247,7 +1388,7 @@ runThreadedCampaign(const CampaignConfig &cfg,
                 std::unique_ptr<IterRecord> rec = win.take(fs.cursor + 1);
                 if (!rec)
                     break;
-                fold(*rec);
+                fold(fs, *rec);
                 win.advance(fs.cursor);
             }
             if (fs.stopped || fs.cursor >= budget || drained)
@@ -1271,8 +1412,8 @@ runThreadedCampaign(const CampaignConfig &cfg,
     }
     // The last round: cut short by a stop or an interrupt, or
     // interrupted before its first record.
-    if (checkpointing && ran && fs.committed != fs.cursor)
-        writeCheckpoint(cfg, fs, result, out);
+    if (!cfg.checkpointPath.empty() && ran && fs.committed != fs.cursor)
+        writeCheckpoint(fs);
 
     if (interruptRequested()) {
         out.interrupted = true;
@@ -1292,19 +1433,16 @@ runThreadedCampaign(const CampaignConfig &cfg,
     }
 
     out.cutoffIteration = fs.cursor;
-    out.executedIterations = restored_executed;
+    out.executedIterations = restored_executed + shard_resolved;
     for (const auto &w : workers)
         out.executedIterations += w->ran;
     out.discardedIterations =
         out.executedIterations - static_cast<int>(result.iterations.size());
-    out.respawns = fs.respawns;
-    out.crashes = fs.crashes;
-    out.timeouts = fs.timeouts;
     out.coverage = std::move(fs.merged);
 
-    // Bug/race material restored from a checkpoint has no live
-    // capture; rehydrate it from the pure (config, iteration) function
-    // before the finalize stages consume it.
+    // Bug/race material restored from a checkpoint or shipped by a
+    // shard has no live capture; rehydrate it from the pure (config,
+    // iteration) function before the finalize stages consume it.
     if (result.bugFound && result.report.empty() &&
         fs.bugRow.iteration == result.bugIteration)
         materializeFirstBug(cfg, program, fs.bugRow, result);
@@ -1315,158 +1453,8 @@ runThreadedCampaign(const CampaignConfig &cfg,
         result.firstRaces = analysis::detectRaces(sr.ect);
     }
 
-    finalizeCampaign(cfg, program, out, fs, &pred_recipes, &workers,
-                     campaign_t0);
+    finalizeCampaign(fs, program, workers, campaign_t0);
     return out;
-}
-
-/**
- * Isolated driver (-isolate): shards in forked children under the
- * supervisor; the parent folds shard digests in canonical iteration
- * order, so crashes and timeouts become classified ledger rows instead
- * of a dead campaign.
- */
-CampaignResult
-runIsolatedCampaign(const CampaignConfig &cfg,
-                    const std::function<void()> &program)
-{
-    using std::chrono::steady_clock;
-    auto campaign_t0 = steady_clock::now();
-
-    const GoatConfig &ecfg = cfg.engine;
-    const bool measure_cov = ecfg.collectCoverage || ecfg.coverageGuided;
-    const bool checkpointing = !cfg.checkpointPath.empty();
-    int jobs = cfg.jobs < 1 ? 1 : cfg.jobs;
-    if (jobs > ecfg.maxIterations)
-        jobs = ecfg.maxIterations < 1 ? 1 : ecfg.maxIterations;
-
-    CampaignResult out;
-    out.jobs = jobs;
-    engine::GoatResult &result = out.merged;
-    FoldState fs(cfg,
-                 std::make_shared<const CoverageUniverse>(ecfg.staticModel));
-    if (!beginFold(cfg, fs, result, out))
-        return out;
-
-    // Digests arrive in shard-completion order; buffer and fold the
-    // contiguous iteration prefix so every canonical consumer
-    // (coverage, saturation, stop semantics) sees sequential order.
-    std::map<int, ShardDigest> pending;
-    int last_ckpt = fs.cursor;
-
-    auto foldDigest = [&](ShardDigest &&d) {
-        obs::LedgerEntry row = std::move(d.row);
-        const int i = row.iteration;
-        fs.cursor = i;
-        if (cfg.lintBridge)
-            row.staticWarnings = static_cast<int>(cfg.lint.size());
-
-        IterationOutcome io = ioFromRow(row);
-        if (measure_cov) {
-            if (!d.covBitmap.empty() &&
-                !fs.merged.restoreBitmap(d.covBitmap))
-                warn(strFormat("iteration %d: malformed coverage bitmap "
-                               "in shard digest",
-                               i));
-            // Loss rows carry no bitmap; they inherit the cumulative
-            // state so the covered/req_total series stays monotone.
-            io.coveragePct = fs.merged.percent();
-            row.coveragePct = io.coveragePct;
-            result.finalCoverage = io.coveragePct;
-            if (ecfg.collectCoverage) {
-                row.satCovered =
-                    static_cast<int64_t>(fs.merged.coveredCount());
-                row.satTotal = static_cast<int64_t>(
-                    fs.merged.totalRequirements());
-                result.saturation.sample(i, fs.merged);
-            }
-        }
-
-        const bool buggy = row.bug;
-        if (buggy && !result.bugFound) {
-            result.bugFound = true;
-            result.bugIteration = i;
-        }
-        if (cfg.progress) {
-            cfg.progress->noteIteration(
-                static_cast<size_t>(verdictFromName(row.verdict)),
-                buggy);
-            if (measure_cov)
-                cfg.progress->noteCoveragePermille(static_cast<uint64_t>(
-                    fs.merged.percent() * 10.0));
-        }
-
-        const bool loss = supervisedLoss(row);
-        result.iterations.push_back(std::move(io));
-        fs.foldRow(std::move(row));
-
-        if (buggy && ecfg.stopOnBug && !loss)
-            fs.stopped = true;
-        else if (ecfg.collectCoverage &&
-                 fs.merged.percent() >= ecfg.covThreshold)
-            fs.stopped = true;
-    };
-
-    auto onEvent = [&](ShardEvent &&ev) {
-        pending.emplace(ev.iteration, std::move(ev.digest));
-        while (!fs.stopped) {
-            auto it = pending.find(fs.cursor + 1);
-            if (it == pending.end())
-                break;
-            ShardDigest d = std::move(it->second);
-            pending.erase(it);
-            foldDigest(std::move(d));
-        }
-        if (checkpointing &&
-            (fs.cursor - last_ckpt >= std::max(1, cfg.checkpointEvery) ||
-             fs.stopped)) {
-            writeCheckpoint(cfg, fs, result, out);
-            last_ckpt = fs.cursor;
-        }
-        fs.flushLedger();
-    };
-
-    SuperviseOutcome so;
-    if (!fs.stopped && fs.cursor < ecfg.maxIterations)
-        so = superviseCampaign(cfg, program, fs.cursor + 1, onEvent,
-                               [&] { return fs.stopped; });
-    fs.executed += so.executed;
-    fs.respawns += so.respawns;
-    fs.crashes += so.crashes;
-    fs.timeouts += so.timeouts;
-
-    if (so.interrupted || interruptRequested()) {
-        out.interrupted = true;
-        out.interruptSig = interruptSignal();
-    }
-    if (checkpointing && fs.cursor != last_ckpt)
-        writeCheckpoint(cfg, fs, result, out);
-
-    out.cutoffIteration = fs.cursor;
-    out.executedIterations = fs.executed;
-    out.discardedIterations =
-        fs.executed - static_cast<int>(result.iterations.size());
-    out.respawns = fs.respawns;
-    out.crashes = fs.crashes;
-    out.timeouts = fs.timeouts;
-    out.coverage = std::move(fs.merged);
-
-    if (result.bugFound && fs.bugRow.iteration == result.bugIteration)
-        materializeFirstBug(cfg, program, fs.bugRow, result);
-
-    finalizeCampaign(cfg, program, out, fs, nullptr, nullptr, campaign_t0);
-    return out;
-}
-
-} // namespace
-
-CampaignResult
-runCampaign(const CampaignConfig &cfg,
-            const std::function<void()> &program)
-{
-    if (cfg.isolate)
-        return runIsolatedCampaign(cfg, program);
-    return runThreadedCampaign(cfg, program);
 }
 
 } // namespace goat::campaign

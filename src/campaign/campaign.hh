@@ -10,17 +10,22 @@
  * by running iterations concurrently while keeping the runtime itself
  * single-threaded: each worker owns a private Scheduler/engine stack
  * and a private obs::Registry (installed thread-locally via
- * ScopedRegistry). A campaign first runs up to 16 iterations inline on
- * the calling thread, folding each one at once; most stop-on-bug
- * campaigns end there, and at -jobs=1 the prefix is the whole budget.
- * Only a campaign still running after it fans out, and only then are
- * its other workers made and their threads spawned. The fanned-out
- * campaign is a pipeline: workers claim iterations from an atomic
- * counter and hand their records to the campaign thread through a
- * bounded reorder window, and the campaign thread folds them in
- * iteration order while the workers run, streaming ledger rows and
- * checkpoint rounds as it goes (docs/INTERNALS.md §8).
- * An atomic stop watermark carries the early-stop broadcast.
+ * ScopedRegistry). One driver folds every iteration's record in
+ * iteration order, streaming ledger rows and checkpoint rounds as it
+ * goes (docs/INTERNALS.md §8); three executors make the records:
+ *
+ *  - the inline prefix: up to 16 iterations run on the calling thread,
+ *    each folded at once; most stop-on-bug campaigns end there, and at
+ *    -jobs=1 the prefix is the whole budget;
+ *  - threads: a campaign still running after it fans out — only then
+ *    are its other workers made — and the workers claim iterations
+ *    from an atomic counter and hand their records to the campaign
+ *    thread through a bounded reorder window, an atomic stop watermark
+ *    carrying the early-stop broadcast;
+ *  - forked shards (-isolate, replacing the other two): each child
+ *    runs the same iteration code and ships its record's row and
+ *    coverage over a pipe (supervisor.hh), and the campaign thread
+ *    turns results, crashes and timeouts into records for the fold.
  *
  * Determinism contract: a campaign's merged result is a pure function
  * of the configuration (notably -seed) and *independent of the worker
@@ -225,11 +230,13 @@ struct CampaignResult
 
     // ---- Fault tolerance
 
-    /** Shard respawns performed by the supervisor (with isolate). */
+    /** Shard respawns performed by the supervisor (with isolate),
+     *  counted as they happen. */
     int respawns = 0;
-    /** Iterations recorded as supervised crashes (with isolate). */
+    /** Supervised crash rows folded (with isolate): a loss past the
+     *  canonical stop is not counted. */
     int crashes = 0;
-    /** Iterations recorded as watchdog timeouts (with isolate). */
+    /** Watchdog timeout rows folded (with isolate). */
     int timeouts = 0;
     /**
      * The campaign was cut short by SIGINT/SIGTERM: workers flushed

@@ -74,6 +74,157 @@ appendNumLine(std::string &out, const char *key, T v)
     out += '\n';
 }
 
+/** Append a cov_begin/cov_end block ("" bitmap = nothing). */
+void
+appendCovBlock(std::string &out, const std::string &bitmap)
+{
+    if (bitmap.empty())
+        return;
+    out += "cov_begin\n";
+    out += bitmap;
+    if (bitmap.back() != '\n')
+        out += '\n';
+    out += "cov_end\n";
+}
+
+/** Split @p text into lines (trailing newlines stripped). */
+std::vector<std::string>
+splitLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    size_t pos = 0;
+    while (pos < text.size()) {
+        size_t nl = text.find('\n', pos);
+        if (nl == std::string::npos) {
+            lines.push_back(text.substr(pos));
+            break;
+        }
+        lines.push_back(text.substr(pos, nl - pos));
+        pos = nl + 1;
+    }
+    return lines;
+}
+
+/**
+ * Read the cov block whose "cov_begin" line is lines[*idx] into
+ * @p bitmap; *idx is advanced past "cov_end".
+ * @retval false when the block is unterminated.
+ */
+bool
+parseCovLines(const std::vector<std::string> &lines, size_t *idx,
+              std::string *bitmap)
+{
+    bitmap->clear();
+    size_t i = *idx + 1;
+    for (; i < lines.size() && lines[i] != "cov_end"; ++i) {
+        *bitmap += lines[i];
+        *bitmap += '\n';
+    }
+    *idx = i + 1;
+    return i < lines.size();
+}
+
+/** Append one ledger row as a row_begin/row_end block. */
+void
+serializeRow(std::string &out, const obs::LedgerEntry &e)
+{
+    out += "row_begin\n";
+    appendNumLine(out, "iter", e.iteration);
+    appendNumLine(out, "seed", e.seed);
+    appendNumLine(out, "delay_bound", e.delayBound);
+    out += "outcome ";
+    out += e.outcome;
+    out += "\nverdict ";
+    out += e.verdict;
+    out += '\n';
+    appendNumLine(out, "bug", e.bug ? 1 : 0);
+    appendNumLine(out, "steps", e.steps);
+    out += "coverage_pct ";
+    out += dblStr(e.coveragePct);
+    out += '\n';
+    appendNumLine(out, "sat_covered", e.satCovered);
+    appendNumLine(out, "sat_total", e.satTotal);
+    appendNumLine(out, "wall_us", e.wallMicros);
+    appendNumLine(out, "worker", e.worker);
+    appendNumLine(out, "wseq", e.workerSeq);
+    appendNumLine(out, "static_warnings", e.staticWarnings);
+    if (!e.crashCause.empty()) {
+        out += "crash_cause ";
+        out += e.crashCause;
+        out += '\n';
+    }
+    appendNumLine(out, "respawns", e.respawns);
+    // The metrics object rides along as the exact JSON it was first
+    // rendered to, so a re-emitted ledger line is byte-identical.
+    out += "metrics ";
+    out += e.metricsJson.empty() ? e.metricsDelta.jsonStr() : e.metricsJson;
+    out += "\nrow_end\n";
+}
+
+/**
+ * Parse one row block from @p lines starting at *idx (which must point
+ * at the "row_begin" line); *idx is advanced past "row_end".
+ * @retval false on malformed input.
+ */
+bool
+parseRowLines(const std::vector<std::string> &lines, size_t *idx,
+              obs::LedgerEntry *out)
+{
+    size_t i = *idx;
+    if (i >= lines.size() || lines[i] != "row_begin")
+        return false;
+    ++i;
+    *out = obs::LedgerEntry{};
+    std::string key, val;
+    for (; i < lines.size(); ++i) {
+        if (lines[i] == "row_end") {
+            *idx = i + 1;
+            return out->iteration > 0;
+        }
+        if (!keyVal(lines[i], &key, &val))
+            return false;
+        bool ok = true;
+        if (key == "iter")
+            ok = parseNum(val, &out->iteration);
+        else if (key == "seed")
+            ok = parseNum(val, &out->seed);
+        else if (key == "delay_bound")
+            ok = parseNum(val, &out->delayBound);
+        else if (key == "outcome")
+            out->outcome = val;
+        else if (key == "verdict")
+            out->verdict = val;
+        else if (key == "bug")
+            ok = parseFlag(val, &out->bug);
+        else if (key == "steps")
+            ok = parseNum(val, &out->steps);
+        else if (key == "coverage_pct")
+            ok = parseNum(val, &out->coveragePct);
+        else if (key == "sat_covered")
+            ok = parseNum(val, &out->satCovered);
+        else if (key == "sat_total")
+            ok = parseNum(val, &out->satTotal);
+        else if (key == "wall_us")
+            ok = parseNum(val, &out->wallMicros);
+        else if (key == "worker")
+            ok = parseNum(val, &out->worker);
+        else if (key == "wseq")
+            ok = parseNum(val, &out->workerSeq);
+        else if (key == "static_warnings")
+            ok = parseNum(val, &out->staticWarnings);
+        else if (key == "crash_cause")
+            out->crashCause = val;
+        else if (key == "respawns")
+            ok = parseNum(val, &out->respawns);
+        else if (key == "metrics")
+            out->metricsJson = val;
+        // Unknown keys are skipped for forward compatibility.
+        if (!ok)
+            return false;
+    }
+    return false; // ran out of lines before row_end
+}
+
 /** Header of a fresh v2 log. */
 std::string
 logHeader(const std::string &fingerprint)
@@ -148,35 +299,6 @@ committedEnd(const std::string &text)
 
 } // namespace
 
-void
-appendCovBlock(std::string &out, const std::string &bitmap)
-{
-    if (bitmap.empty())
-        return;
-    out += "cov_begin\n";
-    out += bitmap;
-    if (bitmap.back() != '\n')
-        out += '\n';
-    out += "cov_end\n";
-}
-
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    std::vector<std::string> lines;
-    size_t pos = 0;
-    while (pos < text.size()) {
-        size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos) {
-            lines.push_back(text.substr(pos));
-            break;
-        }
-        lines.push_back(text.substr(pos, nl - pos));
-        pos = nl + 1;
-    }
-    return lines;
-}
-
 std::string
 configFingerprint(const CampaignConfig &cfg)
 {
@@ -194,99 +316,25 @@ configFingerprint(const CampaignConfig &cfg)
     return os.str();
 }
 
-void
-serializeRow(std::string &out, const obs::LedgerEntry &e)
+std::string
+digestToString(const ShardDigest &d)
 {
-    out += "row_begin\n";
-    appendNumLine(out, "iter", e.iteration);
-    appendNumLine(out, "seed", e.seed);
-    appendNumLine(out, "delay_bound", e.delayBound);
-    out += "outcome ";
-    out += e.outcome;
-    out += "\nverdict ";
-    out += e.verdict;
-    out += '\n';
-    appendNumLine(out, "bug", e.bug ? 1 : 0);
-    appendNumLine(out, "steps", e.steps);
-    out += "coverage_pct ";
-    out += dblStr(e.coveragePct);
-    out += '\n';
-    appendNumLine(out, "sat_covered", e.satCovered);
-    appendNumLine(out, "sat_total", e.satTotal);
-    appendNumLine(out, "wall_us", e.wallMicros);
-    appendNumLine(out, "worker", e.worker);
-    appendNumLine(out, "wseq", e.workerSeq);
-    appendNumLine(out, "static_warnings", e.staticWarnings);
-    if (!e.crashCause.empty()) {
-        out += "crash_cause ";
-        out += e.crashCause;
-        out += '\n';
-    }
-    appendNumLine(out, "respawns", e.respawns);
-    // The metrics object rides along as the exact JSON it was first
-    // rendered to, so a re-emitted ledger line is byte-identical.
-    out += "metrics ";
-    out += e.metricsJson.empty() ? e.metricsDelta.jsonStr() : e.metricsJson;
-    out += "\nrow_end\n";
+    std::string out;
+    serializeRow(out, d.row);
+    appendCovBlock(out, d.covBitmap);
+    return out;
 }
 
 bool
-parseRowLines(const std::vector<std::string> &lines, size_t *idx,
-              obs::LedgerEntry *out)
+digestFromString(const std::string &text, ShardDigest *out)
 {
-    size_t i = *idx;
-    if (i >= lines.size() || lines[i] != "row_begin")
+    *out = ShardDigest{};
+    std::vector<std::string> lines = splitLines(text);
+    size_t i = 0;
+    if (!parseRowLines(lines, &i, &out->row))
         return false;
-    ++i;
-    *out = obs::LedgerEntry{};
-    std::string key, val;
-    for (; i < lines.size(); ++i) {
-        if (lines[i] == "row_end") {
-            *idx = i + 1;
-            return out->iteration > 0;
-        }
-        if (!keyVal(lines[i], &key, &val))
-            return false;
-        bool ok = true;
-        if (key == "iter")
-            ok = parseNum(val, &out->iteration);
-        else if (key == "seed")
-            ok = parseNum(val, &out->seed);
-        else if (key == "delay_bound")
-            ok = parseNum(val, &out->delayBound);
-        else if (key == "outcome")
-            out->outcome = val;
-        else if (key == "verdict")
-            out->verdict = val;
-        else if (key == "bug")
-            ok = parseFlag(val, &out->bug);
-        else if (key == "steps")
-            ok = parseNum(val, &out->steps);
-        else if (key == "coverage_pct")
-            ok = parseNum(val, &out->coveragePct);
-        else if (key == "sat_covered")
-            ok = parseNum(val, &out->satCovered);
-        else if (key == "sat_total")
-            ok = parseNum(val, &out->satTotal);
-        else if (key == "wall_us")
-            ok = parseNum(val, &out->wallMicros);
-        else if (key == "worker")
-            ok = parseNum(val, &out->worker);
-        else if (key == "wseq")
-            ok = parseNum(val, &out->workerSeq);
-        else if (key == "static_warnings")
-            ok = parseNum(val, &out->staticWarnings);
-        else if (key == "crash_cause")
-            out->crashCause = val;
-        else if (key == "respawns")
-            ok = parseNum(val, &out->respawns);
-        else if (key == "metrics")
-            out->metricsJson = val;
-        // Unknown keys are skipped for forward compatibility.
-        if (!ok)
-            return false;
-    }
-    return false; // ran out of lines before row_end
+    return i >= lines.size() || lines[i] != "cov_begin" ||
+           parseCovLines(lines, &i, &out->covBitmap);
 }
 
 std::string
@@ -340,16 +388,8 @@ parseCheckpoint(const std::string &text, CheckpointData *out,
         }
         if (line == "cov_begin") {
             // A log carries one block per round; the last one wins.
-            out->covBitmap.clear();
-            ++i;
-            while (i < lines.size() && lines[i] != "cov_end") {
-                out->covBitmap += lines[i];
-                out->covBitmap += '\n';
-                ++i;
-            }
-            if (i >= lines.size())
+            if (!parseCovLines(lines, &i, &out->covBitmap))
                 return fail("unterminated cov block");
-            ++i; // past cov_end
             continue;
         }
         if (!keyVal(line, &key, &val))

@@ -120,26 +120,22 @@ struct CheckpointData
  */
 std::string configFingerprint(const CampaignConfig &cfg);
 
-/** Split @p text into lines (trailing newlines stripped). */
-std::vector<std::string> splitLines(const std::string &text);
-
 /**
- * Append one ledger row as a row_begin/row_end block. Shared with
- * the supervisor's shard-digest wire protocol (supervisor.hh), so a
- * row round-trips identically whether it crossed a pipe or a file.
+ * One iteration's result as shipped over an -isolate shard pipe
+ * (supervisor.hh): the ledger row (metrics pre-rendered to JSON) plus
+ * the iteration's standalone coverage bitmap, which the parent parses
+ * back into a CoverageDelta (analysis::parseBitmap). It is encoded with
+ * the checkpoint's row and coverage blocks, so a row round-trips
+ * identically whether it crossed a pipe or a file.
  */
-void serializeRow(std::string &out, const obs::LedgerEntry &e);
+struct ShardDigest
+{
+    obs::LedgerEntry row;
+    std::string covBitmap;
+};
 
-/** Append a cov_begin/cov_end block ("" bitmap = nothing). */
-void appendCovBlock(std::string &out, const std::string &bitmap);
-
-/**
- * Parse one row block from @p lines starting at *idx (which must point
- * at the "row_begin" line); *idx is advanced past "row_end".
- * @retval false on malformed input.
- */
-bool parseRowLines(const std::vector<std::string> &lines, size_t *idx,
-                   obs::LedgerEntry *out);
+std::string digestToString(const ShardDigest &d);
+bool digestFromString(const std::string &text, ShardDigest *out);
 
 /** Serialize a full checkpoint as a one-round v2 log. */
 std::string checkpointToString(const CheckpointData &d);

@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -18,9 +19,6 @@
 #include "base/fmt.hh"
 #include "base/interrupt.hh"
 #include "base/logging.hh"
-#include "campaign/checkpoint.hh"
-#include "goat/engine.hh"
-#include "obs/metrics.hh"
 
 namespace goat::campaign {
 
@@ -29,7 +27,7 @@ namespace {
 /** Shard exit code meaning "allocation limit hit" (see mem limit). */
 constexpr int kOomExitCode = 77;
 
-/** Frames larger than this mean a corrupt stream, not a real digest. */
+/** Frames larger than this mean a corrupt stream, not a real result. */
 constexpr uint32_t kMaxFrameLen = 64u << 20;
 
 using std::chrono::steady_clock;
@@ -54,22 +52,18 @@ writeAll(int fd, const void *data, size_t n)
     return true;
 }
 
-/** Send one frame: 4-byte LE payload length, then type + body. */
+/** Send one frame, with one write: 4-byte LE payload length, then
+ *  type + body. */
 bool
 sendFrame(int fd, char type, const std::string &body)
 {
-    uint32_t len = static_cast<uint32_t>(body.size() + 1);
-    unsigned char hdr[4] = {
-        static_cast<unsigned char>(len & 0xff),
-        static_cast<unsigned char>((len >> 8) & 0xff),
-        static_cast<unsigned char>((len >> 16) & 0xff),
-        static_cast<unsigned char>((len >> 24) & 0xff),
-    };
-    if (!writeAll(fd, hdr, 4))
-        return false;
-    if (!writeAll(fd, &type, 1))
-        return false;
-    return body.empty() || writeAll(fd, body.data(), body.size());
+    const uint32_t len = static_cast<uint32_t>(body.size() + 1);
+    std::string frame = {static_cast<char>(len & 0xff),
+                         static_cast<char>((len >> 8) & 0xff),
+                         static_cast<char>((len >> 16) & 0xff),
+                         static_cast<char>((len >> 24) & 0xff), type};
+    frame += body;
+    return writeAll(fd, frame.data(), frame.size());
 }
 
 struct Frame
@@ -111,15 +105,15 @@ parseFrames(std::string &buf, std::vector<Frame> *out)
 // --------------------------------------------------------------- child
 
 /**
- * The shard body: run the owed iterations ((i - start) % jobs == id)
- * and ship one 'R' digest per iteration, bracketed by 'B' announcements
- * (the parent's watchdog anchor). Runs post-fork; exits, never returns.
+ * The shard process: run @p body on the owed iterations ((i - start) %
+ * jobs == id) and ship one 'R' frame per result, each announced by a
+ * 'B' frame (the parent's watchdog anchor). Runs post-fork; exits,
+ * never returns.
  */
 [[noreturn]] void
-runShardChild(const CampaignConfig &cfg,
-              const std::function<void()> &program, int shard_id,
-              int start_iter, int stride, int start_wseq, int wr,
-              int ctl)
+runShardChild(const CampaignConfig &cfg, const ShardBody &body,
+              int shard_id, int start_iter, int stride, int start_wseq,
+              int wr, int ctl)
 {
     // The parent's pending SIGINT (if any) predates the fork; children
     // get their own flag, set fresh if the process group is signalled.
@@ -128,7 +122,6 @@ runShardChild(const CampaignConfig &cfg,
     int fl = ::fcntl(ctl, F_GETFL, 0);
     ::fcntl(ctl, F_SETFL, fl | O_NONBLOCK);
 
-    const engine::GoatConfig &ecfg = cfg.engine;
     if (cfg.memLimitMB > 0) {
         struct rlimit rl;
         rl.rlim_cur = rl.rlim_max =
@@ -139,27 +132,8 @@ runShardChild(const CampaignConfig &cfg,
         std::set_new_handler([] { _exit(kOomExitCode); });
     }
 
-    // A fresh registry: the parent's instruments stay untouched, and
-    // per-iteration deltas ride the digest as pre-rendered JSON.
-    obs::Registry reg;
-    obs::ScopedRegistry scoped(reg);
-    obs::Counter &iterations_total = reg.counter("engine.iterations");
-    obs::Counter &bugs_total = reg.counter("engine.bugs_found");
-    obs::Histogram &iter_wall = reg.histogram(
-        "engine.iter_wall_us",
-        {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000});
-
-    const bool measure_cov =
-        ecfg.collectCoverage || ecfg.coverageGuided;
-    const auto universe =
-        std::make_shared<const analysis::CoverageUniverse>(
-            ecfg.staticModel);
-    analysis::CoverageScratch scratch(universe);
-    analysis::CoverageDelta delta;
-    analysis::CoverageState localCov(universe);
-
     int wseq = start_wseq;
-    for (int iter = start_iter; iter <= ecfg.maxIterations;
+    for (int iter = start_iter; iter <= cfg.engine.maxIterations;
          iter += stride) {
         char b;
         ssize_t n = ::read(ctl, &b, 1);
@@ -167,47 +141,10 @@ runShardChild(const CampaignConfig &cfg,
             break; // stop byte, or EOF: the parent is gone
         if (interruptRequested())
             break;
-
         if (!sendFrame(wr, 'B', strFormat("%d", iter)))
             break;
-
-        auto t0 = steady_clock::now();
-        engine::SingleRun sr = engine::runCampaignIteration(
-            ecfg, program, iter, &localCov);
-        if (sr.exec.interrupted)
-            break;
-        iterations_total.inc();
-
-        ShardDigest d;
-        obs::LedgerEntry &e = d.row;
-        e.iteration = iter;
-        e.seed = engine::campaignIterationSeed(ecfg.seedBase, iter);
-        e.delayBound = ecfg.delayBound;
-        e.outcome = runtime::runOutcomeName(sr.exec.outcome);
-        e.verdict = analysis::verdictName(sr.dl.verdict);
-        e.bug = sr.dl.buggy() ||
-                sr.exec.outcome == runtime::RunOutcome::StepBudget;
-        e.steps = sr.exec.steps;
-        e.wallMicros = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                steady_clock::now() - t0)
-                .count());
-        e.worker = shard_id;
-        e.workerSeq = wseq++;
-        if (e.bug)
-            bugs_total.inc();
-        iter_wall.observe(e.wallMicros);
-        e.metricsJson = reg.deltaJson();
-
-        if (measure_cov) {
-            // The wire carries the iteration's standalone bitmap.
-            scratch.compute(sr.ect, *sr.tree, &delta);
-            analysis::CoverageState cov(universe);
-            cov.applyDelta(delta);
-            d.covBitmap = cov.bitmapStr();
-        }
-
-        if (!sendFrame(wr, 'R', digestToString(d)))
+        std::string result = body(iter, shard_id, wseq++);
+        if (result.empty() || !sendFrame(wr, 'R', result))
             break;
     }
     sendFrame(wr, 'D', "");
@@ -221,7 +158,7 @@ struct ShardProc
 {
     int id = 0;
     pid_t pid = -1;
-    /** Digest pipe, read end (O_NONBLOCK) / control pipe, write end. */
+    /** Result pipe, read end (O_NONBLOCK) / control pipe, write end. */
     int rd = -1;
     int wr = -1;
     /** Partial-frame accumulation buffer. */
@@ -235,15 +172,12 @@ struct ShardProc
     bool timedOut = false;
     /** Next iteration this shard owes. */
     int nextIter = 0;
-    int stride = 1;
     /** wseq the next iteration gets (survives respawns: the ledger
      * validator holds per-worker wseq to be monotone). */
     int nextWseq = 1;
     int respawnsUsed = 0;
     bool done = false;
-    /** The child announced a graceful finish. */
-    bool doneFrame = false;
-    /** read() hit EOF on the digest pipe. */
+    /** read() hit EOF on the result pipe. */
     bool rdEof = false;
 };
 
@@ -264,25 +198,16 @@ closeShardFds(ShardProc &sp)
  * own shard's lifetime.
  */
 bool
-spawnShard(const CampaignConfig &cfg,
-           const std::function<void()> &program,
+spawnShard(const CampaignConfig &cfg, const ShardBody &body,
            std::vector<ShardProc> &shards, ShardProc &sp)
 {
-    int data[2];
-    int ctl[2];
-    if (::pipe(data) != 0)
-        return false;
-    if (::pipe(ctl) != 0) {
-        ::close(data[0]);
-        ::close(data[1]);
-        return false;
-    }
-    pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(data[0]);
-        ::close(data[1]);
-        ::close(ctl[0]);
-        ::close(ctl[1]);
+    int data[2] = {-1, -1};
+    int ctl[2] = {-1, -1};
+    pid_t pid = -1;
+    if (::pipe(data) != 0 || ::pipe(ctl) != 0 || (pid = ::fork()) < 0) {
+        for (int fd : {data[0], data[1], ctl[0], ctl[1]})
+            if (fd >= 0)
+                ::close(fd);
         return false;
     }
     if (pid == 0) {
@@ -291,7 +216,8 @@ spawnShard(const CampaignConfig &cfg,
         for (ShardProc &other : shards)
             if (other.id != sp.id)
                 closeShardFds(other);
-        runShardChild(cfg, program, sp.id, sp.nextIter, sp.stride,
+        runShardChild(cfg, body, sp.id, sp.nextIter,
+                      static_cast<int>(shards.size()),
                       sp.nextWseq, data[1], ctl[0]);
         // not reached
     }
@@ -306,30 +232,8 @@ spawnShard(const CampaignConfig &cfg,
     sp.inFlight = 0;
     sp.armed = false;
     sp.timedOut = false;
-    sp.doneFrame = false;
     sp.rdEof = false;
     return true;
-}
-
-/** Synthesize the loss row for a crashed/timed-out iteration. */
-ShardDigest
-lossDigest(const engine::GoatConfig &ecfg, const ShardProc &sp,
-           int iter, bool timeout, const std::string &cause)
-{
-    ShardDigest d;
-    obs::LedgerEntry &e = d.row;
-    e.iteration = iter;
-    e.seed = engine::campaignIterationSeed(ecfg.seedBase, iter);
-    e.delayBound = ecfg.delayBound;
-    e.outcome = timeout ? "timeout" : "crashed";
-    e.verdict = timeout ? "timeout" : "crash";
-    e.bug = true;
-    e.worker = sp.id;
-    e.workerSeq = sp.nextWseq;
-    if (!timeout)
-        e.crashCause = cause;
-    e.respawns = sp.respawnsUsed;
-    return d;
 }
 
 } // namespace
@@ -368,52 +272,20 @@ classifyExitStatus(int wait_status)
     return "unknown";
 }
 
-std::string
-digestToString(const ShardDigest &d)
-{
-    std::string out;
-    serializeRow(out, d.row);
-    appendCovBlock(out, d.covBitmap);
-    return out;
-}
-
-bool
-digestFromString(const std::string &text, ShardDigest *out)
-{
-    *out = ShardDigest{};
-    std::vector<std::string> lines = splitLines(text);
-    size_t i = 0;
-    if (!parseRowLines(lines, &i, &out->row))
-        return false;
-    if (i < lines.size() && lines[i] == "cov_begin") {
-        ++i;
-        while (i < lines.size() && lines[i] != "cov_end") {
-            out->covBitmap += lines[i];
-            out->covBitmap += '\n';
-            ++i;
-        }
-        if (i >= lines.size())
-            return false;
-    }
-    return true;
-}
-
-SuperviseOutcome
-superviseCampaign(const CampaignConfig &cfg,
-                  const std::function<void()> &program,
-                  int startIteration,
+void
+superviseCampaign(const CampaignConfig &cfg, int startIteration,
+                  const ShardBody &body,
                   const std::function<void(ShardEvent &&)> &onEvent,
                   const std::function<bool()> &stopRequested)
 {
-    const engine::GoatConfig &ecfg = cfg.engine;
-    SuperviseOutcome out;
+    const int last = cfg.engine.maxIterations;
 
     // A shard dying mid-write must not take the supervisor with it.
     using SigHandler = void (*)(int);
     SigHandler old_pipe = ::signal(SIGPIPE, SIG_IGN);
 
     int jobs = cfg.jobs < 1 ? 1 : cfg.jobs;
-    int remaining = ecfg.maxIterations - startIteration + 1;
+    int remaining = last - startIteration + 1;
     if (remaining < 1)
         remaining = 1;
     if (jobs > remaining)
@@ -423,13 +295,12 @@ superviseCampaign(const CampaignConfig &cfg,
     for (int c = 0; c < jobs; ++c) {
         ShardProc &sp = shards[static_cast<size_t>(c)];
         sp.id = c;
-        sp.stride = jobs;
         sp.nextIter = startIteration + c;
-        if (sp.nextIter > ecfg.maxIterations) {
+        if (sp.nextIter > last) {
             sp.done = true;
             continue;
         }
-        if (!spawnShard(cfg, program, shards, sp)) {
+        if (!spawnShard(cfg, body, shards, sp)) {
             warn("cannot fork campaign shard");
             sp.done = true;
         }
@@ -446,26 +317,27 @@ superviseCampaign(const CampaignConfig &cfg,
                 writeAll(sp.wr, &stop, 1);
     };
 
-    auto emitLoss = [&](ShardProc &sp, int iter, bool timeout,
-                        const std::string &cause) {
+    // Deliver one event on @p sp's behalf; a result or a loss
+    // resolves its iteration @p iter. @p text is a result's body or a
+    // loss's cause.
+    auto emit = [&](ShardProc &sp, ShardEvent::Kind kind, int iter,
+                    std::string text = "") {
         ShardEvent ev;
-        ev.kind =
-            timeout ? ShardEvent::Kind::Timeout : ShardEvent::Kind::Crash;
+        ev.kind = kind;
         ev.iteration = iter;
         ev.shard = sp.id;
-        ev.cause = cause;
-        ev.digest = lossDigest(ecfg, sp, iter, timeout, cause);
-        ++out.executed;
-        if (timeout)
-            ++out.timeouts;
-        else
-            ++out.crashes;
+        ev.wseq = sp.nextWseq;
+        ev.respawns = sp.respawnsUsed;
+        (kind == ShardEvent::Kind::Result ? ev.body : ev.cause) =
+            std::move(text);
+        if (kind != ShardEvent::Kind::Respawn) {
+            sp.nextIter = iter + jobs;
+            ++sp.nextWseq;
+        }
         onEvent(std::move(ev));
-        sp.nextIter = iter + sp.stride;
-        ++sp.nextWseq;
     };
 
-    auto handleFrame = [&](ShardProc &sp, const Frame &f) {
+    auto handleFrame = [&](ShardProc &sp, Frame &f) {
         switch (f.type) {
         case 'B': {
             sp.inFlight = std::atoi(f.body.c_str());
@@ -477,25 +349,18 @@ superviseCampaign(const CampaignConfig &cfg,
             break;
         }
         case 'R': {
-            ShardEvent ev;
-            ev.kind = ShardEvent::Kind::Result;
-            ev.shard = sp.id;
-            if (!digestFromString(f.body, &ev.digest)) {
-                warn(strFormat("shard %d sent a malformed digest",
+            if (sp.inFlight == 0) {
+                warn(strFormat("shard %d sent an unannounced result",
                                sp.id));
                 break;
             }
-            ev.iteration = ev.digest.row.iteration;
+            emit(sp, ShardEvent::Kind::Result, sp.inFlight,
+                 std::move(f.body));
             sp.inFlight = 0;
             sp.armed = false;
-            sp.nextIter = ev.iteration + sp.stride;
-            sp.nextWseq = ev.digest.row.workerSeq + 1;
-            ++out.executed;
-            onEvent(std::move(ev));
             break;
         }
         case 'D':
-            sp.doneFrame = true;
             sp.inFlight = 0;
             sp.armed = false;
             break;
@@ -523,8 +388,8 @@ superviseCampaign(const CampaignConfig &cfg,
         }
         std::vector<Frame> frames;
         if (!parseFrames(sp.buf, &frames))
-            warn(strFormat("shard %d digest stream corrupt", sp.id));
-        for (const Frame &f : frames)
+            warn(strFormat("shard %d result stream corrupt", sp.id));
+        for (Frame &f : frames)
             handleFrame(sp, f);
     };
 
@@ -536,12 +401,8 @@ superviseCampaign(const CampaignConfig &cfg,
     };
 
     while (anyLive()) {
-        if (stopRequested())
+        if (stopRequested() || interruptRequested())
             broadcastStop();
-        if (interruptRequested()) {
-            out.interrupted = true;
-            broadcastStop();
-        }
 
         // Poll timeout: the nearest watchdog deadline, else a coarse
         // tick (also the reap/interrupt poll cadence).
@@ -553,10 +414,8 @@ superviseCampaign(const CampaignConfig &cfg,
             auto left = std::chrono::duration_cast<
                             std::chrono::milliseconds>(sp.deadline - now)
                             .count();
-            if (left < 0)
-                left = 0;
-            if (left < timeout_ms)
-                timeout_ms = static_cast<int>(left);
+            timeout_ms = static_cast<int>(
+                std::clamp<decltype(left)>(left, 0, timeout_ms));
         }
 
         std::vector<struct pollfd> pfds;
@@ -612,8 +471,7 @@ superviseCampaign(const CampaignConfig &cfg,
             closeShardFds(sp);
 
             std::string cause = classifyExitStatus(st);
-            const bool clean_finish = cause.empty() && sp.inFlight == 0;
-            if (clean_finish) {
+            if (cause.empty() && sp.inFlight == 0) { // a clean finish
                 sp.done = true;
                 continue;
             }
@@ -621,12 +479,14 @@ superviseCampaign(const CampaignConfig &cfg,
                 cause = "early_exit";
 
             if (sp.inFlight > 0) {
-                emitLoss(sp, sp.inFlight, sp.timedOut,
-                         sp.timedOut ? "watchdog" : cause);
+                emit(sp,
+                     sp.timedOut ? ShardEvent::Kind::Timeout
+                                 : ShardEvent::Kind::Crash,
+                     sp.inFlight, sp.timedOut ? "watchdog" : cause);
                 sp.inFlight = 0;
             }
 
-            if (draining || sp.nextIter > ecfg.maxIterations) {
+            if (draining || sp.nextIter > last) {
                 sp.done = true;
                 continue;
             }
@@ -634,46 +494,35 @@ superviseCampaign(const CampaignConfig &cfg,
             // Respawn (bounded): the shard continues at the next owed
             // iteration with a fresh process.
             ++sp.respawnsUsed;
-            ++out.respawns;
-            if (cfg.progress)
-                cfg.progress->respawns.fetch_add(
-                    1, std::memory_order_relaxed);
-            if (sp.respawnsUsed > cfg.maxRespawns) {
+            emit(sp, ShardEvent::Kind::Respawn, sp.nextIter);
+            if (sp.respawnsUsed <= cfg.maxRespawns) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(
+                    50LL << std::min(sp.respawnsUsed - 1, 5)));
+                if (logEnabled(LogLevel::Debug))
+                    debugLog(strFormat(
+                        "supervisor: respawning shard %d at iteration %d "
+                        "(respawn %d, cause %s)",
+                        sp.id, sp.nextIter, sp.respawnsUsed,
+                        cause.c_str()));
+                if (spawnShard(cfg, body, shards, sp))
+                    continue;
+                warn("cannot respawn campaign shard");
+            } else {
                 warn(strFormat(
                     "shard %d exhausted its respawn budget (%d); "
                     "recording its remaining iterations as crashes",
                     sp.id, cfg.maxRespawns));
-                while (sp.nextIter <= ecfg.maxIterations &&
-                       !stopRequested())
-                    emitLoss(sp, sp.nextIter, false, "respawn_budget");
-                sp.done = true;
-                continue;
             }
-            int shift = sp.respawnsUsed - 1;
-            if (shift > 5)
-                shift = 5;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50LL << shift));
-            if (logEnabled(LogLevel::Debug))
-                debugLog(strFormat(
-                    "supervisor: respawning shard %d at iteration %d "
-                    "(respawn %d, cause %s)",
-                    sp.id, sp.nextIter, sp.respawnsUsed,
-                    cause.c_str()));
-            if (!spawnShard(cfg, program, shards, sp)) {
-                warn("cannot respawn campaign shard");
-                while (sp.nextIter <= ecfg.maxIterations &&
-                       !stopRequested())
-                    emitLoss(sp, sp.nextIter, false, "respawn_budget");
-                sp.done = true;
-            }
+            while (sp.nextIter <= last && !stopRequested())
+                emit(sp, ShardEvent::Kind::Crash, sp.nextIter,
+                     "respawn_budget");
+            sp.done = true;
         }
     }
 
     for (ShardProc &sp : shards)
         closeShardFds(sp);
     ::signal(SIGPIPE, old_pipe);
-    return out;
 }
 
 } // namespace goat::campaign

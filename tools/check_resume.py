@@ -28,6 +28,11 @@ Scenarios:
     bottleneck, so the workers run up to a reorder window ahead of the
     last commit when the kill lands; the resumed ledger (coverage
     included) is canonical-identical to an uninterrupted run;
+  * SIGKILL an -isolate campaign (forked shards), then resume it once
+    under -isolate and once in process: both ledgers are
+    canonical-identical to the reference, and every commit of the
+    killed log and of the isolated resume's log lands on a round
+    boundary (a multiple of the round size, or the budget);
   * SIGTERM mid-campaign: graceful flush — the process exits 143
     (128+SIGTERM), the checkpoint and the ledger agree on the merged
     prefix, the prefix is canonical with the reference, and the
@@ -82,9 +87,11 @@ def canonical_rows(path):
 
 
 def cmd(goat, ledger, jobs=1, checkpoint=None, resume=None,
-        iters=ITERS, cov=False, every=EVERY):
+        iters=ITERS, cov=False, every=EVERY, isolate=False):
     c = [goat, f"-kernel={KERNEL}", f"-d={DELAY}", f"-freq={iters}",
          "-keep-going", f"-jobs={jobs}", f"-ledger={ledger}"]
+    if isolate:
+        c.append("-isolate")
     if cov:
         c.append("-cov")
     if checkpoint is not None:
@@ -263,6 +270,41 @@ def check_cov_resume(goat, tmp):
           "-jobs=1 canonical-identical incl. coverage")
 
 
+def check_isolate_kill(goat, tmp, ref):
+    """SIGKILL an -isolate campaign, then resume it under -isolate and
+    in process: both canonical-identical, every commit on a round
+    boundary."""
+    ck = tmp / "isolate_kill.ck"
+    rc = kill_mid_run(goat, None, ck, signal.SIGKILL,
+                      command=cmd(goat, tmp / "isolate_part.jsonl", jobs=2,
+                                  checkpoint=ck, isolate=True))
+    if rc != -signal.SIGKILL:
+        fail(f"-isolate SIGKILL run exited {rc}, expected "
+             f"{-signal.SIGKILL}")
+    cursor = read_cursor(ck)
+    if not 0 < cursor < ITERS:
+        fail(f"-isolate kill landed outside the campaign (cursor "
+             f"{cursor}) — timing too coarse")
+    resumed_ck = tmp / "isolate_resumed.ck"
+    for isolate in (True, False):
+        res = tmp / f"isolate_res_{int(isolate)}.jsonl"
+        run(goat, res, jobs=2, resume=ck, isolate=isolate,
+            checkpoint=resumed_ck if isolate else None)
+        if canonical_rows(res) != ref:
+            fail(f"-isolate checkpoint (cursor {cursor}) resumed "
+                 f"{'under -isolate' if isolate else 'in process'} "
+                 f"differs from the uninterrupted run")
+    for path in (ck, resumed_ck):
+        off = [c for c, _ in commits(path.read_bytes())
+               if c % EVERY != 0 and c != ITERS]
+        if off:
+            fail(f"{path.name}: commits off the {EVERY}-iteration round "
+                 f"boundaries at cursors {off}")
+    print(f"check_resume: OK — -isolate SIGKILL at iteration {cursor}, "
+          f"resumed under -isolate and in process canonical-identical; "
+          f"every commit on a round boundary")
+
+
 def check_runahead_kill(goat, tmp):
     """SIGKILL while the workers run ahead of the last commit, then
     resume in place: canonical-identical to an uninterrupted run."""
@@ -365,6 +407,7 @@ def main():
 
         check_cov_resume(goat, tmp)
         check_default_round_kill(goat, tmp, ref)
+        check_isolate_kill(goat, tmp, ref)
         check_runahead_kill(goat, tmp)
 
         # SIGTERM: graceful flush. Exit 143, ledger and checkpoint

@@ -54,8 +54,7 @@ detectCampaign(const std::function<void()> &program, int bound, double prob,
         SingleRun sr = runOnceHooked(
             program, seed, perturb::YieldPerturber(bound, seed, prob).hook(),
             noise, 400'000, bound);
-        if (sr.dl.buggy() ||
-            sr.exec.outcome == runtime::RunOutcome::StepBudget) {
+        if (sr.buggy()) {
             out.verdict.detected = true;
             out.firstDetectIteration = iter;
             return out;

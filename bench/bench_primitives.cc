@@ -13,7 +13,7 @@
 #include "chan/select.hh"
 #include "runtime/api.hh"
 #include "sync/sync.hh"
-#include "trace/ect.hh"
+#include "trace/ect_ring.hh"
 
 using namespace goat;
 using runtime::SchedConfig;
@@ -171,14 +171,19 @@ BENCHMARK(BM_WaitGroupCycle);
 static void
 BM_TracingOverhead(benchmark::State &state)
 {
-    // Same channel workload with and without an ECT recorder attached.
+    // Same channel workload with and without ring capture at the
+    // default capacity (bind, run, finish: what every campaign run
+    // pays to produce its ECT).
     const int n = 1000;
     const bool traced = state.range(0) != 0;
+    trace::EctRing ring;
     for (auto _ : state) {
         Scheduler sched(quietCfg());
-        trace::EctRecorder rec;
-        if (traced)
-            sched.addSink(&rec);
+        trace::Ect ect;
+        if (traced) {
+            ring.bind(&ect);
+            sched.setRing(&ring);
+        }
         sched.run([&] {
             Chan<int> c(64);
             go([&, c]() mutable {
@@ -188,6 +193,8 @@ BM_TracingOverhead(benchmark::State &state)
             for (int i = 0; i < n; ++i)
                 c.recv();
         });
+        if (traced)
+            ring.finish();
     }
     state.SetItemsProcessed(state.iterations() * n);
     state.SetLabel(traced ? "traced" : "untraced");

@@ -17,8 +17,8 @@
 #include "analysis/report.hh"
 #include "chan/chan.hh"
 #include "chan/select.hh"
+#include "goat/engine.hh"
 #include "runtime/api.hh"
-#include "runtime/scheduler.hh"
 #include "trace/serialize.hh"
 
 using namespace goat;
@@ -68,22 +68,17 @@ main()
 {
     std::printf("== Trace explorer: record, serialize, re-analyze ==\n\n");
 
-    // 1. Record.
-    runtime::SchedConfig cfg;
-    cfg.seed = 7;
-    runtime::Scheduler sched(cfg);
-    trace::EctRecorder recorder;
-    sched.addSink(&recorder);
-    runtime::ExecResult exec = sched.run(clientServer);
-    recorder.ect().setMeta("program", "client_server_example");
+    // 1. Record: one engine run (seed 7, no injected yields), traced
+    //    through the scheduler's ECT ring.
+    engine::SingleRun run = engine::runOnce(clientServer, /*seed=*/7);
+    run.ect.setMeta("program", "client_server_example");
     std::printf("execution finished: outcome=%s, %zu trace events\n",
-                runtime::runOutcomeName(exec.outcome),
-                recorder.ect().size());
+                runtime::runOutcomeName(run.exec.outcome), run.ect.size());
 
     // 2. Serialize to disk and read back (offline analysis sees only
     //    the file).
     const std::string path = "/tmp/goat_example.ect";
-    if (!trace::writeEctFile(recorder.ect(), path)) {
+    if (!trace::writeEctFile(run.ect, path)) {
         std::printf("cannot write %s\n", path.c_str());
         return 1;
     }

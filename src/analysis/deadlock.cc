@@ -19,6 +19,20 @@ verdictName(Verdict v)
     return "?";
 }
 
+bool
+verdictFromName(const std::string &name, Verdict *out)
+{
+    for (Verdict v : {Verdict::Pass, Verdict::PartialDeadlock,
+                      Verdict::GlobalDeadlock, Verdict::Crash,
+                      Verdict::Timeout}) {
+        if (name == verdictName(v)) {
+            *out = v;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::string
 DeadlockReport::shortStr() const
 {

@@ -35,6 +35,13 @@ enum class Verdict : uint8_t
 const char *verdictName(Verdict v);
 
 /**
+ * Inverse of verdictName.
+ *
+ * @retval false when @p name names no verdict (@p out untouched).
+ */
+bool verdictFromName(const std::string &name, Verdict *out);
+
+/**
  * Outcome of DeadlockCheck with the evidence needed for reports.
  */
 struct DeadlockReport

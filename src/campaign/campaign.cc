@@ -56,42 +56,25 @@ atomicMax(std::atomic<int> &a, int v)
     }
 }
 
-/** Inverse of analysis::verdictName (Pass on an unknown name). */
-analysis::Verdict
-verdictFromName(const std::string &name)
-{
-    for (analysis::Verdict v :
-         {analysis::Verdict::Pass, analysis::Verdict::PartialDeadlock,
-          analysis::Verdict::GlobalDeadlock, analysis::Verdict::Crash,
-          analysis::Verdict::Timeout}) {
-        if (name == analysis::verdictName(v))
-            return v;
-    }
-    return analysis::Verdict::Pass;
-}
-
-/** Ledger outcomes of the supervised losses (-isolate). */
-constexpr char kCrashed[] = "crashed";
-constexpr char kTimedOut[] = "timeout";
-
 /**
- * Inverse of runtime::runOutcomeName, extended with the supervised
- * outcomes (kCrashed → Crash, kTimedOut → StepBudget): frozen and
- * shard-digest rows carry names, not enums.
+ * The outcome and verdict of a row. Frozen and shard-digest rows carry
+ * names, not enums; rows are built from enums or parsed by
+ * parseRowLines, which refuses unknown names.
  */
 RunOutcome
-outcomeFromName(const std::string &name)
+rowOutcome(const obs::LedgerEntry &row)
 {
-    for (RunOutcome o : {RunOutcome::Ok, RunOutcome::GlobalDeadlock,
-                         RunOutcome::Crash, RunOutcome::StepBudget}) {
-        if (name == runtime::runOutcomeName(o))
-            return o;
-    }
-    if (name == kCrashed)
-        return RunOutcome::Crash;
-    if (name == kTimedOut)
-        return RunOutcome::StepBudget;
-    return RunOutcome::Ok;
+    RunOutcome o = RunOutcome::Ok;
+    rowOutcomeFromName(row.outcome, &o);
+    return o;
+}
+
+analysis::Verdict
+rowVerdict(const obs::LedgerEntry &row)
+{
+    analysis::Verdict v = analysis::Verdict::Pass;
+    analysis::verdictFromName(row.verdict, &v);
+    return v;
 }
 
 /** The campaign keeps rows: for a ledger, a checkpoint, a resume, or
@@ -108,9 +91,9 @@ IterationOutcome
 ioFromRow(const obs::LedgerEntry &e)
 {
     IterationOutcome io;
-    io.exec.outcome = outcomeFromName(e.outcome);
+    io.exec.outcome = rowOutcome(e);
     io.exec.steps = e.steps;
-    io.dl.verdict = verdictFromName(e.verdict);
+    io.dl.verdict = rowVerdict(e);
     io.coveragePct = e.coveragePct;
     io.wallMicros = e.wallMicros;
     return io;
@@ -265,8 +248,7 @@ runIteration(Shared &sh, Worker &w, int iter)
     rec->wseq = ++w.ran;
     rec->exec = sr.exec;
     rec->dl = sr.dl;
-    rec->coreBug =
-        sr.dl.buggy() || sr.exec.outcome == RunOutcome::StepBudget;
+    rec->coreBug = sr.buggy();
     w.iterations.inc();
 
     if (cfg.predict) {
@@ -705,7 +687,7 @@ restoreCheckpoint(const CheckpointData &ck, FoldState &fs)
         result.iterations.push_back(ioFromRow(row));
         if (cfg.progress)
             cfg.progress->noteIteration(
-                static_cast<size_t>(verdictFromName(row.verdict)),
+                static_cast<size_t>(rowVerdict(row)),
                 row.bug);
     }
     if (measure_cov && fs.cursor > 0)
@@ -908,7 +890,8 @@ shardRecord(ShardEvent &ev)
     if (ev.kind != ShardEvent::Kind::Result) {
         const bool timeout = ev.kind == ShardEvent::Kind::Timeout;
         rec->loss = timeout ? kTimedOut : kCrashed;
-        rec->exec.outcome = outcomeFromName(rec->loss);
+        rec->exec.outcome = timeout ? RunOutcome::StepBudget
+                                    : RunOutcome::Crash;
         rec->dl.verdict = timeout ? analysis::Verdict::Timeout
                                   : analysis::Verdict::Crash;
         rec->coreBug = true;
@@ -924,9 +907,9 @@ shardRecord(ShardEvent &ev)
                        ev.shard, ev.iteration));
         return nullptr;
     }
-    rec->exec.outcome = outcomeFromName(d.row.outcome);
+    rec->exec.outcome = rowOutcome(d.row);
     rec->exec.steps = d.row.steps;
-    rec->dl.verdict = verdictFromName(d.row.verdict);
+    rec->dl.verdict = rowVerdict(d.row);
     rec->coreBug = d.row.bug;
     rec->wallMicros = d.row.wallMicros;
     rec->metricsJson = std::move(d.row.metricsJson);
@@ -1028,9 +1011,9 @@ materializeFirstBug(const CampaignConfig &cfg,
         r.verdict = row.verdict;
         r.seededPolicy = true;
         result.firstBugRecipe = std::move(r);
-        result.firstBug.verdict = verdictFromName(row.verdict);
+        result.firstBug.verdict = rowVerdict(row);
         result.firstBug.panicMsg = row.crashCause;
-        result.firstBugExec.outcome = outcomeFromName(row.outcome);
+        result.firstBugExec.outcome = rowOutcome(row);
         result.report = strFormat(
             "supervised %s at iteration %d%s%s (seeded-policy recipe; "
             "replay reproduces the failure)\n",

@@ -59,7 +59,8 @@
  * still parse and resume; continuing one writes the restored state as
  * the first round of a v2 log.
  *
- * Numbers parse strictly, over the whole token. The config
+ * Numbers parse strictly, over the whole token, and a row's outcome
+ * and verdict must name a known value. The config
  * fingerprint covers every knob that changes what an iteration *is*
  * (kernel, seed base, delay bound, noise, step budget,
  * coverage/race/lint switches) but deliberately excludes the iteration
@@ -77,8 +78,22 @@
 #include "campaign/campaign.hh"
 #include "obs/ledger.hh"
 #include "obs/saturation.hh"
+#include "runtime/scheduler.hh"
 
 namespace goat::campaign {
+
+/** Row outcomes of the supervised losses (-isolate). */
+inline constexpr char kCrashed[] = "crashed";
+inline constexpr char kTimedOut[] = "timeout";
+
+/**
+ * Inverse of a row's outcome name: runtime::runOutcomeName, extended
+ * with the supervised losses (kCrashed → Crash, kTimedOut →
+ * StepBudget).
+ *
+ * @retval false when @p name names no outcome (@p out untouched).
+ */
+bool rowOutcomeFromName(const std::string &name, runtime::RunOutcome *out);
 
 /**
  * Everything a campaign needs to continue where a checkpoint left off.

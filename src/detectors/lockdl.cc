@@ -63,6 +63,13 @@ LockDL::resetExecutionState()
 }
 
 void
+LockDL::feed(const trace::Ect &ect)
+{
+    for (const Event &ev : ect.events())
+        onEvent(ev);
+}
+
+void
 LockDL::onEvent(const Event &ev)
 {
     switch (ev.type) {

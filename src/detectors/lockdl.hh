@@ -29,16 +29,16 @@
 namespace goat::detectors {
 
 /**
- * Lock-set deadlock monitor; attach to a Scheduler as a trace sink, or
- * feed it a recorded trace's events in order after the run (runTool
- * does). The lock-order graph persists across executions when the
- * same instance is reused (as the real tool accumulates order
+ * Lock-set deadlock monitor, fed a run's recorded trace after the run
+ * (runTool does). The lock-order graph persists across executions when
+ * the same instance is reused (as the real tool accumulates order
  * knowledge).
  */
-class LockDL : public trace::TraceSink
+class LockDL
 {
   public:
-    void onEvent(const trace::Event &ev) override;
+    /** Observe @p ect's events in order. */
+    void feed(const trace::Ect &ect);
 
     /** Warnings issued so far (empty = nothing detected). */
     const std::vector<std::string> &warnings() const { return warnings_; }
@@ -49,6 +49,7 @@ class LockDL : public trace::TraceSink
     void resetExecutionState();
 
   private:
+    void onEvent(const trace::Event &ev);
     void warn(const std::string &msg);
     void addOrderEdge(uint64_t from, uint64_t to);
     bool orderReachable(uint64_t from, uint64_t to) const;

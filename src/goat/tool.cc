@@ -151,8 +151,7 @@ runTool(ToolKind tool, const std::function<void()> &program, int max_iter,
         if (tool == ToolKind::LockDL) {
             size_t warnings_before = lockdl.warnings().size();
             lockdl.resetExecutionState();
-            for (const trace::Event &ev : sr.ect.events())
-                lockdl.onEvent(ev);
+            lockdl.feed(sr.ect);
             lockdl_warned = lockdl.warnings().size() > warnings_before;
         }
 

@@ -50,7 +50,7 @@ enum class Stage : uint8_t
 {
     FiberSwitch,     ///< FiberContext::swap round trip (dispatch).
     ChanOp,          ///< One channel send/recv/close dispatch.
-    TraceAppend,     ///< Scheduler::emit fan-out to trace sinks.
+    TraceAppend,     ///< Scheduler::emit writing one ECT ring row.
     PerturbDecision, ///< Perturbation-hook call inside cuHook.
     Merge,           ///< Per-iteration record fold at campaign merge.
     NumStages,

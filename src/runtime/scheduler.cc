@@ -229,6 +229,19 @@ runOutcomeName(RunOutcome o)
     return "?";
 }
 
+bool
+runOutcomeFromName(const std::string &name, RunOutcome *out)
+{
+    for (RunOutcome o : {RunOutcome::Ok, RunOutcome::GlobalDeadlock,
+                         RunOutcome::Crash, RunOutcome::StepBudget}) {
+        if (name == runOutcomeName(o)) {
+            *out = o;
+            return true;
+        }
+    }
+    return false;
+}
+
 Scheduler::Scheduler(SchedConfig cfg)
     : cfg_(std::move(cfg)), rng_(cfg_.seed)
 {
@@ -267,33 +280,25 @@ Scheduler::emit(trace::EventType type, const SourceLoc &loc, int64_t a0,
 {
     obs::ProfileScope prof(obs::Stage::TraceAppend);
     ++steps_;
-    if (ring_) {
-        // Hot path: one POD row, no Event construction, no virtual
-        // dispatch, and no per-event tally (the ring's batched type
-        // counts are folded into tallies_ once, at run() end).
-        trace::EctRow *r = ring_->push();
-        r->ts = steps_;
-        r->file = loc.file;
-        r->args[0] = a0;
-        r->args[1] = a1;
-        r->args[2] = a2;
-        r->args[3] = a3;
-        r->gid = currentGid();
-        r->line = loc.line;
-        r->strIdx = 0;
-        r->type = type;
-        if (!str.empty())
-            ring_->setStr(r, str);
-        if (sinks_.empty())
-            return;
-    }
-    trace::Event ev(steps_, currentGid(), type, loc, a0, a1, a2, a3);
-    if (!str.empty())
-        ev.str = str;
-    if (!ring_)
+    if (!ring_) {
         ++tallies_.event[static_cast<size_t>(type)];
-    for (auto *sink : sinks_)
-        sink->onEvent(ev);
+        return;
+    }
+    // One POD row and no per-event tally: the ring's batched type
+    // counts are folded into tallies_ once, at run() end.
+    trace::EctRow *r = ring_->push();
+    r->ts = steps_;
+    r->file = loc.file;
+    r->args[0] = a0;
+    r->args[1] = a1;
+    r->args[2] = a2;
+    r->args[3] = a3;
+    r->gid = currentGid();
+    r->line = loc.line;
+    r->strIdx = 0;
+    r->type = type;
+    if (!str.empty())
+        ring_->setStr(r, str);
 }
 
 uint32_t

@@ -6,9 +6,9 @@
  * One Scheduler executes one program run: it owns a FIFO global run
  * queue of goroutines (as Go's global queue), a virtual clock with a
  * timer heap servicing sleeps, the seeded PRNG that feeds every
- * nondeterministic decision, the trace-event bus, and the detection of
- * global deadlocks (run queue empty while the main goroutine is alive —
- * exactly Go's built-in detector condition).
+ * nondeterministic decision, trace capture into an ECT ring, and the
+ * detection of global deadlocks (run queue empty while the main
+ * goroutine is alive — exactly Go's built-in detector condition).
  *
  * Nondeterminism model: native Go scheduling noise is approximated by a
  * low-probability preemption before every concurrency-usage point
@@ -32,7 +32,6 @@
 #include "base/source_loc.hh"
 #include "runtime/goroutine.hh"
 #include "staticmodel/cu.hh"
-#include "trace/ect.hh"
 #include "trace/ect_ring.hh"
 
 namespace goat::runtime {
@@ -49,6 +48,13 @@ enum class RunOutcome : uint8_t
 };
 
 const char *runOutcomeName(RunOutcome o);
+
+/**
+ * Inverse of runOutcomeName.
+ *
+ * @retval false when @p name names no outcome (@p out untouched).
+ */
+bool runOutcomeFromName(const std::string &name, RunOutcome *out);
 
 /**
  * A goroutine still alive when the execution terminated (leak
@@ -80,7 +86,7 @@ struct ExecResult
     /**
      * The run was cut short by a SIGINT/SIGTERM (base/interrupt.hh):
      * the dispatch loop noticed the flag and ended the run through the
-     * step-budget path so rings and sinks flush normally. The outcome
+     * step-budget path so the ring flushes normally. The outcome
      * is not meaningful evidence about the program under test.
      */
     bool interrupted = false;
@@ -169,16 +175,12 @@ class Scheduler
     Scheduler(const Scheduler &) = delete;
     Scheduler &operator=(const Scheduler &) = delete;
 
-    /** Attach an execution monitor (ECT recorder, LockDL, ...). */
-    void addSink(trace::TraceSink *sink) { sinks_.push_back(sink); }
-
     /**
-     * Record events into a binary ring buffer instead of constructing
-     * rich trace::Events per emit (the campaign hot path; see
-     * trace/ect_ring.hh). Sinks still see every event when both are
-     * installed. The caller binds the ring to an output Ect and
-     * flushes it after run(); the scheduler folds the ring's batched
-     * event-type counts into its tallies at run() end.
+     * Record events into a binary ring buffer (see trace/ect_ring.hh).
+     * The caller binds the ring to an output Ect and flushes it after
+     * run(); the scheduler folds the ring's batched event-type counts
+     * into its tallies at run() end. Without a ring a run records
+     * nothing and only counts its events.
      */
     void setRing(trace::EctRing *ring) { ring_ = ring; }
 
@@ -249,7 +251,10 @@ class Scheduler
     /** This run's telemetry tallies (flushed to obs at run() end). */
     SchedTallies &tallies() { return tallies_; }
 
-    /** Publish a trace event (ts and gid are stamped here). */
+    /**
+     * Record a trace event into the bound ring (ts and gid are stamped
+     * here), or only count it when no ring is bound.
+     */
     void emit(trace::EventType type, const SourceLoc &loc, int64_t a0 = 0,
               int64_t a1 = 0, int64_t a2 = 0, int64_t a3 = 0,
               const std::string &str = "");
@@ -327,7 +332,6 @@ class Scheduler
     std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>>
         timers_;
 
-    std::vector<trace::TraceSink *> sinks_;
     trace::EctRing *ring_ = nullptr;
 
     FiberContext schedCtx_;

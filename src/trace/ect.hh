@@ -1,13 +1,14 @@
 /**
  * @file
- * Execution concurrency trace (ECT) container, the trace-sink interface
- * that the scheduler publishes events to, and the standard ECT recorder.
+ * Execution concurrency trace (ECT) container.
  *
  * An ECT is a totally ordered sequence of events describing the dynamic
- * behaviour of every concurrency primitive in one execution; GoAT's
- * offline analyses (deadlock detection, coverage measurement, reports)
- * consume ECTs exclusively — never live runtime state — mirroring the
- * paper's trace-then-analyze architecture.
+ * behaviour of every concurrency primitive in one execution. The
+ * scheduler captures it through a trace::EctRing (trace/ect_ring.hh);
+ * GoAT's offline analyses (deadlock detection, coverage measurement,
+ * reports, the LockDL baseline) consume ECTs exclusively — never live
+ * runtime state — mirroring the paper's trace-then-analyze
+ * architecture.
  */
 
 #ifndef GOAT_TRACE_ECT_HH
@@ -79,37 +80,6 @@ class Ect
   private:
     std::vector<Event> events_;
     std::map<std::string, std::string> meta_;
-};
-
-/**
- * Interface for execution monitors: the scheduler publishes every trace
- * event to each attached sink as it happens. The ECT recorder, LockDL,
- * and goleak are all sinks.
- */
-class TraceSink
-{
-  public:
-    virtual ~TraceSink() = default;
-
-    /** Called synchronously for every event, in total order. */
-    virtual void onEvent(const Event &ev) = 0;
-};
-
-/**
- * Sink that appends every event to an Ect. Engine runs capture
- * through trace::EctRing instead; this is the simple reference the
- * ring is tested against.
- */
-class EctRecorder : public TraceSink
-{
-  public:
-    void onEvent(const Event &ev) override { ect_.append(ev); }
-
-    Ect &ect() { return ect_; }
-    const Ect &ect() const { return ect_; }
-
-  private:
-    Ect ect_;
 };
 
 } // namespace goat::trace

@@ -1,15 +1,15 @@
 /**
  * @file
- * Fixed-width binary ECT ring buffer: the scheduler's hot-path trace
- * format.
+ * Fixed-width binary ECT ring buffer: the scheduler's one trace-capture
+ * path.
  *
- * The rich trace::Event carries a std::string and is appended through a
- * virtual sink interface — fine for monitors, but the campaign hot loop
- * emits hundreds of events per iteration and pays an Event construction
- * plus a vector push per emit. The ring records each event as a POD
- * EctRow (one 64-byte store into a preallocated buffer, no branching on
- * monitors) and batch-converts rows into a trace::Ect once, at flush
- * time. Rare string payloads (panic messages) ride in a side table.
+ * The rich trace::Event carries a std::string; building one per emit
+ * would cost the campaign hot loop an Event construction plus a vector
+ * push for each of the hundreds of events an iteration emits. The ring
+ * records each event as a POD EctRow (one 64-byte store into a
+ * preallocated buffer) and batch-converts rows into a trace::Ect once,
+ * at flush time. Rare string payloads (panic messages) ride in a side
+ * table. tests/golden/ect_capture.txt pins the converted traces.
  *
  * When the ring fills mid-run it flushes to the bound Ect and keeps
  * recording — capacity bounds memory, not trace length. Event-type

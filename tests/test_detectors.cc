@@ -19,24 +19,6 @@ using namespace goat;
 using namespace goat::runtime;
 using namespace goat::detectors;
 
-namespace {
-
-/** Run a program with a LockDL monitor attached. */
-std::pair<ExecResult, bool>
-runWithLockdl(std::function<void()> fn, uint64_t seed = 1)
-{
-    SchedConfig cfg;
-    cfg.seed = seed;
-    cfg.noiseProb = 0.0;
-    Scheduler sched(cfg);
-    LockDL dl;
-    sched.addSink(&dl);
-    ExecResult res = sched.run(std::move(fn));
-    return {res, dl.detected()};
-}
-
-} // namespace
-
 TEST(Builtin, FiresOnGlobalDeadlock)
 {
     auto rr = goat::test::runProgram([] {
@@ -97,19 +79,21 @@ TEST(Goleak, CannotRunWhenMainDeadlocks)
 
 TEST(LockDL, DetectsDoubleLock)
 {
-    auto [res, detected] = runWithLockdl([] {
+    auto rr = goat::test::runProgram([] {
         gosync::Mutex m;
         m.lock();
         m.lock();
     });
-    EXPECT_TRUE(detected);
-    EXPECT_EQ(res.outcome, RunOutcome::GlobalDeadlock);
+    LockDL dl;
+    dl.feed(rr.ect);
+    EXPECT_TRUE(dl.detected());
+    EXPECT_EQ(rr.exec.outcome, RunOutcome::GlobalDeadlock);
 }
 
 TEST(LockDL, DetectsActualAbBaCycle)
 {
     // Force the AB-BA interleaving with explicit yields.
-    auto [res, detected] = runWithLockdl([] {
+    auto rr = goat::test::runProgram([] {
         auto a = std::make_shared<gosync::Mutex>();
         auto b = std::make_shared<gosync::Mutex>();
         go([a, b] {
@@ -128,14 +112,16 @@ TEST(LockDL, DetectsActualAbBaCycle)
         });
         sleepMs(10);
     });
-    EXPECT_TRUE(detected);
+    LockDL dl;
+    dl.feed(rr.ect);
+    EXPECT_TRUE(dl.detected());
 }
 
 TEST(LockDL, OrderGraphWarnsWithoutActualDeadlock)
 {
     // Inconsistent order taken sequentially (never concurrently): the
     // Goodlock order graph still flags the potential deadlock.
-    auto [res, detected] = runWithLockdl([] {
+    auto rr = goat::test::runProgram([] {
         gosync::Mutex a, b;
         a.lock();
         b.lock();
@@ -146,19 +132,23 @@ TEST(LockDL, OrderGraphWarnsWithoutActualDeadlock)
         a.unlock();
         b.unlock();
     });
-    EXPECT_EQ(res.outcome, RunOutcome::Ok);
-    EXPECT_TRUE(detected);
+    LockDL dl;
+    dl.feed(rr.ect);
+    EXPECT_EQ(rr.exec.outcome, RunOutcome::Ok);
+    EXPECT_TRUE(dl.detected());
 }
 
 TEST(LockDL, BlindToChannelDeadlock)
 {
-    auto [res, detected] = runWithLockdl([] {
+    auto rr = goat::test::runProgram([] {
         Chan<int> c;
         go([c]() mutable { c.send(1); }); // leaks: no receiver
         yield();
     });
-    EXPECT_FALSE(detected);
-    EXPECT_EQ(res.outcome, RunOutcome::Ok);
+    LockDL dl;
+    dl.feed(rr.ect);
+    EXPECT_FALSE(dl.detected());
+    EXPECT_EQ(rr.exec.outcome, RunOutcome::Ok);
 }
 
 TEST(LockDL, BlindToMixedChannelLockCycleWithoutOrderViolation)
@@ -166,7 +156,7 @@ TEST(LockDL, BlindToMixedChannelLockCycleWithoutOrderViolation)
     // One goroutine holds the only mutex and parks on a send; the peer
     // blocks on the mutex. No second lock, no order cycle: LockDL sees
     // nothing even though both goroutines leak.
-    auto [res, detected] = runWithLockdl([] {
+    auto rr = goat::test::runProgram([] {
         auto mu = std::make_shared<gosync::Mutex>();
         auto c = std::make_shared<Chan<int>>(0);
         go([mu, c] {
@@ -181,13 +171,15 @@ TEST(LockDL, BlindToMixedChannelLockCycleWithoutOrderViolation)
         });
         sleepMs(10);
     });
-    EXPECT_FALSE(detected);
-    EXPECT_EQ(res.leaked.size(), 2u);
+    LockDL dl;
+    dl.feed(rr.ect);
+    EXPECT_FALSE(dl.detected());
+    EXPECT_EQ(rr.exec.leaked.size(), 2u);
 }
 
 TEST(LockDL, NoFalsePositiveOnCleanLocking)
 {
-    auto [res, detected] = runWithLockdl([] {
+    auto rr = goat::test::runProgram([] {
         gosync::Mutex a, b;
         for (int i = 0; i < 5; ++i) {
             a.lock();
@@ -196,8 +188,10 @@ TEST(LockDL, NoFalsePositiveOnCleanLocking)
             a.unlock();
         }
     });
-    EXPECT_FALSE(detected);
-    EXPECT_EQ(res.outcome, RunOutcome::Ok);
+    LockDL dl;
+    dl.feed(rr.ect);
+    EXPECT_FALSE(dl.detected());
+    EXPECT_EQ(rr.exec.outcome, RunOutcome::Ok);
 }
 
 TEST(LockDL, OrderGraphPersistsAcrossExecutions)
@@ -205,8 +199,6 @@ TEST(LockDL, OrderGraphPersistsAcrossExecutions)
     // Execution 1 establishes a→b; execution 2 takes b→a: the
     // accumulated graph warns even though each run is individually
     // consistent.
-    SchedConfig cfg;
-    cfg.noiseProb = 0.0;
     LockDL dl;
 
     auto mk = [&](bool ab) {
@@ -221,18 +213,10 @@ TEST(LockDL, OrderGraphPersistsAcrossExecutions)
         };
     };
 
-    {
-        Scheduler s1(cfg);
-        s1.addSink(&dl);
-        s1.run(mk(true));
-    }
+    dl.feed(goat::test::runProgram(mk(true)).ect);
     EXPECT_FALSE(dl.detected());
     dl.resetExecutionState();
-    {
-        Scheduler s2(cfg);
-        s2.addSink(&dl);
-        s2.run(mk(false));
-    }
+    dl.feed(goat::test::runProgram(mk(false)).ect);
     // Object ids are deterministic per run (1, 2), so the second run's
     // inverted order closes the cycle in the accumulated graph.
     EXPECT_TRUE(dl.detected());

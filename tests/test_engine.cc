@@ -264,30 +264,24 @@ TEST(Tool, UndetectedCampaignRunsAllIterations)
     EXPECT_EQ(r.firstDetectIteration, -1);
 }
 
-TEST(Engine, ReplayMatchesRecordedTrace)
-{
-    // Record a run of a kernel with D=2, then replay from the trace
-    // metadata and expect an event-for-event match.
-    const auto *kernel =
-        goat::goker::KernelRegistry::instance().find("moby_28462");
-    ASSERT_NE(kernel, nullptr);
-    SingleRun sr = runOnce(kernel->fn, 1234, 2);
-    std::string mismatch;
-    EXPECT_TRUE(replayMatches(kernel->fn, sr.ect, &mismatch))
-        << mismatch;
-}
-
 TEST(Engine, ReplayDetectsWrongProgram)
 {
+    // A recipe recorded on one kernel does not replay on another: the
+    // replayed trace's fingerprint (or verdict) differs.
     const auto *a = goat::goker::KernelRegistry::instance().find(
         "moby_28462");
     const auto *b = goat::goker::KernelRegistry::instance().find(
         "moby_4951");
     ASSERT_TRUE(a && b);
-    SingleRun sr = runOnce(a->fn, 77, 1);
-    std::string mismatch;
-    EXPECT_FALSE(replayMatches(b->fn, sr.ect, &mismatch));
-    EXPECT_FALSE(mismatch.empty());
+    GoatConfig cfg;
+    cfg.delayBound = 1;
+    cfg.seedBase = 77;
+    SingleRun sr = runCampaignIteration(cfg, a->fn, 1, nullptr);
+    finalizeRecipe(sr);
+    ASSERT_TRUE(replayRecipe(a->fn, sr.recipe).matched);
+    ReplayResult rr = replayRecipe(b->fn, sr.recipe);
+    EXPECT_FALSE(rr.matched);
+    EXPECT_FALSE(rr.mismatch.empty());
 }
 
 TEST(Engine, NestedRunOnceMatchesFlatRun)

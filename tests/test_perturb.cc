@@ -18,27 +18,9 @@
 using namespace goat;
 using namespace goat::runtime;
 using goat::test::countEvents;
+using goat::test::runProgram;
 
 namespace {
-
-/** Run a program with a given perturbation bound and seed. */
-goat::test::RunResult
-runPerturbed(std::function<void()> fn, int bound, uint64_t seed,
-             double noise = 0.0)
-{
-    SchedConfig cfg;
-    cfg.seed = seed;
-    cfg.noiseProb = noise;
-    perturb::YieldPerturber yp(bound, seed);
-    cfg.perturb = yp.hook();
-    Scheduler sched(cfg);
-    trace::EctRecorder rec;
-    sched.addSink(&rec);
-    goat::test::RunResult rr;
-    rr.exec = sched.run(std::move(fn));
-    rr.ect = rec.ect();
-    return rr;
-}
 
 /** A program with many CU points. */
 void
@@ -67,7 +49,8 @@ countPerturbYields(const trace::Ect &ect)
 TEST(Perturb, BoundZeroInjectsNothing)
 {
     for (uint64_t seed = 0; seed < 10; ++seed) {
-        auto rr = runPerturbed(busyProgram, 0, seed);
+        perturb::YieldPerturber yp(0, seed);
+        auto rr = runProgram(busyProgram, seed, 0.0, yp.hook());
         EXPECT_EQ(countPerturbYields(rr.ect), 0u);
     }
 }
@@ -76,7 +59,8 @@ TEST(Perturb, NeverExceedsBound)
 {
     for (int bound : {1, 2, 3, 4}) {
         for (uint64_t seed = 0; seed < 20; ++seed) {
-            auto rr = runPerturbed(busyProgram, bound, seed);
+            perturb::YieldPerturber yp(bound, seed);
+            auto rr = runProgram(busyProgram, seed, 0.0, yp.hook());
             EXPECT_LE(countPerturbYields(rr.ect),
                       static_cast<size_t>(bound));
         }
@@ -88,7 +72,8 @@ TEST(Perturb, EventuallyUsesFullBudgetOnLongPrograms)
     // With 60 CU points and p=0.25, some seed must consume all yields.
     bool saw_full = false;
     for (uint64_t seed = 0; seed < 20 && !saw_full; ++seed) {
-        auto rr = runPerturbed(busyProgram, 3, seed);
+        perturb::YieldPerturber yp(3, seed);
+        auto rr = runProgram(busyProgram, seed, 0.0, yp.hook());
         if (countPerturbYields(rr.ect) == 3)
             saw_full = true;
     }
@@ -97,8 +82,9 @@ TEST(Perturb, EventuallyUsesFullBudgetOnLongPrograms)
 
 TEST(Perturb, DeterministicPerSeed)
 {
-    auto a = runPerturbed(busyProgram, 3, 99);
-    auto b = runPerturbed(busyProgram, 3, 99);
+    perturb::YieldPerturber ya(3, 99), yb(3, 99);
+    auto a = runProgram(busyProgram, 99, 0.0, ya.hook());
+    auto b = runProgram(busyProgram, 99, 0.0, yb.hook());
     ASSERT_EQ(a.ect.size(), b.ect.size());
     for (size_t i = 0; i < a.ect.size(); ++i)
         EXPECT_EQ(a.ect.events()[i].type, b.ect.events()[i].type);
@@ -141,9 +127,10 @@ TEST(Perturb, ChangesInterleavings)
     std::set<std::string> native, perturbed;
     for (uint64_t seed = 0; seed < 25; ++seed) {
         std::string s1, s2;
-        runPerturbed(program(&s1), 0, seed);
+        perturb::YieldPerturber y0(0, seed), y3(3, seed);
+        runProgram(program(&s1), seed, 0.0, y0.hook());
         native.insert(s1);
-        runPerturbed(program(&s2), 3, seed);
+        runProgram(program(&s2), seed, 0.0, y3.hook());
         perturbed.insert(s2);
     }
     // Native (deterministic, no noise) always produces one shape.
@@ -155,7 +142,8 @@ TEST(Perturb, IndependentOfSchedulerRngStream)
 {
     // The same scheduler seed with different bounds must still replay
     // the same select choices: the perturber uses its own stream.
-    auto a = runPerturbed(busyProgram, 0, 5);
-    auto b = runPerturbed(busyProgram, 0, 5);
+    perturb::YieldPerturber ya(0, 5), yb(0, 5);
+    auto a = runProgram(busyProgram, 5, 0.0, ya.hook());
+    auto b = runProgram(busyProgram, 5, 0.0, yb.hook());
     EXPECT_EQ(a.ect.size(), b.ect.size());
 }

@@ -240,6 +240,71 @@ TEST(ShardDigest, RejectsGarbage)
     EXPECT_FALSE(campaign::digestFromString("", &back));
 }
 
+TEST(ShardDigest, RoundTripsEveryOutcomeAndVerdictName)
+{
+    // Every name a row can carry parses back to its value, in a digest
+    // too; an unknown name is refused, not read as ok/pass.
+    auto roundTrips = [](const std::string &outcome,
+                         const std::string &verdict) {
+        ShardDigest d;
+        d.row = sampleRow();
+        d.row.outcome = outcome;
+        d.row.verdict = verdict;
+        ShardDigest back;
+        return campaign::digestFromString(campaign::digestToString(d),
+                                          &back) &&
+               back.row.outcome == outcome && back.row.verdict == verdict;
+    };
+    // Walk each enum until its name table runs out ("?").
+    int outcomes = 0;
+    for (int i = 0;; ++i) {
+        auto o = static_cast<runtime::RunOutcome>(i);
+        const std::string name = runtime::runOutcomeName(o);
+        if (name == "?")
+            break;
+        ++outcomes;
+        runtime::RunOutcome back = runtime::RunOutcome::Ok;
+        EXPECT_TRUE(runtime::runOutcomeFromName(name, &back)) << name;
+        EXPECT_EQ(back, o) << name;
+        back = runtime::RunOutcome::Ok;
+        EXPECT_TRUE(campaign::rowOutcomeFromName(name, &back)) << name;
+        EXPECT_EQ(back, o) << name;
+        EXPECT_TRUE(roundTrips(name, "pass")) << name;
+    }
+    EXPECT_EQ(outcomes, 4);
+    int verdicts = 0;
+    for (int i = 0;; ++i) {
+        auto v = static_cast<analysis::Verdict>(i);
+        const std::string name = analysis::verdictName(v);
+        if (name == "?")
+            break;
+        ++verdicts;
+        analysis::Verdict back = analysis::Verdict::Pass;
+        EXPECT_TRUE(analysis::verdictFromName(name, &back)) << name;
+        EXPECT_EQ(back, v) << name;
+        EXPECT_TRUE(roundTrips("ok", name)) << name;
+    }
+    EXPECT_EQ(verdicts, 5);
+
+    // The supervised losses are row outcomes, not runtime outcomes.
+    runtime::RunOutcome loss = runtime::RunOutcome::Ok;
+    EXPECT_TRUE(campaign::rowOutcomeFromName(campaign::kCrashed, &loss));
+    EXPECT_EQ(loss, runtime::RunOutcome::Crash);
+    EXPECT_TRUE(campaign::rowOutcomeFromName(campaign::kTimedOut, &loss));
+    EXPECT_EQ(loss, runtime::RunOutcome::StepBudget);
+    EXPECT_FALSE(runtime::runOutcomeFromName(campaign::kCrashed, &loss));
+    EXPECT_TRUE(roundTrips(campaign::kCrashed, "crash"));
+    EXPECT_TRUE(roundTrips(campaign::kTimedOut, "timeout"));
+
+    for (const char *bad : {"", "ko", "OK", "pasz", "crashed "}) {
+        analysis::Verdict v;
+        EXPECT_FALSE(campaign::rowOutcomeFromName(bad, &loss)) << bad;
+        EXPECT_FALSE(analysis::verdictFromName(bad, &v)) << bad;
+        EXPECT_FALSE(roundTrips(bad, "pass")) << bad;
+        EXPECT_FALSE(roundTrips("ok", bad)) << bad;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Checkpoint serializer
 // ---------------------------------------------------------------------
@@ -814,6 +879,44 @@ TEST(Checkpoint, ResumeRefusesGarbageNumbers)
     EXPECT_EQ(runGoat(v1run + " -freq=8 -resume=" + bad), 1);
     std::remove(ck.c_str());
     std::remove(bad.c_str());
+}
+
+TEST(Checkpoint, ResumeRefusesUnknownOutcomeOrVerdict)
+{
+    // A row whose outcome or verdict names no value is refused (exit 1)
+    // instead of resuming as ok/pass and re-emitting the name into the
+    // ledger.
+    const std::string run = "-kernel=cockroach_1055 -d=2 -keep-going";
+    const std::string ck = tmpPath("names.ck");
+    const std::string bad = tmpPath("names_bad.ck");
+    const std::string led = tmpPath("names.jsonl");
+    ASSERT_EQ(runGoat(run + " -freq=6 -checkpoint=" + ck +
+                      " -checkpoint-every=3"),
+              0);
+    const std::string text = readFile(ck);
+    // Turn the last letter of row 1's @p key value into 'z' (no name
+    // ends in one). The length stays, so every commit offset holds.
+    auto garble = [&text](const std::string &key) {
+        std::string t = text;
+        size_t at = t.find("\n" + key + " ");
+        EXPECT_NE(at, std::string::npos) << key;
+        t[t.find('\n', at + 1) - 1] = 'z';
+        return t;
+    };
+    writeFile(bad, text);
+    EXPECT_EQ(runGoat(run + " -freq=10 -resume=" + bad), 0);
+    for (const std::string &t : {garble("outcome"), garble("verdict")}) {
+        ASSERT_NE(t, text);
+        writeFile(bad, t);
+        std::remove(led.c_str());
+        EXPECT_EQ(runGoat(run + " -freq=10 -resume=" + bad +
+                          " -ledger=" + led),
+                  1);
+        EXPECT_EQ(countLines(led, "{\"iter\":"), 0);
+    }
+    std::remove(ck.c_str());
+    std::remove(bad.c_str());
+    std::remove(led.c_str());
 }
 
 TEST(Checkpoint, ResumeRefusesWatermarksOffThePrefix)

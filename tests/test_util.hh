@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the GoAT-CPP test suites: run a program under a
- * fresh scheduler with an attached ECT recorder and return both the
- * execution result and the trace.
+ * fresh scheduler, capturing its trace through an ECT ring as engine
+ * runs do, and return both the execution result and the trace.
  */
 
 #ifndef GOAT_TESTS_TEST_UTIL_HH
@@ -14,6 +14,7 @@
 #include "runtime/api.hh"
 #include "runtime/scheduler.hh"
 #include "trace/ect.hh"
+#include "trace/ect_ring.hh"
 
 namespace goat::test {
 
@@ -24,24 +25,31 @@ struct RunResult
 };
 
 /**
- * Execute @p fn as a program main under a fresh scheduler.
+ * Execute @p fn as a program main under a fresh scheduler, recording
+ * through an EctRing bound to the result's trace (as
+ * engine::runOnceHooked does, minus the metadata and analysis).
  *
  * @param fn The program.
  * @param seed Scheduler seed.
  * @param noise Noise-preemption probability (0 = fully deterministic).
+ * @param hook Perturbation hook (none by default).
+ * @param ringCapacity Ring rows (0 = the process default).
  */
 inline RunResult
-runProgram(std::function<void()> fn, uint64_t seed = 1, double noise = 0.0)
+runProgram(std::function<void()> fn, uint64_t seed = 1, double noise = 0.0,
+           runtime::PerturbHook hook = {}, size_t ringCapacity = 0)
 {
     runtime::SchedConfig cfg;
     cfg.seed = seed;
     cfg.noiseProb = noise;
+    cfg.perturb = std::move(hook);
     runtime::Scheduler sched(cfg);
-    trace::EctRecorder rec;
-    sched.addSink(&rec);
+    trace::EctRing ring(ringCapacity);
     RunResult rr;
+    ring.bind(&rr.ect);
+    sched.setRing(&ring);
     rr.exec = sched.run(std::move(fn));
-    rr.ect = rec.ect();
+    ring.finish();
     return rr;
 }
 

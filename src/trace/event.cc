@@ -2,8 +2,6 @@
 
 #include <array>
 
-#include "base/fmt.hh"
-
 namespace goat::trace {
 
 namespace {
@@ -89,17 +87,6 @@ isConcurrencyEvent(EventType t)
 {
     return static_cast<size_t>(t) >= static_cast<size_t>(EventType::ChMake) &&
            static_cast<size_t>(t) < numTypes;
-}
-
-std::string
-Event::str1line() const
-{
-    return strFormat("[%8lu] g%-3u %-14s %-22s a=(%ld,%ld,%ld,%ld)%s%s",
-                     static_cast<unsigned long>(ts), gid,
-                     eventTypeName(type), loc.str().c_str(),
-                     static_cast<long>(args[0]), static_cast<long>(args[1]),
-                     static_cast<long>(args[2]), static_cast<long>(args[3]),
-                     str.empty() ? "" : " ", str.c_str());
 }
 
 } // namespace goat::trace

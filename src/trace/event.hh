@@ -129,9 +129,6 @@ struct Event
           int64_t a0 = 0, int64_t a1 = 0, int64_t a2 = 0, int64_t a3 = 0)
         : ts(ts), gid(gid), type(type), loc(loc), args{a0, a1, a2, a3}
     {}
-
-    /** Human-readable one-line rendering (for reports and debugging). */
-    std::string str1line() const;
 };
 
 } // namespace goat::trace

@@ -126,7 +126,7 @@ TEST(Predict, ConfirmRoundTripOnLockOrderInversion)
         EXPECT_FALSE(p.confirmVerdict == "pass");
         ReplayResult rr = replayRecipe(k->fn, po.confirmRecipes[i]);
         EXPECT_TRUE(rr.matched) << rr.mismatch;
-        EXPECT_TRUE(rr.buggy);
+        EXPECT_TRUE(rr.sr.buggy());
         ++replayed;
     }
     EXPECT_GE(replayed, 1);

@@ -199,7 +199,7 @@ TEST(Replay, DeterministicOnEveryKernel)
         rec.recipe.kernel = k->name;
         engine::ReplayResult rr = engine::replayRecipe(k->fn, rec.recipe);
         EXPECT_TRUE(rr.matched) << k->name << ": " << rr.mismatch;
-        EXPECT_EQ(rr.buggy, rec.dl.buggy()) << k->name;
+        EXPECT_EQ(rr.sr.buggy(), rec.buggy()) << k->name;
         EXPECT_EQ(analysis::verdictName(rr.sr.dl.verdict),
                   analysis::verdictName(rec.dl.verdict))
             << k->name;
@@ -240,7 +240,7 @@ TEST(Minimize, YieldSetShrinksAndStillReproduces)
     engine::ReplayResult rr =
         engine::replayRecipe(k.fn, m.minimized);
     EXPECT_TRUE(rr.matched) << rr.mismatch;
-    EXPECT_TRUE(rr.buggy);
+    EXPECT_TRUE(rr.sr.buggy());
 }
 
 TEST(Minimize, PassRecipeRefused)

@@ -628,7 +628,7 @@ runReplay(const goker::KernelInfo &kernel, const Options &opt)
     if (!rr.matched)
         std::fprintf(stderr, "goat: replay mismatch: %s\n",
                      rr.mismatch.c_str());
-    if (opt.report && rr.buggy) {
+    if (opt.report && rr.sr.buggy()) {
         analysis::GoroutineTree tree(rr.sr.ect);
         std::printf("\n%s\n",
                     analysis::deadlockReportStr(rr.sr.ect, tree,

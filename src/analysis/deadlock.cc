@@ -70,7 +70,7 @@ deadlockCheck(const GoroutineTree &tree)
         if (last && last->type == EventType::GoPanic) {
             report.verdict = Verdict::Crash;
             report.panicGid = node->gid;
-            report.panicMsg = last->str;
+            report.panicMsg = node->lastStr;
             return report;
         }
     }

@@ -39,6 +39,9 @@ GoroutineTree::GoroutineTree(const trace::Ect &ect)
         n->last = ev;
         n->hasLast = true;
     }
+    for (auto &[gid, n] : nodes_)
+        if (n->hasLast && n->last.strIdx)
+            n->lastStr = ect.str(n->last);
 
     // Main is the goroutine created by the scheduler (gid 1 by
     // construction; be robust and look for a gid-0-parented non-system

@@ -42,10 +42,12 @@ struct GoroutineNode
      * event is kept — every analysis consumer reads lastEvent(), and
      * copying each node's full event sequence dominated tree
      * construction on the campaign hot path. The full sequence remains
-     * available from the source Ect (Ect::eventsOf).
+     * available by filtering the source Ect's events() on gid.
      */
     trace::Event last;
     bool hasLast = false;
+    /** String payload of the final event (a panic message), or "". */
+    std::string lastStr;
     std::vector<GoroutineNode *> children;
 
     /**

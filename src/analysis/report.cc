@@ -30,7 +30,7 @@ goroutineTreeStr(const GoroutineTree &tree)
                         last->args[0] == trace::SchedTagTraceStop)) {
                 status = "finished";
             } else if (last->type == EventType::GoPanic) {
-                status = "panicked: " + last->str;
+                status = "panicked: " + node->lastStr;
             } else {
                 status = strFormat("LEAKED at %s (%s)",
                                    last->loc.str().c_str(),

@@ -100,11 +100,11 @@ runOnceHooked(const std::function<void()> &program, uint64_t seed,
     runtime::Scheduler sched(cfg);
     SingleRun out;
 
-    // Record through the worker's binary ring buffer and batch-convert
-    // to the rich Ect once, after the run. The ring is per thread; if a
-    // program under test recursively enters the engine (the ring is
-    // then still bound), the nested run records through a ring of its
-    // own.
+    // Record through the worker's ring buffer, which appends its rows
+    // to out.ect in bulk whenever it fills and once more at finish().
+    // The ring is per thread; if a program under test recursively
+    // enters the engine (the ring is then still bound), the nested run
+    // records through a ring of its own.
     thread_local trace::EctRing thread_ring;
     std::optional<trace::EctRing> nested_ring;
     trace::EctRing *ring = &thread_ring;

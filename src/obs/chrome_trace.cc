@@ -43,14 +43,14 @@ locStr(const Event &ev)
 
 /** Common args payload: source location, raw a0..a3, optional str. */
 std::string
-argsJson(const Event &ev)
+argsJson(const Ect &ect, const Event &ev)
 {
     std::ostringstream os;
     os << "{\"loc\":\"" << jsonEscape(locStr(ev)) << "\",\"a\":["
        << ev.args[0] << ',' << ev.args[1] << ',' << ev.args[2] << ','
        << ev.args[3] << ']';
-    if (!ev.str.empty())
-        os << ",\"str\":\"" << jsonEscape(ev.str) << '"';
+    if (ev.strIdx)
+        os << ",\"str\":\"" << jsonEscape(ect.str(ev)) << '"';
     os << '}';
     return os.str();
 }
@@ -138,7 +138,8 @@ chromeTraceJson(const Ect &ect)
         w.next() << "{\"ph\":\"i\",\"pid\":1,\"tid\":" << ev.gid
                  << ",\"ts\":" << ev.ts << ",\"s\":\"t\",\"name\":\""
                  << trace::eventTypeName(ev.type)
-                 << "\",\"cat\":\"ect\",\"args\":" << argsJson(ev) << '}';
+                 << "\",\"cat\":\"ect\",\"args\":" << argsJson(ect, ev)
+                 << '}';
 
         if (ev.type == EventType::GoUnblock) {
             // Flow arrow from the unblocker to the unblocked

@@ -286,17 +286,8 @@ Scheduler::emit(trace::EventType type, const SourceLoc &loc, int64_t a0,
     }
     // One POD row and no per-event tally: the ring's batched type
     // counts are folded into tallies_ once, at run() end.
-    trace::EctRow *r = ring_->push();
-    r->ts = steps_;
-    r->file = loc.file;
-    r->args[0] = a0;
-    r->args[1] = a1;
-    r->args[2] = a2;
-    r->args[3] = a3;
-    r->gid = currentGid();
-    r->line = loc.line;
-    r->strIdx = 0;
-    r->type = type;
+    trace::Event *r = ring_->push();
+    *r = trace::Event(steps_, currentGid(), type, loc, a0, a1, a2, a3);
     if (!str.empty())
         ring_->setStr(r, str);
 }

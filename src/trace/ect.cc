@@ -17,14 +17,11 @@ Ect::meta(const std::string &key) const
     return it == meta_.end() ? "" : it->second;
 }
 
-std::vector<Event>
-Ect::eventsOf(uint32_t gid) const
+const std::string &
+Ect::str(const Event &ev) const
 {
-    std::vector<Event> out;
-    for (const auto &ev : events_)
-        if (ev.gid == gid)
-            out.push_back(ev);
-    return out;
+    static const std::string none;
+    return ev.strIdx ? strs_[ev.strIdx - 1] : none;
 }
 
 const Event *
@@ -51,6 +48,7 @@ void
 Ect::clear()
 {
     events_.clear();
+    strs_.clear();
     meta_.clear();
 }
 

@@ -4,7 +4,9 @@
  *
  * An ECT is a totally ordered sequence of events describing the dynamic
  * behaviour of every concurrency primitive in one execution. The
- * scheduler captures it through a trace::EctRing (trace/ect_ring.hh);
+ * scheduler captures it through a trace::EctRing (trace/ect_ring.hh),
+ * whose rows are the Ect's events; the Ect also owns the string table
+ * that the rare payload-carrying events (panic messages) index into.
  * GoAT's offline analyses (deadlock detection, coverage measurement,
  * reports, the LockDL baseline) consume ECTs exclusively — never live
  * runtime state — mirroring the paper's trace-then-analyze
@@ -25,8 +27,9 @@
 namespace goat::trace {
 
 /**
- * One execution concurrency trace: ordered events plus execution
- * metadata (seed, outcome, step counts) as string key/value pairs.
+ * One execution concurrency trace: ordered events, their string
+ * payloads, and execution metadata (seed, outcome, step counts) as
+ * string key/value pairs.
  */
 class Ect
 {
@@ -38,11 +41,27 @@ class Ect
         events_.push_back(ev);
     }
 
+    /** Append @p n events in one copy (the ring's flush). */
     void
-    append(Event &&ev)
+    append(const Event *evs, size_t n)
     {
-        events_.push_back(std::move(ev));
+        events_.insert(events_.end(), evs, evs + n);
     }
+
+    /**
+     * Attach string payload @p s to @p ev, which this Ect holds or
+     * will hold: the payload goes into the string table and
+     * ev.strIdx names it.
+     */
+    void
+    setStr(Event &ev, std::string s)
+    {
+        strs_.push_back(std::move(s));
+        ev.strIdx = static_cast<uint32_t>(strs_.size());
+    }
+
+    /** String payload of @p ev ("" when it carries none). */
+    const std::string &str(const Event &ev) const;
 
     /** All events, in total (ts) order. */
     const std::vector<Event> &events() const { return events_; }
@@ -62,9 +81,6 @@ class Ect
         return meta_;
     }
 
-    /** Events executed by goroutine @p gid, in order. */
-    std::vector<Event> eventsOf(uint32_t gid) const;
-
     /**
      * Last event executed by goroutine @p gid.
      *
@@ -79,6 +95,7 @@ class Ect
 
   private:
     std::vector<Event> events_;
+    std::vector<std::string> strs_;
     std::map<std::string, std::string> meta_;
 };
 

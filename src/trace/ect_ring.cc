@@ -1,7 +1,5 @@
 #include "trace/ect_ring.hh"
 
-#include <utility>
-
 #include "base/logging.hh"
 
 namespace goat::trace {
@@ -9,7 +7,7 @@ namespace goat::trace {
 namespace {
 
 /**
- * 4096 rows (256 KiB) holds every GoKer kernel's full trace with room
+ * 4096 rows (288 KiB) holds every GoKer kernel's full trace with room
  * to spare; long executions wrap and flush in batches.
  */
 size_t ringCapacity = 4096;
@@ -42,9 +40,7 @@ EctRing::setCapacity(size_t rows)
         return;
     if (rows < 16)
         rows = 16;
-    // Raw new[]: rows are written before they are read, so value-
-    // initializing the whole buffer would be a pure memset tax.
-    rows_.reset(new EctRow[rows]);
+    rows_ = std::make_unique<Event[]>(rows);
     cap_ = rows;
     n_ = 0;
 }
@@ -56,7 +52,6 @@ EctRing::bind(Ect *out)
         panic("EctRing::bind while already bound");
     out_ = out;
     n_ = 0;
-    strs_.clear();
     for (uint64_t &c : counts_)
         c = 0;
 }
@@ -66,17 +61,10 @@ EctRing::flush()
 {
     if (!out_)
         panic("EctRing::flush without a bound Ect");
-    for (size_t i = 0; i < n_; ++i) {
-        const EctRow &r = rows_[i];
-        Event ev(r.ts, r.gid, r.type, SourceLoc(r.file, r.line),
-                 r.args[0], r.args[1], r.args[2], r.args[3]);
-        if (r.strIdx)
-            ev.str = std::move(strs_[r.strIdx - 1]);
-        ++counts_[static_cast<size_t>(r.type)];
-        out_->append(std::move(ev));
-    }
+    for (size_t i = 0; i < n_; ++i)
+        ++counts_[static_cast<size_t>(rows_[i].type)];
+    out_->append(rows_.get(), n_);
     n_ = 0;
-    strs_.clear();
 }
 
 void

@@ -1,21 +1,20 @@
 /**
  * @file
- * Fixed-width binary ECT ring buffer: the scheduler's one trace-capture
- * path.
+ * Fixed-width ECT ring buffer: the scheduler's one trace-capture path.
  *
- * The rich trace::Event carries a std::string; building one per emit
- * would cost the campaign hot loop an Event construction plus a vector
- * push for each of the hundreds of events an iteration emits. The ring
- * records each event as a POD EctRow (one 64-byte store into a
- * preallocated buffer) and batch-converts rows into a trace::Ect once,
- * at flush time. Rare string payloads (panic messages) ride in a side
- * table. tests/golden/ect_capture.txt pins the converted traces.
+ * The ring's rows are trace::Events, which are trivially copyable:
+ * recording an event is a handful of scalar stores into a
+ * preallocated buffer, and a flush appends the pending rows to the
+ * bound Ect in one bulk copy. The rare string payloads (panic
+ * messages) go straight into the bound Ect's string table (setStr).
+ * tests/golden/ect_capture.txt pins the captured traces.
  *
  * When the ring fills mid-run it flushes to the bound Ect and keeps
- * recording — capacity bounds memory, not trace length. Event-type
- * tallies are folded from the rows in the same batch pass
- * (foldTypeCounts), which is what lets the scheduler skip its
- * per-event tally increment entirely in ring mode.
+ * recording, so the capacity is the flush batch size: it bounds the
+ * ring's memory, not the trace's length. Event-type tallies are
+ * counted from the rows in the same flush (foldTypeCounts), which is
+ * what lets the scheduler skip its per-event tally increment entirely
+ * while a ring is bound.
  */
 
 #ifndef GOAT_TRACE_ECT_RING_HH
@@ -24,26 +23,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "trace/ect.hh"
 
 namespace goat::trace {
-
-/**
- * One fixed-width trace row. POD on purpose: writing one is a handful
- * of scalar stores, and a batch of them converts to Events linearly.
- */
-struct EctRow
-{
-    uint64_t ts;
-    const char *file; ///< Interned literal (SourceLoc::file).
-    int64_t args[4];
-    uint32_t gid;
-    uint32_t line;
-    uint32_t strIdx; ///< 1-based index into the side table; 0 = none.
-    EventType type;
-};
 
 /** Process-wide default ring capacity (rows); see -ring-capacity. */
 size_t defaultEctRingCapacity();
@@ -61,7 +44,7 @@ class EctRing
     EctRing(const EctRing &) = delete;
     EctRing &operator=(const EctRing &) = delete;
 
-    /** Start recording into @p out (clears rows, strings, counts). */
+    /** Start recording into @p out (clears pending rows and counts). */
     void bind(Ect *out);
 
     /** Stop recording: flush pending rows and detach. */
@@ -71,7 +54,7 @@ class EctRing
      * Reserve the next row. The caller fills every field (strIdx via
      * setStr() for the rare string-carrying events).
      */
-    EctRow *
+    Event *
     push()
     {
         if (n_ == cap_)
@@ -79,15 +62,14 @@ class EctRing
         return &rows_[n_++];
     }
 
-    /** Attach a string payload to @p row. */
+    /** Attach string payload @p s to @p row (in the bound Ect). */
     void
-    setStr(EctRow *row, const std::string &s)
+    setStr(Event *row, const std::string &s)
     {
-        strs_.push_back(s);
-        row->strIdx = static_cast<uint32_t>(strs_.size());
+        out_->setStr(*row, s);
     }
 
-    /** Convert pending rows into the bound Ect (keeps recording). */
+    /** Append pending rows to the bound Ect (keeps recording). */
     void flush();
 
     /**
@@ -106,11 +88,10 @@ class EctRing
     bool active() const { return out_ != nullptr; }
 
   private:
-    std::unique_ptr<EctRow[]> rows_;
+    std::unique_ptr<Event[]> rows_;
     size_t cap_ = 0;
     size_t n_ = 0;
     Ect *out_ = nullptr;
-    std::vector<std::string> strs_;
     uint64_t counts_[static_cast<size_t>(EventType::NumEventTypes)] = {};
 };
 

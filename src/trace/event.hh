@@ -9,6 +9,12 @@
  * rwmutex lock/unlock, wait-group add/wait, and conditional-variable
  * wait/signal/broadcast. Every event is attributed to exactly one source
  * statement (its concurrency-usage point) via a SourceLoc.
+ *
+ * An Event is one fixed-width, trivially copyable row: the scheduler
+ * writes it straight into the capture ring (trace/ect_ring.hh) and a
+ * flush copies rows into the Ect in bulk. The rare string payload (a
+ * panic message) lives in the owning Ect's string table; the row holds
+ * only its index (Ect::str()).
  */
 
 #ifndef GOAT_TRACE_EVENT_HH
@@ -16,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "base/source_loc.hh"
 
@@ -46,7 +53,7 @@ enum class EventType : uint8_t
     GoBlockSync,    ///< Parked on mutex/rwmutex/waitgroup; a0 = obj id.
     GoBlockCond,    ///< Parked on a conditional variable; a0 = cv id.
     GoUnblock,      ///< Current goroutine made a0 = gid runnable.
-    GoPanic,        ///< Goroutine panicked; str = message.
+    GoPanic,        ///< Goroutine panicked; payload = message.
 
     // -- Concurrency events (GoAT enhancement) ---------------------------
     ChMake,         ///< a0 = chan id, a1 = capacity.
@@ -112,7 +119,8 @@ bool isConcurrencyEvent(EventType t);
  *
  * @c ts is the logical step stamp assigned by the scheduler (strictly
  * increasing across the whole execution, giving the ECT its total
- * order); @c gid is the acting goroutine.
+ * order); @c gid is the acting goroutine; @c strIdx is the 1-based
+ * index of the event's string payload in its Ect's table, 0 for none.
  */
 struct Event
 {
@@ -121,7 +129,7 @@ struct Event
     EventType type = EventType::TraceStart;
     SourceLoc loc;
     int64_t args[4] = {0, 0, 0, 0};
-    std::string str;
+    uint32_t strIdx = 0;
 
     Event() = default;
 
@@ -130,6 +138,9 @@ struct Event
         : ts(ts), gid(gid), type(type), loc(loc), args{a0, a1, a2, a3}
     {}
 };
+
+static_assert(std::is_trivially_copyable_v<Event>,
+              "Event is the ring's row: a flush copies rows in bulk");
 
 } // namespace goat::trace
 

@@ -29,8 +29,8 @@ writeEct(const Ect &ect, std::ostream &os)
         os << ev.ts << ' ' << ev.gid << ' ' << eventTypeName(ev.type) << ' '
            << ev.loc.basename() << ' ' << ev.loc.line << ' ' << ev.args[0]
            << ' ' << ev.args[1] << ' ' << ev.args[2] << ' ' << ev.args[3];
-        if (!ev.str.empty())
-            os << " |" << ev.str;
+        if (ev.strIdx)
+            os << " |" << ect.str(ev);
         os << '\n';
     }
 }
@@ -82,8 +82,8 @@ readEct(std::istream &in, Ect &ect)
         std::string rest;
         std::getline(ls, rest);
         rest = strTrim(rest);
-        if (!rest.empty() && rest[0] == '|')
-            ev.str = rest.substr(1);
+        if (rest.size() > 1 && rest[0] == '|')
+            ect.setStr(ev, rest.substr(1));
         ect.append(ev);
     }
     return true;

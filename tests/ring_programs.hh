@@ -1,8 +1,8 @@
 /**
  * @file
- * The two programs of the ECT ring tests. tests/golden/ect_capture.txt
- * holds their full traces, which name this file's line numbers: edit
- * below the programs, or regenerate the golden.
+ * The programs of the ECT ring tests. tests/golden/ect_capture.txt
+ * holds the full traces of the first two, which name this file's line
+ * numbers: add programs at the bottom, or regenerate the golden.
  */
 
 #ifndef GOAT_TESTS_RING_PROGRAMS_HH
@@ -15,7 +15,7 @@ namespace goat::test {
 
 /**
  * Mixed channel/goroutine traffic plus a panic, so the rare
- * string-payload side table is exercised too.
+ * string payloads are exercised too.
  */
 inline void
 panicPayloadProgram()
@@ -38,6 +38,22 @@ sendRecv60Program()
         c.send(i);
         c.recv();
     }
+}
+
+/**
+ * 20 sends+recvs, then a send on a closed channel: under a 16-row ring
+ * the panic's string payload is attached after mid-run flushes.
+ */
+inline void
+flushThenPanicProgram()
+{
+    Chan<int> c(1);
+    for (int i = 0; i < 20; ++i) {
+        c.send(i);
+        c.recv();
+    }
+    c.close();
+    c.send(0); // panics: string-carrying event
 }
 
 } // namespace goat::test

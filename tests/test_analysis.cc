@@ -105,8 +105,8 @@ TEST(GoroutineTree, EventsAttributedToGoroutines)
     const auto *child = tree.node(2);
     ASSERT_NE(child, nullptr);
     bool child_sent = false;
-    for (const auto &ev : rr.ect.eventsOf(2))
-        if (ev.type == trace::EventType::ChSend)
+    for (const auto &ev : rr.ect.events())
+        if (ev.gid == 2 && ev.type == trace::EventType::ChSend)
             child_sent = true;
     EXPECT_TRUE(child_sent);
     // The tree keeps each node's final event for the analyses.

@@ -26,6 +26,8 @@
 #include "obs/progress.hh"
 #include "obs/saturation.hh"
 #include "runtime/api.hh"
+#include "ring_programs.hh"
+#include "test_util.hh"
 
 using namespace goat;
 using namespace goat::obs;
@@ -417,6 +419,17 @@ TEST(ChromeTrace, WriteFile)
     std::remove(path.c_str());
     EXPECT_FALSE(
         writeChromeTraceFile(sr.ect, "/nonexistent-dir/x.json"));
+}
+
+TEST(ChromeTrace, CarriesPanicPayload)
+{
+    // The panic message lives in the Ect's string table; the export
+    // must resolve it into the event's "str" field.
+    trace::Ect ect = test::runProgram(test::panicPayloadProgram, 7).ect;
+    std::string json = chromeTraceJson(ect);
+    EXPECT_TRUE(jsonBalanced(json)) << json;
+    EXPECT_NE(json.find("\"str\":\"send on closed channel\""),
+              std::string::npos);
 }
 
 TEST(SchedulerMetrics, GlobalCountersAdvanceAcrossARun)

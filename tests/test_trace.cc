@@ -26,6 +26,7 @@
 
 using namespace goat;
 using namespace goat::trace;
+using goat::test::flushThenPanicProgram;
 using goat::test::panicPayloadProgram;
 using goat::test::runProgram;
 using goat::test::sendRecv60Program;
@@ -81,8 +82,14 @@ TEST(Ect, EventsOfAndLastEventOf)
     ect.append(Event(2, 2, EventType::GoStart, SourceLoc("a.cc", 1)));
     ect.append(Event(3, 1, EventType::GoSched, SourceLoc("a.cc", 2)));
     ect.append(Event(4, 2, EventType::GoEnd, SourceLoc("a.cc", 1)));
-    EXPECT_EQ(ect.eventsOf(1).size(), 2u);
-    EXPECT_EQ(ect.eventsOf(2).size(), 2u);
+    auto count_of = [&](uint32_t gid) {
+        size_t n = 0;
+        for (const Event &ev : ect.events())
+            n += ev.gid == gid;
+        return n;
+    };
+    EXPECT_EQ(count_of(1), 2u);
+    EXPECT_EQ(count_of(2), 2u);
     EXPECT_EQ(ect.lastEventOf(1)->type, EventType::GoSched);
     EXPECT_EQ(ect.lastEventOf(2)->type, EventType::GoEnd);
     EXPECT_EQ(ect.lastEventOf(99), nullptr);
@@ -122,11 +129,22 @@ TEST(Serialize, RoundTripPanicMessage)
 {
     Ect ect;
     Event ev(1, 2, EventType::GoPanic, SourceLoc("k.cc", 9));
-    ev.str = "send on closed channel";
+    ect.setStr(ev, "send on closed channel");
     ect.append(ev);
     Ect back;
     ASSERT_TRUE(ectFromString(ectToString(ect), back));
-    EXPECT_EQ(back.events()[0].str, "send on closed channel");
+    EXPECT_EQ(back.str(back.events()[0]), "send on closed channel");
+
+    // A copy keeps the string table; clear() drops it.
+    Ect copy = back;
+    back.clear();
+    EXPECT_EQ(copy.str(copy.events()[0]), "send on closed channel");
+    EXPECT_EQ(ectToString(copy), ectToString(ect));
+    EXPECT_TRUE(back.empty());
+    Event fresh(1, 2, EventType::GoPanic, SourceLoc("k.cc", 9));
+    EXPECT_EQ(back.str(fresh), "");
+    back.setStr(fresh, "other");
+    EXPECT_EQ(fresh.strIdx, 1u); // the cleared table restarts at 1
 }
 
 TEST(Serialize, RoundTripRealExecution)
@@ -213,6 +231,20 @@ TEST(EctRing, WrapFlushesWithoutLosingEvents)
     EXPECT_EQ(ectToString(wrapped.ect), ectToString(whole.ect));
 }
 
+TEST(EctRing, StringPayloadSurvivesMidRunFlush)
+{
+    // The panic message is attached after a 16-row ring has flushed
+    // several times; it must land in the bound Ect's string table
+    // exactly as in an unwrapped capture.
+    auto whole = runProgram(flushThenPanicProgram, /*seed=*/3);
+    auto wrapped =
+        runProgram(flushThenPanicProgram, /*seed=*/3, 0.0, {}, 16);
+    ASSERT_GT(whole.ect.size(), 2 * 16u);
+    std::string text = ectToString(wrapped.ect);
+    EXPECT_EQ(text, ectToString(whole.ect));
+    EXPECT_NE(text.find("|send on closed channel"), std::string::npos);
+}
+
 TEST(EctRing, FoldTypeCountsMatchesTraceAcrossWrap)
 {
     runtime::SchedConfig cfg;
@@ -255,7 +287,7 @@ TEST(EctRing, DefaultCapacityIsFlooredAndRestorable)
 // ---------------------------------------------------------------------
 // ECT capture golden: the trace every GoKer kernel records at D=2
 // (seeds 1-3, the noise and yield policy of engine::runOnce), plus the
-// full text of the two programs in ring_programs.hh. Pins
+// full text of the first two programs in ring_programs.hh. Pins
 // the scheduler's capture path byte for byte. Regenerate with
 // GOAT_UPDATE_GOLDEN=1 only after an intended change of the trace
 // format or of scheduling.

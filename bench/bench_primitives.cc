@@ -4,13 +4,17 @@
  * spawn/join, fiber context switches, channel operations, select,
  * sync primitives, and the cost of tracing — quantifying the
  * "automated dynamic tracing" overhead the paper's design relies on
- * being cheap.
+ * being cheap — plus the fixed cost of a campaign that ends at its
+ * first iteration, the common case of the Table IV sweep.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "campaign/campaign.hh"
 #include "chan/chan.hh"
 #include "chan/select.hh"
+#include "goker/registry.hh"
+#include "obs/metrics.hh"
 #include "runtime/api.hh"
 #include "sync/sync.hh"
 #include "trace/ect_ring.hh"
@@ -200,5 +204,50 @@ BM_TracingOverhead(benchmark::State &state)
     state.SetLabel(traced ? "traced" : "untraced");
 }
 BENCHMARK(BM_TracingOverhead)->Arg(0)->Arg(1);
+
+// A whole jobs=1, stop-on-bug -cov -predict -race campaign on a kernel
+// whose bug shows at iteration 1: one iteration plus everything a
+// campaign costs to set up and finalize.
+static void
+BM_CampaignFixedCost(benchmark::State &state)
+{
+    const goker::KernelInfo *k =
+        goker::KernelRegistry::instance().find("etcd_7492");
+    campaign::CampaignConfig cfg;
+    cfg.engine.delayBound = 2;
+    cfg.engine.collectCoverage = true;
+    cfg.engine.predict = true;
+    cfg.engine.raceDetect = true;
+    cfg.engine.staticModel = goker::kernelCuTable(*k);
+    for (auto _ : state) {
+        campaign::CampaignResult r = campaign::runCampaign(cfg, k->fn);
+        if (r.merged.bugIteration != 1) {
+            state.SkipWithError("etcd_7492 no longer fails at iteration 1");
+            break;
+        }
+    }
+}
+BENCHMARK(BM_CampaignFixedCost);
+
+// A campaign worker's metrics life cycle: a fresh registry, one
+// scheduler run recorded into it, then its fold into a parent.
+static void
+BM_WorkerRegistryCycle(benchmark::State &state)
+{
+    obs::Registry parent;
+    for (auto _ : state) {
+        obs::Registry worker;
+        {
+            obs::ScopedRegistry scope(worker);
+            Scheduler sched(quietCfg());
+            sched.run([] {
+                go([] {});
+                yield();
+            });
+        }
+        parent.absorb(worker);
+    }
+}
+BENCHMARK(BM_WorkerRegistryCycle);
 
 BENCHMARK_MAIN();

@@ -20,6 +20,7 @@
 #include "base/logging.hh"
 #include "campaign/checkpoint.hh"
 #include "campaign/supervisor.hh"
+#include "obs/builtin_metrics.hh"
 #include "obs/ledger.hh"
 #include "obs/profile.hh"
 
@@ -35,6 +36,13 @@ using engine::SingleRun;
 using runtime::RunOutcome;
 
 namespace {
+
+/** The engine's and the campaign's metric ids. */
+const obs::CampaignMetricIds &
+ids()
+{
+    return obs::builtinMetrics().campaign;
+}
 
 /** Lower @p a to @p v if v is smaller (lock-free broadcast). */
 void
@@ -171,11 +179,9 @@ struct Worker
 {
     Worker(int i, const std::shared_ptr<const CoverageUniverse> &u)
         : id(i), scratch(u), localCov(u),
-          iterations(registry.counter("engine.iterations")),
-          bugs(registry.counter("engine.bugs_found")),
-          iterWall(registry.histogram(
-              "engine.iter_wall_us",
-              {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000}))
+          iterations(registry.counter(ids().iterations)),
+          bugs(registry.counter(ids().bugsFound)),
+          iterWall(registry.histogram(ids().iterWallUs))
     {
     }
 
@@ -1175,36 +1181,32 @@ finalizeCampaign(FoldState &fs, const std::function<void()> &program,
 
     // Fold the private registries of the workers that exist (one
     // unless the campaign fanned out; none under -isolate, whose rows
-    // carry the shards' metrics) into one snapshot and absorb them into
-    // the campaign-level registry, plus campaign bookkeeping.
+    // carry the shards' metrics) into one and absorb that into the
+    // campaign-level registry, plus campaign bookkeeping.
+    const obs::CampaignMetricIds &m = ids();
     obs::Registry &parent = obs::Registry::current();
-    for (const auto &w : workers) {
-        obs::Snapshot s = w->registry.snapshot();
-        out.workerMetrics.mergeFrom(s);
-        parent.absorb(s);
-    }
-    parent.counter("engine.campaigns").inc();
-    parent.counter("campaign.runs").inc();
-    parent.counter("campaign.iterations.executed")
+    for (const auto &w : workers)
+        out.workerMetrics.absorb(w->registry);
+    parent.absorb(out.workerMetrics);
+    parent.counter(m.campaigns).inc();
+    parent.counter(m.runs).inc();
+    parent.counter(m.executed)
         .inc(static_cast<uint64_t>(out.executedIterations));
-    parent.counter("campaign.iterations.discarded")
+    parent.counter(m.discarded)
         .inc(static_cast<uint64_t>(out.discardedIterations));
-    parent.gauge("campaign.workers").setMax(out.jobs);
-    parent.counter("campaign.fanouts").inc(out.window > 0 ? 1 : 0);
+    parent.gauge(m.workers).setMax(out.jobs);
+    parent.counter(m.fanouts).inc(out.window > 0 ? 1 : 0);
     if (ecfg.predict) {
-        parent.counter("campaign.predictions")
+        parent.counter(m.predictions)
             .inc(static_cast<uint64_t>(
                 out.predict.report.predictions.size()));
-        parent.counter("campaign.predictions.confirmed")
+        parent.counter(m.predictionsConfirmed)
             .inc(static_cast<uint64_t>(out.predict.confirmedCount));
     }
     if (cfg.isolate || out.respawns || out.crashes || out.timeouts) {
-        parent.counter("campaign.respawns")
-            .inc(static_cast<uint64_t>(out.respawns));
-        parent.counter("campaign.crashes")
-            .inc(static_cast<uint64_t>(out.crashes));
-        parent.counter("campaign.timeouts")
-            .inc(static_cast<uint64_t>(out.timeouts));
+        parent.counter(m.respawns).inc(static_cast<uint64_t>(out.respawns));
+        parent.counter(m.crashes).inc(static_cast<uint64_t>(out.crashes));
+        parent.counter(m.timeouts).inc(static_cast<uint64_t>(out.timeouts));
     }
 
     out.wallMicros = static_cast<uint64_t>(

@@ -188,8 +188,8 @@ struct CampaignResult
     int windowPeak = 0;
     /** Campaign wall time, microseconds. */
     uint64_t wallMicros = 0;
-    /** Per-worker metric registries folded into one snapshot. */
-    obs::Snapshot workerMetrics;
+    /** The per-worker metric registries, folded into one. */
+    obs::Registry workerMetrics;
     /** Ledger lines written (0 when no ledger was requested). */
     size_t ledgerRows = 0;
     /** False when a requested ledger file could not be written. */

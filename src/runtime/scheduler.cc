@@ -1,11 +1,12 @@
 #include "runtime/scheduler.hh"
 
+#include <iterator>
 #include <utility>
 
 #include "base/fmt.hh"
 #include "base/interrupt.hh"
 #include "base/logging.hh"
-#include "obs/metrics.hh"
+#include "obs/builtin_metrics.hh"
 #include "obs/profile.hh"
 
 namespace goat::runtime {
@@ -14,175 +15,67 @@ namespace {
 
 thread_local Scheduler *tlsSched = nullptr;
 
-/**
- * Registry-side instrumentation: every instrument is registered once
- * (on first use) and cached here. The execution hot paths never touch
- * these — they bump the plain per-run SchedTallies on the Scheduler
- * object, and flush() folds a whole run's tallies into the registry in
- * one pass at the end of Scheduler::run().
- *
- * The cache is per thread and bound to the registry that was
- * Registry::current() when it was built (campaign workers install a
- * private registry per thread); schedMetrics() rebuilds it when the
- * thread's current registry changes, so pointers never dangle across
- * a ScopedRegistry boundary.
- */
-struct SchedMetrics
-{
-    obs::Counter *event[static_cast<size_t>(trace::EventType::NumEventTypes)];
-    obs::Counter *park[9];    // indexed by BlockReason
-    obs::Counter *outcome[4]; // indexed by RunOutcome
-    obs::Counter &runs;
-    obs::Counter &dispatches;
-    obs::Counter &ctxSwitches;
-    obs::Counter &spawns;
-    obs::Counter &wakes;
-    obs::Counter &yields;
-    obs::Counter &preemptNoise;
-    obs::Counter &preemptPerturb;
-    obs::Counter &timerFires;
-    obs::Counter &stackPoolHits;
-    obs::Counter &stackPoolMisses;
-    obs::Counter &chanMakes;
-    obs::Counter &chanSendImmediate;
-    obs::Counter &chanSendParked;
-    obs::Counter &chanRecvImmediate;
-    obs::Counter &chanRecvParked;
-    obs::Counter &chanCloses;
-    obs::Counter &mutexFast;
-    obs::Counter &mutexContended;
-    obs::Counter &rwFast;
-    obs::Counter &rwContended;
-    obs::Counter &wgWaitFast;
-    obs::Counter &wgWaitParked;
-    obs::Counter &condWaits;
-    obs::Counter &condSignals;
-    obs::Counter &perturbInjected;
-    obs::Counter &perturbSkipped;
-    obs::Counter &guidedHot;
-    obs::Counter &guidedCold;
-    obs::Gauge &stackPoolSize;
-    obs::Gauge &goroutinesPeak;
-    obs::Histogram &stepsPerRun;
-
-    SchedMetrics()
-        : runs(reg().counter("sched.runs")),
-          dispatches(reg().counter("sched.dispatches")),
-          ctxSwitches(reg().counter("sched.ctx_switches")),
-          spawns(reg().counter("sched.spawns")),
-          wakes(reg().counter("sched.wakes")),
-          yields(reg().counter("sched.yields")),
-          preemptNoise(reg().counter("sched.preempt.noise")),
-          preemptPerturb(reg().counter("sched.preempt.perturb")),
-          timerFires(reg().counter("sched.timer_fires")),
-          stackPoolHits(reg().counter("sched.stackpool.hits")),
-          stackPoolMisses(reg().counter("sched.stackpool.misses")),
-          chanMakes(reg().counter("chan.makes")),
-          chanSendImmediate(reg().counter("chan.send.immediate")),
-          chanSendParked(reg().counter("chan.send.parked")),
-          chanRecvImmediate(reg().counter("chan.recv.immediate")),
-          chanRecvParked(reg().counter("chan.recv.parked")),
-          chanCloses(reg().counter("chan.closes")),
-          mutexFast(reg().counter("sync.mutex.acquire.fast")),
-          mutexContended(reg().counter("sync.mutex.acquire.contended")),
-          rwFast(reg().counter("sync.rwmutex.acquire.fast")),
-          rwContended(reg().counter("sync.rwmutex.acquire.contended")),
-          wgWaitFast(reg().counter("sync.wg.wait.fast")),
-          wgWaitParked(reg().counter("sync.wg.wait.parked")),
-          condWaits(reg().counter("sync.cond.waits")),
-          condSignals(reg().counter("sync.cond.signals")),
-          perturbInjected(reg().counter("perturb.yields.injected")),
-          perturbSkipped(reg().counter("perturb.yields.skipped")),
-          guidedHot(reg().counter("perturb.guided.hot_picks")),
-          guidedCold(reg().counter("perturb.guided.cold_picks")),
-          stackPoolSize(reg().gauge("sched.stackpool.size")),
-          goroutinesPeak(reg().gauge("sched.goroutines_peak")),
-          stepsPerRun(reg().histogram(
-              "sched.steps_per_run",
-              {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000}))
-    {
-        for (size_t i = 0;
-             i < static_cast<size_t>(trace::EventType::NumEventTypes); ++i) {
-            event[i] = &reg().counter(
-                std::string("event.") +
-                trace::eventTypeName(static_cast<trace::EventType>(i)));
-        }
-        static const char *reason_names[9] = {
-            "none", "chan_send", "chan_recv", "select", "mutex",
-            "rwmutex", "waitgroup", "cond", "sleep"};
-        for (size_t i = 0; i < 9; ++i)
-            park[i] = &reg().counter(std::string("sched.park.") +
-                                     reason_names[i]);
-        static const char *outcome_names[4] = {
-            "ok", "global_deadlock", "crash", "step_budget"};
-        for (size_t i = 0; i < 4; ++i)
-            outcome[i] = &reg().counter(std::string("sched.outcome.") +
-                                        outcome_names[i]);
-    }
-
-    /** Fold one run's tallies into the registry counters. */
-    void
-    flush(const SchedTallies &t)
-    {
-        for (size_t i = 0;
-             i < static_cast<size_t>(trace::EventType::NumEventTypes); ++i)
-            event[i]->inc(t.event[i]);
-        for (size_t i = 0; i < 9; ++i)
-            park[i]->inc(t.park[i]);
-        dispatches.inc(t.dispatches);
-        // One swap in plus one swap back out per dispatch.
-        ctxSwitches.inc(t.dispatches * 2);
-        spawns.inc(t.spawns);
-        wakes.inc(t.wakes);
-        yields.inc(t.yields);
-        preemptNoise.inc(t.preemptNoise);
-        preemptPerturb.inc(t.preemptPerturb);
-        timerFires.inc(t.timerFires);
-        stackPoolHits.inc(t.stackPoolHits);
-        stackPoolMisses.inc(t.stackPoolMisses);
-        chanMakes.inc(t.chanMakes);
-        chanSendImmediate.inc(t.chanSendImmediate);
-        chanSendParked.inc(t.chanSendParked);
-        chanRecvImmediate.inc(t.chanRecvImmediate);
-        chanRecvParked.inc(t.chanRecvParked);
-        chanCloses.inc(t.chanCloses);
-        mutexFast.inc(t.mutexFast);
-        mutexContended.inc(t.mutexContended);
-        rwFast.inc(t.rwFast);
-        rwContended.inc(t.rwContended);
-        wgWaitFast.inc(t.wgWaitFast);
-        wgWaitParked.inc(t.wgWaitParked);
-        condWaits.inc(t.condWaits);
-        condSignals.inc(t.condSignals);
-        perturbInjected.inc(t.perturbInjected);
-        perturbSkipped.inc(t.perturbSkipped);
-        guidedHot.inc(t.guidedHot);
-        guidedCold.inc(t.guidedCold);
-    }
-
-    static obs::Registry &reg() { return obs::Registry::current(); }
-};
+static_assert(static_cast<size_t>(BlockReason::Sleep) + 1 ==
+              std::size(SchedTallies{}.park));
+static_assert(std::size(SchedTallies{}.park) ==
+              std::size(obs::SchedMetricIds{}.park));
+static_assert(static_cast<size_t>(RunOutcome::StepBudget) + 1 ==
+              std::size(obs::SchedMetricIds{}.outcome));
 
 /**
- * The calling thread's instrument cache, rebuilt whenever the thread's
- * current registry changes (cheap: one TLS read and pointer compare on
- * the once-per-run flush path).
+ * Fold one run's tallies into the calling thread's current registry.
+ * The execution hot paths never touch a registry: they bump the plain
+ * per-run SchedTallies on the Scheduler object, and this writes a
+ * whole run's worth into the registry's id-indexed slots in one
+ * locked pass at the end of Scheduler::run(). The ids are interned
+ * once per process (obs/builtin_metrics.hh), so a fresh registry (a
+ * campaign worker's) costs nothing extra on its first run.
  */
-SchedMetrics &
-schedMetrics()
+void
+flushMetrics(const SchedTallies &t, RunOutcome outcome, int64_t pooled,
+             int64_t goroutines, uint64_t steps)
 {
-    // Keyed on the registry's process-unique id, not its address: a
-    // campaign worker registry can be destroyed and the next one
-    // allocated at the same address, which an address compare would
-    // mistake for the cached owner (dangling instrument pointers).
-    thread_local uint64_t ownerId = 0;
-    thread_local std::unique_ptr<SchedMetrics> m;
-    uint64_t cur = obs::Registry::current().id();
-    if (!m || ownerId != cur) {
-        m = std::make_unique<SchedMetrics>();
-        ownerId = cur;
-    }
-    return *m;
+    const obs::SchedMetricIds &ids = obs::builtinMetrics().sched;
+    obs::Registry::Batch m(obs::Registry::current(), ids.all);
+    for (size_t i = 0;
+         i < static_cast<size_t>(trace::EventType::NumEventTypes); ++i)
+        m[ids.event[i]].inc(t.event[i]);
+    for (size_t i = 0; i < std::size(t.park); ++i)
+        m[ids.park[i]].inc(t.park[i]);
+    m[ids.dispatches].inc(t.dispatches);
+    // One swap in plus one swap back out per dispatch.
+    m[ids.ctxSwitches].inc(t.dispatches * 2);
+    m[ids.spawns].inc(t.spawns);
+    m[ids.wakes].inc(t.wakes);
+    m[ids.yields].inc(t.yields);
+    m[ids.preemptNoise].inc(t.preemptNoise);
+    m[ids.preemptPerturb].inc(t.preemptPerturb);
+    m[ids.timerFires].inc(t.timerFires);
+    m[ids.stackPoolHits].inc(t.stackPoolHits);
+    m[ids.stackPoolMisses].inc(t.stackPoolMisses);
+    m[ids.chanMakes].inc(t.chanMakes);
+    m[ids.chanSendImmediate].inc(t.chanSendImmediate);
+    m[ids.chanSendParked].inc(t.chanSendParked);
+    m[ids.chanRecvImmediate].inc(t.chanRecvImmediate);
+    m[ids.chanRecvParked].inc(t.chanRecvParked);
+    m[ids.chanCloses].inc(t.chanCloses);
+    m[ids.mutexFast].inc(t.mutexFast);
+    m[ids.mutexContended].inc(t.mutexContended);
+    m[ids.rwFast].inc(t.rwFast);
+    m[ids.rwContended].inc(t.rwContended);
+    m[ids.wgWaitFast].inc(t.wgWaitFast);
+    m[ids.wgWaitParked].inc(t.wgWaitParked);
+    m[ids.condWaits].inc(t.condWaits);
+    m[ids.condSignals].inc(t.condSignals);
+    m[ids.perturbInjected].inc(t.perturbInjected);
+    m[ids.perturbSkipped].inc(t.perturbSkipped);
+    m[ids.guidedHot].inc(t.guidedHot);
+    m[ids.guidedCold].inc(t.guidedCold);
+    m[ids.runs].inc();
+    m[ids.outcome[static_cast<size_t>(outcome)]].inc();
+    m[ids.stackPoolSize].set(pooled);
+    m[ids.goroutinesPeak].setMax(goroutines);
+    m[ids.stepsPerRun].observe(steps);
 }
 
 } // namespace
@@ -631,15 +524,10 @@ Scheduler::run(std::function<void()> main_fn)
     if (ring_)
         ring_->foldTypeCounts(tallies_.event);
 
-    SchedMetrics &m = schedMetrics();
-    m.flush(tallies_);
+    flushMetrics(tallies_, res.outcome,
+                 static_cast<int64_t>(StackPool::forThread().pooled()),
+                 static_cast<int64_t>(goroutines_.size()), steps_);
     tallies_ = SchedTallies{}; // run() may be called again on this object
-    m.runs.inc();
-    m.outcome[static_cast<size_t>(res.outcome)]->inc();
-    m.stackPoolSize.set(
-        static_cast<int64_t>(StackPool::forThread().pooled()));
-    m.goroutinesPeak.setMax(static_cast<int64_t>(goroutines_.size()));
-    m.stepsPerRun.observe(steps_);
 
     tlsSched = prev;
     running_ = false;

@@ -124,8 +124,9 @@ struct SchedConfig
 /**
  * Per-run telemetry tallies: plain words on the scheduler object,
  * incremented inline by the scheduler, channels, sync primitives, and
- * the perturbation layer, and flushed into the global metrics registry
- * (obs::Registry) once at the end of run(). Keeping the hot path to a
+ * the perturbation layer, and flushed into the thread's current
+ * metrics registry (obs::Registry::current()) once at the end of
+ * run(). Keeping the hot path to a
  * single indexed increment on an already-hot cache line — no atomics,
  * no guard checks, no pointer chases — is what keeps instrumentation
  * overhead in the noise; see bench_obs / bench_primitives.

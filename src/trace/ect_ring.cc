@@ -1,5 +1,8 @@
 #include "trace/ect_ring.hh"
 
+#include <new>
+#include <type_traits>
+
 #include "base/logging.hh"
 
 namespace goat::trace {
@@ -40,7 +43,14 @@ EctRing::setCapacity(size_t rows)
         return;
     if (rows < 16)
         rows = 16;
-    rows_ = std::make_unique<Event[]>(rows);
+    // Rows are written by push()'s caller before any flush reads them,
+    // so the buffer is left uninitialised: a fresh thread's ring
+    // touches only the pages its runs fill instead of zeroing all of
+    // them. Event is trivially copyable, an implicit-lifetime type,
+    // so operator new's storage holds its rows without construction.
+    static_assert(std::is_trivially_copyable_v<Event> &&
+                  std::is_trivially_destructible_v<Event>);
+    rows_.reset(static_cast<Event *>(::operator new(rows * sizeof(Event))));
     cap_ = rows;
     n_ = 0;
 }

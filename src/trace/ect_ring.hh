@@ -88,7 +88,13 @@ class EctRing
     bool active() const { return out_ != nullptr; }
 
   private:
-    std::unique_ptr<Event[]> rows_;
+    /** Frees rows allocated uninitialised by setCapacity(). */
+    struct FreeRows
+    {
+        void operator()(Event *rows) const { ::operator delete(rows); }
+    };
+
+    std::unique_ptr<Event[], FreeRows> rows_;
     size_t cap_ = 0;
     size_t n_ = 0;
     Ect *out_ = nullptr;

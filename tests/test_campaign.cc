@@ -305,8 +305,9 @@ TEST(Campaign, WorkerMetricsFoldAndJobClamp)
     CampaignResult r = runCampaign(cfg, k.fn);
     EXPECT_EQ(r.jobs, 20); // clamped to maxIterations
     expectFannedOut(r);
-    auto it = r.workerMetrics.counters.find("engine.iterations");
-    ASSERT_NE(it, r.workerMetrics.counters.end());
+    const obs::Snapshot folded = r.workerMetrics.snapshot();
+    auto it = folded.counters.find("engine.iterations");
+    ASSERT_NE(it, folded.counters.end());
     EXPECT_EQ(it->second,
               static_cast<uint64_t>(r.executedIterations));
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <mutex>
 #include <string_view>
@@ -108,10 +109,25 @@ appendKindCase(std::string &out, CuKind kind, int case_idx)
     out.append(mid, static_cast<size_t>(n));
 }
 
+/** True when @p loc is "<name>:<line>", the form appendLoc renders. */
+bool
+validLoc(std::string_view loc)
+{
+    size_t colon = loc.rfind(':');
+    if (colon == std::string_view::npos || colon == 0)
+        return false;
+    std::string_view num = loc.substr(colon + 1);
+    uint32_t line;
+    const char *last = num.data() + num.size();
+    auto [end, ec] = std::from_chars(num.data(), last, line);
+    return ec == std::errc() && end == last &&
+           (num[0] != '0' || num.size() == 1);
+}
+
 /** (scope, location, kind, select case): one requirement group. */
 struct GroupKey
 {
-    uint32_t scope = 0; ///< 0 = program level, else an interned node key.
+    uint32_t scope = 0; ///< 0 = program level, else a node scope.
     uint32_t loc = 0;   ///< Interned "<basename>:<line>".
     int32_t caseIdx = -1;
     uint32_t kind = 0;
@@ -138,14 +154,20 @@ struct GroupKeyHash
 };
 
 /**
- * The process-wide requirement catalog: interned node keys (scopes),
- * locations and requirement groups, with each group's rendered key
- * prefix. Append-only and guarded by one mutex; the hot path reaches
+ * The process-wide requirement catalog: interned locations, node
+ * scopes and requirement groups, with each group's rendered key
+ * prefix. A node scope is the paper's goroutine equivalence (equal
+ * parents, equal creation CU): the pair (parent scope, creation
+ * location), interned once. Scope 0 is program level and scope 1 is
+ * main; a scope's "main>loc>...>loc" text is rendered once, when it is
+ * interned. Append-only and guarded by one mutex; the hot path reaches
  * it only on a scratch's cache misses.
  */
 class Catalog
 {
   public:
+    static constexpr uint32_t kMainScope = 1;
+
     static Catalog &
     instance()
     {
@@ -154,32 +176,47 @@ class Catalog
         return *c;
     }
 
-    uint32_t
-    scope(const std::string &node_key)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return intern(scopes_, scopeIds_, node_key);
-    }
-
-    uint32_t
-    loc(const std::string &loc_str)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return intern(locs_, locIds_, loc_str);
-    }
-
+    /**
+     * Set @p id to the scope of a goroutine created at @p loc by one in
+     * scope @p parent. With @p intern an unseen scope is interned (its
+     * text rendered); otherwise it fails the lookup.
+     */
     bool
-    findScope(const std::string &node_key, uint32_t *id) const
+    scope(uint32_t parent, uint32_t loc, bool intern, uint32_t *id)
     {
         std::lock_guard<std::mutex> lk(mu_);
-        return find(scopeIds_, node_key, id);
+        const uint64_t k = uint64_t{parent} << 32 | loc;
+        auto it = childScopes_.find(k);
+        if (it == childScopes_.end()) {
+            if (!intern)
+                return false;
+            auto s = static_cast<uint32_t>(scopes_.size());
+            scopes_.push_back(scopes_[parent] + '>' + locs_[loc]);
+            it = childScopes_.emplace(k, s).first;
+        }
+        *id = it->second;
+        return true;
     }
 
+    /**
+     * Set @p id to the location "<basename>:<line>" @p loc_str names.
+     * With @p intern an unseen one is interned; otherwise it fails the
+     * lookup.
+     */
     bool
-    findLoc(const std::string &loc_str, uint32_t *id) const
+    loc(const std::string &loc_str, bool intern, uint32_t *id)
     {
         std::lock_guard<std::mutex> lk(mu_);
-        return find(locIds_, loc_str, id);
+        auto it = locIds_.find(loc_str);
+        if (it == locIds_.end()) {
+            if (!intern)
+                return false;
+            auto l = static_cast<uint32_t>(locs_.size());
+            locs_.push_back(loc_str);
+            it = locIds_.emplace(loc_str, l).first;
+        }
+        *id = it->second;
+        return true;
     }
 
     uint32_t
@@ -261,50 +298,23 @@ class Catalog
         Entry &e = cache[{loc.file, loc.line}];
         if (e.gen != progGen_.load(std::memory_order_acquire) + 1) {
             std::lock_guard<std::mutex> lk(mu_);
-            uint32_t l;
+            auto it = locIds_.find(loc.str());
             e.groups.clear();
-            if (find(locIds_, loc.str(), &l) && l < progGroupsAt_.size())
-                e.groups = progGroupsAt_[l];
+            if (it != locIds_.end() && it->second < progGroupsAt_.size())
+                e.groups = progGroupsAt_[it->second];
             e.gen = progGen_.load(std::memory_order_relaxed) + 1;
         }
         return e.groups;
     }
 
   private:
-    Catalog()
-    {
-        scopes_.emplace_back(); // scope 0: program level
-        scopeIds_.emplace("", 0);
-    }
-
-    static bool
-    find(const std::unordered_map<std::string, uint32_t> &ids,
-         const std::string &s, uint32_t *id)
-    {
-        auto it = ids.find(s);
-        if (it == ids.end())
-            return false;
-        *id = it->second;
-        return true;
-    }
-
-    static uint32_t
-    intern(std::vector<std::string> &names,
-           std::unordered_map<std::string, uint32_t> &ids,
-           const std::string &s)
-    {
-        auto it = ids.find(s);
-        if (it != ids.end())
-            return it->second;
-        auto id = static_cast<uint32_t>(names.size());
-        names.push_back(s);
-        ids.emplace(s, id);
-        return id;
-    }
+    Catalog() : scopes_{"", "main"} {}
 
     mutable std::mutex mu_;
+    /** Per scope: its rendered text ("" for program level). */
     std::vector<std::string> scopes_;
-    std::unordered_map<std::string, uint32_t> scopeIds_;
+    /** (parent scope, creation location) → scope, for scopes ≥ 2. */
+    std::unordered_map<uint64_t, uint32_t> childScopes_;
     std::vector<std::string> locs_;
     std::unordered_map<std::string, uint32_t> locIds_;
     /** Per group: its keys' shared prefix "[scope|]loc kind[/caseN] ". */
@@ -319,14 +329,17 @@ class Catalog
 uint32_t
 progGroup(Catalog &cat, const Cu &cu)
 {
-    return cat.group(
-        {0, cat.loc(cu.loc.str()), -1, static_cast<uint32_t>(cu.kind)});
+    uint32_t l;
+    cat.loc(cu.loc.str(), true, &l);
+    return cat.group({0, l, -1, static_cast<uint32_t>(cu.kind)});
 }
 
 /**
  * Parse a requirement key "[<scope>|]<loc> <kind>[/case<i>] <type>"
  * into its group key and type. With @p intern, unseen scopes and
- * locations are interned; otherwise they fail the lookup.
+ * locations are interned; otherwise they fail the lookup. A scope is
+ * "main" followed by ">"-separated locations, and a location is
+ * "<name>:<line>"; any other text is refused.
  */
 bool
 parseKey(Catalog &cat, const std::string &key, bool intern, GroupKey *gk,
@@ -377,24 +390,29 @@ parseKey(Catalog &cat, const std::string &key, bool intern, GroupKey *gk,
     if (!kind_ok)
         return false;
 
-    std::string head = key.substr(0, sp1);
+    auto locId = [&](std::string_view text, uint32_t *id) {
+        return validLoc(text) && cat.loc(std::string(text), intern, id);
+    };
+    std::string_view head(key.data(), sp1);
     size_t bar = head.rfind('|');
-    std::string scope =
-        bar == std::string::npos ? std::string() : head.substr(0, bar);
-    std::string loc =
-        bar == std::string::npos ? head : head.substr(bar + 1);
-    if (loc.empty() || (bar != std::string::npos && scope.empty()))
-        return false;
-    if (intern) {
-        gk->scope = cat.scope(scope);
-        gk->loc = cat.loc(loc);
-        return true;
-    }
-    // A pure lookup must not grow the catalog.
     gk->scope = 0;
-    if (!scope.empty() && !cat.findScope(scope, &gk->scope))
-        return false;
-    return cat.findLoc(loc, &gk->loc);
+    if (bar != std::string_view::npos) {
+        // A node scope: "main", then one creation location per level.
+        std::string_view scope = head.substr(0, bar);
+        size_t gt = scope.find('>');
+        if (scope.substr(0, gt) != "main")
+            return false;
+        gk->scope = Catalog::kMainScope;
+        while (gt != std::string_view::npos) {
+            size_t next = scope.find('>', gt + 1);
+            uint32_t l;
+            if (!locId(scope.substr(gt + 1, next - gt - 1), &l) ||
+                !cat.scope(gk->scope, l, intern, &gk->scope))
+                return false;
+            gt = next;
+        }
+    }
+    return locId(head.substr(bar + 1), &gk->loc); // bar + 1 == 0: no scope
 }
 
 } // namespace
@@ -513,7 +531,8 @@ struct ScratchImpl
                        CuCacheKeyHash>
         cuIndex;
     std::vector<CuRef> cus;
-    std::unordered_map<std::string, uint32_t> scopeCache;
+    /** (parent scope << 32 | creation location) → the child's scope. */
+    std::unordered_map<uint64_t, uint32_t> childScopes;
     std::unordered_map<GroupKey, uint32_t, GroupKeyHash> groupCache;
 
     // Per-execution state.
@@ -631,7 +650,7 @@ struct ScratchImpl
             CuRef ref;
             ref.cu = found ? *found : Cu(loc, fallback);
             ref.dynamic = !found;
-            ref.loc = cat.loc(ref.cu.loc.str());
+            cat.loc(ref.cu.loc.str(), true, &ref.loc);
             ref.group = cat.group(
                 {0, ref.loc, -1, static_cast<uint32_t>(ref.cu.kind)});
             idx = static_cast<uint32_t>(cus.size());
@@ -660,8 +679,8 @@ struct ScratchImpl
             setFlag(pid, kCov);
             out->covered.push_back(pid);
         }
-        if (scope == kNoScope || scope == 0)
-            return; // no node, or a node without an equivalence key
+        if (scope == kNoScope)
+            return; // the scheduler creating main: no node scope
         ReqId nid = reqId(group(scope, ref, case_idx), type);
         if (!(flagsOf(nid) & kCov)) {
             // Materialize the node-level requirement set for this CU
@@ -691,19 +710,14 @@ ScratchImpl::compute(const trace::Ect &ect, const GoroutineTree &tree,
     out = delta;
     out->clear();
 
-    // gid → node scope for application-level goroutines (kNoScope =
-    // system/scheduler context).
-    scopeByGid.assign(scopeByGid.size(), kNoScope);
-    for (const auto &[gid, node] : tree.nodes()) {
-        if (!node->appLevel)
-            continue;
-        if (gid >= scopeByGid.size())
-            scopeByGid.resize(gid + 1, kNoScope);
-        auto it = scopeCache.find(node->key);
-        if (it == scopeCache.end())
-            it = scopeCache.emplace(node->key, cat.scope(node->key)).first;
-        scopeByGid[gid] = it->second;
-    }
+    // gid → node scope of application-level goroutines (kNoScope:
+    // system goroutines and the scheduler context). Main's is fixed;
+    // every other node gets its own where the walk meets its creation.
+    const auto &nodes = tree.nodes();
+    scopeByGid.assign(nodes.empty() ? 0 : size_t{nodes.rbegin()->first} + 1,
+                      kNoScope);
+    if (tree.root())
+        scopeByGid[tree.root()->gid] = Catalog::kMainScope;
 
     std::vector<std::pair<uint32_t, int>> &cases = out->selectCases;
 
@@ -721,7 +735,16 @@ ScratchImpl::compute(const trace::Ect &ect, const GoroutineTree &tree,
                 tree.node(static_cast<uint32_t>(ev.args[0]));
             if (!child || !child->appLevel)
                 break;
-            cover(resolve(ev.loc, CuKind::Go), ReqType::Nop, -1, sc);
+            uint32_t cu = resolve(ev.loc, CuKind::Go);
+            if (sc != kNoScope) { // else main, created by the scheduler
+                const uint32_t loc = cus[cu].loc;
+                auto [it, fresh] =
+                    childScopes.try_emplace(uint64_t{sc} << 32 | loc, 0);
+                if (fresh)
+                    cat.scope(sc, loc, true, &it->second);
+                scopeByGid[child->gid] = it->second;
+            }
+            cover(cu, ReqType::Nop, -1, sc);
             break;
           }
 
@@ -1168,7 +1191,7 @@ CoverageState::tableStr() const
     for (const Cu &cu : table_.all()) {
         const std::string loc = cu.loc.str();
         uint32_t l = 0;
-        const bool known = cat.findLoc(loc, &l);
+        const bool known = cat.loc(loc, false, &l);
         std::vector<std::pair<ReqType, int>> rows;
         for (ReqType t : templatesFor(cu.kind))
             rows.push_back({t, -1});

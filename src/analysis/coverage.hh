@@ -17,8 +17,10 @@
  * instance per CU, created from the static model), and goroutine-node
  * level (instances materialize when a node of the *global* goroutine
  * tree first executes the CU). Node identity across executions uses
- * the paper's equivalence: equal parents and equal creation CU, which
- * the GoroutineNode::key string encodes. Because select cases and
+ * the paper's equivalence: equal parents and equal creation CU. A
+ * node's scope is interned as the pair (parent scope, creation
+ * location), with main's scope fixed, and is rendered as the chain
+ * "main>loc>...>loc" of creation locations. Because select cases and
  * goroutine nodes are discovered at run time, the requirement universe
  * grows during testing — coverage percentage can therefore drop when
  * an execution uncovers new behaviour (the paper's fig. 6b, D1).
@@ -26,7 +28,7 @@
  * Representation: requirements are interned process-wide as dense
  * integer ids (see ReqId); states are bit sets over those ids. Key
  * strings ("<file>:<line> <kind>[/case<i>] <type>", node-level ones
- * prefixed "<nodeKey>|") are rendered only by the report calls
+ * prefixed "<scope>|") are rendered only by the report calls
  * (bitmapStr, uncovered, tableStr) and parsed only by parseBitmap.
  *
  * One execution's contribution is computed by a CoverageScratch as a
@@ -67,11 +69,12 @@ const char *reqTypeName(ReqType t);
 
 /**
  * Dense requirement id. A requirement group — (scope, CU location, CU
- * kind, select case), where the scope is the program or one goroutine
- * node key — is interned once per process; its ids are group * 4 +
- * ReqType, so an id's two low bits name its type. Ids are stable for
- * the life of the process but depend on interning order, so nothing
- * that leaves the process carries them: reports render key strings.
+ * kind, select case), where the scope is the program or one node of
+ * the global goroutine tree — is interned once per process; its ids
+ * are group * 4 + ReqType, so an id's two low bits name its type. Ids
+ * are stable for the life of the process but depend on interning
+ * order, so nothing that leaves the process carries them: reports
+ * render key strings.
  */
 using ReqId = uint32_t;
 
@@ -296,7 +299,8 @@ class CoverageState
     /**
      * Requirement key syntax (program level):
      *   "<file>:<line> <kind>[/case<i>] <type>"
-     * Node-level instances are prefixed "<nodeKey>|".
+     * Node-level instances are prefixed "<scope>|", where the scope is
+     * "main" followed by one ">"-separated creation location per level.
      */
     static std::string key(const staticmodel::Cu &cu, ReqType type,
                            int case_idx = -1);

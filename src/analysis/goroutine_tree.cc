@@ -1,7 +1,5 @@
 #include "analysis/goroutine_tree.hh"
 
-#include <deque>
-
 namespace goat::analysis {
 
 using trace::Event;
@@ -24,7 +22,6 @@ GoroutineTree::GoroutineTree(const trace::Ect &ect)
         if (ev.type == EventType::GoCreate) {
             auto child_gid = static_cast<uint32_t>(ev.args[0]);
             GoroutineNode *child = ensure(child_gid);
-            child->parentGid = ev.gid;
             child->creationLoc = ev.loc;
             child->system = ev.args[1] != 0;
             GoroutineNode *parent = ensure(ev.gid);
@@ -43,29 +40,24 @@ GoroutineTree::GoroutineTree(const trace::Ect &ect)
         if (n->hasLast && n->last.strIdx)
             n->lastStr = ect.str(n->last);
 
-    // Main is the goroutine created by the scheduler (gid 1 by
-    // construction; be robust and look for a gid-0-parented non-system
-    // node).
+    // Main is the goroutine the scheduler creates first (gid 1).
     auto it = nodes_.find(1);
-    if (it != nodes_.end() && !it->second->system)
-        root_ = it->second.get();
+    if (it == nodes_.end() || it->second->system)
+        return;
+    root_ = it->second.get();
 
-    // Application-level classification and equivalence keys, top-down.
-    if (root_) {
-        root_->appLevel = true;
-        root_->key = "main";
-        std::deque<GoroutineNode *> work{root_};
-        while (!work.empty()) {
-            GoroutineNode *cur = work.front();
-            work.pop_front();
-            for (GoroutineNode *child : cur->children) {
-                if (!child->system) {
-                    child->appLevel = cur->appLevel;
-                    child->key =
-                        cur->key + ">" + child->creationLoc.str();
-                }
-                work.push_back(child);
-            }
+    // Application-level classification, top-down: a BFS from main that
+    // queues on appNodes_ itself and stops at system goroutines (their
+    // descendants are not application-level). A node already queued is
+    // skipped, so a malformed trace that repeats a gid cannot loop.
+    root_->appLevel = true;
+    appNodes_.push_back(root_);
+    for (size_t i = 0; i < appNodes_.size(); ++i) {
+        for (GoroutineNode *child : appNodes_[i]->children) {
+            if (child->system || child->appLevel)
+                continue;
+            child->appLevel = true;
+            appNodes_.push_back(child);
         }
     }
 }
@@ -75,24 +67,6 @@ GoroutineTree::node(uint32_t gid) const
 {
     auto it = nodes_.find(gid);
     return it == nodes_.end() ? nullptr : it->second.get();
-}
-
-std::vector<const GoroutineNode *>
-GoroutineTree::appNodes() const
-{
-    std::vector<const GoroutineNode *> out;
-    if (!root_)
-        return out;
-    std::deque<const GoroutineNode *> work{root_};
-    while (!work.empty()) {
-        const GoroutineNode *cur = work.front();
-        work.pop_front();
-        if (cur->appLevel)
-            out.push_back(cur);
-        for (const GoroutineNode *child : cur->children)
-            work.push_back(child);
-    }
-    return out;
 }
 
 } // namespace goat::analysis

@@ -4,9 +4,10 @@
  *
  * Nodes are goroutines; a directed edge parent→child records that the
  * child was created by a go statement the parent executed. Each node
- * carries the goroutine's full event sequence, its creation site, and
- * its final event — everything the deadlock check and the coverage
- * measurement need.
+ * carries the goroutine's creation site and its final event: what the
+ * deadlock check and the reports need. The tree holds no coverage
+ * identity; the coverage walk derives a node's scope from its parent's
+ * scope and its creation site (analysis/coverage.hh).
  *
  * Application-level filtering: a goroutine is application-level when it
  * is the main goroutine, or its ancestry reaches main and it is not a
@@ -33,7 +34,6 @@ namespace goat::analysis {
 struct GoroutineNode
 {
     uint32_t gid = 0;
-    uint32_t parentGid = 0;
     SourceLoc creationLoc;
     bool system = false;
     bool appLevel = false;
@@ -49,14 +49,6 @@ struct GoroutineNode
     /** String payload of the final event (a panic message), or "". */
     std::string lastStr;
     std::vector<GoroutineNode *> children;
-
-    /**
-     * Equivalence key for merging goroutines across executions: the
-     * chain of creation CUs from main down to this node (goroutines
-     * with equivalent parents created at the same go statement are
-     * identical nodes of the global tree).
-     */
-    std::string key;
 
     /** Final event executed by this goroutine (nullptr when none). */
     const trace::Event *
@@ -86,9 +78,14 @@ class GoroutineTree
     const GoroutineNode *node(uint32_t gid) const;
 
     /**
-     * Application-level nodes in BFS order from main (main first).
+     * Application-level nodes in BFS order from main (main first),
+     * recorded while the constructor classifies them.
      */
-    std::vector<const GoroutineNode *> appNodes() const;
+    const std::vector<const GoroutineNode *> &
+    appNodes() const
+    {
+        return appNodes_;
+    }
 
     /** All nodes (including system goroutines), by gid. */
     const std::map<uint32_t, std::unique_ptr<GoroutineNode>> &
@@ -97,11 +94,10 @@ class GoroutineTree
         return nodes_;
     }
 
-    size_t size() const { return nodes_.size(); }
-
   private:
     std::map<uint32_t, std::unique_ptr<GoroutineNode>> nodes_;
     GoroutineNode *root_ = nullptr;
+    std::vector<const GoroutineNode *> appNodes_;
 };
 
 } // namespace goat::analysis

@@ -5,14 +5,19 @@
  * sync primitives, and the cost of tracing — quantifying the
  * "automated dynamic tracing" overhead the paper's design relies on
  * being cheap — plus the fixed cost of a campaign that ends at its
- * first iteration, the common case of the Table IV sweep.
+ * first iteration, the common case of the Table IV sweep, and the
+ * offline happens-before analyses (-predict's Must walk, -race's
+ * access scan) on captured traces.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "analysis/hb_predict.hh"
+#include "analysis/hb_scratch.hh"
 #include "campaign/campaign.hh"
 #include "chan/chan.hh"
 #include "chan/select.hh"
+#include "goat/engine.hh"
 #include "goker/registry.hh"
 #include "obs/metrics.hh"
 #include "runtime/api.hh"
@@ -249,5 +254,62 @@ BM_WorkerRegistryCycle(benchmark::State &state)
     }
 }
 BENCHMARK(BM_WorkerRegistryCycle);
+
+// predictBlockingBugs over the traces of every kernel at D=0..4, seed
+// 1, captured before timing, on one reused scratch (as a campaign
+// worker runs it). Items are traces.
+static void
+BM_PredictBlockingBugs(benchmark::State &state)
+{
+    std::vector<trace::Ect> traces;
+    for (const goker::KernelInfo *k : goker::KernelRegistry::instance().all())
+        for (int d = 0; d <= 4; ++d)
+            traces.push_back(engine::runOnce(k->fn, 1, d).ect);
+    analysis::HbScratch scratch;
+    size_t predicted = 0;
+    for (auto _ : state)
+        for (const trace::Ect &ect : traces)
+            predicted += analysis::predictBlockingBugs(ect, scratch)
+                             .predictions.size();
+    benchmark::DoNotOptimize(predicted);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(traces.size()));
+}
+BENCHMARK(BM_PredictBlockingBugs);
+
+// detectRaces over a hand-built trace of N SharedVar accesses to one
+// variable by four goroutines, with a lock round every eight accesses.
+// The pair scan is quadratic in N. Items are accesses.
+static void
+BM_DetectRaces(benchmark::State &state)
+{
+    const int n = static_cast<int>(state.range(0));
+    trace::Ect ect;
+    uint64_t ts = 0;
+    auto add = [&](uint32_t gid, trace::EventType type, uint32_t line,
+                   int64_t a0 = 0) {
+        ect.append(trace::Event(++ts, gid, type, SourceLoc("bench.go", line),
+                                a0));
+    };
+    for (uint32_t g = 2; g <= 5; ++g)
+        add(1, trace::EventType::GoCreate, 1, g);
+    for (int i = 0; i < n; ++i) {
+        auto g = static_cast<uint32_t>(2 + i % 4);
+        if (i % 8 == 0) {
+            add(g, trace::EventType::MuLock, 2, 3);
+            add(g, trace::EventType::MuUnlock, 3, 3);
+        }
+        add(g, i % 3 == 0 ? trace::EventType::VarWrite
+                          : trace::EventType::VarRead,
+            10 + i % 8, 7);
+    }
+    analysis::HbScratch scratch;
+    size_t races = 0;
+    for (auto _ : state)
+        races += analysis::detectRaces(ect, scratch).races.size();
+    benchmark::DoNotOptimize(races);
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_DetectRaces)->Arg(64)->Arg(256)->Arg(1024);
 
 BENCHMARK_MAIN();

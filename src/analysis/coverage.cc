@@ -540,7 +540,8 @@ struct ScratchImpl
     std::vector<uint8_t> flags;
     std::vector<ReqId> touched;
     std::vector<uint32_t> nbSel;
-    std::vector<uint32_t> scopeByGid;
+    /** Node scope by the node's slot in GoroutineTree::nodes(). */
+    std::vector<uint32_t> scopeBySlot;
     std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> lastAcq;
     std::unordered_map<uint32_t, SelCtx> sel;
     CoverageDelta *out = nullptr;
@@ -591,12 +592,6 @@ struct ScratchImpl
         uint32_t g = cat.group(k);
         groupCache.emplace(k, g);
         return g;
-    }
-
-    uint32_t
-    scopeOf(uint32_t gid) const
-    {
-        return gid < scopeByGid.size() ? scopeByGid[gid] : kNoScope;
     }
 
     /** Instantiate the template set of @p ref at a granularity. */
@@ -710,19 +705,21 @@ ScratchImpl::compute(const trace::Ect &ect, const GoroutineTree &tree,
     out = delta;
     out->clear();
 
-    // gid → node scope of application-level goroutines (kNoScope:
-    // system goroutines and the scheduler context). Main's is fixed;
-    // every other node gets its own where the walk meets its creation.
-    const auto &nodes = tree.nodes();
-    scopeByGid.assign(nodes.empty() ? 0 : size_t{nodes.rbegin()->first} + 1,
-                      kNoScope);
+    // Node scope of application-level goroutines by tree slot
+    // (kNoScope: system goroutines and the scheduler context). Main's
+    // is fixed; every other node gets its own where the walk meets its
+    // creation.
+    const std::vector<GoroutineNode> &nodes = tree.nodes();
+    scopeBySlot.assign(nodes.size(), kNoScope);
     if (tree.root())
-        scopeByGid[tree.root()->gid] = Catalog::kMainScope;
+        scopeBySlot[tree.root() - nodes.data()] = Catalog::kMainScope;
 
     std::vector<std::pair<uint32_t, int>> &cases = out->selectCases;
 
     for (const Event &ev : ect.events()) {
-        const uint32_t sc = scopeOf(ev.gid);
+        const size_t slot = tree.slot(ev.gid);
+        const uint32_t sc =
+            slot < scopeBySlot.size() ? scopeBySlot[slot] : kNoScope;
         if (sc == kNoScope && ev.type != EventType::GoCreate)
             continue; // system/scheduler context
         auto obj = static_cast<uint64_t>(ev.args[0]);
@@ -742,7 +739,7 @@ ScratchImpl::compute(const trace::Ect &ect, const GoroutineTree &tree,
                     childScopes.try_emplace(uint64_t{sc} << 32 | loc, 0);
                 if (fresh)
                     cat.scope(sc, loc, true, &it->second);
-                scopeByGid[child->gid] = it->second;
+                scopeBySlot[child - nodes.data()] = it->second;
             }
             cover(cu, ReqType::Nop, -1, sc);
             break;

@@ -7,44 +7,52 @@ using trace::EventType;
 
 GoroutineTree::GoroutineTree(const trace::Ect &ect)
 {
-    auto ensure = [&](uint32_t gid) -> GoroutineNode * {
-        auto it = nodes_.find(gid);
-        if (it != nodes_.end())
-            return it->second.get();
-        auto node = std::make_unique<GoroutineNode>();
-        node->gid = gid;
-        GoroutineNode *p = node.get();
-        nodes_[gid] = std::move(node);
-        return p;
-    };
+    const std::vector<Event> &events = ect.events();
 
-    for (const Event &ev : ect.events()) {
+    // One node per gid, in gid order: a pre-scan collects the gids,
+    // then the walk below fills the nodes in.
+    std::vector<uint32_t> gids;
+    gids.reserve(2 * events.size());
+    for (const Event &ev : events) {
         if (ev.type == EventType::GoCreate) {
-            auto child_gid = static_cast<uint32_t>(ev.args[0]);
-            GoroutineNode *child = ensure(child_gid);
+            gids.push_back(static_cast<uint32_t>(ev.args[0]));
+            gids.push_back(ev.gid);
+        } else if (ev.gid != 0 && (gids.empty() || gids.back() != ev.gid)) {
+            gids.push_back(ev.gid); // gid 0: scheduler/tracer context
+        }
+    }
+    slots_.build(gids, 2 * events.size() + 64);
+    nodes_.resize(slots_.size());
+    for (uint32_t i = 0; i < nodes_.size(); ++i)
+        nodes_[i].gid = slots_.id(i);
+
+    auto at = [&](uint32_t gid) { return &nodes_[slot(gid)]; };
+    for (const Event &ev : events) {
+        if (ev.type == EventType::GoCreate) {
+            GoroutineNode *child = at(static_cast<uint32_t>(ev.args[0]));
             child->creationLoc = ev.loc;
             child->system = ev.args[1] != 0;
-            GoroutineNode *parent = ensure(ev.gid);
+            GoroutineNode *parent = at(ev.gid);
             parent->children.push_back(child);
             parent->last = ev;
             parent->hasLast = true;
             continue;
         }
         if (ev.gid == 0)
-            continue; // scheduler/tracer context
-        GoroutineNode *n = ensure(ev.gid);
+            continue;
+        GoroutineNode *n = at(ev.gid);
         n->last = ev;
         n->hasLast = true;
     }
-    for (auto &[gid, n] : nodes_)
-        if (n->hasLast && n->last.strIdx)
-            n->lastStr = ect.str(n->last);
+    for (GoroutineNode &n : nodes_)
+        if (n.hasLast && n.last.strIdx)
+            n.lastStr = ect.str(n.last);
 
     // Main is the goroutine the scheduler creates first (gid 1).
-    auto it = nodes_.find(1);
-    if (it == nodes_.end() || it->second->system)
+    const size_t main = slot(1);
+    if (main == nodes_.size() || nodes_[main].system)
         return;
-    root_ = it->second.get();
+    root_ = &nodes_[main];
 
     // Application-level classification, top-down: a BFS from main that
     // queues on appNodes_ itself and stops at system goroutines (their
@@ -65,8 +73,8 @@ GoroutineTree::GoroutineTree(const trace::Ect &ect)
 const GoroutineNode *
 GoroutineTree::node(uint32_t gid) const
 {
-    auto it = nodes_.find(gid);
-    return it == nodes_.end() ? nullptr : it->second.get();
+    size_t i = slot(gid);
+    return i == nodes_.size() ? nullptr : &nodes_[i];
 }
 
 } // namespace goat::analysis

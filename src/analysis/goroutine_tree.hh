@@ -19,11 +19,10 @@
 #define GOAT_ANALYSIS_GOROUTINE_TREE_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "base/slot_map.hh"
 #include "trace/ect.hh"
 
 namespace goat::analysis {
@@ -67,6 +66,12 @@ class GoroutineTree
     /** Build the tree from an execution concurrency trace. */
     explicit GoroutineTree(const trace::Ect &ect);
 
+    /** Nodes point at each other: a copy would point into its source. */
+    GoroutineTree(const GoroutineTree &) = delete;
+    GoroutineTree &operator=(const GoroutineTree &) = delete;
+    GoroutineTree(GoroutineTree &&) = default;
+    GoroutineTree &operator=(GoroutineTree &&) = default;
+
     /**
      * The main goroutine's node.
      *
@@ -78,6 +83,17 @@ class GoroutineTree
     const GoroutineNode *node(uint32_t gid) const;
 
     /**
+     * Index of @p gid's node in nodes(), or nodes().size() when the
+     * trace has no such goroutine.
+     */
+    size_t
+    slot(uint32_t gid) const
+    {
+        uint32_t s = slots_.slot(gid);
+        return s == SlotMap<uint32_t>::kNone ? nodes_.size() : s;
+    }
+
+    /**
      * Application-level nodes in BFS order from main (main first),
      * recorded while the constructor classifies them.
      */
@@ -87,15 +103,17 @@ class GoroutineTree
         return appNodes_;
     }
 
-    /** All nodes (including system goroutines), by gid. */
-    const std::map<uint32_t, std::unique_ptr<GoroutineNode>> &
-    nodes() const
-    {
-        return nodes_;
-    }
+    /**
+     * All nodes (including system goroutines) in gid order: every gid
+     * that acts in the trace or is created there. The scheduler
+     * context (gid 0) has a node only if it created a goroutine.
+     */
+    const std::vector<GoroutineNode> &nodes() const { return nodes_; }
 
   private:
-    std::map<uint32_t, std::unique_ptr<GoroutineNode>> nodes_;
+    /** gid → index in nodes_. */
+    SlotMap<uint32_t> slots_;
+    std::vector<GoroutineNode> nodes_;
     GoroutineNode *root_ = nullptr;
     std::vector<const GoroutineNode *> appNodes_;
 };

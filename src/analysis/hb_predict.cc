@@ -1,9 +1,8 @@
 #include "analysis/hb_predict.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
+#include "analysis/hb_scratch.hh"
 #include "base/fmt.hh"
 
 namespace goat::analysis {
@@ -96,12 +95,17 @@ PredictionReport::canonicalize()
                       return ka < kb;
                   return a.tsA < b.tsA;
               });
-    std::set<std::string> seen;
+    // Sorted by key, so duplicates are adjacent: keep the first of each.
     std::vector<Prediction> out;
     out.reserve(predictions.size());
-    for (Prediction &p : predictions)
-        if (seen.insert(p.key()).second)
-            out.push_back(std::move(p));
+    std::string last;
+    for (Prediction &p : predictions) {
+        std::string key = p.key();
+        if (!out.empty() && key == last)
+            continue;
+        last = std::move(key);
+        out.push_back(std::move(p));
+    }
     predictions = std::move(out);
 }
 
@@ -135,89 +139,12 @@ PredictionReport::jsonDocStr(const std::string &kernel) const
 
 namespace {
 
-/** One held lock of a goroutine (its lock stack). */
-struct HeldLock
-{
-    int64_t obj = 0;
-    bool exclusive = true;
-    /** Acquire site — the confirmation delay target for P1. */
-    SourceLoc loc;
-};
-
-/**
- * One witnessing event: goroutine, site, trace timestamp, and the
- * pre-event must-clock. Channel sends and closes (P2 material) are
- * recorded as bare witnesses.
- */
-struct Witness
-{
-    uint32_t gid = 0;
-    SourceLoc loc;
-    uint64_t ts = 0;
-    VectorClock pre;
-};
-
-/** A recorded WaitGroup wait or release (P1 material). */
-struct WgOp
-{
-    Witness at;
-    std::vector<HeldLock> held;
-};
-
-/** One lock-nesting step: `inner` acquired (at `at`) holding `outer`. */
-struct Gadget
-{
-    Witness at;
-    int64_t outer = 0, inner = 0;
-    bool outerExcl = true, innerExcl = true;
-};
-
-/** An observed rendezvous handoff into a polling select (P3). */
-struct LostCand
-{
-    int64_t chan = 0;
-    Witness sender, sel;
-};
-
-/** A select's entry point, carried from SelectBegin to its End (P3). */
-struct SelEntry
-{
-    bool hasDefault = false;
-    Witness at;
-};
-
-/** The acting goroutine of @p ev at its pre-edge clock @p pre. */
-Witness
-witness(const Event &ev, const VectorClock &pre)
-{
-    return {ev.gid, ev.loc, ev.ts, pre};
-}
-
-/** Goroutine @p gid at its last park @p snap (its attempt point). */
-Witness
-parkedWitness(uint32_t gid, const BlockSnap &snap)
-{
-    return {gid, snap.loc, snap.ts, snap.pre};
-}
-
-/** A prediction of @p kind on @p obj, witnessed by @p a then @p b. */
-Prediction
-predicted(PredictionKind kind, int64_t obj, const Witness &a,
-          const Witness &b)
-{
-    Prediction p;
-    p.kind = kind;
-    p.obj = obj;
-    p.gidA = a.gid;
-    p.locA = a.loc;
-    p.tsA = a.ts;
-    p.vcA = a.pre.str();
-    p.gidB = b.gid;
-    p.locB = b.loc;
-    p.tsB = b.ts;
-    p.vcB = b.pre.str();
-    return p;
-}
+using hb::Gadget;
+using hb::HeldLock;
+using hb::LostCand;
+using hb::WgOp;
+using hb::Witness;
+using Row = ClockPool::Row;
 
 /** Two lock-hold modes conflict unless both are shared (read) holds. */
 bool
@@ -226,15 +153,21 @@ lockConflict(bool exclA, bool exclB)
     return exclA || exclB;
 }
 
-bool
-heldIntersect(const std::vector<HeldLock> &a,
-              const std::vector<HeldLock> &b, HeldLock *shared_of_b)
+/** Locks held by a recorded WaitGroup operation. */
+struct HeldSpan
 {
-    for (const HeldLock &x : a) {
-        for (const HeldLock &y : b) {
-            if (x.obj == y.obj && lockConflict(x.exclusive, y.exclusive)) {
+    const HeldLock *begin, *end;
+};
+
+bool
+heldIntersect(HeldSpan a, HeldSpan b, HeldLock *shared_of_b)
+{
+    for (const HeldLock *x = a.begin; x != a.end; ++x) {
+        for (const HeldLock *y = b.begin; y != b.end; ++y) {
+            if (x->obj == y->obj &&
+                lockConflict(x->exclusive, y->exclusive)) {
                 if (shared_of_b)
-                    *shared_of_b = y;
+                    *shared_of_b = *y;
                 return true;
             }
         }
@@ -242,86 +175,141 @@ heldIntersect(const std::vector<HeldLock> &a,
     return false;
 }
 
+/**
+ * Size a per-slot table of lists to @p n and empty its first @p n
+ * lists. Lists past @p n keep their capacity (and stale contents,
+ * which no walk of @p n slots reads).
+ */
+template <typename T>
+void
+resetLists(std::vector<std::vector<T>> &lists, size_t n)
+{
+    if (lists.size() < n)
+        lists.resize(n);
+    for (size_t i = 0; i < n; ++i)
+        lists[i].clear();
+}
+
+/**
+ * Reset phase one's tables for a walk of @p g goroutine slots and
+ * @p o object slots.
+ */
+void
+resetPhaseOne(HbScratch &hb, size_t g, size_t o)
+{
+    resetLists(hb.held, g);
+    hb.selEntry.assign(g, {});
+    hb.pendingWake.assign(g, {});
+    hb.chanCap.assign(o, 0);
+    resetLists(hb.sends, o);
+    resetLists(hb.closes, o);
+    resetLists(hb.wgWaits, o);
+    resetLists(hb.wgDones, o);
+    hb.heldCopies.clear();
+    hb.gadgets.clear();
+    hb.lostCands.clear();
+}
+
 } // namespace
 
 PredictionReport
 predictBlockingBugs(const trace::Ect &ect)
 {
+    HbScratch scratch;
+    return predictBlockingBugs(ect, scratch);
+}
+
+PredictionReport
+predictBlockingBugs(const trace::Ect &ect, HbScratch &hb)
+{
     // Phase one: one forward pass under the must policy, recording the
     // operations phase two matches over.
-    HbWalker walker(HbPolicy::Must);
-    std::map<uint32_t, SelEntry> selEntry;
-    // Most recent GoUnblock by a gid that woke a parked *sender*
-    // (cleared by any other event of that gid): the sender's channel
-    // and attempt point, the handoff a subsequent SelectEnd of the
-    // same goroutine attributes.
-    std::map<uint32_t, std::pair<int64_t, Witness>> pendingWake;
-    std::map<int64_t, int64_t> chanCap;
-    std::map<uint32_t, std::vector<HeldLock>> held;
+    const std::vector<Event> &events = ect.events();
+    HbWalker &walker = hb.walker;
+    walker.begin(ect, events.size(), HbPolicy::Must);
+    ClockPool &clocks = walker.clocks();
+    resetPhaseOne(hb, walker.gidSlots(), walker.objSlots());
 
-    std::map<int64_t, std::vector<Witness>> sends, closes;
-    std::map<int64_t, std::vector<WgOp>> wgWaits, wgDones;
-    std::vector<Gadget> gadgets;
-    std::vector<LostCand> lostCands;
+    // Goroutine @p gid at its last park @p snap (its attempt point).
+    auto parked = [&](uint32_t gid, const BlockSnap &snap) {
+        return Witness{gid, snap.loc, snap.ts, clocks.copy(snap.pre)};
+    };
+    // The locks goroutine slot @p g holds, copied for a WgOp.
+    auto heldNow = [&](uint32_t g, const Witness &at) {
+        auto begin = static_cast<uint32_t>(hb.heldCopies.size());
+        hb.heldCopies.insert(hb.heldCopies.end(), hb.held[g].begin(),
+                             hb.held[g].end());
+        return WgOp{at, begin,
+                    static_cast<uint32_t>(hb.heldCopies.size())};
+    };
 
-    for (const Event &ev : ect.events()) {
-        // The must-clock before any join this event causes.
-        const VectorClock &must = walker.tick(ev);
+    for (size_t k = 0; k < events.size(); ++k) {
+        const Event &ev = events[k];
+        // The must-clock before any join this event causes, copied
+        // once for all the witnesses this event records.
+        const Row must = walker.tick(k);
+        const uint32_t g = walker.gidSlot(k), aux = walker.auxSlot(k);
+        Row snapshot = UINT32_MAX;
+        auto here = [&] {
+            if (snapshot == UINT32_MAX)
+                snapshot = clocks.copy(must);
+            return Witness{ev.gid, ev.loc, ev.ts, snapshot};
+        };
 
+        // Most recent GoUnblock by this goroutine that woke a parked
+        // *sender* (cleared by any other event of the goroutine): the
+        // handoff a subsequent SelectEnd of it attributes.
+        hb::PendingWake &pw = hb.pendingWake[g];
         if (ev.type != EventType::GoUnblock &&
             ev.type != EventType::SelectEnd)
-            pendingWake.erase(ev.gid);
+            pw.set = false;
 
         switch (ev.type) {
           case EventType::GoUnblock: {
-            auto target = static_cast<uint32_t>(ev.args[0]);
-            const BlockSnap *snap = walker.lastBlock(target);
+            const BlockSnap *snap = walker.lastBlock(aux);
             if (snap && snap->type == EventType::GoBlockSend)
-                pendingWake[ev.gid] = {snap->obj,
-                                       parkedWitness(target, *snap)};
+                pw = {true, snap->obj,
+                      parked(static_cast<uint32_t>(ev.args[0]), *snap)};
             break;
           }
 
           case EventType::ChMake:
-            chanCap[ev.args[0]] = ev.args[1];
+            hb.chanCap[aux] = ev.args[1];
             break;
 
           case EventType::ChSend: {
             // P2 endpoint. A parked send's attempt point is its
             // GoBlockSend (the post-wake ChSend clock already carries
             // the partner's history).
-            const BlockSnap *snap = walker.lastBlock(ev.gid);
+            const BlockSnap *snap = walker.lastBlock(g);
             if (ev.args[1] == 1 && snap &&
                 snap->type == EventType::GoBlockSend)
-                sends[ev.args[0]].push_back(parkedWitness(ev.gid, *snap));
+                hb.sends[aux].push_back(parked(ev.gid, *snap));
             else
-                sends[ev.args[0]].push_back(witness(ev, must));
+                hb.sends[aux].push_back(here());
             break;
           }
           case EventType::ChClose:
-            closes[ev.args[0]].push_back(witness(ev, must));
+            hb.closes[aux].push_back(here());
             break;
 
           case EventType::SelectBegin:
-            selEntry[ev.gid] = {ev.args[1] != 0, witness(ev, must)};
+            hb.selEntry[g] = {true, ev.args[1] != 0, here()};
             break;
           case EventType::SelectEnd: {
-            auto se = selEntry.find(ev.gid);
-            if (se == selEntry.end())
+            hb::SelEntry &entry = hb.selEntry[g];
+            if (!entry.open)
                 break;
-            const SelEntry entry = std::move(se->second);
-            selEntry.erase(se);
+            entry.open = false;
             // P3 candidate: the poll phase of a select with a default
             // consumed a rendezvous sender. Had the poll run first,
             // the default would have fired and stranded that sender.
-            const HbWalker::Arm *arm = walker.pollArm(ev);
+            const HbWalker::Arm *arm = walker.pollArm(k);
             bool woke = ev.args[2] != 0;
-            auto pw = pendingWake.find(ev.gid);
-            if (arm && entry.hasDefault && !arm->send && woke &&
-                pw != pendingWake.end() && pw->second.first == arm->chan &&
-                chanCap[arm->chan] == 0)
-                lostCands.push_back({arm->chan, pw->second.second, entry.at});
-            pendingWake.erase(ev.gid);
+            if (arm && entry.hasDefault && !arm->send && woke && pw.set &&
+                pw.chan == arm->chan && hb.chanCap[arm->chanSlot] == 0)
+                hb.lostCands.push_back({arm->chan, pw.sender, entry.at});
+            pw.set = false;
             break;
           }
 
@@ -329,11 +317,11 @@ predictBlockingBugs(const trace::Ect &ect)
           case EventType::RWLock:
           case EventType::RWRLock: {
             bool excl = ev.type != EventType::RWRLock;
-            std::vector<HeldLock> &hs = held[ev.gid];
+            std::vector<HeldLock> &hs = hb.held[g];
             for (const HeldLock &h : hs) {
                 if (h.obj != ev.args[0])
-                    gadgets.push_back({witness(ev, must), h.obj, ev.args[0],
-                                       h.exclusive, excl});
+                    hb.gadgets.push_back({here(), h.obj, ev.args[0],
+                                          h.exclusive, excl});
             }
             hs.push_back({ev.args[0], excl, ev.loc});
             break;
@@ -341,7 +329,7 @@ predictBlockingBugs(const trace::Ect &ect)
           case EventType::MuUnlock:
           case EventType::RWUnlock:
           case EventType::RWRUnlock: {
-            std::vector<HeldLock> &hs = held[ev.gid];
+            std::vector<HeldLock> &hs = hb.held[g];
             for (auto it = hs.rbegin(); it != hs.rend(); ++it) {
                 if (it->obj == ev.args[0]) {
                     hs.erase(std::next(it).base());
@@ -353,26 +341,47 @@ predictBlockingBugs(const trace::Ect &ect)
 
           case EventType::WgAdd:
             if (ev.args[1] < 0)
-                wgDones[ev.args[0]].push_back({witness(ev, must),
-                                               held[ev.gid]});
+                hb.wgDones[aux].push_back(heldNow(g, here()));
             break;
           case EventType::WgWait:
             // Captured before the release→wait join of apply().
-            wgWaits[ev.args[0]].push_back({witness(ev, must), held[ev.gid]});
+            hb.wgWaits[aux].push_back(heldNow(g, here()));
             break;
 
           default:
             break;
         }
-        walker.apply(ev);
+        walker.apply(k);
     }
 
     // Phase two: search the recorded operations for alternative
     // matchings that block, crash, or lose a signal.
     PredictionReport report;
 
+    // A prediction of @p kind on @p obj, witnessed by @p a then @p b.
+    auto predicted = [&](PredictionKind kind, int64_t obj, const Witness &a,
+                         const Witness &b) {
+        Prediction p;
+        p.kind = kind;
+        p.obj = obj;
+        p.gidA = a.gid;
+        p.locA = a.loc;
+        p.tsA = a.ts;
+        p.vcA = walker.clockStr(a.pre);
+        p.gidB = b.gid;
+        p.locB = b.loc;
+        p.tsB = b.ts;
+        p.vcB = walker.clockStr(b.pre);
+        return p;
+    };
+    auto heldOf = [&](const WgOp &op) {
+        const HeldLock *base = hb.heldCopies.data();
+        return HeldSpan{base + op.heldBegin, base + op.heldEnd};
+    };
+
     // P4 — lock-order inversion: gadget pairs nesting two locks in
     // opposite orders with must-concurrent inner acquires.
+    const std::vector<Gadget> &gadgets = hb.gadgets;
     for (size_t i = 0; i < gadgets.size(); ++i) {
         for (size_t j = i + 1; j < gadgets.size(); ++j) {
             const Gadget &a = gadgets[i]; // earlier inner acquire
@@ -384,7 +393,7 @@ predictBlockingBugs(const trace::Ect &ect)
             if (!lockConflict(a.innerExcl, b.outerExcl) ||
                 !lockConflict(b.innerExcl, a.outerExcl))
                 continue;
-            if (!VectorClock::concurrent(a.at.pre, b.at.pre))
+            if (!clocks.concurrent(a.at.pre, b.at.pre))
                 continue;
             Prediction p = predicted(PredictionKind::LockOrderInversion,
                                      a.outer, a.at, b.at);
@@ -404,22 +413,22 @@ predictBlockingBugs(const trace::Ect &ect)
         }
     }
 
-    // P1 — lock-gated wait: a WaitGroup wait under a held lock whose
-    // releasing Done runs under an intersecting lock.
-    for (const auto &[wg, waits] : wgWaits) {
-        auto dit = wgDones.find(wg);
-        if (dit == wgDones.end())
-            continue;
-        for (const WgOp &w : waits) {
-            if (w.held.empty())
+    // Object slots run in id order, so P1 and P2 visit objects in the
+    // same order as an id-keyed map would.
+    for (uint32_t o = 0; o < walker.objSlots(); ++o) {
+        // P1 — lock-gated wait: a WaitGroup wait under a held lock
+        // whose releasing Done runs under an intersecting lock.
+        const int64_t wg = walker.objId(o);
+        for (const WgOp &w : hb.wgWaits[o]) {
+            if (w.heldBegin == w.heldEnd)
                 continue;
-            for (const WgOp &r : dit->second) {
+            for (const WgOp &r : hb.wgDones[o]) {
                 if (w.at.gid == r.at.gid)
                     continue;
                 HeldLock gate;
-                if (!heldIntersect(w.held, r.held, &gate))
+                if (!heldIntersect(heldOf(w), heldOf(r), &gate))
                     continue;
-                if (!VectorClock::concurrent(w.at.pre, r.at.pre))
+                if (!clocks.concurrent(w.at.pre, r.at.pre))
                     continue;
                 bool waitFirst = w.at.ts < r.at.ts;
                 Prediction p = predicted(PredictionKind::LockGatedWait, wg,
@@ -440,18 +449,15 @@ predictBlockingBugs(const trace::Ect &ect)
             }
         }
     }
-
-    // P2 — close/send race: a send and a close on the same channel
-    // with no must-order; reordering panics the sender.
-    for (const auto &[chan, ss] : sends) {
-        auto cit = closes.find(chan);
-        if (cit == closes.end())
-            continue;
-        for (const Witness &s : ss) {
-            for (const Witness &c : cit->second) {
+    for (uint32_t o = 0; o < walker.objSlots(); ++o) {
+        // P2 — close/send race: a send and a close on the same channel
+        // with no must-order; reordering panics the sender.
+        const int64_t chan = walker.objId(o);
+        for (const Witness &s : hb.sends[o]) {
+            for (const Witness &c : hb.closes[o]) {
                 if (s.gid == c.gid)
                     continue;
-                if (!VectorClock::concurrent(s.pre, c.pre))
+                if (!clocks.concurrent(s.pre, c.pre))
                     continue;
                 Prediction p = predicted(PredictionKind::CloseSendRace,
                                          chan, s.ts < c.ts ? s : c,
@@ -469,8 +475,8 @@ predictBlockingBugs(const trace::Ect &ect)
 
     // P3 — lost poll signal: the observed partner of a rendezvous
     // send was a select arm backed by a default case.
-    for (const LostCand &lc : lostCands) {
-        if (!VectorClock::concurrent(lc.sel.pre, lc.sender.pre))
+    for (const LostCand &lc : hb.lostCands) {
+        if (!clocks.concurrent(lc.sel.pre, lc.sender.pre))
             continue;
         Prediction p = predicted(PredictionKind::LostSignal, lc.chan,
                                  lc.sender, lc.sel);

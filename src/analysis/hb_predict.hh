@@ -151,9 +151,15 @@ struct PredictionReport
 };
 
 /**
- * Run the two-phase predictive analysis over a trace. Pure function of
- * the ECT — callers on any thread may invoke it concurrently.
+ * Run the two-phase predictive analysis over a trace, on the walker
+ * and phase-one tables of @p scratch (analysis/hb_scratch.hh). A pure
+ * function of the ECT: callers on different threads, each with its
+ * own scratch, may invoke it concurrently.
  */
+PredictionReport predictBlockingBugs(const trace::Ect &ect,
+                                     HbScratch &scratch);
+
+/** predictBlockingBugs() on a scratch of its own. */
 PredictionReport predictBlockingBugs(const trace::Ect &ect);
 
 } // namespace goat::analysis

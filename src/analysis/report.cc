@@ -121,8 +121,9 @@ goroutineTreeDot(const GoroutineTree &tree)
 {
     std::string out = "digraph goroutines {\n"
                       "  node [shape=box, fontname=\"monospace\"];\n";
-    for (const auto &[gid, node] : tree.nodes()) {
-        const Event *last = node->lastEvent();
+    for (const GoroutineNode &node : tree.nodes()) {
+        const uint32_t gid = node.gid;
+        const Event *last = node.lastEvent();
         bool finished =
             last && (last->type == EventType::GoEnd ||
                      (last->type == EventType::GoSched &&
@@ -135,7 +136,7 @@ goroutineTreeDot(const GoroutineTree &tree)
             continue;
         std::string label =
             strFormat("G%u\\n%s\\n%s", gid,
-                      node->creationLoc.str().c_str(),
+                      node.creationLoc.str().c_str(),
                       finished  ? "finished"
                       : panicked ? "panicked"
                                  : strFormat("leaked @ %s",
@@ -146,11 +147,11 @@ goroutineTreeDot(const GoroutineTree &tree)
                          "fillcolor=%s];\n",
                          gid, label.c_str(), color);
     }
-    for (const auto &[gid, node] : tree.nodes()) {
-        if (gid == 0)
+    for (const GoroutineNode &node : tree.nodes()) {
+        if (node.gid == 0)
             continue;
-        for (const GoroutineNode *child : node->children)
-            out += strFormat("  g%u -> g%u;\n", gid, child->gid);
+        for (const GoroutineNode *child : node.children)
+            out += strFormat("  g%u -> g%u;\n", node.gid, child->gid);
     }
     out += "}\n";
     return out;

@@ -14,6 +14,7 @@
 
 #include "analysis/goroutine_tree.hh"
 #include "analysis/happens_before.hh"
+#include "analysis/hb_scratch.hh"
 #include "analysis/report.hh"
 #include "base/fmt.hh"
 #include "base/interrupt.hh"
@@ -172,8 +173,9 @@ struct IterRecord
  * thread-locally around each of its iterations, so the scheduler and
  * engine bookkeeping of one worker never touch another's instruments),
  * a coverage scratch computing per-iteration deltas on the campaign's
- * shared universe, and a private cumulative coverage state
- * (guided-policy food and threshold heuristic).
+ * shared universe, a happens-before scratch for -predict and -race,
+ * and a private cumulative coverage state (guided-policy food and
+ * threshold heuristic).
  */
 struct Worker
 {
@@ -190,6 +192,8 @@ struct Worker
     /** Private stage profiler (installed thread-locally when on). */
     obs::Profiler profiler;
     CoverageScratch scratch;
+    /** Walker and phase-one tables of -predict and -race. */
+    analysis::HbScratch hb;
     CoverageState localCov;
     obs::Counter &iterations;
     obs::Counter &bugs;
@@ -258,7 +262,7 @@ runIteration(Shared &sh, Worker &w, int iter)
     w.iterations.inc();
 
     if (cfg.predict) {
-        rec->predictions = analysis::predictBlockingBugs(sr.ect);
+        rec->predictions = analysis::predictBlockingBugs(sr.ect, w.hb);
         rec->recipe = sr.recipe;
     }
 
@@ -276,7 +280,7 @@ runIteration(Shared &sh, Worker &w, int iter)
     }
 
     if (cfg.raceDetect && !w.raced) {
-        analysis::RaceReport races = analysis::detectRaces(sr.ect);
+        analysis::RaceReport races = analysis::detectRaces(sr.ect, w.hb);
         if (races.any()) {
             w.raced = true;
             rec->race =

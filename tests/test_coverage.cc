@@ -475,6 +475,29 @@ TEST(Coverage, SystemGoroutinesHaveNoNodeScope)
     EXPECT_NE(bitmap.find("main>f.go:2|f.go:5 send nop"), std::string::npos);
 }
 
+// The coverage walk indexes node scopes by tree slot, not by gid: a
+// goroutine numbered 4000000000 costs what goroutine 2 costs, and
+// covers the same requirements.
+TEST(Coverage, HugeGidTraceMatchesRenamed)
+{
+    auto bitmap = [](const char *child) {
+        const std::string text =
+            std::string("1 0 go_create f.go 1 1 0 0 0\n"
+                        "2 1 go_create f.go 2 ") + child + " 0 0 0\n" +
+            "3 " + child + " ch_send f.go 3 7 0 0 0\n"
+            "4 1 ch_recv f.go 4 7 0 0 1\n";
+        trace::Ect ect;
+        EXPECT_TRUE(trace::ectFromString(text, ect)) << text;
+        CoverageState cov;
+        cov.addEct(ect);
+        return cov.bitmapStr();
+    };
+    const std::string renamed = bitmap("2");
+    EXPECT_NE(renamed.find("main>f.go:2|f.go:3 send nop"), std::string::npos)
+        << renamed;
+    EXPECT_EQ(bitmap("4000000000"), renamed);
+}
+
 TEST(Coverage, TableStrListsRequirements)
 {
     auto cov = coverOne([] {

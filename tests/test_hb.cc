@@ -296,14 +296,15 @@ struct TraceBuilder
 bool
 ordered(const trace::Ect &ect, HbPolicy policy, size_t a, size_t b)
 {
-    HbWalker walker(policy);
-    std::vector<VectorClock> post;
-    for (const trace::Event &ev : ect.events()) {
-        const VectorClock &now = walker.tick(ev);
-        walker.apply(ev);
-        post.push_back(now);
+    HbWalker walker;
+    walker.begin(ect, ect.size(), policy);
+    std::vector<ClockPool::Row> post;
+    for (size_t k = 0; k < ect.size(); ++k) {
+        const ClockPool::Row now = walker.tick(k);
+        walker.apply(k);
+        post.push_back(walker.clocks().copy(now));
     }
-    return post[a].le(post[b]);
+    return walker.clocks().le(post[a], post[b]);
 }
 
 /** True when @p a and @p b are ordered in neither direction. */
@@ -487,4 +488,102 @@ TEST(HbRace, WalkStopsAtLastAccess)
     none.add(1, EventType::GoCreate, 2);
     none.add(2, EventType::MuLock, 3, 0);
     EXPECT_FALSE(detectRaces(none.ect).any());
+}
+
+// Slots are assigned in gid order, not in order of first appearance:
+// g5 acts first, yet a clock renders its g2 component before g5's.
+TEST(HbWalkerInput, SlotOrderIsGidOrder)
+{
+    TraceBuilder t;
+    t.add(5, EventType::GoCreate, 2);
+    t.add(2, EventType::ChMake, 9, 1);
+    t.add(2, EventType::ChSend, 9, 0, 0);
+    t.add(3, EventType::ChClose, 9);
+    const PredictionReport r = predictBlockingBugs(t.ect);
+    ASSERT_EQ(r.predictions.size(), 1u) << r.str();
+    const Prediction &p = r.predictions[0];
+    EXPECT_EQ(p.kind, PredictionKind::CloseSendRace);
+    EXPECT_EQ(p.gidA, 2u);
+    EXPECT_EQ(p.vcA, "{g2:2,g5:1}");
+    EXPECT_EQ(p.vcB, "{g3:1}");
+}
+
+// No table is sized by a raw id: a trace whose goroutine, channel and
+// mutex ids sit at the ends of their ranges predicts and races exactly
+// like its small-id twin, under an order-preserving renaming.
+TEST(HbWalkerInput, SparseIdsMatchRenamed)
+{
+    struct Ids
+    {
+        uint32_t g3;
+        int64_t chan, muA, muB;
+    };
+    auto build = [](const Ids &id) {
+        TraceBuilder t;
+        t.add(1, EventType::ChMake, id.chan, 1);
+        t.add(1, EventType::GoCreate, 2);
+        t.add(1, EventType::GoCreate, id.g3);
+        t.add(2, EventType::GoStart);
+        t.add(2, EventType::MuLock, id.muA, 0);
+        t.add(2, EventType::MuLock, id.muB, 0);
+        t.add(2, EventType::MuUnlock, id.muB, 0);
+        t.add(2, EventType::MuUnlock, id.muA, 0);
+        t.add(2, EventType::ChSend, id.chan, 0, 0);
+        t.add(2, EventType::VarWrite, 7);
+        t.add(id.g3, EventType::GoStart);
+        t.add(id.g3, EventType::MuLock, id.muB, 0);
+        t.add(id.g3, EventType::MuLock, id.muA, 0);
+        t.add(id.g3, EventType::MuUnlock, id.muA, 0);
+        t.add(id.g3, EventType::MuUnlock, id.muB, 0);
+        t.add(id.g3, EventType::ChClose, id.chan);
+        t.add(id.g3, EventType::VarWrite, 7);
+        return t.ect;
+    };
+    const Ids small{3, 1, 2, 3};
+    const Ids sparse{UINT32_MAX, INT64_MIN, INT64_MIN + 1, INT64_MAX};
+    auto gid = [&](uint32_t g) { return g == small.g3 ? sparse.g3 : g; };
+    auto obj = [&](int64_t o) {
+        return o == small.chan  ? sparse.chan
+               : o == small.muA ? sparse.muA
+               : o == small.muB ? sparse.muB
+                                : o;
+    };
+    auto clock = [](std::string vc) {
+        const std::string from = "g3:", to = strFormat("g%u:", UINT32_MAX);
+        size_t at = vc.find(from);
+        if (at != std::string::npos)
+            vc.replace(at, from.size(), to);
+        return vc;
+    };
+
+    const trace::Ect twin = build(small), wide = build(sparse);
+    const PredictionReport pt = predictBlockingBugs(twin);
+    const PredictionReport pw = predictBlockingBugs(wide);
+    ASSERT_EQ(pt.predictions.size(), 2u) << pt.str();
+    ASSERT_EQ(pw.predictions.size(), pt.predictions.size()) << pw.str();
+    for (size_t i = 0; i < pt.predictions.size(); ++i) {
+        const Prediction &t = pt.predictions[i], &w = pw.predictions[i];
+        EXPECT_EQ(w.kind, t.kind);
+        EXPECT_EQ(w.obj, obj(t.obj));
+        EXPECT_EQ(w.obj2, obj(t.obj2));
+        EXPECT_EQ(w.gidA, gid(t.gidA));
+        EXPECT_EQ(w.gidB, gid(t.gidB));
+        EXPECT_EQ(w.locA, t.locA);
+        EXPECT_EQ(w.locB, t.locB);
+        EXPECT_EQ(w.tsA, t.tsA);
+        EXPECT_EQ(w.tsB, t.tsB);
+        EXPECT_EQ(w.vcA, clock(t.vcA));
+        EXPECT_EQ(w.vcB, clock(t.vcB));
+        EXPECT_EQ(w.delayGid, gid(t.delayGid));
+        EXPECT_EQ(w.delayLoc, t.delayLoc);
+    }
+
+    const RaceReport rt = detectRaces(twin), rw = detectRaces(wide);
+    ASSERT_EQ(rt.races.size(), 1u) << rt.str();
+    ASSERT_EQ(rw.races.size(), 1u) << rw.str();
+    EXPECT_EQ(rw.races[0].varId, rt.races[0].varId);
+    EXPECT_EQ(rw.races[0].gidA, gid(rt.races[0].gidA));
+    EXPECT_EQ(rw.races[0].gidB, gid(rt.races[0].gidB));
+    EXPECT_EQ(rw.races[0].locA, rt.races[0].locA);
+    EXPECT_EQ(rw.races[0].locB, rt.races[0].locB);
 }

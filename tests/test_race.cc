@@ -24,25 +24,29 @@ using goat::test::runProgram;
 
 TEST(VectorClock, BasicOrdering)
 {
-    VectorClock a, b;
-    a.tick(1);
-    EXPECT_FALSE(a.le(b));
-    EXPECT_TRUE(b.le(a)); // empty ≤ anything
-    b.join(a);
-    EXPECT_TRUE(a.le(b));
-    b.tick(2);
-    EXPECT_TRUE(a.le(b));
-    EXPECT_FALSE(b.le(a));
+    ClockPool pool;
+    pool.reset(3);
+    const ClockPool::Row a = pool.add(), b = pool.add();
+    pool.tick(a, 1);
+    EXPECT_FALSE(pool.le(a, b));
+    EXPECT_TRUE(pool.le(b, a)); // zero ≤ anything
+    pool.join(b, a);
+    EXPECT_TRUE(pool.le(a, b));
+    pool.tick(b, 2);
+    EXPECT_TRUE(pool.le(a, b));
+    EXPECT_FALSE(pool.le(b, a));
 }
 
 TEST(VectorClock, ConcurrencyDetection)
 {
-    VectorClock a, b;
-    a.tick(1);
-    b.tick(2);
-    EXPECT_TRUE(VectorClock::concurrent(a, b));
-    a.join(b);
-    EXPECT_FALSE(VectorClock::concurrent(a, b)); // b ≤ a now
+    ClockPool pool;
+    pool.reset(3);
+    const ClockPool::Row a = pool.add(), b = pool.add();
+    pool.tick(a, 1);
+    pool.tick(b, 2);
+    EXPECT_TRUE(pool.concurrent(a, b));
+    pool.join(a, b);
+    EXPECT_FALSE(pool.concurrent(a, b)); // b ≤ a now
 }
 
 TEST(Race, UnsynchronizedWriteWriteDetected)

@@ -70,6 +70,28 @@ GoroutineTree::GoroutineTree(const trace::Ect &ect)
     }
 }
 
+void
+GoroutineTree::walkDepthFirst(
+    const std::function<void(const GoroutineNode &, int)> &visit) const
+{
+    if (!root_)
+        return;
+    std::vector<bool> seen(nodes_.size());
+    std::vector<std::pair<const GoroutineNode *, int>> stack{{root_, 0}};
+    while (!stack.empty()) {
+        auto [node, depth] = stack.back();
+        stack.pop_back();
+        const size_t s = slot(node->gid);
+        if (seen[s])
+            continue;
+        seen[s] = true;
+        visit(*node, depth);
+        for (auto it = node->children.rbegin(); it != node->children.rend();
+             ++it)
+            stack.emplace_back(*it, depth + 1);
+    }
+}
+
 const GoroutineNode *
 GoroutineTree::node(uint32_t gid) const
 {

@@ -19,6 +19,7 @@
 #define GOAT_ANALYSIS_GOROUTINE_TREE_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -109,6 +110,15 @@ class GoroutineTree
      * context (gid 0) has a node only if it created a goroutine.
      */
     const std::vector<GoroutineNode> &nodes() const { return nodes_; }
+
+    /**
+     * Call @p visit(node, depth) on every node reachable from main,
+     * depth first with children in creation order (main at depth 0).
+     * Each node is visited once: a parsed trace may name a creation
+     * cycle (a goroutine that creates itself or an ancestor).
+     */
+    void walkDepthFirst(
+        const std::function<void(const GoroutineNode &, int)> &visit) const;
 
   private:
     /** gid → index in nodes_. */

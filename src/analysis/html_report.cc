@@ -1,6 +1,5 @@
 #include "analysis/html_report.hh"
 
-#include <functional>
 #include <map>
 
 #include "analysis/stats.hh"
@@ -112,32 +111,26 @@ htmlReportStr(const std::string &title, const trace::Ect &ect,
 
     // Goroutine tree.
     out += "<h2>Goroutine tree</h2>\n<div class=\"tree\">";
-    std::function<void(const GoroutineNode *, int)> render =
-        [&](const GoroutineNode *node, int depth) {
-            const Event *last = node->lastEvent();
-            bool finished =
-                last && (last->type == EventType::GoEnd ||
-                         (last->type == EventType::GoSched &&
-                          last->args[0] == trace::SchedTagTraceStop));
-            bool panicked = last && last->type == EventType::GoPanic;
-            const char *cls = finished  ? "finished"
-                              : panicked ? "panicked"
-                                         : "leaked";
-            out += strFormat(
-                "%*s<span class=\"%s\">G%u</span> created at %s — %s\n",
-                depth * 2, "", cls, node->gid,
-                htmlEscape(node->creationLoc.str()).c_str(),
-                finished  ? "finished"
-                : panicked ? "panicked"
-                           : htmlEscape(
-                                 last ? "leaked at " + last->loc.str()
-                                      : "never ran")
-                                 .c_str());
-            for (const GoroutineNode *child : node->children)
-                render(child, depth + 1);
-        };
-    if (tree.root())
-        render(tree.root(), 0);
+    tree.walkDepthFirst([&](const GoroutineNode &node, int depth) {
+        const Event *last = node.lastEvent();
+        bool finished =
+            last && (last->type == EventType::GoEnd ||
+                     (last->type == EventType::GoSched &&
+                      last->args[0] == trace::SchedTagTraceStop));
+        bool panicked = last && last->type == EventType::GoPanic;
+        const char *cls = finished  ? "finished"
+                          : panicked ? "panicked"
+                                     : "leaked";
+        out += strFormat(
+            "%*s<span class=\"%s\">G%u</span> created at %s — %s\n",
+            depth * 2, "", cls, node.gid,
+            htmlEscape(node.creationLoc.str()).c_str(),
+            finished  ? "finished"
+            : panicked ? "panicked"
+                       : htmlEscape(last ? "leaked at " + last->loc.str()
+                                         : "never ran")
+                             .c_str());
+    });
     out += "</div>\n";
 
     // Interleaving table: one column per application goroutine.

@@ -1,6 +1,5 @@
 #include "analysis/report.hh"
 
-#include <functional>
 #include <map>
 
 #include "analysis/waitgraph.hh"
@@ -14,37 +13,28 @@ using trace::EventType;
 std::string
 goroutineTreeStr(const GoroutineTree &tree)
 {
-    std::string out;
-    const GoroutineNode *root = tree.root();
-    if (!root)
+    if (!tree.root())
         return "(empty goroutine tree)\n";
-
-    std::function<void(const GoroutineNode *, int)> render =
-        [&](const GoroutineNode *node, int depth) {
-            const Event *last = node->lastEvent();
-            std::string status;
-            if (!last) {
-                status = "never ran";
-            } else if (last->type == EventType::GoEnd ||
-                       (last->type == EventType::GoSched &&
-                        last->args[0] == trace::SchedTagTraceStop)) {
-                status = "finished";
-            } else if (last->type == EventType::GoPanic) {
-                status = "panicked: " + node->lastStr;
-            } else {
-                status = strFormat("LEAKED at %s (%s)",
-                                   last->loc.str().c_str(),
-                                   eventTypeName(last->type));
-            }
-            out += strFormat("%*sG%u [%s] created at %s -- %s\n",
-                             depth * 2, "", node->gid,
-                             node->system ? "sys" : "app",
-                             node->creationLoc.str().c_str(),
-                             status.c_str());
-            for (const GoroutineNode *child : node->children)
-                render(child, depth + 1);
-        };
-    render(root, 0);
+    std::string out;
+    tree.walkDepthFirst([&](const GoroutineNode &node, int depth) {
+        const Event *last = node.lastEvent();
+        std::string status;
+        if (!last) {
+            status = "never ran";
+        } else if (last->type == EventType::GoEnd ||
+                   (last->type == EventType::GoSched &&
+                    last->args[0] == trace::SchedTagTraceStop)) {
+            status = "finished";
+        } else if (last->type == EventType::GoPanic) {
+            status = "panicked: " + node.lastStr;
+        } else {
+            status = strFormat("LEAKED at %s (%s)", last->loc.str().c_str(),
+                               eventTypeName(last->type));
+        }
+        out += strFormat("%*sG%u [%s] created at %s -- %s\n", depth * 2, "",
+                         node.gid, node.system ? "sys" : "app",
+                         node.creationLoc.str().c_str(), status.c_str());
+    });
     return out;
 }
 

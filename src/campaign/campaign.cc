@@ -559,6 +559,9 @@ constexpr size_t kLedgerBatchRows = 256;
 struct FoldState
 {
     const CampaignConfig &cfg;
+    /** The program the fold's replays run (confirmations, the first
+     *  bug's materialization and minimization). */
+    const std::function<void()> &program;
     CampaignResult &out;
     CoverageState merged;
     /** Last canonically merged iteration. */
@@ -576,9 +579,12 @@ struct FoldState
     int roundEnd = 0;
     /** Stable keys of the predictions folded so far. */
     std::set<std::string> seenPred;
-    /** Recipe of every iteration contributing a prediction (the base
-     *  of its confirmation replays). */
-    std::map<int, trace::Recipe> predRecipes;
+    /**
+     * The merge stage's profiler (with profile), bound only around the
+     * Merge scope of each fold: the fold's replays record into no
+     * profile.
+     */
+    obs::Profiler mergeProfiler;
     /** The -checkpoint log (closed when not checkpointing). */
     CheckpointLog log;
     /** Cursor of the last checkpoint commit (-1 = none this run). */
@@ -587,47 +593,20 @@ struct FoldState
     std::unique_ptr<obs::RunLedger> ledger;
     /** Rows folded since the last ledger write. */
     std::vector<obs::LedgerEntry> batch;
-    /**
-     * Rows finalizeCampaign may still stamp, with every later row:
-     * their lines wait for it, so the ledger stays in iteration order.
-     */
-    std::vector<obs::LedgerEntry> held;
-    /** The first bug row (report material without a live capture). */
-    obs::LedgerEntry bugRow;
 
-    FoldState(const CampaignConfig &c, CampaignResult &o,
+    FoldState(const CampaignConfig &c, const std::function<void()> &p,
+              CampaignResult &o,
               const std::shared_ptr<const CoverageUniverse> &u)
-        : cfg(c), out(o), merged(u)
+        : cfg(c), program(p), out(o), merged(u)
     {
     }
 
-    /** A newly folded row: into the checkpoint round and the ledger. */
-    void
-    foldRow(obs::LedgerEntry &&e)
-    {
-        if (!cfg.checkpointPath.empty())
-            log.addRow(e);
-        emitRow(std::move(e));
-    }
-
-    /** Send a row to the ledger (held while it may still be stamped). */
+    /** Send a finished (stamped) row to the ledger. */
     void
     emitRow(obs::LedgerEntry &&e)
     {
-        if (e.bug && bugRow.iteration == 0)
-            bugRow = e;
         if (!ledger)
             return;
-        // Predictions may be confirmed, and the bug row gets the
-        // recipe, minimization, and lint cross-check stamps.
-        const bool stampable =
-            e.predicted > 0 ||
-            (e.bug && (!cfg.recordPath.empty() || cfg.minimize ||
-                       cfg.lintBridge));
-        if (stampable || !held.empty()) {
-            held.push_back(std::move(e));
-            return;
-        }
         batch.push_back(std::move(e));
         if (batch.size() >= kLedgerBatchRows)
             flushLedger();
@@ -778,11 +757,152 @@ recordRow(const GoatConfig &cfg, IterRecord &rec)
 }
 
 /**
+ * Produce the first-bug report material when no live capture exists
+ * (the bug row was restored from a checkpoint or crossed a shard
+ * pipe). Normal rows are rehydrated by re-running the iteration —
+ * a pure function of (config, index). Supervised crash/timeout rows
+ * cannot be re-run in-process; they get a seeded-policy recipe (the
+ * replay re-derives the schedule and reproduces the crash/hang) and a
+ * synthesized report.
+ */
+void
+materializeFirstBug(const CampaignConfig &cfg,
+                    const std::function<void()> &program,
+                    const obs::LedgerEntry &row,
+                    engine::GoatResult &result)
+{
+    if (row.outcome == kCrashed || row.outcome == kTimedOut) {
+        trace::Recipe r;
+        r.kernel = cfg.programName;
+        r.seed = row.seed;
+        r.delayBound = row.delayBound;
+        r.noiseProb = cfg.engine.noiseProb;
+        r.stepBudget = cfg.engine.stepBudget;
+        r.iteration = row.iteration;
+        r.outcome = row.outcome;
+        r.verdict = row.verdict;
+        r.seededPolicy = true;
+        result.firstBugRecipe = std::move(r);
+        result.firstBug.verdict = rowVerdict(row);
+        result.firstBug.panicMsg = row.crashCause;
+        result.firstBugExec.outcome = rowOutcome(row);
+        result.report = strFormat(
+            "supervised %s at iteration %d%s%s (seeded-policy recipe; "
+            "replay reproduces the failure)\n",
+            row.verdict.c_str(), row.iteration,
+            row.crashCause.empty() ? "" : ", cause ",
+            row.crashCause.c_str());
+        return;
+    }
+    CoverageState scratch(cfg.engine.staticModel);
+    SingleRun sr = engine::runCampaignIteration(
+        cfg.engine, program, row.iteration, &scratch);
+    engine::finalizeRecipe(sr);
+    sr.recipe.kernel = cfg.programName;
+    result.firstBug = sr.dl;
+    result.firstBugExec = sr.exec;
+    result.firstBugEct = sr.ect;
+    result.firstBugRecipe = sr.recipe;
+    result.report =
+        analysis::deadlockReportStr(sr.ect, *sr.tree, sr.dl);
+}
+
+/**
+ * Finish the canonical first bug as it folds: produce its report
+ * material when no live capture exists (a shard's row, or a row
+ * restored from a checkpoint), write the -record recipe, minimize it,
+ * cross-check the lint findings against its trace, and stamp the
+ * results on its @p row. Every input is a pure function of the bug's
+ * iteration, so the stamps and recipe bytes match any executor and
+ * any worker count. Without rows the capture is always live and @p
+ * row is a scratch entry.
+ */
+void
+finishFirstBug(FoldState &fs, obs::LedgerEntry &row)
+{
+    const CampaignConfig &cfg = fs.cfg;
+    CampaignResult &out = fs.out;
+    engine::GoatResult &result = out.merged;
+    if (result.report.empty())
+        materializeFirstBug(cfg, fs.program, row, result);
+    if (!cfg.recordPath.empty()) {
+        out.recordOk =
+            trace::writeRecipeFile(result.firstBugRecipe, cfg.recordPath);
+        if (out.recordOk)
+            out.recipePath = cfg.recordPath;
+        else
+            warn("cannot write recipe file " + cfg.recordPath);
+    }
+    const bool seeded = result.firstBugRecipe.seededPolicy;
+    if (cfg.minimize && seeded) {
+        // Minimization replays candidates in-process; a crash recipe
+        // would take the campaign down with it.
+        warn("skipping -minimize: the first bug is a supervised "
+             "crash/timeout (seeded-policy recipe)");
+    } else if (cfg.minimize) {
+        out.minimize = engine::minimizeRecipe(fs.program,
+                                              result.firstBugRecipe);
+        if (!cfg.recordPath.empty() && out.minimize.reproduced) {
+            std::string min_path = cfg.recordPath + ".min";
+            if (trace::writeRecipeFile(out.minimize.minimized, min_path)) {
+                out.minimizedRecipePath = min_path;
+            } else {
+                out.recordOk = false;
+                warn("cannot write recipe file " + min_path);
+            }
+        }
+    }
+    // Mark the findings whose site a goroutine of the bug trace reached
+    // while parked or panicking. A supervised crash/timeout bug has no
+    // trace to check against.
+    if (cfg.lintBridge && !seeded)
+        out.confirmedWarnings = static_cast<int>(
+            staticmodel::confirmFindings(out.lint, result.firstBugEct));
+
+    row.recipePath = out.recipePath;
+    if (cfg.minimize && out.minimize.reproduced)
+        row.minimizedYields =
+            static_cast<int>(out.minimize.minimized.yields.size());
+    row.confirmedWarnings = out.confirmedWarnings;
+}
+
+/**
+ * Cross-check the predictions a record added (those from index
+ * @p first on) by replays steered from its @p recipe, and return how
+ * many were confirmed.
+ */
+int
+confirmNewPredictions(FoldState &fs, trace::Recipe &&recipe, size_t first)
+{
+    engine::PredictOutcome &merged = fs.out.predict;
+    auto &preds = merged.report.predictions;
+    analysis::PredictionReport added;
+    added.predictions.assign(
+        std::make_move_iterator(preds.begin() +
+                                static_cast<ptrdiff_t>(first)),
+        std::make_move_iterator(preds.end()));
+    recipe.kernel = fs.cfg.programName;
+    engine::PredictOutcome po =
+        engine::confirmPredictions(fs.program, recipe, std::move(added));
+    merged.replays += po.replays;
+    int confirmed = 0;
+    for (size_t j = 0; j < po.report.predictions.size(); ++j) {
+        confirmed += po.report.predictions[j].confirmed;
+        preds[first + j] = std::move(po.report.predictions[j]);
+        merged.confirmRecipes.push_back(std::move(po.confirmRecipes[j]));
+    }
+    merged.confirmedCount += confirmed;
+    return confirmed;
+}
+
+/**
  * The sequential campaign loop over one record, whichever executor made
  * it: fold its coverage, apply bug/threshold stop semantics (the fold
- * stops exactly where -jobs=1 would), emit its row, and commit the
- * checkpoint round it closes. A commit holds only folded state: it is a
- * fold point, not a barrier, and the executors run on past it.
+ * stops exactly where -jobs=1 would), replay what the record asks for
+ * (its new predictions' confirmations, the first bug's recipe and
+ * minimization), emit its finished row, and commit the checkpoint round
+ * it closes. A commit holds only folded state: it is a fold point, not
+ * a barrier, and the executors run on past it.
  */
 void
 fold(FoldState &fs, IterRecord &rec)
@@ -790,6 +910,7 @@ fold(FoldState &fs, IterRecord &rec)
     const CampaignConfig &cfg = fs.cfg;
     const GoatConfig &ecfg = cfg.engine;
     engine::GoatResult &result = fs.out.merged;
+    auto &preds = fs.out.predict.report.predictions;
     const bool measure_cov = ecfg.collectCoverage || ecfg.coverageGuided;
     const bool want_rows = wantRows(cfg);
     const int i = rec.iter;
@@ -797,7 +918,14 @@ fold(FoldState &fs, IterRecord &rec)
     ++fs.executed;
     if (!rec.loss.empty())
         ++(rec.loss == kTimedOut ? fs.out.timeouts : fs.out.crashes);
-    obs::ProfileScope merge_prof(obs::Stage::Merge);
+
+    // The merge profiler is bound for the merge stage only: the
+    // replays below record into no profile.
+    std::optional<obs::ScopedProfiler> bound;
+    if (ecfg.profile)
+        bound.emplace(fs.mergeProfiler);
+    std::optional<obs::ProfileScope> merge_prof(std::in_place,
+                                                obs::Stage::Merge);
 
     IterationOutcome io;
     if (measure_cov) {
@@ -825,22 +953,20 @@ fold(FoldState &fs, IterRecord &rec)
     // Fold this iteration's predictions in iteration order,
     // keeping the first instance of each stable key — the same
     // dedup a sequential pass over the traces would perform.
+    const size_t known_preds = preds.size();
     if (ecfg.predict) {
-        bool contributed = false;
         for (const analysis::Prediction &p : rec.predictions.predictions) {
             if (!fs.seenPred.insert(p.key()).second)
                 continue;
             analysis::Prediction q = p;
             q.iteration = i;
-            fs.out.predict.report.predictions.push_back(std::move(q));
-            contributed = true;
+            preds.push_back(std::move(q));
         }
-        if (contributed)
-            fs.predRecipes.emplace(i, std::move(rec.recipe));
     }
 
     const bool buggy = rec.coreBug || first_race;
-    if (buggy && !result.bugFound) {
+    const bool first_bug = buggy && !result.bugFound;
+    if (first_bug) {
         result.bugFound = true;
         result.bugIteration = i;
         if (rec.bugRun) {
@@ -856,8 +982,9 @@ fold(FoldState &fs, IterRecord &rec)
         }
     }
 
+    obs::LedgerEntry e;
     if (want_rows) {
-        obs::LedgerEntry e = recordRow(ecfg, rec);
+        e = recordRow(ecfg, rec);
         e.bug = buggy;
         e.coveragePct = io.coveragePct;
         if (ecfg.collectCoverage && io.coveragePct >= 0) {
@@ -866,8 +993,24 @@ fold(FoldState &fs, IterRecord &rec)
         }
         if (cfg.lintBridge)
             e.staticWarnings = static_cast<int>(cfg.lint.size());
-        fs.foldRow(std::move(e));
+        // The checkpoint log keeps rows unstamped; beginFold stamps a
+        // restored first-bug row again.
+        if (!cfg.checkpointPath.empty())
+            fs.log.addRow(e);
     }
+    merge_prof.reset();
+    bound.reset();
+
+    if (preds.size() > known_preds) {
+        const int confirmed =
+            confirmNewPredictions(fs, std::move(rec.recipe), known_preds);
+        if (confirmed > 0)
+            e.predictedConfirmed = confirmed;
+    }
+    if (first_bug)
+        finishFirstBug(fs, e);
+    if (want_rows)
+        fs.emitRow(std::move(e));
 
     io.exec = rec.exec;
     io.dl = std::move(rec.dl);
@@ -995,191 +1138,23 @@ runShards(Shared &sh, FoldState &fs,
 }
 
 /**
- * Produce the first-bug report material when no live capture exists
- * (the bug row was restored from a checkpoint or crossed a shard
- * pipe). Normal rows are rehydrated by re-running the iteration —
- * a pure function of (config, index). Supervised crash/timeout rows
- * cannot be re-run in-process; they get a seeded-policy recipe (the
- * replay re-derives the schedule and reproduces the crash/hang) and a
- * synthesized report.
+ * The campaign epilogue: the last ledger write and campaign-level
+ * metrics (folding in the registries of the in-process @p workers).
  */
 void
-materializeFirstBug(const CampaignConfig &cfg,
-                    const std::function<void()> &program,
-                    const obs::LedgerEntry &row,
-                    engine::GoatResult &result)
-{
-    if (row.outcome == kCrashed || row.outcome == kTimedOut) {
-        trace::Recipe r;
-        r.kernel = cfg.programName;
-        r.seed = row.seed;
-        r.delayBound = row.delayBound;
-        r.noiseProb = cfg.engine.noiseProb;
-        r.stepBudget = cfg.engine.stepBudget;
-        r.iteration = row.iteration;
-        r.outcome = row.outcome;
-        r.verdict = row.verdict;
-        r.seededPolicy = true;
-        result.firstBugRecipe = std::move(r);
-        result.firstBug.verdict = rowVerdict(row);
-        result.firstBug.panicMsg = row.crashCause;
-        result.firstBugExec.outcome = rowOutcome(row);
-        result.report = strFormat(
-            "supervised %s at iteration %d%s%s (seeded-policy recipe; "
-            "replay reproduces the failure)\n",
-            row.verdict.c_str(), row.iteration,
-            row.crashCause.empty() ? "" : ", cause ",
-            row.crashCause.c_str());
-        return;
-    }
-    CoverageState scratch(cfg.engine.staticModel);
-    SingleRun sr = engine::runCampaignIteration(
-        cfg.engine, program, row.iteration, &scratch);
-    engine::finalizeRecipe(sr);
-    sr.recipe.kernel = cfg.programName;
-    result.firstBug = sr.dl;
-    result.firstBugExec = sr.exec;
-    result.firstBugEct = sr.ect;
-    result.firstBugRecipe = sr.recipe;
-    result.report =
-        analysis::deadlockReportStr(sr.ect, *sr.tree, sr.dl);
-}
-
-/**
- * The merge epilogue: recipe recording and minimization, prediction
- * confirmation, the lint cross-check, the stamps and ledger lines of
- * the held rows, and campaign-level metrics (folding in the registries
- * of the in-process @p workers).
- */
-void
-finalizeCampaign(FoldState &fs, const std::function<void()> &program,
+finalizeCampaign(FoldState &fs,
                  const std::vector<std::unique_ptr<Worker>> &workers,
                  std::chrono::steady_clock::time_point campaign_t0)
 {
     using std::chrono::steady_clock;
-    const CampaignConfig &cfg = fs.cfg;
-    const GoatConfig &ecfg = cfg.engine;
+    const GoatConfig &ecfg = fs.cfg.engine;
     CampaignResult &out = fs.out;
     engine::GoatResult &result = out.merged;
 
-    // Repro-recipe capture: the canonical first bug's decision stream
-    // is a pure function of its iteration index, so the recipe bytes
-    // are identical for any -jobs value. Minimization replays on this
-    // (scheduler-free) thread, after the workers have joined.
-    if (result.bugFound && !cfg.recordPath.empty()) {
-        out.recordOk =
-            trace::writeRecipeFile(result.firstBugRecipe, cfg.recordPath);
-        if (out.recordOk)
-            out.recipePath = cfg.recordPath;
-        else
-            warn("cannot write recipe file " + cfg.recordPath);
-    }
-    if (result.bugFound && cfg.minimize) {
-        if (result.firstBugRecipe.seededPolicy) {
-            // Minimization replays candidates in-process; a crash
-            // recipe would take the campaign down with it.
-            warn("skipping -minimize: the first bug is a supervised "
-                 "crash/timeout (seeded-policy recipe)");
-        } else {
-            out.minimize = engine::minimizeRecipe(program,
-                                                  result.firstBugRecipe);
-            if (!cfg.recordPath.empty() && out.minimize.reproduced) {
-                std::string min_path = cfg.recordPath + ".min";
-                if (trace::writeRecipeFile(out.minimize.minimized,
-                                           min_path)) {
-                    out.minimizedRecipePath = min_path;
-                } else {
-                    out.recordOk = false;
-                    warn("cannot write recipe file " + min_path);
-                }
-            }
-        }
-    }
-    // Prediction confirmation: replay-steered cross-checks run on this
-    // (scheduler-free) thread after the workers joined, grouped by the
-    // source iteration whose recipe seeds the synthesized schedules.
-    // The fold appended predictions in ascending iteration order, so
-    // each group is a contiguous span.
-    if (ecfg.predict) {
-        auto &preds = out.predict.report.predictions;
-        out.predict.confirmRecipes.assign(preds.size(),
-                                          trace::Recipe());
-        size_t idx = 0;
-        while (idx < preds.size()) {
-            int src = preds[idx].iteration;
-            size_t end = idx;
-            while (end < preds.size() && preds[end].iteration == src)
-                ++end;
-            analysis::PredictionReport sub;
-            sub.predictions.assign(preds.begin() +
-                                       static_cast<ptrdiff_t>(idx),
-                                   preds.begin() +
-                                       static_cast<ptrdiff_t>(end));
-            trace::Recipe base = std::move(fs.predRecipes.at(src));
-            base.kernel = cfg.programName;
-            engine::PredictOutcome po = engine::confirmPredictions(
-                program, base, std::move(sub));
-            out.predict.replays += po.replays;
-            for (size_t j = 0; j < po.report.predictions.size(); ++j) {
-                preds[idx + j] = std::move(po.report.predictions[j]);
-                out.predict.confirmRecipes[idx + j] =
-                    std::move(po.confirmRecipes[j]);
-            }
-            idx = end;
-        }
-        out.predict.confirmedCount =
-            out.predict.report.confirmedCount();
-
-        // Stamp rows whose iteration contributed confirmed predictions
-        // (every such row is held: it has predictions).
-        for (obs::LedgerEntry &e : fs.held) {
-            int conf = 0;
-            for (const analysis::Prediction &p : preds)
-                if (p.confirmed && p.iteration == e.iteration)
-                    ++conf;
-            if (conf > 0)
-                e.predictedConfirmed = conf;
-        }
-    }
-
-    // Dynamic cross-check of the lint bridge: mark findings whose site
-    // a goroutine of the canonical first bug trace actually reached
-    // while parked or panicking. Input (the canonical trace) and the
-    // lint report are both worker-count-independent. A supervised
-    // crash/timeout bug has no trace to check against.
-    if (cfg.lintBridge) {
-        out.lint = cfg.lint;
-        if (result.bugFound && !result.firstBugRecipe.seededPolicy) {
-            out.confirmedWarnings = static_cast<int>(
-                staticmodel::confirmFindings(out.lint,
-                                             result.firstBugEct));
-            for (obs::LedgerEntry &e : fs.held)
-                if (e.iteration == result.bugIteration)
-                    e.confirmedWarnings = out.confirmedWarnings;
-        }
-    }
-
-    if (result.bugFound &&
-        (!out.recipePath.empty() || cfg.minimize)) {
-        // Stamp the repro fields onto the bug's (held) ledger row.
-        for (obs::LedgerEntry &e : fs.held) {
-            if (e.iteration == result.bugIteration) {
-                e.recipePath = out.recipePath;
-                if (cfg.minimize && out.minimize.reproduced)
-                    e.minimizedYields = static_cast<int>(
-                        out.minimize.minimized.yields.size());
-                break;
-            }
-        }
-    }
-
-    // The ledger got every row up to the first held one as it folded;
-    // the held rows follow now, stamped. Rows stop at the canonical
-    // cutoff, so the row count and per-row seed/verdict content match
-    // any worker count.
+    // Rows stop at the canonical cutoff, so the row count and per-row
+    // seed/verdict content match any worker count.
     if (fs.ledger) {
         fs.flushLedger();
-        fs.ledger->appendBatch(fs.held);
         out.ledgerRows = fs.ledger->linesWritten();
     }
 
@@ -1207,7 +1182,7 @@ finalizeCampaign(FoldState &fs, const std::function<void()> &program,
         parent.counter(m.predictionsConfirmed)
             .inc(static_cast<uint64_t>(out.predict.confirmedCount));
     }
-    if (cfg.isolate || out.respawns || out.crashes || out.timeouts) {
+    if (fs.cfg.isolate || out.respawns || out.crashes || out.timeouts) {
         parent.counter(m.respawns).inc(static_cast<uint64_t>(out.respawns));
         parent.counter(m.crashes).inc(static_cast<uint64_t>(out.crashes));
         parent.counter(m.timeouts).inc(static_cast<uint64_t>(out.timeouts));
@@ -1242,14 +1217,16 @@ openLedger(FoldState &fs)
 /**
  * Set the fold up for a run: restore the -resume checkpoint (after
  * its fingerprint check), open the -checkpoint log and the ledger, and
- * emit the restored rows. False when the resume is refused
- * (out.resumeError says why).
+ * emit the restored rows, the first bug's stamped like the fold stamps
+ * it. False when the resume is refused (out.resumeError says why).
  */
 bool
 beginFold(FoldState &fs)
 {
     const CampaignConfig &cfg = fs.cfg;
     const bool checkpointing = !cfg.checkpointPath.empty();
+    if (cfg.lintBridge)
+        fs.out.lint = cfg.lint;
     if (cfg.resumePath.empty()) {
         if (checkpointing &&
             !fs.log.create(cfg.checkpointPath, configFingerprint(cfg)))
@@ -1272,8 +1249,11 @@ beginFold(FoldState &fs)
                        fs.out.merged.saturation.samples()))
         checkpointFailed(fs);
     openLedger(fs);
-    for (obs::LedgerEntry &row : ck.rows)
+    for (obs::LedgerEntry &row : ck.rows) {
+        if (row.iteration == fs.out.merged.bugIteration)
+            finishFirstBug(fs, row);
         fs.emitRow(std::move(row));
+    }
     return true;
 }
 
@@ -1308,7 +1288,7 @@ runCampaign(const CampaignConfig &cfg, const std::function<void()> &program)
     // merged state and every worker.
     const auto universe =
         std::make_shared<const CoverageUniverse>(ecfg.staticModel);
-    FoldState fs(cfg, out, universe);
+    FoldState fs(cfg, program, out, universe);
     if (!beginFold(fs))
         return out;
     const int restored_executed = fs.executed;
@@ -1316,15 +1296,6 @@ runCampaign(const CampaignConfig &cfg, const std::function<void()> &program)
     // restored cursor.
     fs.roundEnd =
         std::min(budget, fs.cursor + std::max(1, cfg.checkpointEvery));
-
-    // The merge stage is profiled on the campaign thread: one scope
-    // per canonically merged iteration, so its entry total is as
-    // worker-count independent as the rest of the fold.
-    obs::Profiler merge_profiler;
-    std::unique_ptr<obs::ScopedProfiler> merge_prof_scope;
-    if (ecfg.profile)
-        merge_prof_scope =
-            std::make_unique<obs::ScopedProfiler>(merge_profiler);
 
     Shared sh(cfg, program);
     // In-process workers: worker 0 runs the inline prefix; the others
@@ -1409,12 +1380,11 @@ runCampaign(const CampaignConfig &cfg, const std::function<void()> &program)
         out.interruptSig = interruptSignal();
     }
 
-    // Close out the merge-stage profiling before the recipe/minimize
-    // replays below: those execute the program on this thread and must
-    // not record into the campaign fold.
+    // The merge stage is profiled on this thread: one scope per
+    // canonically merged iteration, so its entry total is as
+    // worker-count independent as the rest of the fold.
     if (ecfg.profile) {
-        obs::ProfileSnapshot merge_delta = merge_profiler.drain();
-        merge_prof_scope.reset();
+        obs::ProfileSnapshot merge_delta = fs.mergeProfiler.drain();
         result.profile.mergeFrom(merge_delta);
         for (const auto &w : workers)
             out.executedProfile.mergeFrom(w->executedProfile);
@@ -1429,12 +1399,9 @@ runCampaign(const CampaignConfig &cfg, const std::function<void()> &program)
         out.executedIterations - static_cast<int>(result.iterations.size());
     out.coverage = std::move(fs.merged);
 
-    // Bug/race material restored from a checkpoint or shipped by a
-    // shard has no live capture; rehydrate it from the pure (config,
-    // iteration) function before the finalize stages consume it.
-    if (result.bugFound && result.report.empty() &&
-        fs.bugRow.iteration == result.bugIteration)
-        materializeFirstBug(cfg, program, fs.bugRow, result);
+    // A race restored from a checkpoint or shipped by a shard has no
+    // live capture; rehydrate it from the pure (config, iteration)
+    // function.
     if (result.raceIteration > 0 && !result.firstRaces.any()) {
         CoverageState scratch(ecfg.staticModel);
         SingleRun sr = engine::runCampaignIteration(
@@ -1442,7 +1409,7 @@ runCampaign(const CampaignConfig &cfg, const std::function<void()> &program)
         result.firstRaces = analysis::detectRaces(sr.ect);
     }
 
-    finalizeCampaign(fs, program, workers, campaign_t0);
+    finalizeCampaign(fs, workers, campaign_t0);
     return out;
 }
 

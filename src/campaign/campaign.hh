@@ -87,7 +87,7 @@ struct CampaignConfig
     std::string recordPath{};
     /**
      * Minimize the captured recipe's yield set (engine::minimizeRecipe)
-     * after the campaign; the minimized recipe is written to
+     * when the first bug folds; the minimized recipe is written to
      * recordPath + ".min" when recording.
      */
     bool minimize = false;

@@ -11,8 +11,8 @@
  * byte-identical), the merged coverage bitmap, the saturation series,
  * and the campaign tallies. Heavy state — the first bug's trace,
  * recipe, and report — is *not* stored: every iteration is a pure
- * function of (config, iteration index), so the finalize step
- * rehydrates it by re-running the bug iteration. Rows whose verdict is
+ * function of (config, iteration index), so the resume rehydrates it
+ * by re-running the bug iteration. Rows whose verdict is
  * a supervised crash/timeout cannot be re-run in-process; their
  * recipes are synthesized as seeded-policy recipes instead
  * (trace::Recipe::seededPolicy).

@@ -443,12 +443,16 @@ superviseCampaign(const CampaignConfig &cfg, int startIteration,
 
         // Watchdogs: a shard past its per-iteration deadline is gone
         // as far as the campaign is concerned — SIGKILL it and let the
-        // reap sweep below classify the loss.
-        now = steady_clock::now();
+        // reap sweep below classify the loss. The fold may have spent
+        // the deadline replaying inside onEvent since the poll, so read
+        // what the shard has sent first: a result already in the pipe
+        // is no hang.
         for (ShardProc &sp : shards) {
             if (sp.done || !sp.armed || sp.pid < 0)
                 continue;
-            if (now >= sp.deadline) {
+            if (steady_clock::now() >= sp.deadline)
+                pumpShard(sp);
+            if (sp.armed && steady_clock::now() >= sp.deadline) {
                 sp.timedOut = true;
                 sp.armed = false;
                 ::kill(sp.pid, SIGKILL);

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "analysis/deadlock.hh"
 #include "analysis/goroutine_tree.hh"
+#include "analysis/html_report.hh"
 #include "analysis/report.hh"
 #include "chan/chan.hh"
 #include "sync/sync.hh"
@@ -259,4 +262,39 @@ TEST(Report, InterleavingTruncates)
     });
     std::string s = interleavingStr(rr.ect, 10);
     EXPECT_NE(s.find("truncated"), std::string::npos);
+}
+
+// A parsed trace may name a creation cycle: here goroutine 1 creates
+// itself, and in the second trace 1 and 2 create each other. Both
+// renders visit each goroutine once instead of recursing without end.
+TEST(Report, TreeRendersSurviveCreationCycles)
+{
+    for (const char *text :
+         {"1 1 go_create a.go 2 1 0 0 0\n2 1 go_end a.go 3 0 0 0 0\n",
+          "1 1 go_create a.go 2 2 0 0 0\n2 2 go_create a.go 3 1 0 0 0\n"
+          "3 2 go_end a.go 4 0 0 0 0\n"}) {
+        SCOPED_TRACE(text);
+        std::istringstream in(text);
+        trace::Ect ect;
+        ASSERT_TRUE(trace::readEct(in, ect));
+        GoroutineTree tree(ect);
+        ASSERT_NE(tree.root(), nullptr);
+        const size_t gids = tree.nodes().size();
+
+        const std::string s = goroutineTreeStr(tree);
+        size_t lines = 0;
+        for (char c : s)
+            lines += c == '\n';
+        EXPECT_EQ(lines, gids) << s;
+        EXPECT_EQ(s.find("G1 "), s.rfind("G1 ")) << s;
+
+        DeadlockReport dl = deadlockCheck(tree);
+        const std::string html = htmlReportStr("cycle", ect, tree, dl);
+        for (const GoroutineNode &n : tree.nodes()) {
+            const std::string tag =
+                "\">G" + std::to_string(n.gid) + "</span>";
+            EXPECT_NE(html.find(tag), std::string::npos) << tag;
+            EXPECT_EQ(html.find(tag), html.rfind(tag)) << tag;
+        }
+    }
 }

@@ -12,6 +12,7 @@
 #include <sys/resource.h>
 #include <sys/wait.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -1143,6 +1145,46 @@ TEST(SuperviseCampaign, AbortingBodyIsClassifiedAndRespawned)
     EXPECT_EQ(crashes, 1);
     EXPECT_EQ(respawn_at, 5);
     EXPECT_TRUE(five_after_respawn);
+}
+
+TEST(SuperviseCampaign, SlowFoldDoesNotTimeOutAnsweredShard)
+{
+    // The fold replays inside onEvent (confirmations, minimization), so
+    // one event can outlast another shard's watchdog. Shard 0 takes
+    // 600 ms per iteration and shard 1 100 ms; folding iteration 2
+    // takes 1.3 s, past the 1 s deadline of iteration 1, whose result
+    // shard 0 sent at 600 ms. The watchdog reads that result (and the
+    // next ones) instead of killing the shard mid-iteration.
+    CampaignConfig cfg;
+    cfg.jobs = 2;
+    cfg.engine.maxIterations = 8;
+    cfg.iterTimeoutSecs = 1;
+    auto body = [](int iter, int shard, int) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(shard == 0 ? 600 : 100));
+        return "body " + std::to_string(iter);
+    };
+    std::vector<campaign::ShardEvent> events;
+    campaign::superviseCampaign(
+        cfg, 1, body,
+        [&](campaign::ShardEvent &&ev) {
+            if (ev.kind == campaign::ShardEvent::Kind::Result &&
+                ev.iteration == 2)
+                std::this_thread::sleep_for(std::chrono::milliseconds(1300));
+            events.push_back(std::move(ev));
+        },
+        [] { return false; });
+
+    std::map<int, int> results;
+    for (const campaign::ShardEvent &ev : events) {
+        EXPECT_EQ(ev.kind, campaign::ShardEvent::Kind::Result)
+            << "iteration " << ev.iteration << " cause " << ev.cause;
+        if (ev.kind == campaign::ShardEvent::Kind::Result)
+            ++results[ev.iteration];
+    }
+    EXPECT_EQ(results.size(), 8u);
+    for (const auto &[iter, n] : results)
+        EXPECT_EQ(n, 1) << "iteration " << iter;
 }
 
 // ---------------------------------------------------------------------

@@ -33,6 +33,11 @@ Scenarios:
     canonical-identical to the reference, and every commit of the
     killed log and of the isolated resume's log lands on a round
     boundary (a multiple of the round size, or the budget);
+  * SIGKILL a -record campaign past its first bug (cockroach_7504 at
+    -d=2 finds it at iteration 15) with 16-iteration rounds: the
+    killed ledger holds at least the last commit's rows (the bug row,
+    stamped with its recipe, among them), and the resume is
+    canonical-identical to an uninterrupted run, recipe bytes equal;
   * SIGTERM mid-campaign: graceful flush — the process exits 143
     (128+SIGTERM), the checkpoint and the ledger agree on the merged
     prefix, the prefix is canonical with the reference, and the
@@ -64,6 +69,8 @@ EVERY = 512
 # The run-ahead leg: a soak kernel, committing every iteration.
 RUNAHEAD_KERNEL = "etcd_7443"
 RUNAHEAD_ITERS = 3000
+# The stamped leg: -record, rounds of 16 (the first bug is at 15).
+STAMPED_EVERY = 16
 
 
 def fail(msg):
@@ -357,6 +364,84 @@ def check_runahead_kill(goat, tmp):
           f"incl. coverage")
 
 
+def check_stamped_kill(goat, tmp):
+    """SIGKILL a -record campaign once a commit is past its first bug:
+    the ledger never lags the last commit, stamped rows included, and
+    the resume matches an uninterrupted run, recipe bytes too."""
+    def stamped(ledger, recipe, checkpoint=None):
+        c = [goat, f"-kernel={KERNEL}", "-d=2", f"-freq={ITERS}",
+             "-keep-going", f"-record={recipe}", f"-ledger={ledger}"]
+        if checkpoint is not None:
+            c += [f"-checkpoint={checkpoint}",
+                  f"-checkpoint-every={STAMPED_EVERY}"]
+        return c
+
+    def bug_row(rows, what):
+        bugs = [i for i, row in enumerate(rows, 1) if row.get("bug")]
+        if not bugs:
+            fail(f"{what}: no bug row")
+        return bugs[0]
+
+    ref_ledger = tmp / "stamped_ref.jsonl"
+    ref_recipe = tmp / "stamped_ref.recipe"
+    proc = subprocess.run(stamped(ref_ledger, ref_recipe),
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0:
+        fail(f"stamped reference exited {proc.returncode}: "
+             f"{proc.stdout}{proc.stderr}")
+    ref = canonical_rows(ref_ledger)
+    bug = bug_row(ref, "stamped reference")
+    if bug >= STAMPED_EVERY:
+        fail(f"stamped reference finds its bug at {bug}, not inside "
+             f"the first {STAMPED_EVERY}-iteration round")
+
+    ck = tmp / "stamped.ck"
+    part = tmp / "stamped_part.jsonl"
+    part_recipe = tmp / "stamped_part.recipe"
+    rc = kill_mid_run(goat, None, ck, signal.SIGKILL,
+                      command=stamped(part, part_recipe, ck), iters=ITERS,
+                      every=STAMPED_EVERY)
+    if rc != -signal.SIGKILL:
+        fail(f"stamped SIGKILL run exited {rc}, expected "
+             f"{-signal.SIGKILL}")
+    cursor = read_cursor(ck)
+    if not bug < cursor < ITERS:
+        fail(f"stamped kill landed outside the campaign past its bug "
+             f"(cursor {cursor}) — timing too coarse")
+    written = len(part.read_text().splitlines())
+    if written < cursor:
+        fail(f"stamped SIGKILL run: ledger holds {written} rows, but "
+             f"the checkpoint committed cursor {cursor}")
+    killed_bug = json.loads(part.read_text().splitlines()[bug - 1])
+    if killed_bug.get("recipe") != str(part_recipe):
+        fail(f"stamped SIGKILL run: bug row {bug} lacks its recipe "
+             f"stamp: {killed_bug}")
+    if part_recipe.read_bytes() != ref_recipe.read_bytes():
+        fail("stamped SIGKILL run: recipe differs from the "
+             "uninterrupted run's")
+
+    res = tmp / "stamped_res.jsonl"
+    res_recipe = tmp / "stamped_res.recipe"
+    proc = subprocess.run(stamped(res, res_recipe, ck) + [f"-resume={ck}"],
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0:
+        fail(f"stamped resume exited {proc.returncode}: "
+             f"{proc.stdout}{proc.stderr}")
+    rows = canonical_rows(res)
+    if rows != ref:
+        fail(f"stamped resume (cursor {cursor}) ledger differs from the "
+             f"uninterrupted run")
+    resumed_bug = json.loads(res.read_text().splitlines()[bug - 1])
+    if resumed_bug.get("recipe") != str(res_recipe):
+        fail(f"stamped resume: bug row {bug} lacks its recipe stamp")
+    if res_recipe.read_bytes() != ref_recipe.read_bytes():
+        fail("stamped resume: recipe differs from the uninterrupted "
+             "run's")
+    print(f"check_resume: OK — -record SIGKILL at iteration {cursor}: "
+          f"{written} ledger rows on disk (bug row {bug} stamped), "
+          f"resume canonical-identical, recipe bytes equal")
+
+
 def main():
     if len(sys.argv) < 2:
         fail("usage: check_resume.py /path/to/goat")
@@ -409,6 +494,7 @@ def main():
         check_default_round_kill(goat, tmp, ref)
         check_isolate_kill(goat, tmp, ref)
         check_runahead_kill(goat, tmp)
+        check_stamped_kill(goat, tmp)
 
         # SIGTERM: graceful flush. Exit 143, ledger and checkpoint
         # agree on the merged prefix, prefix canonical, resumable.

@@ -591,10 +591,22 @@ struct CanonicalRun
     int window = 0;
 };
 
+/**
+ * Stem of the running test's scratch files. ctest runs each case in its
+ * own process, so cases that overlap must not share a file.
+ */
+std::string
+testStem()
+{
+    const testing::TestInfo *t =
+        testing::UnitTest::GetInstance()->current_test_info();
+    return testing::TempDir() + t->test_suite_name() + "." + t->name();
+}
+
 CanonicalRun
 runCanonical(CampaignConfig cfg, const goker::KernelInfo &k)
 {
-    const std::string stem = testing::TempDir() + "pipelined";
+    const std::string stem = testStem();
     cfg.engine.ledgerPath = stem + ".jsonl";
     std::remove(cfg.engine.ledgerPath.c_str());
     if (cfg.checkpointEvery > 0)
@@ -735,12 +747,12 @@ TEST(Campaign, FirstBugStampsMatchAcrossExecutors)
     ASSERT_FALSE(ref.recipe.empty());
     ASSERT_FALSE(ref.minRecipe.empty());
 
-    // runCanonical's log, cut after its first commit (cursor 16): the
-    // committed prefix holds the bug row.
-    const std::string log = readFile(testing::TempDir() + "pipelined.ck");
+    // The reference run's log, cut after its first commit (cursor 16):
+    // the committed prefix holds the bug row.
+    const std::string log = readFile(testStem() + ".ck");
     const size_t commit = log.find("\ncommit 16 ");
     ASSERT_NE(commit, std::string::npos);
-    const std::string cut = testing::TempDir() + "first_bug_cut.ck";
+    const std::string cut = testStem() + ".cut.ck";
     {
         std::ofstream out(cut, std::ios::binary | std::ios::trunc);
         out << log.substr(0, log.find('\n', commit + 1) + 1);

@@ -1,7 +1,6 @@
 #include "analysis/coverage.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <cstdio>
 #include <mutex>
@@ -236,12 +235,6 @@ class Catalog
         appendKindCase(prefix, static_cast<CuKind>(k.kind), k.caseIdx);
         prefixes_.push_back(std::move(prefix));
         groupIds_.emplace(k, g);
-        if (k.scope == 0) {
-            if (progGroupsAt_.size() <= k.loc)
-                progGroupsAt_.resize(k.loc + 1);
-            progGroupsAt_[k.loc].push_back(g);
-            progGen_.fetch_add(1, std::memory_order_release);
-        }
         return g;
     }
 
@@ -269,44 +262,6 @@ class Catalog
         }
     }
 
-    /**
-     * The program-level groups at @p loc, from a per-thread cache keyed
-     * on the location's (file, line). An entry stays valid until the
-     * next program-level group is interned, so once a campaign is warm
-     * the guided policy's per-decision lookup takes no lock.
-     */
-    const std::vector<uint32_t> &
-    progGroupsAt(const SourceLoc &loc) const
-    {
-        struct Entry
-        {
-            uint64_t gen = 0; ///< progGen_ + 1 when filled; 0: empty.
-            std::vector<uint32_t> groups;
-        };
-        struct Hash
-        {
-            size_t
-            operator()(const std::pair<const char *, uint32_t> &k) const
-            {
-                return std::hash<const char *>()(k.first) ^
-                       (size_t{k.second} * 0x9e3779b97f4a7c15ull);
-            }
-        };
-        thread_local std::unordered_map<std::pair<const char *, uint32_t>,
-                                        Entry, Hash>
-            cache;
-        Entry &e = cache[{loc.file, loc.line}];
-        if (e.gen != progGen_.load(std::memory_order_acquire) + 1) {
-            std::lock_guard<std::mutex> lk(mu_);
-            auto it = locIds_.find(loc.str());
-            e.groups.clear();
-            if (it != locIds_.end() && it->second < progGroupsAt_.size())
-                e.groups = progGroupsAt_[it->second];
-            e.gen = progGen_.load(std::memory_order_relaxed) + 1;
-        }
-        return e.groups;
-    }
-
   private:
     Catalog() : scopes_{"", "main"} {}
 
@@ -320,9 +275,6 @@ class Catalog
     /** Per group: its keys' shared prefix "[scope|]loc kind[/caseN] ". */
     std::vector<std::string> prefixes_;
     std::unordered_map<GroupKey, uint32_t, GroupKeyHash> groupIds_;
-    std::vector<std::vector<uint32_t>> progGroupsAt_;
-    /** Bumped (under mu_) whenever a program-level group is interned. */
-    std::atomic<uint64_t> progGen_{0};
 };
 
 /** The program-level group of @p cu's templates, interned. */
@@ -1152,20 +1104,6 @@ CoverageState::percent() const
         return 100.0;
     return 100.0 * static_cast<double>(nCovered_) /
            static_cast<double>(nRequired_);
-}
-
-size_t
-CoverageState::uncoveredAtLoc(const SourceLoc &loc) const
-{
-    size_t n = 0;
-    for (uint32_t g : Catalog::instance().progGroupsAt(loc)) {
-        for (ReqType t : kAllTypes) {
-            ReqId id = reqId(g, t);
-            if (required_.test(id) && !covered_.test(id))
-                ++n;
-        }
-    }
-    return n;
 }
 
 std::vector<std::string>

@@ -305,12 +305,6 @@ class CoverageState
     static std::string key(const staticmodel::Cu &cu, ReqType type,
                            int case_idx = -1);
 
-    /**
-     * Number of program-level requirements at a source location that
-     * are still uncovered (drives coverage-guided perturbation).
-     */
-    size_t uncoveredAtLoc(const SourceLoc &loc) const;
-
     /** The (possibly dynamically extended) CU table. */
     const staticmodel::CuTable &cuTable() const { return table_; }
 

@@ -46,11 +46,6 @@
  *     iteration past the canonical stop point, so verdicts,
  *     first-detection indices, ledger row counts, and merged coverage
  *     match a -jobs=1 run byte for byte.
- *
- * The one documented exception is coverage-*guided* perturbation: the
- * guided policy feeds on cumulative coverage, which is inherently
- * order-dependent, so guided campaigns are reproducible only for a
- * fixed worker count.
  */
 
 #ifndef GOAT_CAMPAIGN_CAMPAIGN_HH

@@ -329,7 +329,9 @@ configFingerprint(const CampaignConfig &cfg)
     os << "kernel=" << cfg.programName << ";seed=" << e.seedBase
        << ";d=" << e.delayBound << ";noise=" << dblStr(e.noiseProb)
        << ";budget=" << e.stepBudget << ";cov=" << (e.collectCoverage ? 1 : 0)
-       << ";guided=" << (e.coverageGuided ? 1 : 0)
+       // The removed coverage-guided policy's field: logs of unguided
+       // campaigns keep matching, and a guided=1 log never does.
+       << ";guided=0"
        << ";covthr=" << dblStr(e.covThreshold)
        << ";stoponbug=" << (e.stopOnBug ? 1 : 0)
        << ";race=" << (e.raceDetect ? 1 : 0)

@@ -151,7 +151,7 @@ campaignIterationSeed(uint64_t base, int iter)
 SingleRun
 runCampaignIteration(const GoatConfig &cfg,
                      const std::function<void()> &program, int iter,
-                     analysis::CoverageState *guided_cov)
+                     analysis::CoverageState *)
 {
     trace::Recipe params;
     params.seed = mixSeed(cfg.seedBase, iter);
@@ -164,17 +164,10 @@ runCampaignIteration(const GoatConfig &cfg,
     // at most D yields plus a call counter — so any run can be handed
     // out as a repro recipe without re-finding it.
     perturb::YieldPerturber uniform(cfg.delayBound, params.seed);
-    // Only a coverage-guided campaign may consult cumulative coverage:
-    // a priority-only policy (-lint-guided, -mhp-prune) must stay a pure
-    // function of the seed, or its decisions at non-priority sites would
-    // depend on which iterations this worker happened to run before.
-    perturb::GuidedPerturber guided(cfg.coverageGuided ? guided_cov
-                                                       : nullptr,
-                                    cfg.delayBound, params.seed);
-    if (!cfg.prioritySites.empty())
-        guided.setPrioritySites(cfg.prioritySites);
+    perturb::GuidedPerturber guided(&cfg.prioritySites, cfg.delayBound,
+                                    params.seed);
     runtime::PerturbHook inner;
-    if (cfg.coverageGuided || !cfg.prioritySites.empty())
+    if (!cfg.prioritySites.empty())
         inner = guided.hook();
     else if (cfg.delayBound > 0)
         inner = uniform.hook();

@@ -46,12 +46,6 @@ struct GoatConfig
     int maxIterations = 1000;
     /** Measure coverage requirements per iteration (-cov). */
     bool collectCoverage = false;
-    /**
-     * Use the coverage-guided perturbation policy (paper §VI future
-     * work): yields concentrate on CUs with uncovered requirements.
-     * Implies coverage collection.
-     */
-    bool coverageGuided = false;
     /** Stop when coverage reaches this percentage (with -cov). */
     double covThreshold = 100.0;
     /** Stop at the first detected bug. */
@@ -85,10 +79,11 @@ struct GoatConfig
     /** Static CU model (coverage denominators; may be empty). */
     staticmodel::CuTable staticModel;
     /**
-     * Statically flagged CU sites (lint findings) the perturbation
-     * policy should prioritize. Non-empty installs the guided policy
-     * even without coverageGuided; unlike coverage feedback the site
-     * set is fixed, so iterations stay pure functions of the seed.
+     * Statically chosen CU sites (lint findings with -lint-guided, MHP
+     * sites with -mhp-prune) the perturbation policy prioritizes,
+     * matched by (basename, line). Non-empty installs the priority-site
+     * policy (perturb/guided.hh) in place of the uniform one; the set
+     * is fixed, so iterations stay pure functions of the seed.
      */
     std::vector<SourceLoc> prioritySites;
 };
@@ -203,16 +198,15 @@ uint64_t campaignIterationSeed(uint64_t base, int iter);
 
 /**
  * Execute and analyze campaign iteration @p iter: derive the
- * iteration seed, install the uniform (or coverage-guided)
- * perturbation policy, run the program on a fresh scheduler, and
- * apply Procedure 1 to the trace. @p guided_cov is the cumulative
- * coverage state feeding the guided policy; required (non-null) when
- * cfg.coverageGuided, ignored otherwise.
+ * iteration seed, install the uniform (or, with cfg.prioritySites,
+ * the priority-site) perturbation policy, run the program on a fresh
+ * scheduler, and apply Procedure 1 to the trace. A pure function of
+ * (cfg, iter). The trailing pointer is ignored.
  */
 SingleRun runCampaignIteration(const GoatConfig &cfg,
                                const std::function<void()> &program,
                                int iter,
-                               analysis::CoverageState *guided_cov);
+                               analysis::CoverageState * = nullptr);
 
 /**
  * Stamp the deferred ECT fingerprint fields (ect_hash, ect_events)

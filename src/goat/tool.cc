@@ -145,7 +145,7 @@ runTool(ToolKind tool, const std::function<void()> &program, int max_iter,
 
     for (int iter = 1; iter <= max_iter; ++iter) {
         campaign.iterationsRun = iter;
-        SingleRun sr = runCampaignIteration(cfg, program, iter, nullptr);
+        SingleRun sr = runCampaignIteration(cfg, program, iter);
 
         bool lockdl_warned = false;
         if (tool == ToolKind::LockDL) {

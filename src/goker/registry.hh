@@ -127,7 +127,7 @@ std::string kernelMhpPairsStr(const KernelInfo &kernel);
 
 /**
  * Unique source sites on at least one MHP pair of @p kernel — the
- * priority seed set a `-mhp-prune` campaign feeds to the guided
+ * priority seed set a `-mhp-prune` campaign feeds to the priority-site
  * perturber. Static input, so identical across workers and runs.
  */
 std::vector<SourceLoc> kernelMhpSites(const KernelInfo &kernel);

@@ -15,8 +15,8 @@
  *       {"iter":3,"covered":41,"total":96,"pct":42.708,
  *        "blocked":12,"unblocking":15,"nop":11,"blocking":3}
  *   - standalone HTML (`PATH + ".html"`): a dependency-free inline-SVG
- *     chart of covered/total over iterations, answering "did guided
- *     beat unguided" from any campaign run.
+ *     chart of covered/total over iterations, answering "did the
+ *     priority-site policy beat uniform" from any campaign run.
  */
 
 #ifndef GOAT_OBS_SATURATION_HH

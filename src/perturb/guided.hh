@@ -1,26 +1,21 @@
 /**
  * @file
- * Coverage-guided schedule perturbation — the extension the paper's
- * §VI sketches as future work: instead of yielding uniformly at
- * random, "take control of the scheduler and guide testing towards
- * untested interleavings".
- *
- * The policy consults the cumulative CoverageState: a concurrency
- * usage that still has uncovered requirements is a *hot* point (a
- * yield there plausibly flips blocked/unblocking/NOP behaviour that
- * has never been observed), so the perturber yields there with high
- * probability; fully covered CUs are *cold* and rarely worth a yield.
- * The yield budget D still bounds total perturbation per execution.
+ * Priority-site schedule perturbation (-lint-guided, -mhp-prune): the
+ * bounded seeded yield policy, with yields concentrated on a fixed set
+ * of statically chosen CU sites — lint findings or statically
+ * may-happen-in-parallel sites. A yield at such a site plausibly flips
+ * the interleaving the static pass flagged, so the perturber yields
+ * there with high probability and rarely anywhere else. The site set
+ * is fixed for the campaign, so every decision is a pure function of
+ * the seed. The yield budget D still bounds total perturbation per
+ * execution.
  */
 
 #ifndef GOAT_PERTURB_GUIDED_HH
 #define GOAT_PERTURB_GUIDED_HH
 
-#include <set>
-#include <string>
 #include <vector>
 
-#include "analysis/coverage.hh"
 #include "base/rng.hh"
 #include "perturb/perturb.hh"
 #include "runtime/scheduler.hh"
@@ -28,65 +23,33 @@
 
 namespace goat::perturb {
 
-/**
- * Coverage-guided bounded yield policy, one instance per execution;
- * the referenced CoverageState persists across iterations.
- */
+/** Priority-site bounded yield policy, one instance per execution. */
 class GuidedPerturber
 {
   public:
     /**
-     * @param cov Cumulative coverage state (not owned; must outlive
-     *            the perturber). May be null when the policy runs on
-     *            priority sites alone (see setPrioritySites()).
+     * @param sites Priority sites, matched by (basename, line) (not
+     *              owned; must outlive the perturber). nullptr = none.
      * @param bound Maximum injected yields per execution.
      * @param seed Seed for the yield decisions.
-     * @param hot_prob Yield probability at CUs with uncovered
-     *                 requirements.
-     * @param cold_prob Yield probability at fully covered CUs.
      */
-    GuidedPerturber(const analysis::CoverageState *cov, int bound,
-                    uint64_t seed, double hot_prob = 0.6,
-                    double cold_prob = 0.05)
-        : cov_(cov), bound_(bound), hotProb_(hot_prob),
-          coldProb_(cold_prob), rng_(seed ^ 0x67756964ull)
+    GuidedPerturber(const std::vector<SourceLoc> *sites, int bound,
+                    uint64_t seed)
+        : sites_(sites), bound_(bound), rng_(seed ^ 0x67756964ull)
     {}
-
-    /**
-     * Seed statically flagged CU sites (from the lint pass) that the
-     * policy should treat as maximally interesting: yields there fire
-     * with @p priority_prob regardless of coverage state. Unlike the
-     * coverage feedback this input is fixed across iterations, so a
-     * priority-only policy stays a pure function of the seed.
-     */
-    void
-    setPrioritySites(const std::vector<SourceLoc> &sites,
-                     double priority_prob = 0.9)
-    {
-        priorityProb_ = priority_prob;
-        for (const auto &loc : sites)
-            priority_.insert(loc.str());
-    }
 
     /** The goat.handler() decision. */
     bool
-    shouldYield(staticmodel::CuKind kind, const SourceLoc &loc)
+    shouldYield(staticmodel::CuKind, const SourceLoc &loc)
     {
         if (used_ >= bound_) {
             detail::tally(&runtime::SchedTallies::perturbSkipped);
             return false;
         }
-        double prob;
-        if (!priority_.empty() && priority_.count(loc.str())) {
-            detail::tally(&runtime::SchedTallies::guidedHot);
-            prob = priorityProb_;
-        } else {
-            bool hot = cov_ && cov_->uncoveredAtLoc(loc) > 0;
-            detail::tally(hot ? &runtime::SchedTallies::guidedHot
-                              : &runtime::SchedTallies::guidedCold);
-            prob = hot ? hotProb_ : coldProb_;
-        }
-        if (!rng_.chance(prob)) {
+        const bool hot = isPriority(loc);
+        detail::tally(hot ? &runtime::SchedTallies::guidedHot
+                          : &runtime::SchedTallies::guidedCold);
+        if (!rng_.chance(hot ? kPriorityProb : kOtherProb)) {
             detail::tally(&runtime::SchedTallies::perturbSkipped);
             return false;
         }
@@ -107,12 +70,24 @@ class GuidedPerturber
     int used() const { return used_; }
 
   private:
-    const analysis::CoverageState *cov_; ///< May be null: priority-only.
+    /** Yield probability at a priority site. */
+    static constexpr double kPriorityProb = 0.9;
+    /** Yield probability at any other site. */
+    static constexpr double kOtherProb = 0.05;
+
+    bool
+    isPriority(const SourceLoc &loc) const
+    {
+        if (!sites_)
+            return false;
+        for (const SourceLoc &s : *sites_)
+            if (s == loc)
+                return true;
+        return false;
+    }
+
+    const std::vector<SourceLoc> *sites_;
     int bound_;
-    double hotProb_;
-    double coldProb_;
-    double priorityProb_ = 0.9;
-    std::set<std::string> priority_; ///< "file:line" lint sites.
     int used_ = 0;
     Rng rng_;
 };

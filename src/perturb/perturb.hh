@@ -26,8 +26,9 @@ namespace goat::perturb {
 namespace detail {
 
 /**
- * Perturbation telemetry (yields injected vs. skipped, and the guided
- * policy's hot/cold classifications) lands in the live scheduler's
+ * Perturbation telemetry (yields injected vs. skipped, and the
+ * priority-site policy's hot/cold classifications: a priority site or
+ * any other site) lands in the live scheduler's
  * per-run SchedTallies; a no-op when called outside a run (unit tests
  * exercise the policies without a scheduler).
  */

@@ -587,7 +587,7 @@ goldenCoverageDump()
         CoverageState cumulative(cfg.engine.staticModel);
         for (int i = 1; i <= cfg.engine.maxIterations; ++i) {
             engine::SingleRun sr = engine::runCampaignIteration(
-                cfg.engine, k->fn, i, nullptr);
+                cfg.engine, k->fn, i);
             cumulative.addEct(sr.ect, *sr.tree);
         }
 
@@ -638,27 +638,10 @@ TEST(CoverageGolden, GokerCampaignsMatchGolden)
 // Fold properties on every non-hostile kernel: per-iteration deltas
 // folded in iteration order, folded as two halves joined by mergeFrom,
 // and one cumulative addEct state agree byte for byte; bitmaps
-// round-trip through restoreBitmap; uncoveredAtLoc agrees with a scan
-// of the rendered bitmap.
+// round-trip through restoreBitmap.
 // ---------------------------------------------------------------------
 
 namespace {
-
-/** Uncovered program-level keys at @p loc, by scanning a bitmap. */
-size_t
-uncoveredAtLocByScan(const std::string &bitmap, const SourceLoc &loc)
-{
-    const std::string prefix = "0 " + loc.str() + " ";
-    size_t n = 0;
-    size_t pos = 0;
-    while (pos < bitmap.size()) {
-        size_t eol = bitmap.find('\n', pos);
-        if (bitmap.compare(pos, prefix.size(), prefix) == 0)
-            ++n;
-        pos = eol + 1;
-    }
-    return n;
-}
 
 void
 expectSameState(const CoverageState &a, const CoverageState &b)
@@ -690,7 +673,7 @@ TEST(CoverageFold, DeltaGroupingsAgreeOnEveryKernel)
         std::vector<CoverageDelta> deltas(kIters);
         for (int i = 1; i <= kIters; ++i) {
             engine::SingleRun sr = engine::runCampaignIteration(
-                cfg.engine, k->fn, i, nullptr);
+                cfg.engine, k->fn, i);
             CoverageDelta &d = deltas[static_cast<size_t>(i) - 1];
             scratch.compute(sr.ect, *sr.tree, &d);
             in_order.applyDelta(d);
@@ -719,15 +702,6 @@ TEST(CoverageFold, DeltaGroupingsAgreeOnEveryKernel)
                           ReqType::Nop, ReqType::Blocking})
             EXPECT_EQ(bare.coveredCountOfType(t),
                       in_order.coveredCountOfType(t));
-
-        for (const Cu &cu : in_order.cuTable().all()) {
-            EXPECT_EQ(in_order.uncoveredAtLoc(cu.loc),
-                      uncoveredAtLocByScan(bitmap, cu.loc))
-                << cu.str();
-            EXPECT_EQ(bare.uncoveredAtLoc(cu.loc),
-                      uncoveredAtLocByScan(bitmap, cu.loc))
-                << cu.str();
-        }
     }
 }
 
@@ -768,7 +742,6 @@ TEST(CoverageFold, RestoreBitmapRejectsMalformedKeys)
     EXPECT_TRUE(ok.isRequired("k.cc:3 select/case1 blocked"));
     EXPECT_FALSE(ok.isCovered("k.cc:3 select/case1 blocked"));
     EXPECT_FALSE(ok.isRequired("k.cc:9 send nop"));
-    EXPECT_EQ(ok.uncoveredAtLoc(SourceLoc("dir/k.cc", 3)), 1u);
 }
 
 namespace {

@@ -276,7 +276,7 @@ TEST(Engine, ReplayDetectsWrongProgram)
     GoatConfig cfg;
     cfg.delayBound = 1;
     cfg.seedBase = 77;
-    SingleRun sr = runCampaignIteration(cfg, a->fn, 1, nullptr);
+    SingleRun sr = runCampaignIteration(cfg, a->fn, 1);
     finalizeRecipe(sr);
     ASSERT_TRUE(replayRecipe(a->fn, sr.recipe).matched);
     ReplayResult rr = replayRecipe(b->fn, sr.recipe);

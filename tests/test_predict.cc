@@ -104,7 +104,7 @@ TEST(Predict, ConfirmRoundTripOnLockOrderInversion)
     SingleRun base;
     bool found = false;
     for (int iter = 1; iter <= 50 && !found; ++iter) {
-        base = runCampaignIteration(cfg, k->fn, iter, nullptr);
+        base = runCampaignIteration(cfg, k->fn, iter);
         found = !base.dl.buggy() &&
                 base.exec.outcome == runtime::RunOutcome::Ok;
     }

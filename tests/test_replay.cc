@@ -61,7 +61,7 @@ recordOne(const GoatConfig &cfg, const std::function<void()> &program,
 {
     SingleRun sr;
     for (int iter = 1; iter <= budget; ++iter) {
-        sr = runCampaignIteration(cfg, program, iter, nullptr);
+        sr = runCampaignIteration(cfg, program, iter);
         if (sr.dl.buggy())
             break;
     }

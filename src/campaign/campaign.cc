@@ -605,12 +605,11 @@ struct FoldState
     }
 };
 
-/** Refuse a resume (the campaign does not run); always false. */
+/** Refuse the campaign (it does not run); always false. */
 bool
-refuseResume(CampaignResult &out, std::string why)
+refuse(CampaignResult &out, std::string why, bool usage = false)
 {
-    out.resumeOk = false;
-    out.resumeError = std::move(why);
+    out.refused = {std::move(why), usage};
     return false;
 }
 
@@ -619,7 +618,7 @@ refuseResume(CampaignResult &out, std::string why)
  * series, tallies, bug/race watermarks, and the frozen rows' iteration
  * summaries (result.iterations); beginFold re-emits the rows. A
  * bug/race watermark that names no (bug) row of the prefix, or a
- * malformed coverage bitmap, refuses the resume (false, resumeError
+ * malformed coverage bitmap, refuses the resume (false, out.refused
  * set).
  */
 bool
@@ -633,18 +632,17 @@ restoreCheckpoint(const CheckpointData &ck, FoldState &fs)
     if (!names_row(ck.bugIteration) ||
         (ck.bugIteration > 0 &&
          !ck.rows[static_cast<size_t>(ck.bugIteration) - 1].bug))
-        return refuseResume(
+        return refuse(
             fs.out, strFormat("checkpoint bug_iteration %d is not a bug "
                               "row of its %d-row prefix",
                               ck.bugIteration, ck.cursor));
     if (!names_row(ck.raceIteration))
-        return refuseResume(
+        return refuse(
             fs.out, strFormat("checkpoint race_iteration %d is not a row "
                               "of its %d-row prefix",
                               ck.raceIteration, ck.cursor));
     if (!ck.covBitmap.empty() && !fs.merged.restoreBitmap(ck.covBitmap))
-        return refuseResume(fs.out,
-                            "malformed coverage bitmap in checkpoint");
+        return refuse(fs.out, "malformed coverage bitmap in checkpoint");
     fs.cursor = ck.cursor;
     fs.executed = ck.executed;
     fs.stopped = ck.stopped;
@@ -1195,7 +1193,7 @@ openLedger(FoldState &fs)
  * Set the fold up for a run: restore the -resume checkpoint (after
  * its fingerprint check), open the -checkpoint log and the ledger, and
  * emit the restored rows, the first bug's stamped like the fold stamps
- * it. False when the resume is refused (out.resumeError says why).
+ * it. False when the resume is refused (out.refused says why).
  */
 bool
 beginFold(FoldState &fs)
@@ -1211,21 +1209,15 @@ beginFold(FoldState &fs)
         openLedger(fs);
         return true;
     }
-    // A checkpoint carries neither the prediction dedup keys nor a
-    // profile, so a resumed run could not match an uninterrupted one.
-    if (cfg.engine.predict || cfg.engine.profile)
-        return refuseResume(fs.out,
-                            cfg.engine.predict
-                                ? "resume is incompatible with predict"
-                                : "resume is incompatible with profile");
     CheckpointData ck;
     std::string err;
     if (!readCheckpointFile(cfg.resumePath, &ck, &err))
-        return refuseResume(fs.out, err);
+        return refuse(fs.out, err);
     if (ck.fingerprint != configFingerprint(cfg))
-        return refuseResume(fs.out, "checkpoint fingerprint mismatch: " +
-                                        ck.fingerprint + " vs " +
-                                        configFingerprint(cfg));
+        return refuse(fs.out,
+                      "checkpoint fingerprint mismatch: " + ck.fingerprint +
+                          " vs " + configFingerprint(cfg),
+                      true);
     if (!restoreCheckpoint(ck, fs))
         return false;
     if (checkpointing &&
@@ -1242,6 +1234,43 @@ beginFold(FoldState &fs)
 }
 
 } // namespace
+
+std::string
+refusal(const CampaignConfig &cfg)
+{
+    const GoatConfig &e = cfg.engine;
+    // Each refused field is named with its CLI flag.
+    const char *analysis = e.predict   ? "engine.predict (-predict)"
+                           : e.profile ? "engine.profile (-profile)"
+                                       : nullptr;
+    if (cfg.isolate && (e.raceDetect || analysis))
+        return strFormat("isolate (-isolate) is incompatible with %s: a "
+                         "shard ships only its row and coverage",
+                         e.raceDetect ? "engine.raceDetect (-race)"
+                                      : analysis);
+    if (analysis && !cfg.checkpointPath.empty())
+        return strFormat("checkpointPath (-checkpoint) is incompatible "
+                         "with %s: a checkpoint holds neither the "
+                         "prediction keys nor a profile",
+                         analysis);
+    if (analysis && !cfg.resumePath.empty())
+        return strFormat("resumePath (-resume) is incompatible with %s: "
+                         "a checkpoint holds neither the prediction keys "
+                         "nor a profile",
+                         analysis);
+    if (cfg.isolate)
+        return "";
+    const char *knob =
+        cfg.iterTimeoutSecs > 0 ? "iterTimeoutSecs (-iter-timeout)"
+        : cfg.memLimitMB > 0    ? "memLimitMB (-mem-limit)"
+        : cfg.maxRespawns != CampaignConfig{}.maxRespawns
+            ? "maxRespawns (-max-respawns)"
+            : nullptr;
+    return knob ? strFormat("%s requires isolate (-isolate): only the "
+                            "supervisor reads it",
+                            knob)
+                : "";
+}
 
 /**
  * The one campaign driver: set the fold up, run the iterations on one
@@ -1267,6 +1296,11 @@ runCampaign(const CampaignConfig &cfg, const std::function<void()> &program)
 
     CampaignResult out;
     out.jobs = jobs;
+    // Before any file is opened: a refused campaign touches none.
+    if (std::string why = refusal(cfg); !why.empty()) {
+        out.refused = {std::move(why), true};
+        return out;
+    }
     engine::GoatResult &result = out.merged;
     // The static requirement universe, built once and shared by the
     // merged state and every worker.
@@ -1383,9 +1417,8 @@ runCampaign(const CampaignConfig &cfg, const std::function<void()> &program)
         out.executedIterations - static_cast<int>(result.iterations.size());
     out.coverage = std::move(fs.merged);
 
-    // A race restored from a checkpoint or shipped by a shard has no
-    // live capture; rehydrate it from the pure (config, iteration)
-    // function.
+    // A race restored from a checkpoint has no live capture;
+    // rehydrate it from the pure (config, iteration) function.
     if (result.raceIteration > 0 && !result.firstRaces.any()) {
         SingleRun sr =
             engine::runCampaignIteration(ecfg, program, result.raceIteration);

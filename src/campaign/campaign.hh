@@ -113,20 +113,24 @@ struct CampaignConfig
      * child processes under a supervisor that classifies abnormal
      * exits (SIGSEGV, SIGABRT, OOM…) into crash-verdict ledger rows
      * and respawns the shard, so one crashing iteration cannot take
-     * the campaign down.
+     * the campaign down. A shard ships only its row and coverage, so
+     * the campaign refuses isolate with engine.raceDetect,
+     * engine.predict or engine.profile (refusal()).
      */
     bool isolate = false;
     /**
      * Per-iteration wall-clock watchdog in seconds (-iter-timeout;
-     * 0 = off, requires isolate). A shard stuck on one iteration past
-     * the deadline is killed and the iteration recorded as a timeout
-     * verdict with a seeded-policy repro recipe.
+     * 0 = off). A shard stuck on one iteration past the deadline is
+     * killed and the iteration recorded as a timeout verdict with a
+     * seeded-policy repro recipe. This and the next two fields are
+     * the supervisor's: without isolate, a value other than the
+     * default is refused.
      */
     int iterTimeoutSecs = 0;
     /**
-     * Address-space ceiling per shard in MiB (-mem-limit; 0 = off,
-     * requires isolate). A shard breaching it exits with the OOM
-     * marker and the iteration is recorded as an "oom" crash.
+     * Address-space ceiling per shard in MiB (-mem-limit; 0 = off).
+     * A shard breaching it exits with the OOM marker and the
+     * iteration is recorded as an "oom" crash.
      */
     int memLimitMB = 0;
     /**
@@ -139,7 +143,9 @@ struct CampaignConfig
      * Periodic campaign checkpoint path (-checkpoint; "" = off).
      * Appends each round of checkpointEvery merged iterations to an
      * append-only log (campaign/checkpoint.hh), so a killed campaign
-     * resumes losing at most one round of work.
+     * resumes losing at most one round of work. The log holds neither
+     * the prediction dedup keys nor a profile, so the campaign refuses
+     * a checkpoint with engine.predict or engine.profile.
      */
     std::string checkpointPath{};
     /** Iterations per checkpoint round (with checkpointPath). */
@@ -147,9 +153,28 @@ struct CampaignConfig
     /**
      * Resume from a checkpoint written by a compatible configuration
      * (-resume; "" = off). The merged result of a killed-and-resumed
-     * campaign is canonically identical to an uninterrupted run.
+     * campaign is canonically identical to an uninterrupted run. As
+     * with checkpointPath, engine.predict and engine.profile are
+     * refused.
      */
     std::string resumePath{};
+};
+
+/**
+ * Why a campaign did not run. A refused campaign touches no file and
+ * runs no iteration.
+ */
+struct Refusal
+{
+    /** What was refused ("" = the campaign ran). */
+    std::string reason;
+    /**
+     * The configuration is at fault: a combination refusal() names,
+     * or a resume whose checkpoint fingerprint does not match (the
+     * CLI exits 2). False for a checkpoint that cannot be read or
+     * restored (the CLI exits 1).
+     */
+    bool usage = false;
 };
 
 /**
@@ -247,21 +272,37 @@ struct CampaignResult
     bool resumed = false;
     /** Iterations restored from the checkpoint (0 = none). */
     int resumeFrom = 0;
-    /**
-     * False when a requested resume failed (unreadable checkpoint or
-     * configuration-fingerprint mismatch); resumeError explains. The
-     * campaign does not run in that case — the CLI maps a fingerprint
-     * mismatch to the usage-error exit.
-     */
-    bool resumeOk = true;
-    std::string resumeError;
+    /** Set when the campaign was refused: by refusal(), or because
+     *  the -resume checkpoint could not be read, restored or matched
+     *  to the configuration. */
+    Refusal refused;
 };
+
+/**
+ * The one judge of which configurations a campaign can honour: ""
+ * when it can run, else the first unsupported combination, named by
+ * its fields (and their CLI flags):
+ *
+ *  - isolate with engine.raceDetect, engine.predict or engine.profile
+ *    (a shard digest carries only the row and coverage);
+ *  - checkpointPath or resumePath with engine.predict or
+ *    engine.profile (a checkpoint carries neither the prediction
+ *    dedup keys nor a profile);
+ *  - iterTimeoutSecs, memLimitMB or maxRespawns set without isolate
+ *    (only the supervisor reads them).
+ *
+ * runCampaign calls it first and refuses such a campaign as a usage
+ * error (CampaignResult::refused).
+ */
+std::string refusal(const CampaignConfig &cfg);
 
 /**
  * Run a campaign on @p program: distribute iterations 1..maxIterations
  * over cfg.jobs workers, early-stop all workers once any stop
  * condition is met, then merge per-worker ledgers, coverage, and
- * metrics into the canonical result.
+ * metrics into the canonical result. A configuration refusal() names,
+ * or a -resume that cannot be honoured, is refused before any file is
+ * opened or iteration run (CampaignResult::refused).
  *
  * Must be called from a thread with no live Scheduler (it joins its
  * workers before returning). Campaigns may run concurrently from

@@ -110,8 +110,6 @@ runOnceHooked(const std::function<void()> &program, uint64_t seed,
     trace::EctRing *ring = &thread_ring;
     if (thread_ring.active())
         ring = &nested_ring.emplace();
-    else if (thread_ring.capacity() != trace::defaultEctRingCapacity())
-        thread_ring.setCapacity(trace::defaultEctRingCapacity());
     ring->bind(&out.ect);
     sched.setRing(ring);
     out.exec = sched.run(program);

@@ -29,12 +29,6 @@ const char *const kVerdictShort[ProgressCounters::kVerdicts] = {
 
 } // namespace
 
-bool
-atomicWriteFile(const std::string &path, const std::string &content)
-{
-    return goat::atomicWriteFile(path, content);
-}
-
 ProgressReporter::ProgressReporter(ProgressConfig cfg,
                                    ProgressCounters &counters)
     : cfg_(std::move(cfg)), counters_(counters),
@@ -186,7 +180,7 @@ ProgressReporter::statusJson(bool done) const
 bool
 ProgressReporter::writeStatus(bool done)
 {
-    return atomicWriteFile(cfg_.statusPath, statusJson(done) + "\n");
+    return goat::atomicWriteFile(cfg_.statusPath, statusJson(done) + "\n");
 }
 
 } // namespace goat::obs

@@ -120,13 +120,6 @@ class ProgressReporter
     std::thread thread_;
 };
 
-/**
- * Atomically replace @p path with @p content: write to a sibling tmp
- * file, fsync-free rename over the target. Returns false on any I/O
- * failure (tmp unlinked best-effort).
- */
-bool atomicWriteFile(const std::string &path, const std::string &content);
-
 } // namespace goat::obs
 
 #endif // GOAT_OBS_PROGRESS_HH

@@ -236,15 +236,6 @@ scanFile(const std::string &path)
     return scanSource(oss.str(), path);
 }
 
-CuTable
-scanFiles(const std::vector<std::string> &paths)
-{
-    CuTable table;
-    for (const auto &p : paths)
-        table.merge(scanFile(p));
-    return table;
-}
-
 // ---------------------------------------------------------------------
 // Block/region layer
 // ---------------------------------------------------------------------

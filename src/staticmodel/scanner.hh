@@ -43,9 +43,6 @@ CuTable scanSource(const std::string &text, const std::string &filename);
 /** Scan one file on disk. Missing files yield an empty table. */
 CuTable scanFile(const std::string &path);
 
-/** Scan several files and merge the results. */
-CuTable scanFiles(const std::vector<std::string> &paths);
-
 /**
  * Remove // and block comments plus string/char literal contents from
  * source text, preserving line structure (exposed for testing).

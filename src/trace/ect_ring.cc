@@ -7,42 +7,11 @@
 
 namespace goat::trace {
 
-namespace {
-
-/**
- * 4096 rows (288 KiB) holds every GoKer kernel's full trace with room
- * to spare; long executions wrap and flush in batches.
- */
-size_t ringCapacity = 4096;
-
-} // namespace
-
-size_t
-defaultEctRingCapacity()
-{
-    return ringCapacity;
-}
-
-void
-setDefaultEctRingCapacity(size_t rows)
-{
-    if (rows < 16)
-        rows = 16; // floor keeps the wrap path sane
-    ringCapacity = rows;
-}
-
 EctRing::EctRing(size_t capacity)
 {
-    setCapacity(capacity ? capacity : defaultEctRingCapacity());
-}
-
-void
-EctRing::setCapacity(size_t rows)
-{
-    if (rows == cap_)
-        return;
+    size_t rows = capacity ? capacity : defaultEctRingCapacity();
     if (rows < 16)
-        rows = 16;
+        rows = 16; // floor keeps the wrap path sane
     // Rows are written by push()'s caller before any flush reads them,
     // so the buffer is left uninitialised: a fresh thread's ring
     // touches only the pages its runs fill instead of zeroing all of
@@ -52,7 +21,6 @@ EctRing::setCapacity(size_t rows)
                   std::is_trivially_destructible_v<Event>);
     rows_.reset(static_cast<Event *>(::operator new(rows * sizeof(Event))));
     cap_ = rows;
-    n_ = 0;
 }
 
 void

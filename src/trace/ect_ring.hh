@@ -28,9 +28,16 @@
 
 namespace goat::trace {
 
-/** Process-wide default ring capacity (rows); see -ring-capacity. */
-size_t defaultEctRingCapacity();
-void setDefaultEctRingCapacity(size_t rows);
+/**
+ * Ring capacity in rows when none is given: 4096 rows (288 KiB) hold
+ * every GoKer kernel's full trace with room to spare; longer
+ * executions wrap and flush in batches.
+ */
+constexpr size_t
+defaultEctRingCapacity()
+{
+    return 4096;
+}
 
 /**
  * The ring buffer. One per worker thread, rebound to a fresh Ect per
@@ -39,6 +46,7 @@ void setDefaultEctRingCapacity(size_t rows);
 class EctRing
 {
   public:
+    /** @p capacity rows (0 = the default), floored at 16. */
     explicit EctRing(size_t capacity = 0);
 
     EctRing(const EctRing &) = delete;
@@ -81,14 +89,11 @@ class EctRing
 
     size_t capacity() const { return cap_; }
 
-    /** Resize (drops pending rows; call only between runs). */
-    void setCapacity(size_t rows);
-
     /** True while bound to an output trace. */
     bool active() const { return out_ != nullptr; }
 
   private:
-    /** Frees rows allocated uninitialised by setCapacity(). */
+    /** Frees rows allocated uninitialised by the constructor. */
     struct FreeRows
     {
         void operator()(Event *rows) const { ::operator delete(rows); }

@@ -20,7 +20,6 @@
 #include "campaign/campaign.hh"
 #include "goker/registry.hh"
 #include "obs/profile.hh"
-#include "trace/ect_ring.hh"
 
 using namespace goat;
 using goat::campaign::CampaignConfig;
@@ -166,27 +165,6 @@ TEST(Campaign, PrioritySitesWithCoverageMatchAcrossJobCounts)
     }
 }
 
-// Same contract with the ECT ring squeezed to its 16-row floor: every
-// execution wraps and flushes mid-run many times, and the merged
-// digest must still be byte-identical to jobs=1 (the ring is a format
-// change, not a semantic one). The campaign runs its whole budget, so
-// the worker threads' rings are squeezed too.
-TEST(Campaign, MergeDeterminismWithTinyEctRing)
-{
-    size_t prev = trace::defaultEctRingCapacity();
-    trace::setDefaultEctRingCapacity(16);
-    const goker::KernelInfo &k = kernel("cockroach_1055");
-    CampaignConfig c1 = baseConfig(k, 1);
-    c1.engine.stopOnBug = false;
-    CampaignConfig c4 = c1;
-    c4.jobs = 4;
-    CampaignResult r1 = runCampaign(c1, k.fn);
-    CampaignResult r4 = runCampaign(c4, k.fn);
-    trace::setDefaultEctRingCapacity(prev);
-    EXPECT_TRUE(r1.merged.bugFound);
-    expectIdentical(r1, r4);
-    expectFannedOut(r4);
-}
 
 // Ledger row count (and file line count) is the same for any worker
 // count: the fold streams campaign ledger rows in iteration order and

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <vector>
 
+#include "base/fileio.hh"
 #include "base/fmt.hh"
 #include "campaign/campaign.hh"
 #include "chan/chan.hh"
@@ -999,14 +1000,14 @@ TEST(Saturation, WriteFilesContractAndFailure)
 TEST(Progress, AtomicWriteFileReplacesAndFails)
 {
     std::string path = testing::TempDir() + "/goat_obs_status.json";
-    EXPECT_TRUE(atomicWriteFile(path, "one"));
-    EXPECT_TRUE(atomicWriteFile(path, "two"));
+    EXPECT_TRUE(goat::atomicWriteFile(path, "one"));
+    EXPECT_TRUE(goat::atomicWriteFile(path, "two"));
     std::ifstream in(path);
     std::stringstream buf;
     buf << in.rdbuf();
     EXPECT_EQ(buf.str(), "two");
     std::remove(path.c_str());
-    EXPECT_FALSE(atomicWriteFile("/nonexistent-goat-dir/x.json", "z"));
+    EXPECT_FALSE(goat::atomicWriteFile("/nonexistent-goat-dir/x.json", "z"));
 }
 
 TEST(Progress, CountersAggregateAndCoverageIsMax)

@@ -573,15 +573,16 @@ TEST(CheckpointLog, EveryByteCutResumesAtLastCommitOrIsRefused)
         std::remove(led.c_str());
         campaign::CampaignResult res = runSmall(r);
         if (expect == 0) {
-            ASSERT_FALSE(res.resumeOk) << "cut at byte " << n;
-            ASSERT_EQ(res.resumeError.find("fingerprint"),
+            ASSERT_NE(res.refused.reason, "") << "cut at byte " << n;
+            ASSERT_FALSE(res.refused.usage)
+                << "cut at byte " << n << ": " << res.refused.reason;
+            ASSERT_EQ(res.refused.reason.find("fingerprint"),
                       std::string::npos)
                 << "cut at byte " << n;
             ++refused;
             continue;
         }
-        ASSERT_TRUE(res.resumeOk)
-            << "cut at byte " << n << ": " << res.resumeError;
+        ASSERT_EQ(res.refused.reason, "") << "cut at byte " << n;
         ASSERT_EQ(res.resumeFrom, expect) << "cut at byte " << n;
         ASSERT_EQ(canonicalLedger(led), want) << "cut at byte " << n;
         CheckpointData back;
@@ -939,7 +940,7 @@ TEST(Checkpoint, ResumeRefusesWatermarksOffThePrefix)
     CampaignConfig r = smallCampaign(8);
     r.resumePath = bad;
     ASSERT_TRUE(campaign::writeCheckpointFile(bad, d));
-    EXPECT_TRUE(runSmall(r).resumeOk);
+    EXPECT_EQ(runSmall(r).refused.reason, "");
     for (auto [bug, race] : std::vector<std::pair<int, int>>{
              {1, -1}, {0, -1}, {7, -1}, {-2, -1}, {2, 0}, {2, 7}}) {
         CheckpointData m = d;
@@ -947,57 +948,167 @@ TEST(Checkpoint, ResumeRefusesWatermarksOffThePrefix)
         m.raceIteration = race;
         ASSERT_TRUE(campaign::writeCheckpointFile(bad, m));
         campaign::CampaignResult res = runSmall(r);
-        EXPECT_FALSE(res.resumeOk) << bug << "/" << race;
-        EXPECT_NE(res.resumeError.find(bug == 2 ? "race_iteration"
-                                                : "bug_iteration"),
+        EXPECT_FALSE(res.refused.usage) << bug << "/" << race;
+        EXPECT_NE(res.refused.reason.find(bug == 2 ? "race_iteration"
+                                                   : "bug_iteration"),
                   std::string::npos)
-            << res.resumeError;
+            << res.refused.reason;
     }
     std::remove(log.c_str());
     std::remove(bad.c_str());
 }
 
+// ---------------------------------------------------------------------
+// Configuration refusals (campaign::refusal)
+// ---------------------------------------------------------------------
+
 namespace {
 
-/** Resume a 6-iteration campaign's log at 8 iterations, @p set applied. */
-campaign::CampaignResult
-resumeWith(const std::string &name, void (*set)(CampaignConfig &))
+/** One combination runCampaign refuses. */
+struct RefusalCase
 {
-    const std::string log = tmpPath(name);
-    CampaignConfig cfg = smallCampaign(6);
-    cfg.checkpointPath = log;
-    EXPECT_TRUE(runSmall(cfg).checkpointOk);
-    CampaignConfig r = smallCampaign(8);
-    r.resumePath = log;
-    set(r);
-    campaign::CampaignResult res = runSmall(r);
-    std::remove(log.c_str());
-    return res;
+    const char *name;
+    /** Apply the combination; @p log is a committed checkpoint log. */
+    void (*set)(CampaignConfig &, const std::string &log);
+    /** Both fields the refusal must name. */
+    const char *fields[2];
+};
+
+void
+PrintTo(const RefusalCase &c, std::ostream *os)
+{
+    *os << c.name;
 }
+
+const RefusalCase kRefusals[] = {
+    {"isolate_race",
+     [](CampaignConfig &c, const std::string &log) {
+         c.isolate = true;
+         c.engine.raceDetect = true;
+         c.checkpointPath = log;
+     },
+     {"isolate", "raceDetect"}},
+    {"isolate_predict",
+     [](CampaignConfig &c, const std::string &log) {
+         c.isolate = true;
+         c.checkpointPath = log;
+         c.engine.predict = true;
+     },
+     {"isolate", "predict"}},
+    {"isolate_profile",
+     [](CampaignConfig &c, const std::string &log) {
+         c.isolate = true;
+         c.checkpointPath = log;
+         c.engine.profile = true;
+     },
+     {"isolate", "profile"}},
+    {"checkpoint_predict",
+     [](CampaignConfig &c, const std::string &log) {
+         c.checkpointPath = log;
+         c.engine.predict = true;
+     },
+     {"checkpointPath", "predict"}},
+    {"checkpoint_profile",
+     [](CampaignConfig &c, const std::string &log) {
+         c.checkpointPath = log;
+         c.engine.profile = true;
+     },
+     {"checkpointPath", "profile"}},
+    {"resume_predict",
+     [](CampaignConfig &c, const std::string &log) {
+         c.resumePath = log;
+         c.engine.predict = true;
+     },
+     {"resumePath", "predict"}},
+    {"resume_profile",
+     [](CampaignConfig &c, const std::string &log) {
+         c.resumePath = log;
+         c.engine.profile = true;
+     },
+     {"resumePath", "profile"}},
+    {"iter_timeout",
+     [](CampaignConfig &c, const std::string &log) {
+         c.iterTimeoutSecs = 1;
+         c.checkpointPath = log;
+     },
+     {"iterTimeoutSecs", "isolate"}},
+    {"mem_limit",
+     [](CampaignConfig &c, const std::string &log) {
+         c.memLimitMB = 256;
+         c.checkpointPath = log;
+     },
+     {"memLimitMB", "isolate"}},
+    {"max_respawns",
+     [](CampaignConfig &c, const std::string &log) {
+         c.maxRespawns = 4;
+         c.checkpointPath = log;
+     },
+     {"maxRespawns", "isolate"}},
+};
+
+class CampaignRefusal : public testing::TestWithParam<RefusalCase>
+{};
 
 } // namespace
 
-// A checkpoint holds neither the prediction dedup keys nor a profile,
-// so a resume with either would differ from an uninterrupted run; the
-// campaign refuses it, as the CLI does, and names the flag.
-TEST(Checkpoint, ResumeRefusesPredict)
+// A refused campaign is a usage error that names the fields at fault,
+// runs no iteration, creates no ledger and leaves an existing
+// checkpoint log byte for byte as it was.
+TEST_P(CampaignRefusal, RunsNothingAndTouchesNoFile)
 {
-    campaign::CampaignResult res =
-        resumeWith("refuse_predict.ck",
-                   [](CampaignConfig &c) { c.engine.predict = true; });
-    EXPECT_FALSE(res.resumeOk);
-    EXPECT_NE(res.resumeError.find("predict"), std::string::npos)
-        << res.resumeError;
+    const RefusalCase &c = GetParam();
+    const std::string log = tmpPath(std::string("refuse_") + c.name + ".ck");
+    const std::string led =
+        tmpPath(std::string("refuse_") + c.name + ".jsonl");
+    CampaignConfig first = smallCampaign(6);
+    first.checkpointPath = log;
+    ASSERT_TRUE(runSmall(first).checkpointOk);
+    const std::string before = readFile(log);
+    std::remove(led.c_str());
+
+    CampaignConfig cfg = smallCampaign(8);
+    cfg.engine.ledgerPath = led;
+    c.set(cfg, log);
+    const std::string why = campaign::refusal(cfg);
+    campaign::CampaignResult res = runSmall(cfg);
+    EXPECT_EQ(res.refused.reason, why);
+    for (const char *field : c.fields)
+        EXPECT_NE(why.find(field), std::string::npos) << why;
+    EXPECT_TRUE(res.refused.usage);
+    EXPECT_EQ(res.executedIterations, 0);
+    EXPECT_TRUE(res.merged.iterations.empty());
+    EXPECT_FALSE(std::ifstream(led).good()) << "ledger created";
+    EXPECT_EQ(readFile(log), before);
+    std::remove(log.c_str());
 }
 
-TEST(Checkpoint, ResumeRefusesProfile)
+INSTANTIATE_TEST_SUITE_P(Config, CampaignRefusal, testing::ValuesIn(kRefusals),
+                         [](const testing::TestParamInfo<RefusalCase> &i) {
+                             return std::string(i.param.name);
+                         });
+
+// The boundary of each rule: the same fields in a combination the
+// campaign can honour are not refused.
+TEST(Refusal, AcceptsWhatTheCampaignCanHonour)
 {
-    campaign::CampaignResult res =
-        resumeWith("refuse_profile.ck",
-                   [](CampaignConfig &c) { c.engine.profile = true; });
-    EXPECT_FALSE(res.resumeOk);
-    EXPECT_NE(res.resumeError.find("profile"), std::string::npos)
-        << res.resumeError;
+    CampaignConfig c = smallCampaign(8);
+    EXPECT_EQ(campaign::refusal(c), "");
+    c.isolate = true;
+    c.iterTimeoutSecs = 1;
+    c.memLimitMB = 256;
+    c.maxRespawns = 4;
+    c.checkpointPath = "x.ck";
+    c.resumePath = "y.ck";
+    EXPECT_EQ(campaign::refusal(c), "");
+    c = smallCampaign(8);
+    c.engine.raceDetect = true;
+    c.engine.predict = true;
+    c.engine.profile = true;
+    EXPECT_EQ(campaign::refusal(c), "");
+    c.engine.predict = c.engine.profile = false;
+    c.checkpointPath = "x.ck";
+    c.resumePath = "y.ck";
+    EXPECT_EQ(campaign::refusal(c), "");
 }
 
 // ---------------------------------------------------------------------

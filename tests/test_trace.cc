@@ -275,13 +275,11 @@ TEST(EctRing, FoldTypeCountsMatchesTraceAcrossWrap)
     }
 }
 
-TEST(EctRing, DefaultCapacityIsFlooredAndRestorable)
+TEST(EctRing, CapacityIsFloored)
 {
-    size_t prev = defaultEctRingCapacity();
-    setDefaultEctRingCapacity(1);
-    EXPECT_EQ(defaultEctRingCapacity(), 16u); // floor
-    setDefaultEctRingCapacity(prev);
-    EXPECT_EQ(defaultEctRingCapacity(), prev);
+    EXPECT_EQ(EctRing().capacity(), defaultEctRingCapacity());
+    EXPECT_EQ(EctRing(1).capacity(), 16u); // floor
+    EXPECT_EQ(EctRing(17).capacity(), 17u);
 }
 
 // ---------------------------------------------------------------------

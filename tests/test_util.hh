@@ -33,7 +33,7 @@ struct RunResult
  * @param seed Scheduler seed.
  * @param noise Noise-preemption probability (0 = fully deterministic).
  * @param hook Perturbation hook (none by default).
- * @param ringCapacity Ring rows (0 = the process default).
+ * @param ringCapacity Ring rows (0 = the default).
  */
 inline RunResult
 runProgram(std::function<void()> fn, uint64_t seed = 1, double noise = 0.0,

@@ -29,9 +29,6 @@ Runs a tiny campaign through the goat CLI with -ledger and
     (covered monotone nondecreasing, never above req_total), and the
     -saturation-out JSONL series is byte-identical between -jobs=1
     and -jobs=4 with its standalone HTML report alongside;
-  * a campaign with -ring-capacity=16 (the ECT ring flushes many
-    times per run) yields the default run's canonical rows and, when
-    a bug surfaces, a recipe with the same ect_hash;
   * an -isolate campaign (forked shards under the supervisor) yields
     the same canonical rows as the in-process -jobs=1 run;
   * a supervised campaign over the hostile_segfault fixture survives
@@ -352,13 +349,6 @@ def check_recipe_roundtrip(goat, kernel, recipe1, recipe4):
              f"{proc.stdout}{proc.stderr}")
 
 
-def recipe_ect_hash(path):
-    for line in path.read_text().splitlines():
-        if line.startswith("ect_hash "):
-            return line.split()[1]
-    fail(f"recipe {path} has no ect_hash line")
-
-
 def main():
     if len(sys.argv) < 2:
         fail("usage: check_ledger.py /path/to/goat [kernel]")
@@ -403,29 +393,6 @@ def main():
             print(f"check_ledger: OK — {len(lines)} ledger line(s) "
                   f"(identical at -jobs=4), no bug surfaced so no "
                   f"trace expected")
-
-        # The ring capacity is only the flush batch size: a 16-row
-        # ring (the floor) must record the same traces, so the same
-        # rows and the same recipe ECT fingerprint.
-        ring_ledger = Path(tmp) / "ring16.jsonl"
-        ring_recipe = Path(tmp) / "ring16.recipe"
-        run_goat(goat, kernel, iterations, ring_ledger,
-                 record=ring_recipe, extra=["-ring-capacity=16"])
-        rlines = check_ledger(ring_ledger, expect_min_lines=1)
-        if canonical_rows(lines) != canonical_rows(rlines):
-            fail("-ring-capacity=16 ledger content differs from the "
-                 "default capacity")
-        if recipe1.exists() != ring_recipe.exists():
-            fail("-ring-capacity=16 and the default run disagree on "
-                 "writing a recipe")
-        if recipe1.exists():
-            h1, h16 = recipe_ect_hash(recipe1), recipe_ect_hash(ring_recipe)
-            if h1 != h16:
-                fail(f"-ring-capacity=16 recipe ect_hash {h16} differs "
-                     f"from the default capacity's {h1}")
-        print(f"check_ledger: OK — -ring-capacity=16: {len(rlines)} "
-              f"row(s) canonical with the default capacity"
-              + (", recipe ect_hash equal" if recipe1.exists() else ""))
 
         # Process-isolated campaign: the same iterations executed in
         # forked shard children and folded through the supervisor's

@@ -77,12 +77,6 @@ struct Options
     /** Atomically rewrite a JSON status snapshot here each interval. */
     std::string status_out;
     /**
-     * ECT ring capacity in rows (0 = keep the built-in default).
-     * Smaller rings bound trace memory and flush in batches; the
-     * 16-row floor in trace/ect_ring.cc still applies.
-     */
-    uint64_t ring_capacity = 0;
-    /**
      * Run campaign shards in forked child processes under a
      * supervisor that classifies crashes and respawns shards
      * (src/campaign/supervisor.hh).
@@ -186,8 +180,6 @@ parseOptions(int argc, char **argv, Options &opt, std::string *error)
             opt.status_out = v;
         } else if (const char *v = val("-seed=")) {
             opt.seed = std::strtoull(v, nullptr, 0);
-        } else if (const char *v = val("-ring-capacity=")) {
-            opt.ring_capacity = std::strtoull(v, nullptr, 0);
         } else if (arg == "-isolate") {
             opt.isolate = true;
         } else if (const char *v = val("-iter-timeout=")) {

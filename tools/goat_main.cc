@@ -35,7 +35,6 @@
 #include "obs/metrics.hh"
 #include "obs/progress.hh"
 #include "staticmodel/lint.hh"
-#include "trace/ect_ring.hh"
 #include "trace/recipe.hh"
 #include "trace/serialize.hh"
 
@@ -114,10 +113,6 @@ usage()
         "                  atomically rewrite a JSON status snapshot\n"
         "                  at PATH while the campaign runs\n"
         "  -seed=N         seed base (default 1)\n"
-        "  -ring-capacity=N\n"
-        "                  ECT ring buffer rows per worker (default\n"
-        "                  4096, floor 16); smaller rings bound trace\n"
-        "                  memory and flush in batches\n"
         "  -isolate        run campaign shards in forked child\n"
         "                  processes; crashes become classified\n"
         "                  ledger rows and the campaign continues\n"
@@ -357,6 +352,14 @@ runKernel(const goker::KernelInfo &kernel, const Options &opt,
             cfg.prioritySites.push_back(s);
     }
 
+    // The campaign refuses what it cannot honour; ask before the
+    // reporter starts, so a refused run writes no status file.
+    if (std::string why = campaign::refusal(ccfg); !why.empty()) {
+        std::printf("%s\n", why.c_str());
+        special_exit = 2;
+        return 0;
+    }
+
     // Live progress: workers bump the counters; the reporter thread
     // prints heartbeats and rewrites the status snapshot until the
     // campaign returns.
@@ -387,16 +390,13 @@ runKernel(const goker::KernelInfo &kernel, const Options &opt,
         }
     }
 
-    if (!cres.resumeOk) {
+    if (!cres.refused.reason.empty()) {
+        // Past refusal(), only the -resume checkpoint can be refused:
+        // one written under other flags is a usage error, an
+        // unreadable one an I/O failure.
         std::fprintf(stderr, "goat: cannot resume from %s: %s\n",
-                     opt.resume_in.c_str(), cres.resumeError.c_str());
-        // A fingerprint mismatch is a usage error (the flags disagree
-        // with the checkpoint); an unreadable file is an I/O failure.
-        special_exit =
-            cres.resumeError.find("fingerprint mismatch") !=
-                    std::string::npos
-                ? 2
-                : 1;
+                     opt.resume_in.c_str(), cres.refused.reason.c_str());
+        special_exit = cres.refused.usage ? 2 : 1;
         return 0;
     }
     if (cres.resumed)
@@ -706,27 +706,11 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Fault-tolerance flag compatibility: the watchdog/mem-limit knobs
-    // only exist under the supervisor, and isolation/checkpointing are
-    // incompatible with the modes that need live in-process traces.
-    if (!opt.isolate &&
-        (opt.iter_timeout > 0 || opt.mem_limit > 0 ||
-         opt.max_respawns != 16)) {
-        std::printf("-iter-timeout/-mem-limit/-max-respawns require "
-                    "-isolate\n");
-        return 2;
-    }
-    if (opt.isolate &&
-        (opt.race || opt.predict || !opt.predict_out.empty() ||
-         opt.profile || !opt.replay_in.empty())) {
-        std::printf("-isolate is incompatible with "
-                    "-race/-predict/-profile/-replay\n");
-        return 2;
-    }
-    if ((!opt.checkpoint_out.empty() || !opt.resume_in.empty()) &&
-        (opt.predict || !opt.predict_out.empty() || opt.profile)) {
-        std::printf("-checkpoint/-resume are incompatible with "
-                    "-predict/-profile\n");
+    // Only the checks about CLI modes live here; which campaign
+    // configurations can run is campaign::refusal()'s to say (runKernel).
+    // A replay never reaches a campaign, so it cannot be isolated.
+    if (opt.isolate && !opt.replay_in.empty()) {
+        std::printf("-isolate is incompatible with -replay\n");
         return 2;
     }
     if ((!opt.checkpoint_out.empty() || !opt.resume_in.empty()) &&
@@ -736,8 +720,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (opt.ring_capacity)
-        trace::setDefaultEctRingCapacity(opt.ring_capacity);
     auto &registry = goker::KernelRegistry::instance();
 
     if (opt.list) {
@@ -783,56 +765,43 @@ main(int argc, char **argv)
         return runReplay(*k, opt);
     }
 
-    bool artifact_fail = false;
-    int special_exit = 0;
+    // The kernels to run: a sweep (all, or the hostile
+    // fault-injection set) or one kernel.
+    std::vector<const goker::KernelInfo *> targets;
     if (opt.kernel == "all") {
-        int bugs = 0;
-        for (const auto *k : registry.all()) {
-            bugs += runKernel(*k, opt, artifact_fail, special_exit);
-            if (special_exit)
-                return special_exit;
-        }
-        std::printf("\n%d of %zu kernels exposed their bug\n", bugs,
-                    registry.all().size());
-        if (opt.metrics)
-            std::printf("%s\n",
-                        obs::Registry::global().snapshot().jsonStr().c_str());
-        return artifact_fail ? 1 : 0;
-    }
-    if (opt.kernel == "hostile") {
-        // The fault-injection sweep: only meaningful supervised.
-        if (!opt.isolate) {
-            std::printf("-kernel=hostile requires -isolate (these "
-                        "kernels crash the process on purpose)\n");
-            return 2;
-        }
-        int losses = 0;
-        for (const auto *k : registry.allHostile()) {
-            losses += runKernel(*k, opt, artifact_fail, special_exit);
-            if (special_exit)
-                return special_exit;
-        }
-        std::printf("\n%d of %zu hostile kernels exposed a failure\n",
-                    losses, registry.allHostile().size());
-        if (opt.metrics)
-            std::printf("%s\n",
-                        obs::Registry::global().snapshot().jsonStr().c_str());
-        return artifact_fail ? 1 : 0;
-    }
-    const goker::KernelInfo *k = registry.find(opt.kernel);
-    if (!k) {
+        targets = registry.all();
+    } else if (opt.kernel == "hostile") {
+        targets = registry.allHostile();
+    } else if (const goker::KernelInfo *k = registry.find(opt.kernel)) {
+        targets.push_back(k);
+    } else {
         std::printf("unknown kernel '%s' (try -list)\n",
                     opt.kernel.c_str());
         return 2;
     }
-    if (k->hostile && !opt.isolate) {
-        std::printf("kernel '%s' is hostile and requires -isolate\n",
+    if (!opt.isolate &&
+        std::any_of(targets.begin(), targets.end(),
+                    [](const goker::KernelInfo *k) { return k->hostile; })) {
+        std::printf("-kernel=%s requires -isolate (hostile kernels crash "
+                    "the process on purpose)\n",
                     opt.kernel.c_str());
         return 2;
     }
-    runKernel(*k, opt, artifact_fail, special_exit);
-    if (special_exit)
-        return special_exit;
+
+    bool artifact_fail = false;
+    int special_exit = 0;
+    int found = 0;
+    for (const goker::KernelInfo *k : targets) {
+        found += runKernel(*k, opt, artifact_fail, special_exit);
+        if (special_exit)
+            return special_exit;
+    }
+    if (opt.kernel == "all")
+        std::printf("\n%d of %zu kernels exposed their bug\n", found,
+                    targets.size());
+    else if (opt.kernel == "hostile")
+        std::printf("\n%d of %zu hostile kernels exposed a failure\n",
+                    found, targets.size());
     if (opt.metrics)
         std::printf("%s\n",
                     obs::Registry::global().snapshot().jsonStr().c_str());

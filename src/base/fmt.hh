@@ -7,9 +7,12 @@
 #ifndef GOAT_BASE_FMT_HH
 #define GOAT_BASE_FMT_HH
 
+#include <charconv>
 #include <cstdarg>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace goat {
@@ -35,6 +38,30 @@ std::vector<std::string> strSplit(const std::string &s, char sep);
 
 /** Strip leading/trailing ASCII whitespace. */
 std::string strTrim(const std::string &s);
+
+/**
+ * Parse all of @p s as a number: no sign slack, no whitespace, no
+ * trailing junk. Integers read in @p base, where 0 takes strtoull's
+ * prefixes ("0x" hex, "0" octal, else decimal); a double ignores it.
+ */
+template <class T>
+bool
+parseNum(std::string_view s, T *out, int base = 10)
+{
+    if constexpr (!std::is_floating_point_v<T>) {
+        if (base == 0 && s.size() > 1 && s[0] == '0') {
+            bool hex = s[1] == 'x' || s[1] == 'X';
+            return parseNum(s.substr(hex ? 2 : 1), out, hex ? 16 : 8);
+        }
+    }
+    const char *end = s.data() + s.size();
+    std::from_chars_result res;
+    if constexpr (std::is_floating_point_v<T>)
+        res = std::from_chars(s.data(), end, *out);
+    else
+        res = std::from_chars(s.data(), end, *out, base ? base : 10);
+    return !s.empty() && res.ec == std::errc() && res.ptr == end;
+}
 
 /** True if @p s starts with @p prefix. */
 bool strStartsWith(const std::string &s, const std::string &prefix);

@@ -58,16 +58,6 @@ keyVal(const std::string &line, std::string *key, std::string *val)
     return true;
 }
 
-/** Parse all of @p s as a decimal number (no sign slack, no junk). */
-template <class T>
-bool
-parseNum(const std::string &s, T *out)
-{
-    const char *end = s.data() + s.size();
-    auto res = std::from_chars(s.data(), end, *out);
-    return !s.empty() && res.ec == std::errc() && res.ptr == end;
-}
-
 /** Parse a 0/1 flag. */
 bool
 parseFlag(const std::string &s, bool *out)

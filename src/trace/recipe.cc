@@ -80,46 +80,44 @@ readRecipe(std::istream &in, Recipe &r)
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream ls(line);
-        std::string key;
-        ls >> key;
+        std::string key, val;
+        ls >> key >> val;
+        bool ok = true;
         if (key == "kernel") {
-            ls >> r.kernel;
+            r.kernel = val;
+            ok = !val.empty();
         } else if (key == "seed") {
-            ls >> r.seed;
+            ok = parseNum(val, &r.seed);
         } else if (key == "delay_bound") {
-            ls >> r.delayBound;
+            ok = parseNum(val, &r.delayBound);
         } else if (key == "noise_prob") {
-            ls >> r.noiseProb;
+            ok = parseNum(val, &r.noiseProb);
         } else if (key == "step_budget") {
-            ls >> r.stepBudget;
+            ok = parseNum(val, &r.stepBudget);
         } else if (key == "iteration") {
-            ls >> r.iteration;
+            ok = parseNum(val, &r.iteration);
         } else if (key == "hook_calls") {
-            ls >> r.hookCalls;
+            ok = parseNum(val, &r.hookCalls);
         } else if (key == "outcome") {
-            if (!(ls >> r.outcome))
-                ls.clear(); // tolerate an empty value
+            r.outcome = val; // an empty value is tolerated
         } else if (key == "verdict") {
-            if (!(ls >> r.verdict))
-                ls.clear();
+            r.verdict = val;
         } else if (key == "ect_events") {
-            ls >> r.ectEvents;
+            ok = parseNum(val, &r.ectEvents);
         } else if (key == "ect_hash") {
-            std::string hex;
-            ls >> hex;
-            r.ectHash = std::strtoull(hex.c_str(), nullptr, 16);
+            ok = parseNum(val, &r.ectHash, 16);
         } else if (key == "policy") {
-            std::string mode;
-            ls >> mode;
-            r.seededPolicy = mode == "seeded";
+            r.seededPolicy = val == "seeded";
+            ok = !val.empty();
         } else if (key == "yield") {
             RecipeYield y;
-            if (!(ls >> y.call >> y.kind >> y.file >> y.line))
-                return false;
+            std::string line_no;
+            ok = ls >> y.kind >> y.file >> line_no &&
+                 parseNum(val, &y.call) && parseNum(line_no, &y.line);
             r.yields.push_back(std::move(y));
         }
         // Unknown keys are skipped (forward compatibility).
-        if (ls.fail() && key != "yield")
+        if (!ok)
             return false;
     }
     return true;

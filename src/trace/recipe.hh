@@ -120,8 +120,10 @@ bool writeRecipeFile(const Recipe &r, const std::string &path);
 /**
  * Parse a serialized recipe.
  *
- * @retval false on malformed input (bad magic, unknown keys are
- *         skipped for forward compatibility, truncated yield lines).
+ * @retval false on malformed input: bad magic, a truncated yield
+ *         line, or a number that is not one whole token (the hash in
+ *         hex, the rest in decimal). Unknown keys are skipped for
+ *         forward compatibility.
  */
 bool readRecipe(std::istream &in, Recipe &r);
 

@@ -131,6 +131,40 @@ TEST(Fmt, PathBasename)
     EXPECT_EQ(pathBasename("/a/b/"), "");
 }
 
+TEST(Fmt, ParseNumTakesOneWholeToken)
+{
+    int i = 0;
+    EXPECT_TRUE(parseNum("-12", &i));
+    EXPECT_EQ(i, -12);
+    for (const char *bad : {"", "12x", " 12", "+12", "1e3", "99999999999"})
+        EXPECT_FALSE(parseNum(bad, &i)) << bad;
+    uint64_t u = 0;
+    EXPECT_TRUE(parseNum("ff", &u, 16));
+    EXPECT_EQ(u, 255u);
+    EXPECT_FALSE(parseNum("zz", &u, 16));
+    double d = 0;
+    EXPECT_TRUE(parseNum("0.125", &d));
+    EXPECT_EQ(d, 0.125);
+    EXPECT_FALSE(parseNum("0.1x", &d));
+}
+
+TEST(Fmt, ParseNumBaseZeroTakesStrtoullPrefixes)
+{
+    uint64_t u = 0;
+    EXPECT_TRUE(parseNum("0x10", &u, 0));
+    EXPECT_EQ(u, 16u);
+    EXPECT_TRUE(parseNum("0X1f", &u, 0));
+    EXPECT_EQ(u, 31u);
+    EXPECT_TRUE(parseNum("010", &u, 0));
+    EXPECT_EQ(u, 8u);
+    EXPECT_TRUE(parseNum("0", &u, 0));
+    EXPECT_EQ(u, 0u);
+    EXPECT_TRUE(parseNum("19", &u, 0));
+    EXPECT_EQ(u, 19u);
+    for (const char *bad : {"0x", "08", "0x1g", "12x", "-1"})
+        EXPECT_FALSE(parseNum(bad, &u, 0)) << bad;
+}
+
 TEST(SourceLoc, CurrentCapturesCaller)
 {
     SourceLoc loc = SourceLoc::current();

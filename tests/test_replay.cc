@@ -114,6 +114,15 @@ TEST(Recipe, RejectsBadMagicAndTruncatedYield)
     EXPECT_FALSE(trace::recipeFromString("", r));
     EXPECT_FALSE(
         trace::recipeFromString("# goat-recipe v1\nyield 5 send\n", r));
+    // Every number is one whole token: a malformed hash must not read
+    // as 0, which would skip the replay's fingerprint check.
+    for (const char *bad :
+         {"ect_hash zz", "ect_events 19junk", "seed 12abc", "ect_hash",
+          "delay_bound 2.5", "noise_prob 0.1x", "yield 5x send a.cc 3",
+          "yield 5 send a.cc 3x"})
+        EXPECT_FALSE(trace::recipeFromString(
+            std::string("# goat-recipe v1\n") + bad + "\n", r))
+            << bad;
 }
 
 TEST(Recipe, SkipsUnknownKeysForForwardCompat)

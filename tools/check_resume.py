@@ -62,6 +62,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import check_ledger
+
 KERNEL = "cockroach_7504"
 DELAY = 1
 ITERS = 20000
@@ -79,18 +81,8 @@ def fail(msg):
 
 
 def canonical_rows(path):
-    """Ledger rows minus host-dependent and placement fields (same
-    definition as check_ledger.py)."""
-    rows = []
-    for line in path.read_text().splitlines():
-        obj = json.loads(line)
-        for key in ("wall_us", "metrics", "worker", "wseq", "recipe",
-                    "respawns"):
-            obj.pop(key, None)
-        for hist in obj.get("profile", {}).values():
-            hist.pop("sum_ns", None)
-        rows.append(obj)
-    return rows
+    """check_ledger.canonical_rows over the ledger file at path."""
+    return check_ledger.canonical_rows(path.read_text().splitlines())
 
 
 def cmd(goat, ledger, jobs=1, checkpoint=None, resume=None,

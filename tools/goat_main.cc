@@ -13,9 +13,8 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -45,107 +44,43 @@ using namespace goat::engine;
 
 namespace {
 
-using goat::cli::Options;
+namespace cli = goat::cli;
+using cli::Options;
 
-void
-usage()
-{
-    std::printf(
-        "Usage of goat:\n"
-        "  -list           list the available bug kernels\n"
-        "  -kernel=NAME    target kernel name, or 'all'\n"
-        "  -d=N            number of delays (yield bound D, default 0)\n"
-        "  -freq=N         frequency of executions (default 1)\n"
-        "  -jobs=N         parallel campaign workers (default 1);\n"
-        "                  merged results are identical for any N\n"
-        "  -cov            include coverage report in evaluation\n"
-        "  -race           enable happens-before race detection\n"
-        "  -stats          print the buggy trace's blocking profile\n"
-        "  -report         print the full deadlock report on detection\n"
-        "  -trace=PATH     write the first buggy ECT to PATH\n"
-        "  -html=PATH      write a self-contained HTML report to PATH\n"
-        "  -ledger=PATH    append one JSON line per iteration to PATH\n"
-        "  -chrome-trace=PATH\n"
-        "                  write the buggy ECT as a Chrome/Perfetto\n"
-        "                  trace-event file to PATH\n"
-        "  -record=PATH    write the first bug's repro recipe to PATH\n"
-        "                  (with -replay -minimize: the minimized recipe)\n"
-        "  -replay=PATH    re-execute a recorded recipe exactly and\n"
-        "                  assert the identical trace and verdict\n"
-        "  -minimize       ddmin the recorded/replayed recipe down to a\n"
-        "                  locally minimal yield set\n"
-        "  -predict        infer blocking bugs the schedule did not\n"
-        "                  take from every iteration's trace (or a\n"
-        "                  -replay= trace) via predictive happens-\n"
-        "                  before, and auto-confirm them by\n"
-        "                  synthesized-recipe replay\n"
-        "  -predict-out=PATH\n"
-        "                  write the prediction findings as a JSON\n"
-        "                  document to PATH (implies -predict)\n"
-        "  -lint           run the static concurrency lint pass and\n"
-        "                  exit (no execution)\n"
-        "  -lint-format=F  lint output format: text (default), json,\n"
-        "                  or sarif\n"
-        "  -lint-out=PATH  write the lint report to PATH (stdout\n"
-        "                  when omitted)\n"
-        "  -lint-path=P    comma-separated files/directories to lint\n"
-        "                  (default: the -kernel span, or all kernels)\n"
-        "  -lint-guided    seed the campaign's priority yield sites\n"
-        "                  from the lint findings and cross-check them\n"
-        "                  against the first bug trace\n"
-        "  -lint-fail-on=P exit policy for -lint: none (default;\n"
-        "                  always exit 0) or warn (exit 3 when any\n"
-        "                  finding survives suppression)\n"
-        "  -mhp-prune      seed the campaign's priority yield sites\n"
-        "                  from the static may-happen-in-parallel\n"
-        "                  pair set (flow-aware fork-join analysis)\n"
-        "  -mhp-out=PATH   write the kernel's MHP pair dump to PATH\n"
-        "                  and exit (static mode, like -lint)\n"
-        "  -metrics        print the final metrics snapshot as JSON\n"
-        "  -profile        profile the runtime's hot-path stages and\n"
-        "                  print per-stage latency totals\n"
-        "  -progress[=N]   print a campaign heartbeat to stderr every\n"
-        "                  N seconds (default 1)\n"
-        "  -saturation-out=PATH\n"
-        "                  write the coverage-saturation series as\n"
-        "                  JSONL to PATH and HTML to PATH.html\n"
-        "  -status-out=PATH\n"
-        "                  atomically rewrite a JSON status snapshot\n"
-        "                  at PATH while the campaign runs\n"
-        "  -seed=N         seed base (default 1)\n"
-        "  -isolate        run campaign shards in forked child\n"
-        "                  processes; crashes become classified\n"
-        "                  ledger rows and the campaign continues\n"
-        "                  (also unlocks -kernel=hostile)\n"
-        "  -iter-timeout=N kill a shard stuck on one iteration for N\n"
-        "                  seconds and record a timeout verdict\n"
-        "                  (requires -isolate)\n"
-        "  -mem-limit=N    per-shard address-space ceiling in MiB;\n"
-        "                  breaching it is recorded as an 'oom' crash\n"
-        "                  (requires -isolate)\n"
-        "  -max-respawns=N respawn budget per shard (default 16,\n"
-        "                  requires -isolate)\n"
-        "  -checkpoint=PATH\n"
-        "                  snapshot the merged campaign state to PATH\n"
-        "                  periodically (atomic tmp+rename)\n"
-        "  -checkpoint-every=N\n"
-        "                  iterations per checkpoint round (default 64)\n"
-        "  -resume=PATH    restore a checkpoint and continue; merged\n"
-        "                  results are identical to an uninterrupted\n"
-        "                  run\n"
-        "  -keep-going     run every iteration instead of stopping\n"
-        "                  at the first bug (soak campaigns)\n");
-}
-
+/** Parse argv into @p opt, or name the argument that is not a flag. */
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
     std::string bad;
-    if (!goat::cli::parseOptions(argc, argv, opt, &bad)) {
-        std::printf("unknown flag: %s\n\n", bad.c_str());
-        return false;
-    }
-    return true;
+    if (cli::parseOptions(argc, argv, opt, &bad))
+        return true;
+    // A known name in the wrong form ("-d", "-cov=1", "-d=abc").
+    bool known = cli::findFlag(bad.substr(0, bad.find('=')));
+    std::printf("%s: %s\n\n", known ? "bad value" : "unknown flag",
+                bad.c_str());
+    return false;
+}
+
+/** Report an artifact: @p written if @p ok, else "cannot write PATH". */
+bool
+wroteArtifact(bool ok, const std::string &path,
+              const std::string &written = "")
+{
+    if (!ok)
+        std::fprintf(stderr, "goat: cannot write %s\n", path.c_str());
+    else if (!written.empty())
+        std::printf("%s\n", written.c_str());
+    return ok;
+}
+
+/** The kernel named @p name, or nullptr after saying it is unknown. */
+const goker::KernelInfo *
+findKernel(const std::string &name)
+{
+    const goker::KernelInfo *k = goker::KernelRegistry::instance().find(name);
+    if (!k)
+        std::printf("unknown kernel '%s' (try -list)\n", name.c_str());
+    return k;
 }
 
 /**
@@ -158,33 +93,19 @@ collectLintPaths(const std::string &spec)
 {
     namespace fs = std::filesystem;
     std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= spec.size()) {
-        size_t comma = spec.find(',', start);
-        std::string item =
-            comma == std::string::npos
-                ? spec.substr(start)
-                : spec.substr(start, comma - start);
-        if (!item.empty()) {
-            std::error_code ec;
-            if (fs::is_directory(item, ec)) {
-                for (const auto &entry :
-                     fs::recursive_directory_iterator(item, ec)) {
-                    if (!entry.is_regular_file())
-                        continue;
-                    std::string ext =
-                        entry.path().extension().string();
-                    if (ext == ".cc" || ext == ".cpp" ||
-                        ext == ".hh" || ext == ".hpp")
-                        out.push_back(entry.path().string());
-                }
-            } else {
+    for (const std::string &item : strSplit(spec, ',')) {
+        std::error_code ec;
+        if (!fs::is_directory(item, ec)) {
+            if (!item.empty())
                 out.push_back(item);
-            }
+            continue;
         }
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
+        for (const auto &entry : fs::recursive_directory_iterator(item, ec)) {
+            std::string ext = entry.path().extension().string();
+            if (entry.is_regular_file() && (ext == ".cc" || ext == ".cpp" ||
+                                            ext == ".hh" || ext == ".hpp"))
+                out.push_back(entry.path().string());
+        }
     }
     std::sort(out.begin(), out.end());
     return out;
@@ -216,14 +137,10 @@ runLint(const Options &opt)
             // Kernels sharing a source span can report the same
             // (rule, file, line) twice; keep the first.
             report.dedupe();
-        } else {
-            const goker::KernelInfo *k = registry.find(opt.kernel);
-            if (!k) {
-                std::printf("unknown kernel '%s' (try -list)\n",
-                            opt.kernel.c_str());
-                return 2;
-            }
+        } else if (const goker::KernelInfo *k = findKernel(opt.kernel)) {
             report = goker::kernelLintReport(*k);
+        } else {
+            return 2;
         }
     }
     std::string doc;
@@ -253,14 +170,12 @@ runLint(const Options &opt)
         }
         return fail_rc;
     }
-    if (!atomicWriteFile(opt.lint_out, doc)) {
-        std::fprintf(stderr, "goat: cannot write %s\n",
-                     opt.lint_out.c_str());
-        return 1;
-    }
-    std::printf("%zu finding(s) written to %s (%s)\n", report.size(),
-                opt.lint_out.c_str(), opt.lint_format.c_str());
-    return fail_rc;
+    return wroteArtifact(atomicWriteFile(opt.lint_out, doc), opt.lint_out,
+                         strFormat("%zu finding(s) written to %s (%s)",
+                                   report.size(), opt.lint_out.c_str(),
+                                   opt.lint_format.c_str()))
+               ? fail_rc
+               : 1;
 }
 
 /**
@@ -275,39 +190,60 @@ runMhpOut(const Options &opt)
         std::printf("-mhp-out needs a single -kernel=NAME\n");
         return 2;
     }
-    const goker::KernelInfo *k =
-        goker::KernelRegistry::instance().find(opt.kernel);
-    if (!k) {
-        std::printf("unknown kernel '%s' (try -list)\n",
-                    opt.kernel.c_str());
+    const goker::KernelInfo *k = findKernel(opt.kernel);
+    if (!k)
         return 2;
-    }
     std::string doc = goker::kernelMhpPairsStr(*k);
-    if (!atomicWriteFile(opt.mhp_out, doc)) {
-        std::fprintf(stderr, "goat: cannot write %s\n",
-                     opt.mhp_out.c_str());
-        return 1;
-    }
-    std::printf("%zu MHP pair(s) written to %s\n",
-                static_cast<size_t>(
-                    std::count(doc.begin(), doc.end(), '\n')),
-                opt.mhp_out.c_str());
-    return 0;
+    size_t pairs = std::count(doc.begin(), doc.end(), '\n');
+    return wroteArtifact(atomicWriteFile(opt.mhp_out, doc), opt.mhp_out,
+                         strFormat("%zu MHP pair(s) written to %s", pairs,
+                                   opt.mhp_out.c_str()))
+               ? 0
+               : 1;
 }
 
-/** Print a minimized recipe's culprit sites (the debugging headline). */
-void
-printCulprits(const trace::Recipe &r)
+/**
+ * Report a minimization: the schedule and its culprit sites (the
+ * debugging headline). @return false, with @p failure, if it failed.
+ */
+bool
+reportMinimized(const engine::MinimizeResult &mr, const char *failure)
 {
-    if (r.yields.empty()) {
+    if (!mr.reproduced) {
+        std::fprintf(stderr, "goat: minimize: %s\n", failure);
+        return false;
+    }
+    std::printf("minimized schedule: %d -> %zu yield(s) in %d replay(s)\n",
+                mr.originalYields, mr.minimized.yields.size(), mr.replays);
+    if (mr.minimized.yields.empty())
         std::printf("  no injected yields needed: the seed's native "
                     "schedule noise reproduces the bug\n");
-        return;
-    }
-    for (const trace::RecipeYield &y : r.yields)
+    for (const trace::RecipeYield &y : mr.minimized.yields)
         std::printf("  culprit yield #%llu at %s %s:%u\n",
                     static_cast<unsigned long long>(y.call),
                     y.kind.c_str(), y.file.c_str(), y.line);
+    return true;
+}
+
+/**
+ * Report a prediction outcome after @p lead (its findings too when
+ * @p details). @return false if -predict-out= could not be written.
+ */
+bool
+reportPredictions(const engine::PredictOutcome &po, const Options &opt,
+                  const std::string &kernel, const std::string &lead,
+                  bool details)
+{
+    std::printf("%spredicted %zu blocking bug(s), %d confirmed by "
+                "synthesized replay\n", lead.c_str(),
+                po.report.predictions.size(), po.confirmedCount);
+    if (details && po.report.any())
+        std::printf("%s", po.report.str().c_str());
+    return opt.predict_out.empty() ||
+           wroteArtifact(atomicWriteFile(opt.predict_out,
+                                         po.report.jsonDocStr(kernel) + '\n'),
+                         opt.predict_out,
+                         "prediction findings written to " + opt.predict_out);
 }
 
 int
@@ -383,11 +319,9 @@ runKernel(const goker::KernelInfo &kernel, const Options &opt,
 
     if (progress) {
         progress->stop();
-        if (!opt.status_out.empty() && !progress->statusOk()) {
-            std::fprintf(stderr, "goat: cannot write %s\n",
-                         opt.status_out.c_str());
-            artifact_fail = true;
-        }
+        if (!opt.status_out.empty())
+            artifact_fail |= !wroteArtifact(progress->statusOk(),
+                                            opt.status_out);
     }
 
     if (!cres.refused.reason.empty()) {
@@ -420,8 +354,12 @@ runKernel(const goker::KernelInfo &kernel, const Options &opt,
         std::printf("%-22s supervised: %d crash(es), %d timeout(s), "
                     "%d respawn(s)\n",
                     "", cres.crashes, cres.timeouts, cres.respawns);
-    if (result.bugFound && result.firstBugRecipe.seededPolicy &&
-        !result.firstBug.panicMsg.empty())
+    // A supervised crash/timeout bug has no trace: the child died (or
+    // was killed) before one could be shipped. Trace-derived artifacts
+    // are skipped; the seeded-policy recipe (-record) still replays it.
+    const bool traceless =
+        result.bugFound && result.firstBugRecipe.seededPolicy;
+    if (traceless && !result.firstBug.panicMsg.empty())
         std::printf("%-22s crash cause: %s\n", "",
                     result.firstBug.panicMsg.c_str());
 
@@ -443,39 +381,14 @@ runKernel(const goker::KernelInfo &kernel, const Options &opt,
             std::printf(", %d confirmed by the bug trace",
                         cres.confirmedWarnings);
         std::printf("\n");
-        if (opt.report && result.bugFound) {
-            for (const auto &finding : cres.lint.findings)
-                if (finding.confirmed)
-                    std::printf("  confirmed: %s\n",
-                                finding.str().c_str());
-        }
+        for (const auto &finding : cres.lint.findings)
+            if (opt.report && result.bugFound && finding.confirmed)
+                std::printf("  confirmed: %s\n", finding.str().c_str());
     }
-    if (cfg.predict) {
-        const engine::PredictOutcome &po = cres.predict;
-        std::printf("%-22s predicted %zu blocking bug(s), %d "
-                    "confirmed by synthesized replay\n",
-                    "", po.report.predictions.size(),
-                    po.confirmedCount);
-        if (opt.report && po.report.any())
-            std::printf("%s", po.report.str().c_str());
-        if (!opt.predict_out.empty()) {
-            std::string doc = po.report.jsonDocStr(kernel.name);
-            doc += '\n';
-            if (atomicWriteFile(opt.predict_out, doc)) {
-                std::printf("prediction findings written to %s\n",
-                            opt.predict_out.c_str());
-            } else {
-                std::fprintf(stderr, "goat: cannot write %s\n",
-                             opt.predict_out.c_str());
-                artifact_fail = true;
-            }
-        }
-    }
-    // A supervised crash/timeout bug has no trace: the child died (or
-    // was killed) before one could be shipped. Trace-derived artifacts
-    // are skipped; the seeded-policy recipe (-record) still replays it.
-    const bool traceless =
-        result.bugFound && result.firstBugRecipe.seededPolicy;
+    if (cfg.predict)
+        artifact_fail |= !reportPredictions(cres.predict, opt, kernel.name,
+                                            strFormat("%-22s ", ""),
+                                            opt.report);
     if (traceless &&
         (opt.stats || !opt.html_out.empty() || !opt.trace_out.empty() ||
          !opt.chrome_out.empty()))
@@ -487,91 +400,49 @@ runKernel(const goker::KernelInfo &kernel, const Options &opt,
 
     if (result.bugFound && opt.report && !result.report.empty())
         std::printf("\n%s\n", result.report.c_str());
-    if (result.bugFound && opt.stats && !traceless) {
+    if (result.bugFound && opt.stats && !traceless)
         std::printf("\n-- trace statistics --\n%s",
-                    analysis::computeStats(result.firstBugEct)
-                        .str()
-                        .c_str());
-    }
+                    analysis::computeStats(result.firstBugEct).str().c_str());
     if (result.bugFound && !opt.html_out.empty() && !traceless) {
         analysis::GoroutineTree tree(result.firstBugEct);
         std::string html = analysis::htmlReportStr(
             kernel.name, result.firstBugEct, tree, result.firstBug,
             opt.cov ? &cres.coverage : nullptr);
-        if (atomicWriteFile(opt.html_out, html)) {
-            std::printf("HTML report written to %s\n",
-                        opt.html_out.c_str());
-        } else {
-            std::fprintf(stderr, "goat: cannot write %s\n",
-                         opt.html_out.c_str());
-            artifact_fail = true;
-        }
+        artifact_fail |= !wroteArtifact(
+            atomicWriteFile(opt.html_out, html), opt.html_out,
+            "HTML report written to " + opt.html_out);
     }
-    if (result.bugFound && !opt.trace_out.empty() && !traceless) {
-        if (trace::writeEctFile(result.firstBugEct, opt.trace_out)) {
-            std::printf("buggy ECT written to %s\n",
-                        opt.trace_out.c_str());
-        } else {
-            std::fprintf(stderr, "goat: cannot write %s\n",
-                         opt.trace_out.c_str());
-            artifact_fail = true;
-        }
-    }
-    if (result.bugFound && !opt.chrome_out.empty() && !traceless) {
-        if (obs::writeChromeTraceFile(result.firstBugEct,
-                                      opt.chrome_out)) {
-            std::printf("chrome trace written to %s\n",
-                        opt.chrome_out.c_str());
-        } else {
-            std::fprintf(stderr, "goat: cannot write %s\n",
-                         opt.chrome_out.c_str());
-            artifact_fail = true;
-        }
-    }
-    if (result.bugFound && !opt.record_out.empty()) {
-        if (cres.recordOk) {
-            std::printf("repro recipe written to %s (%zu yields)\n",
-                        cres.recipePath.c_str(),
-                        result.firstBugRecipe.yields.size());
-        } else {
-            std::fprintf(stderr, "goat: cannot write %s\n",
-                         opt.record_out.c_str());
-            artifact_fail = true;
-        }
-    }
+    if (result.bugFound && !opt.trace_out.empty() && !traceless)
+        artifact_fail |= !wroteArtifact(
+            trace::writeEctFile(result.firstBugEct, opt.trace_out),
+            opt.trace_out, "buggy ECT written to " + opt.trace_out);
+    if (result.bugFound && !opt.chrome_out.empty() && !traceless)
+        artifact_fail |= !wroteArtifact(
+            obs::writeChromeTraceFile(result.firstBugEct, opt.chrome_out),
+            opt.chrome_out, "chrome trace written to " + opt.chrome_out);
+    if (result.bugFound && !opt.record_out.empty())
+        artifact_fail |= !wroteArtifact(
+            cres.recordOk, opt.record_out,
+            strFormat("repro recipe written to %s (%zu yields)",
+                      cres.recipePath.c_str(),
+                      result.firstBugRecipe.yields.size()));
     if (result.bugFound && opt.minimize && traceless) {
         std::printf("minimize skipped: supervised %s bugs replay via "
                     "their seeded-policy recipe\n",
                     result.firstBugRecipe.verdict.c_str());
     } else if (result.bugFound && opt.minimize) {
-        const engine::MinimizeResult &mr = cres.minimize;
-        if (mr.reproduced) {
-            std::printf(
-                "minimized schedule: %d -> %zu yield(s) in %d "
-                "replay(s)\n",
-                mr.originalYields, mr.minimized.yields.size(),
-                mr.replays);
-            printCulprits(mr.minimized);
-            if (!cres.minimizedRecipePath.empty())
-                std::printf("minimized recipe written to %s\n",
-                            cres.minimizedRecipePath.c_str());
-        } else {
-            std::fprintf(stderr,
-                         "goat: minimize: recorded recipe did not "
-                         "reproduce deterministically\n");
+        if (!reportMinimized(cres.minimize, "recorded recipe did not "
+                                            "reproduce deterministically"))
             artifact_fail = true;
-        }
+        else if (!cres.minimizedRecipePath.empty())
+            std::printf("minimized recipe written to %s\n",
+                        cres.minimizedRecipePath.c_str());
     }
-    if (!opt.ledger_out.empty() && !cres.ledgerOk) {
-        std::fprintf(stderr, "goat: cannot write %s\n",
-                     opt.ledger_out.c_str());
-        artifact_fail = true;
-    }
-    if (!opt.checkpoint_out.empty() && !cres.checkpointOk) {
-        std::fprintf(stderr, "goat: cannot write %s\n",
-                     opt.checkpoint_out.c_str());
-        artifact_fail = true;
-    }
+    if (!opt.ledger_out.empty())
+        artifact_fail |= !wroteArtifact(cres.ledgerOk, opt.ledger_out);
+    if (!opt.checkpoint_out.empty())
+        artifact_fail |= !wroteArtifact(cres.checkpointOk,
+                                        opt.checkpoint_out);
     if (cres.interrupted) {
         std::fprintf(stderr,
                      "goat: interrupted by signal %d; merged %d "
@@ -579,27 +450,21 @@ runKernel(const goker::KernelInfo &kernel, const Options &opt,
                      cres.interruptSig, cres.cutoffIteration);
         special_exit = 128 + cres.interruptSig;
     }
-    if (!opt.saturation_out.empty()) {
-        if (cres.merged.saturation.writeFiles(opt.saturation_out,
-                                              kernel.name)) {
-            std::printf("saturation series written to %s (+ .html)\n",
-                        opt.saturation_out.c_str());
-        } else {
-            std::fprintf(stderr, "goat: cannot write %s\n",
-                         opt.saturation_out.c_str());
-            artifact_fail = true;
-        }
-    }
-    if (opt.profile) {
+    if (!opt.saturation_out.empty())
+        artifact_fail |= !wroteArtifact(
+            cres.merged.saturation.writeFiles(opt.saturation_out,
+                                              kernel.name),
+            opt.saturation_out,
+            "saturation series written to " + opt.saturation_out +
+                " (+ .html)");
+    if (opt.profile)
         std::printf("\n-- stage profile (canonical fold, %d merged "
                     "iteration(s)) --\n%s",
                     cres.cutoffIteration,
                     cres.merged.profile.tableStr().c_str());
-    }
-    if (opt.cov && opt.report) {
+    if (opt.cov && opt.report)
         std::printf("\n-- coverage requirements --\n%s",
                     cres.coverage.tableStr().c_str());
-    }
     return result.bugFound ? 1 : 0;
 }
 
@@ -641,56 +506,23 @@ runReplay(const goker::KernelInfo &kernel, const Options &opt)
         // Predict over the replayed trace; the replay's own recipe is
         // the confirmation base, so confirming schedules are
         // synthesized relative to the recorded interleaving.
-        analysis::PredictionReport pr =
-            analysis::predictBlockingBugs(rr.sr.ect);
-        engine::PredictOutcome po =
-            engine::confirmPredictions(kernel.fn, rr.sr.recipe,
-                                       std::move(pr));
-        std::printf("predicted %zu blocking bug(s), %d confirmed by "
-                    "synthesized replay\n",
-                    po.report.predictions.size(), po.confirmedCount);
-        if (po.report.any())
-            std::printf("%s", po.report.str().c_str());
-        if (!opt.predict_out.empty()) {
-            std::string doc = po.report.jsonDocStr(kernel.name);
-            doc += '\n';
-            if (atomicWriteFile(opt.predict_out, doc)) {
-                std::printf("prediction findings written to %s\n",
-                            opt.predict_out.c_str());
-            } else {
-                std::fprintf(stderr, "goat: cannot write %s\n",
-                             opt.predict_out.c_str());
-                rc = 1;
-            }
-        }
+        engine::PredictOutcome po = engine::confirmPredictions(
+            kernel.fn, rr.sr.recipe, analysis::predictBlockingBugs(rr.sr.ect));
+        if (!reportPredictions(po, opt, kernel.name, "", true))
+            rc = 1;
     }
 
     if (opt.minimize) {
         engine::MinimizeResult mr = minimizeRecipe(kernel.fn, recipe);
-        if (!mr.reproduced) {
-            std::fprintf(stderr,
-                         "goat: minimize: recipe is not buggy or does "
-                         "not reproduce\n");
+        if (!reportMinimized(mr, "recipe is not buggy or does not "
+                                 "reproduce") ||
+            (!opt.record_out.empty() &&
+             !wroteArtifact(trace::writeRecipeFile(mr.minimized,
+                                                   opt.record_out),
+                            opt.record_out,
+                            "minimized recipe written to " +
+                                opt.record_out)))
             rc = 1;
-        } else {
-            std::printf(
-                "minimized schedule: %d -> %zu yield(s) in %d "
-                "replay(s)\n",
-                mr.originalYields, mr.minimized.yields.size(),
-                mr.replays);
-            printCulprits(mr.minimized);
-            if (!opt.record_out.empty()) {
-                if (trace::writeRecipeFile(mr.minimized,
-                                           opt.record_out)) {
-                    std::printf("minimized recipe written to %s\n",
-                                opt.record_out.c_str());
-                } else {
-                    std::fprintf(stderr, "goat: cannot write %s\n",
-                                 opt.record_out.c_str());
-                    rc = 1;
-                }
-            }
-        }
     }
     return rc;
 }
@@ -701,28 +533,24 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, opt)) {
-        usage();
+    if (!parseArgs(argc, argv, opt) || !cli::modeOf(opt)) {
+        std::fputs(cli::usageText().c_str(), stdout);
         return 2;
     }
-
-    // Only the checks about CLI modes live here; which campaign
-    // configurations can run is campaign::refusal()'s to say (runKernel).
-    // A replay never reaches a campaign, so it cannot be isolated.
-    if (opt.isolate && !opt.replay_in.empty()) {
-        std::printf("-isolate is incompatible with -replay\n");
-        return 2;
-    }
-    if ((!opt.checkpoint_out.empty() || !opt.resume_in.empty()) &&
-        (opt.kernel == "all" || opt.kernel == "hostile")) {
-        std::printf("-checkpoint/-resume need a single kernel, not a "
-                    "sweep\n");
-        return 2;
+    const unsigned mode = cli::modeOf(opt);
+    // Every given flag must be one the mode reads (cli::kFlags); which
+    // campaign configurations can run is campaign::refusal()'s to say.
+    for (const cli::Flag *f : opt.given) {
+        if (!(f->modes & mode)) {
+            std::printf("%s does not apply to %s\n", f->name,
+                        cli::kModeNames[std::countr_zero(mode)]);
+            return 2;
+        }
     }
 
     auto &registry = goker::KernelRegistry::instance();
 
-    if (opt.list) {
+    if (mode == cli::kList) {
         std::printf("%-22s %-12s %-14s %s\n", "kernel", "project",
                     "class", "description");
         for (const auto *k : registry.all())
@@ -735,50 +563,35 @@ main(int argc, char **argv)
                         k->description.substr(0, 60).c_str());
         return 0;
     }
-    if (opt.lint) {
-        // Pure static mode: no kernel execution at all.
+    // The static modes execute no kernel at all.
+    if (mode == cli::kLint)
         return runLint(opt);
-    }
-    if (!opt.mhp_out.empty()) {
-        // Also static: dump the MHP pair set and exit.
+    if (mode == cli::kMhpOut)
         return runMhpOut(opt);
-    }
-    if (opt.kernel.empty()) {
-        usage();
-        return 2;
-    }
     setQuiet(true);
     installInterruptHandlers();
 
-    if (!opt.replay_in.empty()) {
+    if (mode == cli::kReplay) {
         // Replay mode: re-execute one recorded recipe on one kernel.
         if (opt.kernel == "all") {
             std::printf("-replay needs a single kernel, not 'all'\n");
             return 2;
         }
-        const goker::KernelInfo *k = registry.find(opt.kernel);
-        if (!k) {
-            std::printf("unknown kernel '%s' (try -list)\n",
-                        opt.kernel.c_str());
-            return 2;
-        }
-        return runReplay(*k, opt);
+        const goker::KernelInfo *k = findKernel(opt.kernel);
+        return k ? runReplay(*k, opt) : 2;
     }
 
     // The kernels to run: a sweep (all, or the hostile
     // fault-injection set) or one kernel.
     std::vector<const goker::KernelInfo *> targets;
-    if (opt.kernel == "all") {
+    if (opt.kernel == "all")
         targets = registry.all();
-    } else if (opt.kernel == "hostile") {
+    else if (opt.kernel == "hostile")
         targets = registry.allHostile();
-    } else if (const goker::KernelInfo *k = registry.find(opt.kernel)) {
+    else if (const goker::KernelInfo *k = findKernel(opt.kernel))
         targets.push_back(k);
-    } else {
-        std::printf("unknown kernel '%s' (try -list)\n",
-                    opt.kernel.c_str());
+    else
         return 2;
-    }
     if (!opt.isolate &&
         std::any_of(targets.begin(), targets.end(),
                     [](const goker::KernelInfo *k) { return k->hostile; })) {

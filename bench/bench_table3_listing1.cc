@@ -68,7 +68,8 @@ main()
                 "run#2", "overall");
 
     // Program-level requirement keys from the overall universe.
-    for (const auto &cu : overall.cuTable().all()) {
+    const staticmodel::CuTable cus = overall.cuTable();
+    for (const auto &cu : cus.all()) {
         for (ReqType t : {ReqType::Blocked, ReqType::Unblocking,
                           ReqType::Nop, ReqType::Blocking}) {
             std::string key = CoverageState::key(cu, t);

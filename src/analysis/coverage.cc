@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <deque>
 #include <mutex>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 
 #include "analysis/goroutine_tree.hh"
@@ -108,12 +110,13 @@ appendKindCase(std::string &out, CuKind kind, int case_idx)
     out.append(mid, static_cast<size_t>(n));
 }
 
-/** True when @p loc is "<name>:<line>", the form appendLoc renders. */
+/** True when @p loc is "<basename>:<line>", the form appendLoc renders. */
 bool
 validLoc(std::string_view loc)
 {
     size_t colon = loc.rfind(':');
-    if (colon == std::string_view::npos || colon == 0)
+    if (colon == std::string_view::npos || colon == 0 ||
+        loc.find('/') != std::string_view::npos)
         return false;
     std::string_view num = loc.substr(colon + 1);
     uint32_t line;
@@ -136,6 +139,23 @@ struct GroupKey
     {
         return scope == o.scope && loc == o.loc && caseIdx == o.caseIdx &&
                kind == o.kind;
+    }
+};
+
+/** A program-level requirement: its CU, select case, type and id. */
+struct ProgReq
+{
+    Cu cu;
+    int32_t caseIdx;
+    ReqType type;
+    ReqId id;
+
+    /** Table order: CU, then case (unsigned: case -1 last), then type. */
+    bool
+    operator<(const ProgReq &o) const
+    {
+        return std::tuple(cu, static_cast<uint32_t>(caseIdx), type) <
+               std::tuple(o.cu, static_cast<uint32_t>(o.caseIdx), o.type);
     }
 };
 
@@ -190,7 +210,7 @@ class Catalog
             if (!intern)
                 return false;
             auto s = static_cast<uint32_t>(scopes_.size());
-            scopes_.push_back(scopes_[parent] + '>' + locs_[loc]);
+            scopes_.push_back(scopes_[parent] + '>' + sources_[loc].str());
             it = childScopes_.emplace(k, s).first;
         }
         *id = it->second;
@@ -210,8 +230,13 @@ class Catalog
         if (it == locIds_.end()) {
             if (!intern)
                 return false;
-            auto l = static_cast<uint32_t>(locs_.size());
-            locs_.push_back(loc_str);
+            auto l = static_cast<uint32_t>(sources_.size());
+            const size_t colon = loc_str.rfind(':');
+            uint32_t line = 0;
+            std::from_chars(loc_str.data() + colon + 1,
+                            loc_str.data() + loc_str.size(), line);
+            sources_.emplace_back(
+                files_.emplace_back(loc_str, 0, colon).c_str(), line);
             it = locIds_.emplace(loc_str, l).first;
         }
         *id = it->second;
@@ -231,9 +256,10 @@ class Catalog
             prefix = scopes_[k.scope];
             prefix += '|';
         }
-        prefix += locs_[k.loc];
+        prefix += sources_[k.loc].str();
         appendKindCase(prefix, static_cast<CuKind>(k.kind), k.caseIdx);
         prefixes_.push_back(std::move(prefix));
+        keys_.push_back(k);
         groupIds_.emplace(k, g);
         return g;
     }
@@ -262,6 +288,21 @@ class Catalog
         }
     }
 
+    /** The program-level requirements among @p ids, unsorted. */
+    std::vector<ProgReq>
+    programLevel(const ReqBits &ids) const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        std::vector<ProgReq> out;
+        ids.forEach([&](ReqId id) {
+            const GroupKey &k = keys_[id / 4];
+            if (k.scope == 0)
+                out.push_back({Cu(sources_[k.loc], CuKind(k.kind)),
+                               k.caseIdx, ReqType(id & 3), id});
+        });
+        return out;
+    }
+
   private:
     Catalog() : scopes_{"", "main"} {}
 
@@ -270,10 +311,14 @@ class Catalog
     std::vector<std::string> scopes_;
     /** (parent scope, creation location) → scope, for scopes ≥ 2. */
     std::unordered_map<uint64_t, uint32_t> childScopes_;
-    std::vector<std::string> locs_;
+    /** Per location: its file and line, the file owned by files_. */
+    std::vector<SourceLoc> sources_;
+    std::deque<std::string> files_; // a deque: c_str() stays put
     std::unordered_map<std::string, uint32_t> locIds_;
     /** Per group: its keys' shared prefix "[scope|]loc kind[/caseN] ". */
     std::vector<std::string> prefixes_;
+    /** Per group: its key. */
+    std::vector<GroupKey> keys_;
     std::unordered_map<GroupKey, uint32_t, GroupKeyHash> groupIds_;
 };
 
@@ -450,8 +495,6 @@ struct ScratchImpl
         uint32_t loc = 0;
         uint32_t group = 0; ///< Program-level group, case -1.
         bool dynamic = false;
-        /** Last execution that registered this dynamic CU. */
-        uint64_t seenEpoch = 0;
     };
 
     /** Per-goroutine select context while walking a trace. */
@@ -488,7 +531,6 @@ struct ScratchImpl
     std::unordered_map<GroupKey, uint32_t, GroupKeyHash> groupCache;
 
     // Per-execution state.
-    uint64_t epoch = 0;
     std::vector<uint8_t> flags;
     std::vector<ReqId> touched;
     std::vector<uint32_t> nbSel;
@@ -604,14 +646,10 @@ struct ScratchImpl
             cus.push_back(ref);
             cuIndex.emplace(ck, idx);
         }
-        CuRef &ref = cus[idx];
-        if (ref.dynamic && ref.seenEpoch != epoch) {
-            // First sighting in this execution: a fresh state would
-            // register it in its table and instantiate it.
-            ref.seenEpoch = epoch;
-            out->cus.push_back(ref.cu);
-            instantiate(ref, 0, -1);
-        }
+        // A fresh state instantiates a dynamic CU at its first sighting
+        // (later ones find it required).
+        if (cus[idx].dynamic)
+            instantiate(cus[idx], 0, -1);
         return idx;
     }
 
@@ -653,7 +691,6 @@ ScratchImpl::compute(const trace::Ect &ect, const GoroutineTree &tree,
     nbSel.clear();
     lastAcq.clear();
     sel.clear();
-    ++epoch;
     out = delta;
     out->clear();
 
@@ -665,8 +702,6 @@ ScratchImpl::compute(const trace::Ect &ect, const GoroutineTree &tree,
     scopeBySlot.assign(nodes.size(), kNoScope);
     if (tree.root())
         scopeBySlot[tree.root() - nodes.data()] = Catalog::kMainScope;
-
-    std::vector<std::pair<uint32_t, int>> &cases = out->selectCases;
 
     for (const Event &ev : ect.events()) {
         const size_t slot = tree.slot(ev.gid);
@@ -830,13 +865,6 @@ ScratchImpl::compute(const trace::Ect &ect, const GoroutineTree &tree,
                 const CuRef &ref = cus[ctx.cu];
                 instantiate(ref, 0, idx);
                 instantiate(ref, sc, idx);
-                auto c = std::find_if(
-                    cases.begin(), cases.end(),
-                    [&](const auto &p) { return p.first == ref.loc; });
-                if (c == cases.end())
-                    cases.emplace_back(ref.loc, idx + 1);
-                else
-                    c->second = std::max(c->second, idx + 1);
             }
             break;
           }
@@ -868,7 +896,6 @@ ScratchImpl::compute(const trace::Ect &ect, const GoroutineTree &tree,
             break;
         }
     }
-    out->nbSelects = nbSel;
     out = nullptr;
 }
 
@@ -879,9 +906,6 @@ CoverageDelta::clear()
 {
     required.clear();
     covered.clear();
-    cus.clear();
-    nbSelects.clear();
-    selectCases.clear();
 }
 
 CoverageScratch::CoverageScratch(std::shared_ptr<const CoverageUniverse> u)
@@ -933,8 +957,8 @@ CoverageState::CoverageState(staticmodel::CuTable statics)
 }
 
 CoverageState::CoverageState(std::shared_ptr<const CoverageUniverse> u)
-    : universe_(std::move(u)), table_(universe_->statics()),
-      required_(universe_->required()), nRequired_(universe_->size())
+    : universe_(std::move(u)), required_(universe_->required()),
+      nRequired_(universe_->size())
 {
 }
 
@@ -973,31 +997,17 @@ CoverageState::cover(ReqId id)
 void
 CoverageState::applyDelta(const CoverageDelta &d)
 {
-    for (const Cu &cu : d.cus)
-        table_.add(cu); // sorted insert; ignores a CU already present
     for (ReqId id : d.required)
         require(id);
     for (ReqId id : d.covered)
         cover(id);
-    nbSelects_.insert(d.nbSelects.begin(), d.nbSelects.end());
-    for (const auto &[loc, n] : d.selectCases) {
-        int &mine = selectCases_[loc];
-        mine = std::max(mine, n);
-    }
 }
 
 void
 CoverageState::mergeFrom(const CoverageState &other)
 {
-    for (const Cu &cu : other.table_.all())
-        table_.add(cu);
     nRequired_ += required_.unite(other.required_, nullptr);
     nCovered_ += covered_.unite(other.covered_, coveredOfType_);
-    nbSelects_.insert(other.nbSelects_.begin(), other.nbSelects_.end());
-    for (const auto &[loc, n] : other.selectCases_) {
-        int &mine = selectCases_[loc];
-        mine = std::max(mine, n);
-    }
 }
 
 bool
@@ -1025,6 +1035,18 @@ parseBitmap(const std::string &bitmap, CoverageDelta *out)
         (line[0] == '1' ? out->covered : out->required).push_back(id);
     }
     return true;
+}
+
+std::string
+deltaBitmap(const CoverageDelta &d)
+{
+    std::vector<std::string> keys;
+    Catalog::instance().keyStrs(d.required, &keys);
+    Catalog::instance().keyStrs(d.covered, &keys);
+    std::string out;
+    for (size_t i = 0; i < keys.size(); ++i)
+        out += (i < d.required.size() ? "0 " : "1 ") + keys[i] + '\n';
+    return out;
 }
 
 bool
@@ -1116,47 +1138,29 @@ CoverageState::uncovered() const
     return out;
 }
 
+staticmodel::CuTable
+CoverageState::cuTable() const
+{
+    staticmodel::CuTable t = universe_->statics();
+    for (const ProgReq &r : Catalog::instance().programLevel(required_))
+        t.add(r.cu); // sorted insert; ignores a CU already present
+    return t;
+}
+
 std::string
 CoverageState::tableStr() const
 {
-    Catalog &cat = Catalog::instance();
-    std::string out;
-    out += strFormat("%-22s %-10s %-14s %s\n", "CU location", "kind",
-                     "requirement", "covered");
-    for (const Cu &cu : table_.all()) {
-        const std::string loc = cu.loc.str();
-        uint32_t l = 0;
-        const bool known = cat.loc(loc, false, &l);
-        std::vector<std::pair<ReqType, int>> rows;
-        for (ReqType t : templatesFor(cu.kind))
-            rows.push_back({t, -1});
-        if (cu.kind == CuKind::Select && known) {
-            auto itc = selectCases_.find(l);
-            int ncases = itc == selectCases_.end() ? 0 : itc->second;
-            for (int i = 0; i < ncases; ++i) {
-                rows.push_back({ReqType::Blocked, i});
-                rows.push_back({ReqType::Unblocking, i});
-                rows.push_back({ReqType::Nop, i});
-            }
-            if (nbSelects_.count(l)) {
-                rows.push_back({ReqType::Unblocking, -1});
-                rows.push_back({ReqType::Nop, -1});
-            }
-        }
-        for (auto [t, idx] : rows) {
-            uint32_t g;
-            bool cov = known &&
-                       cat.findGroup({0, l, idx,
-                                      static_cast<uint32_t>(cu.kind)},
-                                     &g) &&
-                       covered_.test(reqId(g, t));
-            std::string req =
-                idx >= 0 ? strFormat("case%d-%s", idx, reqTypeName(t))
-                         : reqTypeName(t);
-            out += strFormat("%-22s %-10s %-14s %s\n", loc.c_str(),
-                             cuKindName(cu.kind), req.c_str(),
-                             cov ? "yes" : "no");
-        }
+    std::vector<ProgReq> reqs = Catalog::instance().programLevel(required_);
+    std::sort(reqs.begin(), reqs.end());
+    std::string out = strFormat("%-22s %-10s %-14s %s\n", "CU location",
+                                "kind", "requirement", "covered");
+    for (const ProgReq &r : reqs) {
+        std::string req = reqTypeName(r.type);
+        if (r.caseIdx >= 0)
+            req = strFormat("case%d-%s", r.caseIdx, req.c_str());
+        out += strFormat("%-22s %-10s %-14s %s\n", r.cu.loc.str().c_str(),
+                         cuKindName(r.cu.kind), req.c_str(),
+                         covered_.test(r.id) ? "yes" : "no");
     }
     return out;
 }

@@ -26,10 +26,11 @@
  * an execution uncovers new behaviour (the paper's fig. 6b, D1).
  *
  * Representation: requirements are interned process-wide as dense
- * integer ids (see ReqId); states are bit sets over those ids. Key
- * strings ("<file>:<line> <kind>[/case<i>] <type>", node-level ones
- * prefixed "<scope>|") are rendered only by the report calls
- * (bitmapStr, uncovered, tableStr) and parsed only by parseBitmap.
+ * integer ids (see ReqId); a state is two bit sets over those ids plus
+ * counters, which every report reads back. Key strings ("<file>:<line>
+ * <kind>[/case<i>] <type>", node-level ones prefixed "<scope>|") are
+ * rendered only by the report calls (bitmapStr, uncovered, tableStr,
+ * deltaBitmap) and parsed only by parseBitmap.
  *
  * One execution's contribution is computed by a CoverageScratch as a
  * small CoverageDelta — exactly what a fresh state on the static
@@ -42,11 +43,8 @@
 #define GOAT_ANALYSIS_COVERAGE_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "staticmodel/cutable.hh"
@@ -157,12 +155,6 @@ struct CoverageDelta
     std::vector<ReqId> required;
     /** Requirement ids the execution covered. */
     std::vector<ReqId> covered;
-    /** CUs the execution observed that the static table lacks. */
-    std::vector<staticmodel::Cu> cus;
-    /** Interned locations of selects observed with a default case. */
-    std::vector<uint32_t> nbSelects;
-    /** (interned select location, discovered case count). */
-    std::vector<std::pair<uint32_t, int>> selectCases;
 
     void clear();
 };
@@ -176,6 +168,12 @@ struct CoverageDelta
  * or requirement key.
  */
 bool parseBitmap(const std::string &bitmap, CoverageDelta *out);
+
+/**
+ * @p d's keys as parseBitmap reads them: "0 <key>" per required id,
+ * "1 <key>" per covered one. What a shard ships for its iteration.
+ */
+std::string deltaBitmap(const CoverageDelta &d);
 
 /**
  * Computes CoverageDeltas on one universe. Owns lookup caches that
@@ -230,20 +228,17 @@ class CoverageState
 
     /**
      * Fold one execution's contribution, computed by a CoverageScratch
-     * on this state's universe. Set unions and maxima only, so folding
-     * deltas in any grouping yields the same state.
+     * on this state's universe. Set unions only, so folding deltas in
+     * any grouping yields the same state.
      */
     void applyDelta(const CoverageDelta &d);
 
     /**
-     * Union @p other into this state (the campaign merge step): CUs
-     * absent from this table are added, requirement and covered sets
-     * union, non-blocking-select observations union, and discovered
-     * select-case counts take the maximum. Because every component is
-     * a set union (or max), merging is commutative and associative —
-     * folding per-iteration states in any grouping yields the same
-     * final state, which is what makes merged campaign coverage
-     * independent of the worker count.
+     * Union @p other into this state (the campaign merge step): the
+     * required and covered sets union. Set union is commutative and
+     * associative, so folding per-iteration states in any grouping
+     * yields the same final state, which is what makes merged campaign
+     * coverage independent of the worker count.
      */
     void mergeFrom(const CoverageState &other);
 
@@ -257,12 +252,10 @@ class CoverageState
 
     /**
      * Union a bitmapStr() serialization into this state (checkpoint
-     * restore): parseBitmap, then applyDelta. Only the requirement
-     * universe and covered set are rebuilt — exactly the components
-     * every merged-state consumer (percent, counts, bitmapStr,
-     * saturation sampling, further mergeFrom folds) reads; the CU
-     * table repopulates as fresh iterations merge in. Returns false,
-     * changing nothing, on a malformed line or requirement key.
+     * restore): parseBitmap, then applyDelta. The required and covered
+     * sets are the whole state, so every report (tableStr included)
+     * reads the same as on the state that wrote the bitmap. Returns
+     * false, changing nothing, on a malformed line or requirement key.
      */
     bool restoreBitmap(const std::string &bitmap);
 
@@ -305,12 +298,15 @@ class CoverageState
     static std::string key(const staticmodel::Cu &cu, ReqType type,
                            int case_idx = -1);
 
-    /** The (possibly dynamically extended) CU table. */
-    const staticmodel::CuTable &cuTable() const { return table_; }
+    /**
+     * The universe's static CUs plus those of the program-level
+     * requirements. Returned by value: hold it before iterating.
+     */
+    staticmodel::CuTable cuTable() const;
 
     /**
      * Printable per-CU coverage table in the style of the paper's
-     * Table III (program-level requirements and their status).
+     * Table III: a row per program-level requirement and its status.
      */
     std::string tableStr() const;
 
@@ -323,16 +319,11 @@ class CoverageState
     bool findKey(const std::string &key, ReqId *id) const;
 
     std::shared_ptr<const CoverageUniverse> universe_;
-    staticmodel::CuTable table_;
     ReqBits required_;
     ReqBits covered_;
     size_t nRequired_ = 0;
     size_t nCovered_ = 0;
     size_t coveredOfType_[4] = {};
-    /** Interned locations of selects observed with a default case. */
-    std::set<uint32_t> nbSelects_;
-    /** Discovered case counts per interned select location. */
-    std::map<uint32_t, int> selectCases_;
 };
 
 } // namespace goat::analysis

@@ -1073,11 +1073,8 @@ runShards(Shared &sh, FoldState &fs,
         rec->wseq = wseq;
         ShardDigest d;
         d.row = recordRow(ecfg, *rec);
-        if (ecfg.collectCoverage) {
-            CoverageState cov(universe);
-            cov.applyDelta(rec->cov);
-            d.covBitmap = cov.bitmapStr();
-        }
+        if (ecfg.collectCoverage)
+            d.covBitmap = analysis::deltaBitmap(rec->cov);
         return digestToString(d);
     };
 

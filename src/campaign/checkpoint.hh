@@ -138,10 +138,11 @@ std::string configFingerprint(const CampaignConfig &cfg);
 /**
  * One iteration's result as shipped over an -isolate shard pipe
  * (supervisor.hh): the ledger row (metrics pre-rendered to JSON) plus
- * the iteration's standalone coverage bitmap, which the parent parses
- * back into a CoverageDelta (analysis::parseBitmap). It is encoded with
- * the checkpoint's row and coverage blocks, so a row round-trips
- * identically whether it crossed a pipe or a file.
+ * the keys of the iteration's coverage delta (analysis::deltaBitmap),
+ * which the parent parses back into a CoverageDelta
+ * (analysis::parseBitmap). It is encoded with the checkpoint's row and
+ * coverage blocks, so a row round-trips identically whether it crossed
+ * a pipe or a file.
  */
 struct ShardDigest
 {

@@ -347,7 +347,9 @@ TEST(CliExit, ModeRefusesFlagsItDoesNotRead)
     std::string ck = tmpPath("mode.ck");
     std::string pairs = tmpPath("mode.pairs");
     std::string ledger = tmpPath("mode.jsonl");
-    for (const std::string &p : {recipe, ck, pairs, ledger})
+    std::string sat = tmpPath("mode_sat.jsonl");
+    std::string min = tmpPath("mode_min.recipe");
+    for (const std::string &p : {recipe, ck, pairs, ledger, sat, min})
         std::remove(p.c_str());
     ASSERT_EQ(runGoat(std::string(kBugRun) + " -record=" + recipe), 0);
 
@@ -365,7 +367,18 @@ TEST(CliExit, ModeRefusesFlagsItDoesNotRead)
               2);
     EXPECT_EQ(runGoat("-kernel=all -checkpoint=" + ck), 2);
     EXPECT_EQ(runGoat("-kernel=cockroach_1055 -lint-format=json"), 2);
-    for (const std::string &p : {ck, pairs, ledger})
+    // A flag the mode reads only beside a companion flag.
+    out = goatStdout(std::string(kBugRun) + " -saturation-out=" + sat, &rc);
+    EXPECT_EQ(rc, 2);
+    EXPECT_EQ(out, "-saturation-out requires -cov\n");
+    EXPECT_EQ(runGoat("-kernel=cockroach_1055 -replay=" + recipe +
+                      " -record=" + min),
+              2);
+    EXPECT_EQ(runGoat(std::string(kBugRun) + " -checkpoint-every=1"), 2);
+    EXPECT_EQ(runGoat("-kernel=cockroach_1055 -d=2 -freq=5 -resume=" + ck +
+                      " -checkpoint-every=1"),
+              2);
+    for (const std::string &p : {ck, pairs, ledger, sat, sat + ".html", min})
         EXPECT_FALSE(std::ifstream(p).good()) << p;
 
     // What each mode does read still runs.

@@ -91,7 +91,8 @@ TEST(Coverage, SendRecvBehaviours)
     for (const auto &k : cov.uncovered())
         (void)k;
     // Scan covered keys via isCovered on the table CUs.
-    for (const auto &cu : cov.cuTable().all()) {
+    const CuTable cus = cov.cuTable();
+    for (const auto &cu : cus.all()) {
         if (cu.kind == CuKind::Send) {
             nop |= cov.isCovered(CoverageState::key(cu, ReqType::Nop));
             blocked |=
@@ -117,7 +118,8 @@ TEST(Coverage, BlockedCoveredEvenWhenGoroutineLeaks)
         yield();
     });
     bool send_blocked = false;
-    for (const auto &cu : cov.cuTable().all())
+    const CuTable cus = cov.cuTable();
+    for (const auto &cu : cus.all())
         if (cu.kind == CuKind::Send)
             send_blocked |=
                 cov.isCovered(CoverageState::key(cu, ReqType::Blocked));
@@ -138,7 +140,8 @@ TEST(Coverage, LockBlockedAndBlocking)
         yield();
     });
     bool blocked = false, blocking = false;
-    for (const auto &cu : cov.cuTable().all()) {
+    const CuTable cus = cov.cuTable();
+    for (const auto &cu : cus.all()) {
         if (cu.kind != CuKind::Lock)
             continue;
         blocked |= cov.isCovered(CoverageState::key(cu, ReqType::Blocked));
@@ -166,7 +169,8 @@ TEST(Coverage, UnlockUnblockingAndNop)
         yield();
     });
     int unlock_covered = 0;
-    for (const auto &cu : cov.cuTable().all()) {
+    const CuTable cus = cov.cuTable();
+    for (const auto &cu : cus.all()) {
         if (cu.kind != CuKind::Unlock)
             continue;
         if (cov.isCovered(CoverageState::key(cu, ReqType::Nop)))
@@ -208,7 +212,8 @@ TEST(Coverage, CloseSignalBroadcastDone)
     });
     bool close_unb = false, done_unb = false, sig_nop = false,
          bcast_unb = false;
-    for (const auto &cu : cov.cuTable().all()) {
+    const CuTable cus = cov.cuTable();
+    for (const auto &cu : cus.all()) {
         auto key_u = CoverageState::key(cu, ReqType::Unblocking);
         auto key_n = CoverageState::key(cu, ReqType::Nop);
         if (cu.kind == CuKind::Close)
@@ -233,7 +238,8 @@ TEST(Coverage, GoCuCoveredOnSpawn)
         yield();
     });
     bool go_nop = false;
-    for (const auto &cu : cov.cuTable().all())
+    const CuTable cus = cov.cuTable();
+    for (const auto &cu : cus.all())
         if (cu.kind == CuKind::Go)
             go_nop |= cov.isCovered(CoverageState::key(cu, ReqType::Nop));
     EXPECT_TRUE(go_nop);
@@ -252,7 +258,8 @@ TEST(Coverage, SelectCaseDiscoveryCreatesTriples)
     // chosen ready case (case0, which woke the parked sender) must be
     // covered as unblocking.
     const Cu *sel = nullptr;
-    for (const auto &cu : cov.cuTable().all())
+    const CuTable cus = cov.cuTable();
+    for (const auto &cu : cus.all())
         if (cu.kind == CuKind::Select)
             sel = &cu;
     ASSERT_NE(sel, nullptr);
@@ -276,7 +283,8 @@ TEST(Coverage, BlockedSelectCoversAllCases)
         yield();
     });
     const Cu *sel = nullptr;
-    for (const auto &cu : cov.cuTable().all())
+    const CuTable cus = cov.cuTable();
+    for (const auto &cu : cus.all())
         if (cu.kind == CuKind::Select)
             sel = &cu;
     ASSERT_NE(sel, nullptr);
@@ -293,7 +301,8 @@ TEST(Coverage, NonBlockingSelectUsesReq4)
         Select().onRecv<int>(a, {}).onDefault().run(); // default: NOP
     });
     const Cu *sel = nullptr;
-    for (const auto &cu : cov.cuTable().all())
+    const CuTable cus = cov.cuTable();
+    for (const auto &cu : cus.all())
         if (cu.kind == CuKind::Select)
             sel = &cu;
     ASSERT_NE(sel, nullptr);
@@ -526,7 +535,8 @@ TEST(Coverage, RangeTreatedAsReceive)
     // The range loop's receives produce ChRecv events; the CU resolves
     // (dynamically) to a recv-shaped requirement set that gets covered.
     bool any_recv_covered = false;
-    for (const auto &cu : cov.cuTable().all()) {
+    const CuTable cus = cov.cuTable();
+    for (const auto &cu : cus.all()) {
         if (cu.kind == CuKind::Recv || cu.kind == CuKind::Range) {
             any_recv_covered |=
                 cov.isCovered(CoverageState::key(cu, ReqType::Blocked)) ||
@@ -697,6 +707,8 @@ TEST(CoverageFold, DeltaGroupingsAgreeOnEveryKernel)
         ASSERT_TRUE(bare.restoreBitmap(bitmap));
         EXPECT_EQ(restored.bitmapStr(), bitmap);
         EXPECT_EQ(bare.bitmapStr(), bitmap);
+        EXPECT_EQ(restored.tableStr(), in_order.tableStr());
+        EXPECT_EQ(bare.tableStr(), in_order.tableStr());
         EXPECT_EQ(bare.percent(), in_order.percent());
         for (ReqType t : {ReqType::Blocked, ReqType::Unblocking,
                           ReqType::Nop, ReqType::Blocking})
@@ -726,6 +738,7 @@ TEST(CoverageFold, RestoreBitmapRejectsMalformedKeys)
     EXPECT_FALSE(cov.restoreBitmap("1 k.cc:x7 send nop\n"));
     EXPECT_FALSE(cov.restoreBitmap("1 k.cc:07 send nop\n"));
     EXPECT_FALSE(cov.restoreBitmap("1 k.cc:4294967296 send nop\n"));
+    EXPECT_FALSE(cov.restoreBitmap("1 d/k.cc:1 send nop\n"));
     EXPECT_EQ(cov.totalRequirements(), 0u);
 
     CoverageState ok;

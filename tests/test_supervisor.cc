@@ -426,11 +426,12 @@ TEST(Checkpoint, ResumeRefusesMalformedCoverageKey)
     // requirement key does not parse must refuse the resume (exit 1)
     // rather than resume on a partly restored coverage state.
     const std::string run = "-kernel=etcd_7443 -d=2 -freq=6 -cov "
-                            "-keep-going -checkpoint-every=3";
+                            "-keep-going";
     std::string ck = tmpPath("covkey.ck");
     std::string bad = tmpPath("covkey_bad.ck");
     std::remove(ck.c_str());
-    ASSERT_EQ(runGoat(run + " -checkpoint=" + ck), 0);
+    ASSERT_EQ(runGoat(run + " -checkpoint=" + ck + " -checkpoint-every=3"),
+              0);
     std::string text = readFile(ck);
     size_t at = text.find("cov_begin\n");
     ASSERT_NE(at, std::string::npos);
@@ -677,15 +678,16 @@ TEST(CheckpointLog, ResumeIntoAnotherPathCopiesCommittedPrefix)
     // A torn log resumed into a different -checkpoint path: the new
     // log starts with the source's committed prefix verbatim (the torn
     // tail dropped), and the source is left alone.
-    const std::string args = "-kernel=cockroach_1055 -d=2 -keep-going -cov "
-                             "-checkpoint-every=2";
+    const std::string args = "-kernel=cockroach_1055 -d=2 -keep-going -cov";
     const std::string src = tmpPath("copy_src.ck");
     const std::string dst = tmpPath("copy_dst.ck");
     const std::string ref = tmpPath("copy_ref.jsonl");
     const std::string led = tmpPath("copy_res.jsonl");
     std::remove(ref.c_str());
     std::remove(led.c_str());
-    ASSERT_EQ(runGoat(args + " -freq=6 -checkpoint=" + src), 0);
+    ASSERT_EQ(runGoat(args + " -freq=6 -checkpoint-every=2 -checkpoint=" +
+                      src),
+              0);
     const std::string text = readFile(src);
     const auto commits = commitLines(text);
     ASSERT_EQ(commits.size(), 3u);
@@ -693,8 +695,9 @@ TEST(CheckpointLog, ResumeIntoAnotherPathCopiesCommittedPrefix)
     writeFile(src, torn);
 
     ASSERT_EQ(runGoat(args + " -freq=8 -ledger=" + ref), 0);
-    ASSERT_EQ(runGoat(args + " -freq=8 -resume=" + src + " -checkpoint=" +
-                      dst + " -ledger=" + led),
+    ASSERT_EQ(runGoat(args + " -freq=8 -resume=" + src +
+                      " -checkpoint-every=2 -checkpoint=" + dst +
+                      " -ledger=" + led),
               0);
     EXPECT_EQ(canonicalLedger(led), canonicalLedger(ref));
     EXPECT_EQ(readFile(src), torn);
@@ -715,21 +718,24 @@ TEST(CheckpointLog, ResumeIntoAnotherPathCopiesCommittedPrefix)
 TEST(CheckpointLog, IsolateResumesFromTornLog)
 {
     const std::string args = "-kernel=cockroach_1055 -d=2 -keep-going -cov "
-                             "-isolate -jobs=2 -checkpoint-every=2";
+                             "-isolate -jobs=2";
     const std::string ck = tmpPath("iso.ck");
     const std::string ref = tmpPath("iso_ref.jsonl");
     const std::string led = tmpPath("iso_res.jsonl");
     std::remove(ref.c_str());
     std::remove(led.c_str());
-    ASSERT_EQ(runGoat(args + " -freq=6 -checkpoint=" + ck), 0);
+    ASSERT_EQ(runGoat(args + " -freq=6 -checkpoint-every=2 -checkpoint=" +
+                      ck),
+              0);
     const std::string text = readFile(ck);
     const auto commits = commitLines(text);
     ASSERT_GE(commits.size(), 2u);
     writeFile(ck, text.substr(0, commits[commits.size() - 2].first + 5));
 
     ASSERT_EQ(runGoat(args + " -freq=8 -ledger=" + ref), 0);
-    ASSERT_EQ(runGoat(args + " -freq=8 -resume=" + ck + " -checkpoint=" +
-                      ck + " -ledger=" + led),
+    ASSERT_EQ(runGoat(args + " -freq=8 -resume=" + ck +
+                      " -checkpoint-every=2 -checkpoint=" + ck +
+                      " -ledger=" + led),
               0);
     EXPECT_EQ(canonicalLedger(led), canonicalLedger(ref));
     CheckpointData back;
@@ -799,8 +805,7 @@ TEST(CheckpointLog, IsolateResumeKeepsSupervisedTallies)
     // so each commit carries its prefix's tallies and a resumed
     // campaign reports what an uninterrupted one does.
     const std::string args = "-kernel=hostile_segfault -isolate -d=2 "
-                             "-jobs=2 -keep-going -freq=20 "
-                             "-checkpoint-every=5";
+                             "-jobs=2 -keep-going -freq=20";
     const std::string ck = tmpPath("tally.ck");
     auto tallies = [](const std::string &out) {
         size_t at = out.find("supervised: ");
@@ -808,7 +813,8 @@ TEST(CheckpointLog, IsolateResumeKeepsSupervisedTallies)
         return end == std::string::npos ? std::string()
                                         : out.substr(at, end - at);
     };
-    const std::string whole = goatStdout(args + " -checkpoint=" + ck);
+    const std::string whole =
+        goatStdout(args + " -checkpoint-every=5 -checkpoint=" + ck);
     ASSERT_NE(tallies(whole), "") << whole;
     const std::string text = readFile(ck);
     size_t cut = 0;

@@ -30,7 +30,8 @@ Runs a tiny campaign through the goat CLI with -ledger and
     -saturation-out JSONL series is byte-identical between -jobs=1
     and -jobs=4 with its standalone HTML report alongside;
   * an -isolate campaign (forked shards under the supervisor) yields
-    the same canonical rows as the in-process -jobs=1 run;
+    the same canonical rows as the in-process -jobs=1 run, and its
+    -cov -report stdout the same "-- coverage requirements --" table;
   * a supervised campaign over the hostile_segfault fixture survives
     real child crashes: exit 0, classified "crashed" rows carrying
     crash_cause/respawns, and passing rows interleaved.
@@ -331,6 +332,19 @@ def run_goat(goat, kernel, iterations, ledger, trace=None, jobs=None,
              f"{proc.stderr}")
     if not ledger.exists():
         fail(f"ledger file not written (cmd: {' '.join(cmd)})")
+    return proc.stdout
+
+
+COV_TABLE = "\n-- coverage requirements --\n"
+
+
+def coverage_table(stdout, what):
+    """The coverage requirements table of a single-kernel -cov -report
+    run: the last section of its stdout."""
+    at = stdout.find(COV_TABLE)
+    if at < 0:
+        fail(f"{what}: stdout has no coverage requirements table")
+    return stdout[at + len(COV_TABLE):]
 
 
 def check_recipe_roundtrip(goat, kernel, recipe1, recipe4):
@@ -360,8 +374,10 @@ def main():
         ledger = Path(tmp) / "run.jsonl"
         trace = Path(tmp) / "trace.json"
         recipe1 = Path(tmp) / "bug.recipe"
-        run_goat(goat, kernel, iterations, ledger, trace=trace,
-                 record=recipe1)
+        table = coverage_table(
+            run_goat(goat, kernel, iterations, ledger, trace=trace,
+                     record=recipe1, extra=["-report"]),
+            "in-process run")
 
         lines = check_ledger(ledger, expect_min_lines=1)
 
@@ -401,13 +417,19 @@ def main():
         # irrelevant; worker/wseq/respawns are stripped as
         # placement accidents).
         isol = Path(tmp) / "isolate.jsonl"
-        run_goat(goat, kernel, iterations, isol, jobs=3,
-                 extra=["-isolate"])
+        itable = coverage_table(
+            run_goat(goat, kernel, iterations, isol, jobs=3,
+                     extra=["-isolate", "-report"]),
+            "-isolate run")
         ilines = check_ledger(isol, expect_min_lines=1)
         if canonical_rows(lines) != canonical_rows(ilines):
             fail("-isolate ledger content differs from in-process")
+        if itable != table:
+            fail("-isolate coverage requirements table differs from "
+                 "in-process")
         print(f"check_ledger: OK — isolated campaign: {len(ilines)} "
-              f"row(s) canonical with the in-process run")
+              f"row(s) and the coverage table ({table.count(chr(10))} "
+              f"line(s)) identical to the in-process run")
 
         # Supervised crash triage: the hostile_segfault fixture
         # genuinely segfaults its shard when the perturber delays the

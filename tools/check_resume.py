@@ -18,7 +18,9 @@ Scenarios:
   * the same three kill-and-resume legs with -cov, so the resumed
     campaign restores the checkpoint's coverage bitmap: every row's
     coverage_pct/covered/req_total must match the uninterrupted -cov
-    run as well as the rest of the canonical row;
+    run as well as the rest of the canonical row, and so must the
+    "-- coverage requirements --" table of -report stdout, also for a
+    resume of the finished log (which runs no further iteration);
   * SIGKILL at the default round size (64 iterations, so rounds are
     appended to the checkpoint log back to back), then the same log
     cut at a random byte inside its last round (a torn append): both
@@ -86,13 +88,15 @@ def canonical_rows(path):
 
 
 def cmd(goat, ledger, jobs=1, checkpoint=None, resume=None,
-        iters=ITERS, cov=False, every=EVERY, isolate=False):
+        iters=ITERS, cov=False, every=EVERY, isolate=False, report=False):
     c = [goat, f"-kernel={KERNEL}", f"-d={DELAY}", f"-freq={iters}",
          "-keep-going", f"-jobs={jobs}", f"-ledger={ledger}"]
     if isolate:
         c.append("-isolate")
     if cov:
         c.append("-cov")
+    if report:
+        c.append("-report")
     if checkpoint is not None:
         c.append(f"-checkpoint={checkpoint}")
         if every is not None:
@@ -108,6 +112,7 @@ def run(goat, ledger, **kw):
     if proc.returncode != 0:
         fail(f"goat exited {proc.returncode}: {proc.stdout}"
              f"{proc.stderr}")
+    return proc.stdout
 
 
 def kill_mid_run(goat, ledger, checkpoint, sig, jobs=1, cov=False,
@@ -223,14 +228,16 @@ def check_cov_resume(goat, tmp):
     """Kill-and-resume legs with -cov: jobs=1, jobs=4, and the jobs=4
     checkpoint resumed at jobs=1."""
     ref_ledger = tmp / "cov_ref.jsonl"
-    run(goat, ref_ledger, cov=True)
+    ref_table = check_ledger.coverage_table(
+        run(goat, ref_ledger, cov=True, report=True),
+        "uninterrupted -cov run")
     ref = canonical_rows(ref_ledger)
     ref_cov = coverage_series(ref, "uninterrupted -cov run")
     if len(ref) != ITERS:
         fail(f"-cov reference campaign has {len(ref)} rows, expected "
              f"{ITERS}")
 
-    def compare(path, what):
+    def compare(path, what, stdout):
         rows = canonical_rows(path)
         if coverage_series(rows, what) != ref_cov:
             fail(f"{what}: coverage_pct/covered/req_total differ from "
@@ -238,6 +245,9 @@ def check_cov_resume(goat, tmp):
         if rows != ref:
             fail(f"{what}: ledger differs from the uninterrupted -cov "
                  f"run")
+        if check_ledger.coverage_table(stdout, what) != ref_table:
+            fail(f"{what}: coverage requirements table differs from "
+                 f"the uninterrupted -cov run")
 
     for jobs in (1, 4):
         ck = tmp / f"cov_kill_j{jobs}.ck"
@@ -255,18 +265,30 @@ def check_cov_resume(goat, tmp):
             fail(f"-cov jobs={jobs} checkpoint carries no coverage "
                  f"bitmap")
         res = tmp / f"cov_res_j{jobs}.jsonl"
-        run(goat, res, jobs=jobs, resume=ck, cov=True)
+        # The jobs=1 resume extends its log to the whole budget.
+        out = run(goat, res, jobs=jobs, resume=ck, cov=True, report=True,
+                  checkpoint=ck if jobs == 1 else None)
         compare(res, f"-cov jobs={jobs} killed+resumed (cursor "
-                     f"{cursor})")
+                     f"{cursor})", out)
         print(f"check_resume: OK — -cov SIGKILL at iteration {cursor}, "
               f"resume at -jobs={jobs} canonical-identical incl. "
               f"coverage")
 
     cross = tmp / "cov_cross.jsonl"
-    run(goat, cross, jobs=1, resume=tmp / "cov_kill_j4.ck", cov=True)
-    compare(cross, "-cov -jobs=4 checkpoint resumed at -jobs=1")
+    out = run(goat, cross, jobs=1, resume=tmp / "cov_kill_j4.ck", cov=True,
+              report=True)
+    compare(cross, "-cov -jobs=4 checkpoint resumed at -jobs=1", out)
     print("check_resume: OK — -cov -jobs=4 checkpoint resumes at "
           "-jobs=1 canonical-identical incl. coverage")
+
+    # A resume of the finished log runs no iteration: its rows and its
+    # coverage table come from the checkpoint alone.
+    done = tmp / "cov_done.jsonl"
+    out = run(goat, done, resume=tmp / "cov_kill_j1.ck", cov=True,
+              report=True)
+    compare(done, "-cov resume of a finished log", out)
+    print("check_resume: OK — -cov resume of a finished log prints the "
+          "uninterrupted run's coverage table")
 
 
 def check_isolate_kill(goat, tmp, ref):

@@ -186,8 +186,9 @@ inline constexpr Flag kFlags[] = {
      "respawn budget per shard (default 16,\n"
      "requires -isolate)"},
     {"-checkpoint", "PATH", &Options::checkpoint_out, kCampaign,
-     "snapshot the merged campaign state to PATH\n"
-     "periodically (atomic tmp+rename)"},
+     "log the merged campaign state to PATH\n"
+     "periodically (append-only, one commit\n"
+     "line per round)"},
     {"-checkpoint-every", "N", &Options::checkpoint_every, kCampaign,
      "iterations per checkpoint round (default 64)"},
     {"-resume", "PATH", &Options::resume_in, kCampaign,

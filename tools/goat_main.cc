@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/fileio.hh"
@@ -544,6 +545,27 @@ main(int argc, char **argv)
         if (!(f->modes & mode)) {
             std::printf("%s does not apply to %s\n", f->name,
                         cli::kModeNames[std::countr_zero(mode)]);
+            return 2;
+        }
+    }
+    // A flag some modes read only beside another one, which the
+    // per-mode table cannot say: refused here rather than ignored.
+    static constexpr struct
+    {
+        const char *flag, *needs;
+        unsigned modes;
+    } kCompanions[] = {
+        {"-saturation-out", "-cov", cli::kRuns},
+        {"-record", "-minimize", cli::kReplay},
+        {"-checkpoint-every", "-checkpoint", cli::kCampaign},
+    };
+    auto given = [&](std::string_view name) {
+        return std::any_of(opt.given.begin(), opt.given.end(),
+                           [&](const cli::Flag *f) { return f->name == name; });
+    };
+    for (const auto &c : kCompanions) {
+        if ((c.modes & mode) && given(c.flag) && !given(c.needs)) {
+            std::printf("%s requires %s\n", c.flag, c.needs);
             return 2;
         }
     }

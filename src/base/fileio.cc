@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cstdio>
 
+#include <sys/stat.h>
+
 namespace goat {
 
 namespace {
@@ -42,6 +44,14 @@ atomicWriteFile(const std::string &path, const std::string &content)
         return false;
     }
     return true;
+}
+
+bool
+sameFile(const std::string &a, const std::string &b)
+{
+    struct stat x, y;
+    return ::stat(a.c_str(), &x) == 0 && ::stat(b.c_str(), &y) == 0 &&
+           x.st_dev == y.st_dev && x.st_ino == y.st_ino;
 }
 
 } // namespace goat

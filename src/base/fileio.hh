@@ -1,6 +1,6 @@
 /**
  * @file
- * Atomic artifact writes.
+ * Atomic artifact writes, and file identity (sameFile).
  *
  * Every whole-file artifact the toolchain produces (-trace/-html/
  * -record/-chrome-trace/-saturation-out/-predict-out/-lint-out/
@@ -25,6 +25,10 @@ namespace goat {
  * false on any persistent I/O failure (tmp unlinked best-effort).
  */
 bool atomicWriteFile(const std::string &path, const std::string &content);
+
+/** True when @p a and @p b name the same existing file (device and
+ *  inode). */
+bool sameFile(const std::string &a, const std::string &b);
 
 } // namespace goat
 

@@ -191,12 +191,28 @@ class RunLedger
     /** Write @p rows as consecutive lines with one write and one flush. */
     void appendBatch(const std::vector<LedgerEntry> &rows);
 
+    /**
+     * Copy bytes [@p from, @p to) of the file at @p path to the end of
+     * this one, and flush (a resumed campaign's committed rows, from
+     * the ledger its checkpoint recorded). False on a short read or a
+     * failed write.
+     */
+    bool appendRange(const std::string &path, uint64_t from, uint64_t to);
+
+    /** Lines written by append/appendBatch. */
     size_t linesWritten() const { return lines_; }
 
+    /** Bytes in the file: where the next line starts. */
+    uint64_t bytes() const { return bytes_; }
+
   private:
+    /** Write @p n bytes of @p data and flush; false on a short write. */
+    bool write(const char *data, size_t n);
+
     std::string path_;
     std::FILE *f_ = nullptr;
     size_t lines_ = 0;
+    uint64_t bytes_ = 0;
     /** appendBatch's render buffer, reused across batches. */
     std::string buf_;
 };

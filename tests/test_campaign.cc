@@ -531,21 +531,21 @@ canonicalLedger(const std::string &path)
 }
 
 /**
- * A checkpoint log line by line, with the same fields dropped as from
- * ledger rows and without commit byte offsets (they count the dropped
- * bytes).
+ * A checkpoint log line by line, without the fields host timing moves:
+ * a row line's wall_us (its sixth field), a state line's ledger end
+ * (the ledger rows carry metrics), and commit byte offsets (they count
+ * both).
  */
 std::vector<std::string>
 canonicalLog(const std::string &path)
 {
+    static const std::regex wall("^(row( [^ ]+){5}) [0-9]+");
     std::vector<std::string> out;
     for (const std::string &line : readLines(path)) {
-        if (line.rfind("wall_us ", 0) == 0 || line.rfind("worker ", 0) == 0 ||
-            line.rfind("wseq ", 0) == 0)
-            continue;
-        if (line.rfind("metrics ", 0) == 0)
-            out.push_back("metrics " + canonicalMetrics(line.substr(8)));
-        else if (line.rfind("commit ", 0) == 0)
+        if (line.rfind("row ", 0) == 0)
+            out.push_back(std::regex_replace(line, wall, "$1"));
+        else if (line.rfind("state ", 0) == 0 ||
+                 line.rfind("commit ", 0) == 0)
             out.push_back(line.substr(0, line.rfind(' ')));
         else
             out.push_back(line);
@@ -586,7 +586,9 @@ runCanonical(CampaignConfig cfg, const goker::KernelInfo &k)
 {
     const std::string stem = testStem();
     cfg.engine.ledgerPath = stem + ".jsonl";
-    std::remove(cfg.engine.ledgerPath.c_str());
+    // A resume continues the ledger its checkpoint recorded.
+    if (cfg.resumePath.empty())
+        std::remove(cfg.engine.ledgerPath.c_str());
     if (cfg.checkpointEvery > 0)
         cfg.checkpointPath = stem + ".ck";
     if (cfg.minimize)
@@ -726,7 +728,9 @@ TEST(Campaign, FirstBugStampsMatchAcrossExecutors)
     ASSERT_FALSE(ref.minRecipe.empty());
 
     // The reference run's log, cut after its first commit (cursor 16):
-    // the committed prefix holds the bug row.
+    // the committed prefix holds the bug row, and the reference ledger
+    // its rows.
+    const std::string ledger = readFile(testStem() + ".jsonl");
     const std::string log = readFile(testStem() + ".ck");
     const size_t commit = log.find("\ncommit 16 ");
     ASSERT_NE(commit, std::string::npos);
@@ -744,7 +748,12 @@ TEST(Campaign, FirstBugStampsMatchAcrossExecutors)
             c.isolate = true;
             c.jobs = 2;
         } else {
+            // The resume continues the reference ledger, truncated back
+            // to the commit.
             c.resumePath = cut;
+            std::ofstream out(testStem() + ".jsonl",
+                              std::ios::binary | std::ios::trunc);
+            out << ledger;
         }
         SCOPED_TRACE(leg == 0 ? "jobs=4" : leg == 1 ? "isolate" : "resume");
         const CanonicalRun run = runCanonical(c, k);

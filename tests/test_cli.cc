@@ -489,7 +489,7 @@ TEST(CliExit, RecordThenReplayRoundTrips)
 TEST(CliExit, CheckpointArtifactContract)
 {
     // A checkpoint pointing at an unwritable path fails the run (1);
-    // a writable one leaves a parseable v2 checkpoint log behind.
+    // a writable one leaves a parseable v3 checkpoint log behind.
     EXPECT_EQ(runGoat(std::string(kBugRun) +
                       " -checkpoint=/nonexistent-goat-dir/c.ck"),
               1);
@@ -501,7 +501,7 @@ TEST(CliExit, CheckpointArtifactContract)
     std::ifstream in(ck);
     std::string magic;
     std::getline(in, magic);
-    EXPECT_EQ(magic, "# goat-checkpoint v2");
+    EXPECT_EQ(magic, "# goat-checkpoint v3");
     std::remove(ck.c_str());
 }
 

@@ -570,6 +570,32 @@ TEST(Ledger, EntryJsonShape)
     EXPECT_EQ(json.find('\n'), std::string::npos);
 }
 
+TEST(Ledger, CoveragePctRendersLikePrintf)
+{
+    // The row renders coverage_pct with std::to_chars(fixed, 3), which
+    // rounds the exact binary value like printf's %.3f: 0, 100, every
+    // k/n percentage for n <= 300 (CoverageState::percent's
+    // expression), and the x.xxx5 ties, whose binary values lie on
+    // either side of the midpoint.
+    std::vector<double> values = {0.0, 100.0};
+    for (int n = 1; n <= 300; ++n)
+        for (int k = 0; k <= n; ++k)
+            values.push_back(100.0 * static_cast<double>(k) /
+                             static_cast<double>(n));
+    for (int m = 0; m < 100000; ++m)
+        values.push_back(m / 1000.0 + 0.0005);
+    LedgerEntry e;
+    size_t mismatches = 0;
+    for (double v : values) {
+        e.coveragePct = v;
+        const std::string json = ledgerEntryJson(e);
+        const std::string want = strFormat("\"coverage_pct\":%.3f,", v);
+        if (json.find(want) == std::string::npos && ++mismatches <= 5)
+            ADD_FAILURE() << json << " lacks " << want;
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(Ledger, UnmeasuredCoverageOmitted)
 {
     LedgerEntry e;

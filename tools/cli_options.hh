@@ -194,7 +194,8 @@ inline constexpr Flag kFlags[] = {
     {"-resume", "PATH", &Options::resume_in, kCampaign,
      "restore a checkpoint and continue; merged\n"
      "results are identical to an uninterrupted\n"
-     "run"},
+     "run (with -ledger=, the ledger the\n"
+     "checkpoint recorded must still hold its rows)"},
     {"-keep-going", "", &Options::keep_going, kRuns,
      "run every iteration instead of stopping\n"
      "at the first bug (soak campaigns)"},

@@ -45,17 +45,22 @@ std::vector<std::string>
 strSplit(const std::string &s, char sep)
 {
     std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (c == sep) {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    out.push_back(cur);
+    for (std::string_view f : strSplitView(s, sep))
+        out.emplace_back(f);
     return out;
+}
+
+std::vector<std::string_view>
+strSplitView(std::string_view s, char sep)
+{
+    std::vector<std::string_view> out;
+    for (size_t pos = 0;;) {
+        size_t at = s.find(sep, pos);
+        out.push_back(s.substr(pos, at - pos));
+        if (at == std::string_view::npos)
+            return out;
+        pos = at + 1;
+    }
 }
 
 std::string

@@ -36,6 +36,9 @@ std::string strJoin(const std::vector<std::string> &parts,
 /** Split a string on a single-character separator (keeps empty fields). */
 std::vector<std::string> strSplit(const std::string &s, char sep);
 
+/** strSplit() as views into @p s, which must outlive them. */
+std::vector<std::string_view> strSplitView(std::string_view s, char sep);
+
 /** Strip leading/trailing ASCII whitespace. */
 std::string strTrim(const std::string &s);
 
@@ -61,6 +64,20 @@ parseNum(std::string_view s, T *out, int base = 10)
     else
         res = std::from_chars(s.data(), end, *out, base ? base : 10);
     return !s.empty() && res.ec == std::errc() && res.ptr == end;
+}
+
+/**
+ * Append the decimal form of @p v (what operator<< would print for an
+ * integer; the shortest round-tripping form for a double), without
+ * printf's format parse.
+ */
+template <class T>
+void
+appendNum(std::string &out, T v)
+{
+    char buf[32];
+    auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, res.ptr);
 }
 
 /** True if @p s starts with @p prefix. */

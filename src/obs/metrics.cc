@@ -1,7 +1,6 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <numeric>
 #include <sstream>
 #include <unordered_map>
@@ -452,20 +451,6 @@ Registry::snapshot() const
     }
     return s;
 }
-
-namespace {
-
-/** Append the decimal form of @p v (what operator<< would print). */
-template <class T>
-void
-appendNum(std::string &out, T v)
-{
-    char buf[24];
-    auto res = std::to_chars(buf, buf + sizeof buf, v);
-    out.append(buf, res.ptr);
-}
-
-} // namespace
 
 std::string
 Registry::deltaJson()

@@ -18,12 +18,12 @@
  * exists for.
  *
  * Registered with GOKER_HOSTILE_KERNEL: excluded from registry all(),
- * reachable only by name or via the CLI's -kernel=hostile sweep
- * (which requires -isolate).
+ * reachable only by name or by the -isolate -kernel=hostile sweep.
  */
 
 #include "goker/kernels_common.hh"
 
+#include <csignal>
 #include <cstdint>
 #include <vector>
 
@@ -49,14 +49,14 @@ GOKER_HOSTILE_KERNEL(hostile_segfault,
         st->ready = true;
         st->done.send(Unit{});
     });
-    goNamed("reader", [st] {
+    goNamed("reader", [st]() __attribute__((no_sanitize("null"))) {
         if (!st->ready) {
             // Publisher was delayed mid-handoff: p is still null. A
-            // real crash, on purpose — the supervisor classifies it
-            // "sigsegv".
+            // real crash, on purpose, that dies by SIGSEGV in any build
+            // (no UBSan null check, no sanitizer's own SEGV handler).
+            std::signal(SIGSEGV, SIG_DFL);
             volatile int *vp = st->p;
-            int v = *vp;
-            (void)v;
+            (void)*vp;
         }
         st->done.send(Unit{});
     });

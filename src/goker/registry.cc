@@ -1,6 +1,9 @@
 #include "goker/registry.hh"
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <set>
 
 #include "staticmodel/flowgraph.hh"
@@ -30,6 +33,9 @@ KernelRegistry::instance()
 void
 KernelRegistry::add(KernelInfo info)
 {
+    std::vector<int> &lines = lines_[info.sourceFile];
+    lines.insert(std::upper_bound(lines.begin(), lines.end(), info.line),
+                 info.line);
     kernels_.push_back(std::move(info));
 }
 
@@ -114,25 +120,52 @@ kernelSpan(const KernelInfo &kernel)
 {
     // The kernel's span runs from its registration line to the next
     // registration in the same file (or EOF).
-    int begin = kernel.line;
     int end = 1 << 30;
-    KernelRegistry &reg = KernelRegistry::instance();
-    for (const auto *k : reg.all()) {
-        if (k->sourceFile == kernel.sourceFile && k->line > begin)
-            end = std::min(end, k->line);
+    const auto &byFile = KernelRegistry::instance().lines_;
+    auto file = byFile.find(kernel.sourceFile);
+    if (file != byFile.end()) {
+        auto next = std::upper_bound(file->second.begin(),
+                                     file->second.end(), kernel.line);
+        if (next != file->second.end())
+            end = *next;
     }
-    for (const auto *k : reg.allHostile()) {
-        if (k->sourceFile == kernel.sourceFile && k->line > begin)
-            end = std::min(end, k->line);
-    }
-    return {static_cast<uint32_t>(begin), static_cast<uint32_t>(end)};
+    return {static_cast<uint32_t>(kernel.line), static_cast<uint32_t>(end)};
 }
+
+namespace {
+
+/**
+ * The process's one scan of @p path: the first caller (from any
+ * thread) runs @p scanPath, every later one gets the same object,
+ * never rebuilt. A missing file memoizes as the empty scan.
+ */
+template <class Scan>
+const Scan &
+sharedScan(const std::string &path, Scan (*scanPath)(const std::string &))
+{
+    static std::mutex mu;
+    static std::map<std::string, std::unique_ptr<const Scan>> memo;
+    std::lock_guard<std::mutex> lock(mu);
+    std::unique_ptr<const Scan> &slot = memo[path];
+    if (!slot)
+        slot = std::make_unique<const Scan>(scanPath(path));
+    return *slot;
+}
+
+const staticmodel::SrcScan &
+sharedRegions(const KernelInfo &kernel)
+{
+    return sharedScan(kernel.sourceFile, &staticmodel::scanRegionsFile);
+}
+
+} // namespace
 
 staticmodel::CuTable
 kernelCuTable(const KernelInfo &kernel)
 {
     auto [begin, end] = kernelSpan(kernel);
-    staticmodel::CuTable full = staticmodel::scanFile(kernel.sourceFile);
+    const staticmodel::CuTable &full =
+        sharedScan(kernel.sourceFile, &staticmodel::scanFile);
     staticmodel::CuTable out;
     for (const auto &cu : full.all()) {
         if (cu.loc.line >= begin && cu.loc.line < end)
@@ -145,16 +178,15 @@ staticmodel::LintReport
 kernelLintReport(const KernelInfo &kernel)
 {
     auto [begin, end] = kernelSpan(kernel);
-    return staticmodel::lintScan(
-        staticmodel::scanRegionsFile(kernel.sourceFile), begin, end);
+    return staticmodel::lintScan(sharedRegions(kernel), begin, end);
 }
 
 std::string
 kernelMhpPairsStr(const KernelInfo &kernel)
 {
     auto [begin, end] = kernelSpan(kernel);
-    staticmodel::FlowGraph fg = staticmodel::buildFlowGraph(
-        staticmodel::scanRegionsFile(kernel.sourceFile), begin, end);
+    staticmodel::FlowGraph fg =
+        staticmodel::buildFlowGraph(sharedRegions(kernel), begin, end);
     return staticmodel::mhpPairsStr(staticmodel::MhpAnalysis(fg));
 }
 
@@ -162,8 +194,8 @@ std::vector<SourceLoc>
 kernelMhpSites(const KernelInfo &kernel)
 {
     auto [begin, end] = kernelSpan(kernel);
-    staticmodel::FlowGraph fg = staticmodel::buildFlowGraph(
-        staticmodel::scanRegionsFile(kernel.sourceFile), begin, end);
+    staticmodel::FlowGraph fg =
+        staticmodel::buildFlowGraph(sharedRegions(kernel), begin, end);
     return staticmodel::mhpSites(staticmodel::MhpAnalysis(fg));
 }
 

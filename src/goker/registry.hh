@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -86,7 +87,11 @@ class KernelRegistry
     size_t size() const { return kernels_.size(); }
 
   private:
+    friend std::pair<uint32_t, uint32_t> kernelSpan(const KernelInfo &);
+
     std::vector<KernelInfo> kernels_;
+    /** Registration lines per source file, sorted (kernelSpan). */
+    std::map<std::string, std::vector<int>> lines_;
 };
 
 /** Static registration helper used by GOKER_KERNEL. */
@@ -98,15 +103,21 @@ struct KernelAutoReg
 };
 
 /**
- * Build the static CU model of one kernel by scanning its source file
- * and keeping the CUs inside the kernel's line span (bounded by the
- * next kernel registration in the same file).
+ * Build the static CU model of one kernel: the CUs of its source
+ * file that lie inside the kernel's line span (bounded by the next
+ * kernel registration in the same file). The file is scanned once per
+ * process, on the first call for any of its kernels, and every later
+ * call (from any thread) slices that shared scan. The region scan
+ * behind kernelLintReport, kernelMhpPairsStr and kernelMhpSites is
+ * shared the same way. A missing file gives empty results.
  */
 staticmodel::CuTable kernelCuTable(const KernelInfo &kernel);
 
 /**
  * Line span [begin, end) of @p kernel in its source file: from its
- * registration line to the next registration in the same file.
+ * registration line to the next registration in the same file (end =
+ * 1<<30 when none follows). A lookup in the file's sorted
+ * registration lines, which the registry keeps as kernels register.
  */
 std::pair<uint32_t, uint32_t> kernelSpan(const KernelInfo &kernel);
 

@@ -87,6 +87,8 @@ buildFlowGraph(const SrcScan &scan, uint32_t beginLine, uint32_t endLine)
 {
     FlowGraph g;
     g.file = scan.file;
+    if (scan.scopes.empty()) // missing file: no scope, no unit
+        return g;
     const int nScopes = static_cast<int>(scan.scopes.size());
 
     auto scopeInRange = [&](int s) {

@@ -28,6 +28,7 @@
 #include "base/interrupt.hh"
 #include "base/logging.hh"
 #include "campaign/checkpoint.hh"
+#include "campaign/iteration.hh"
 #include "campaign/supervisor.hh"
 #include "obs/builtin_metrics.hh"
 #include "obs/ledger.hh"
@@ -116,126 +117,53 @@ ioFromRow(const obs::LedgerEntry &e)
     return io;
 }
 
-/**
- * Everything one worker records about one executed iteration. Records
- * reach the fold through the reorder window (or, under -isolate, from
- * a shard's digest) and are freed once folded. The trace itself is
- * dropped after analysis (except for the worker's first bug) — only
- * the merge-relevant digest is kept.
- */
-struct IterRecord
-{
-    int iter = 0;
-    /** Worker that ran it, and the 1-based sequence number there. */
-    int worker = 0;
-    int wseq = 0;
-    runtime::ExecResult exec;
-    analysis::DeadlockReport dl;
-    /** dl.buggy() or watchdog; races are folded in canonically. */
-    bool coreBug = false;
-    /**
-     * A supervised shard loss (-isolate): kCrashed (the shard died on
-     * this iteration; crashCause names how) or kTimedOut (its watchdog
-     * fired); "" for an iteration that ran to completion. A loss is a
-     * bug exempt from -stop-on-bug: the supervisor's whole point is
-     * that the campaign continues past it.
-     */
-    std::string loss;
-    std::string crashCause;
-    /** The shard's respawns before the loss (-1 = not a loss). */
-    int respawns = -1;
-    uint64_t wallMicros = 0;
-    /** This iteration's coverage contribution (with -cov). */
-    CoverageDelta cov;
-    /** Worker-registry delta over this iteration, rendered once as the
-     *  ledger's metrics JSON (with a ledger). */
-    std::string metricsJson;
-    /** Stage-profiler delta over this iteration (with profile). */
-    obs::ProfileSnapshot profileDelta;
-    /**
-     * Predictive-analysis report over this iteration's trace (with
-     * predict) — a pure function of the trace, so computed in the
-     * worker; the merge folds and confirms canonically.
-     */
-    analysis::PredictionReport predictions;
-    /** The iteration's schedule recipe (with predict): the base the
-     * merge synthesizes confirmation replays from. */
-    trace::Recipe recipe;
-    /**
-     * The worker's first data race (with -race), on that iteration
-     * only. Each worker claims increasing indices, so its first race
-     * is its lowest one, and the first folded record carrying a race
-     * is the first race a sequential campaign would find.
-     */
-    std::unique_ptr<analysis::RaceReport> race;
-    /**
-     * Full capture of the worker's first buggy run, on that iteration
-     * only: the report material of the canonical first bug, which is
-     * necessarily some worker's first.
-     */
-    std::unique_ptr<SingleRun> bugRun;
-};
+} // namespace
 
-/**
- * One worker: a private metrics registry and stage profiler (installed
- * thread-locally around each of its iterations, so the scheduler and
- * engine bookkeeping of one worker never touch another's instruments),
- * a coverage scratch computing per-iteration deltas on the campaign's
- * shared universe, and a happens-before scratch for -predict and -race.
- */
-struct Worker
+Worker::Worker(int i, const std::shared_ptr<const CoverageUniverse> &u)
+    : id(i), scratch(u), iterations(registry.counter(ids().iterations)),
+      bugs(registry.counter(ids().bugsFound)),
+      iterWall(registry.histogram(ids().iterWallUs))
 {
-    Worker(int i, const std::shared_ptr<const CoverageUniverse> &u)
-        : id(i), scratch(u),
-          iterations(registry.counter(ids().iterations)),
-          bugs(registry.counter(ids().bugsFound)),
-          iterWall(registry.histogram(ids().iterWallUs))
+}
+
+void
+IterRecord::reuse()
+{
+    IterRecord fresh;
+    std::swap(fresh.exec, exec);
+    std::swap(fresh.cov, cov);
+    std::swap(fresh.metricsJson, metricsJson);
+    fresh.cov.clear();
+    fresh.metricsJson.clear();
+    *this = std::move(fresh);
+}
+
+std::unique_ptr<IterRecord>
+Shared::record()
+{
+    std::unique_ptr<IterRecord> rec;
     {
+        std::lock_guard<std::mutex> lock(spareMu_);
+        if (!spares_.empty()) {
+            rec = std::move(spares_.back());
+            spares_.pop_back();
+        }
     }
+    if (!rec) {
+        made_.fetch_add(1, std::memory_order_relaxed);
+        return std::make_unique<IterRecord>();
+    }
+    rec->reuse();
+    return rec;
+}
 
-    int id;
-    obs::Registry registry;
-    /** Private stage profiler (installed thread-locally when on). */
-    obs::Profiler profiler;
-    CoverageScratch scratch;
-    /** Walker and phase-one tables of -predict and -race. */
-    analysis::HbScratch hb;
-    obs::Counter &iterations;
-    obs::Counter &bugs;
-    obs::Histogram &iterWall;
-    /** Iterations run to completion (the ledger's wseq). */
-    int ran = 0;
-    /** A first race / first bug was captured. */
-    bool raced = false;
-    bool bugged = false;
-    /** Stage-profiler fold over every iteration run (with profile). */
-    obs::ProfileSnapshot executedProfile;
-};
-
-/** State shared by all workers of one campaign. */
-struct Shared
+void
+Shared::recycle(std::unique_ptr<IterRecord> rec)
 {
-    const CampaignConfig &cfg;
-    const std::function<void()> &program;
-    /**
-     * Early-stop broadcast: lowest iteration known to satisfy a stop
-     * condition. Claims beyond it are pointless — the merge will
-     * discard them — so workers exit instead. Never below the
-     * canonical stop point (broadcast values are upper bounds on it),
-     * so every iteration the merge needs is guaranteed to execute.
-     */
-    std::atomic<int> stopAt;
+    std::lock_guard<std::mutex> lock(spareMu_);
+    spares_.push_back(std::move(rec));
+}
 
-    Shared(const CampaignConfig &c, const std::function<void()> &p)
-        : cfg(c), program(p), stopAt(c.engine.maxIterations)
-    {
-    }
-};
-
-/**
- * Run iteration @p iter on @p w and digest it into a record; nullptr
- * when an interrupt cut the run short.
- */
 std::unique_ptr<IterRecord>
 runIteration(Shared &sh, Worker &w, int iter)
 {
@@ -255,7 +183,7 @@ runIteration(Shared &sh, Worker &w, int iter)
     if (sr.exec.interrupted)
         return nullptr;
 
-    auto rec = std::make_unique<IterRecord>();
+    std::unique_ptr<IterRecord> rec = sh.record();
     rec->iter = iter;
     rec->worker = w.id;
     rec->wseq = ++w.ran;
@@ -314,10 +242,10 @@ runIteration(Shared &sh, Worker &w, int iter)
             static_cast<unsigned long long>(rec->wallMicros)));
     }
 
-    // Rendered here, once: the ledger row carries the JSON, not a
-    // snapshot.
+    // Rendered here, once, into the record's own string: the ledger
+    // row carries the JSON, not a snapshot.
     if (!cfg.ledgerPath.empty())
-        rec->metricsJson = w.registry.deltaJson();
+        w.registry.deltaJson(&rec->metricsJson);
 
     // Draining per iteration resets the sampling phase, so the delta
     // (and under a deterministic clock, its histogram) is a pure
@@ -333,6 +261,8 @@ runIteration(Shared &sh, Worker &w, int iter)
                                        local_bug);
     return rec;
 }
+
+namespace {
 
 /** Reorder-window slots per worker (the window is this times -jobs). */
 constexpr int kWindowPerJob = 64;
@@ -538,9 +468,6 @@ workerLoop(Shared &sh, Window &win, Worker &w)
 /** Iterations a campaign runs on its own thread before it fans out. */
 constexpr int kInlineIterations = 16;
 
-/** Ledger rows buffered between writes (a fold batch is usually less). */
-constexpr size_t kLedgerBatchRows = 256;
-
 /**
  * The canonical fold's bookkeeping (the heavy material — saturation,
  * iterations, bug state — lives in the result being built), and the
@@ -586,8 +513,6 @@ struct FoldState
     LedgerSpan span;
     /** Restored rows the ledger already holds (a v3 resume). */
     size_t keptRows = 0;
-    /** Rows folded since the last ledger write. */
-    std::vector<obs::LedgerEntry> batch;
 
     FoldState(const CampaignConfig &c, const std::function<void()> &p,
               CampaignResult &o,
@@ -596,24 +521,20 @@ struct FoldState
     {
     }
 
-    /** Send a finished (stamped) row to the ledger. */
+    /** Render a finished (stamped) row into the ledger's write buffer. */
     void
-    emitRow(obs::LedgerEntry &&e)
+    emitRow(const obs::LedgerEntry &e)
     {
-        if (!ledger)
-            return;
-        batch.push_back(std::move(e));
-        if (batch.size() >= kLedgerBatchRows)
-            flushLedger();
+        if (ledger)
+            ledger->stage(e);
     }
 
-    /** Write the buffered rows with one write. */
+    /** Write the staged rows with one write. */
     void
     flushLedger()
     {
         if (ledger)
-            ledger->appendBatch(batch);
-        batch.clear();
+            ledger->flush();
     }
 
     /** The span of the rows written so far. */
@@ -1014,8 +935,12 @@ fold(FoldState &fs, IterRecord &rec)
     }
     if (first_bug)
         finishFirstBug(fs, e);
-    if (want_rows)
-        fs.emitRow(std::move(e));
+    if (want_rows) {
+        fs.emitRow(e);
+        // The row borrowed the record's metrics string: hand it back,
+        // so the worker reuses the buffer and the fold frees nothing.
+        rec.metricsJson = std::move(e.metricsJson);
+    }
 
     io.exec = rec.exec;
     io.dl = std::move(rec.dl);
@@ -1394,7 +1319,7 @@ beginFold(FoldState &fs)
         obs::LedgerEntry row = restored;
         if (row.iteration == bug)
             finishFirstBug(fs, row);
-        fs.emitRow(std::move(row));
+        fs.emitRow(row);
     }
     fs.flushLedger();
     ck.ledger = fs.ledgerSpan();
@@ -1512,6 +1437,7 @@ runCampaign(const CampaignConfig &cfg, const std::function<void()> &program)
             if (!rec)
                 break; // cut short mid-run: drop the partial record
             fold(fs, *rec);
+            sh.recycle(std::move(rec));
         }
     }
     // Fan out what is left to worker threads, while this thread folds
@@ -1537,6 +1463,7 @@ runCampaign(const CampaignConfig &cfg, const std::function<void()> &program)
                 if (!rec)
                     break;
                 fold(fs, *rec);
+                sh.recycle(std::move(rec));
                 win.advance(fs.cursor);
             }
             if (fs.stopped || fs.cursor >= budget || drained)
@@ -1580,6 +1507,7 @@ runCampaign(const CampaignConfig &cfg, const std::function<void()> &program)
     }
 
     out.cutoffIteration = fs.cursor;
+    out.recordsMade = sh.made();
     out.executedIterations = restored_executed + shard_resolved;
     for (const auto &w : workers)
         out.executedIterations += w->ran;

@@ -21,7 +21,8 @@
  *    are its other workers made — and the workers claim iterations
  *    from an atomic counter and hand their records to the campaign
  *    thread through a bounded reorder window, an atomic stop watermark
- *    carrying the early-stop broadcast;
+ *    carrying the early-stop broadcast; the fold hands each folded
+ *    record back for the next iteration to reuse (iteration.hh);
  *  - forked shards (-isolate, replacing the other two): each child
  *    runs the same iteration code and ships its record's row and
  *    coverage over a pipe (supervisor.hh), and the campaign thread
@@ -206,6 +207,10 @@ struct CampaignResult
     /** Most records that ever waited in the window at once (0 = never
      *  fanned out). */
     int windowPeak = 0;
+    /** Iteration records the in-process executors made. Folded records
+     *  are reused, so this is at most `window` (1 without a fan-out;
+     *  0 under -isolate, whose shards make their own). */
+    int recordsMade = 0;
     /** Campaign wall time, microseconds. */
     uint64_t wallMicros = 0;
     /** The per-worker metric registries, folded into one. */

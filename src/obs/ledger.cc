@@ -132,8 +132,10 @@ RunLedger::RunLedger(const std::string &path)
 
 RunLedger::~RunLedger()
 {
-    if (f_)
+    if (f_) {
+        flush();
         std::fclose(f_);
+    }
 }
 
 bool
@@ -147,26 +149,30 @@ RunLedger::write(const char *data, size_t n)
 void
 RunLedger::append(const LedgerEntry &e)
 {
-    if (!f_)
-        return;
-    std::string line = ledgerEntryJson(e);
-    line += '\n';
-    write(line.data(), line.size());
-    ++lines_;
+    stage(e);
+    flush();
 }
 
 void
-RunLedger::appendBatch(const std::vector<LedgerEntry> &rows)
+RunLedger::stage(const LedgerEntry &e)
 {
-    if (!f_ || rows.empty())
+    if (!f_)
         return;
-    buf_.clear();
-    for (const LedgerEntry &e : rows) {
-        appendEntryJson(buf_, e);
-        buf_ += '\n';
-    }
+    appendEntryJson(buf_, e);
+    buf_ += '\n';
+    if (++staged_ >= kStagedRows)
+        flush();
+}
+
+void
+RunLedger::flush()
+{
+    if (!f_ || staged_ == 0)
+        return;
     write(buf_.data(), buf_.size());
-    lines_ += rows.size();
+    lines_ += staged_;
+    staged_ = 0;
+    buf_.clear();
 }
 
 bool
@@ -174,6 +180,7 @@ RunLedger::appendRange(const std::string &path, uint64_t from, uint64_t to)
 {
     if (!f_)
         return false;
+    flush();
     std::FILE *in = std::fopen(path.c_str(), "rb");
     if (!in)
         return false;

@@ -164,16 +164,25 @@ struct LedgerEntry
 std::string ledgerEntryJson(const LedgerEntry &e);
 
 /**
- * Append-only JSONL writer. append() flushes every line as it is
- * written, so the file is complete up to the last appended row even if
- * the process crashes or is killed; appendBatch() writes a campaign's
- * fold batch with one write and one flush.
+ * Append-only JSONL writer. append() writes and flushes every line as
+ * it is appended, so the file is complete up to the last appended row
+ * even if the process crashes or is killed. A campaign's fold stages
+ * its rows instead: stage() renders a row straight into the write
+ * buffer, which is written with one write and one flush every
+ * kStagedRows rows and on flush(). The fold flushes before a
+ * checkpoint commit records bytes(), and before it sleeps, so the rows
+ * on disk never lag a commit and keep streaming while the campaign
+ * runs.
  */
 class RunLedger
 {
   public:
+    /** Rows the write buffer holds before stage() writes them. */
+    static constexpr size_t kStagedRows = 256;
+
     /** Open @p path for appending ("" = disabled, every call no-ops). */
     explicit RunLedger(const std::string &path);
+    /** Writes the staged rows. */
     ~RunLedger();
 
     RunLedger(const RunLedger &) = delete;
@@ -185,24 +194,30 @@ class RunLedger
     /** True when lines are actually being written. */
     bool enabled() const { return f_ != nullptr; }
 
-    /** Write one entry as one line. */
+    /** Write one entry as one line (after any staged rows). */
     void append(const LedgerEntry &e);
 
-    /** Write @p rows as consecutive lines with one write and one flush. */
-    void appendBatch(const std::vector<LedgerEntry> &rows);
+    /**
+     * Render @p e as one line at the end of the write buffer; write the
+     * buffer once it holds kStagedRows rows.
+     */
+    void stage(const LedgerEntry &e);
+
+    /** Write the staged rows with one write and one flush. */
+    void flush();
 
     /**
      * Copy bytes [@p from, @p to) of the file at @p path to the end of
-     * this one, and flush (a resumed campaign's committed rows, from
-     * the ledger its checkpoint recorded). False on a short read or a
-     * failed write.
+     * this one, after any staged rows, and flush (a resumed campaign's
+     * committed rows, from the ledger its checkpoint recorded). False
+     * on a short read or a failed write.
      */
     bool appendRange(const std::string &path, uint64_t from, uint64_t to);
 
-    /** Lines written by append/appendBatch. */
+    /** Lines written to the file (staged rows count once flushed). */
     size_t linesWritten() const { return lines_; }
 
-    /** Bytes in the file: where the next line starts. */
+    /** Bytes in the file: where the next written line starts. */
     uint64_t bytes() const { return bytes_; }
 
   private:
@@ -213,8 +228,9 @@ class RunLedger
     std::FILE *f_ = nullptr;
     size_t lines_ = 0;
     uint64_t bytes_ = 0;
-    /** appendBatch's render buffer, reused across batches. */
+    /** Staged rows, rendered; the buffer keeps its capacity. */
     std::string buf_;
+    size_t staged_ = 0;
 };
 
 } // namespace goat::obs

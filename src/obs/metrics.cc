@@ -306,7 +306,6 @@ Registry::Registry(const Registry &o)
     for (const auto &h : o.histograms_)
         histograms_.push_back(h ? std::make_unique<Histogram>(*h) : nullptr);
     registered_ = o.registered_;
-    deltaBytes_ = o.deltaBytes_;
 }
 
 Registry &
@@ -319,7 +318,6 @@ Registry::operator=(const Registry &o)
         gauges_ = std::move(copy.gauges_);
         histograms_ = std::move(copy.histograms_);
         registered_ = std::move(copy.registered_);
-        deltaBytes_ = copy.deltaBytes_;
     }
     return *this;
 }
@@ -452,14 +450,13 @@ Registry::snapshot() const
     return s;
 }
 
-std::string
-Registry::deltaJson()
+void
+Registry::deltaJson(std::string *dst)
 {
     std::lock_guard<std::mutex> guard(mtx_);
     const std::shared_ptr<const NameView> v = nameTable().view();
-    std::string out;
-    out.reserve(deltaBytes_ + 64);
-    out += "{\"counters\":{";
+    std::string &out = *dst;
+    out.assign("{\"counters\":{");
     bool first = true;
     for (uint32_t id : v->sorted[kC]) {
         if (!registered_.counters.has(id))
@@ -515,8 +512,6 @@ Registry::deltaJson()
         out += '}';
     }
     out += "}}";
-    deltaBytes_ = out.size();
-    return out;
 }
 
 void

@@ -17,7 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "base/fmt.hh"
 #include "campaign/campaign.hh"
+#include "campaign/checkpoint.hh"
+#include "campaign/iteration.hh"
 #include "goker/registry.hh"
 #include "obs/profile.hh"
 
@@ -767,8 +770,8 @@ TEST(Campaign, FirstBugStampsMatchAcrossExecutors)
 
 // Rows the fold stamps (predicted_confirmed here) stream like any
 // other: each is final when it folds, so a -predict campaign's ledger
-// has its first full batch (kLedgerBatchRows, 256 rows in campaign.cc)
-// on disk while the campaign is still running. The program reads the
+// has its first full write buffer (RunLedger::kStagedRows, 256 rows) on
+// disk while the campaign is still running. The program reads the
 // ledger on its 500th call (iterations and confirmation replays).
 TEST(Campaign, StampableRowsStream)
 {
@@ -792,6 +795,117 @@ TEST(Campaign, StampableRowsStream)
     EXPECT_GE(lines_mid_run, 256u);
     EXPECT_EQ(lineCount(cfg.engine.ledgerPath), 600u);
     std::remove(cfg.engine.ledgerPath.c_str());
+}
+
+// A folded record goes back to the campaign's spare list, and the next
+// iteration any worker runs reuses it. Reuse carries nothing from one
+// iteration into the next: a -predict campaign long enough that every
+// record is reused many times writes the same canonical rows
+// (predicted and predicted_confirmed included) and merges the same
+// predictions and confirmations at -jobs=1 and -jobs=4, and a record
+// handed back with every per-iteration field set comes out of
+// runIteration with none of them.
+TEST(Campaign, RecycledRecordsStartClean)
+{
+    const goker::KernelInfo &k = kernel("cockroach_7504");
+    CampaignConfig cfg = baseConfig(k, 1);
+    cfg.engine.maxIterations = 600;
+    cfg.engine.stopOnBug = false;
+    cfg.engine.predict = true;
+    cfg.engine.ledgerPath = testStem() + ".jsonl";
+    std::vector<std::string> rows[2];
+    std::string merged[2];
+    for (int leg = 0; leg < 2; ++leg) {
+        cfg.jobs = leg == 0 ? 1 : 4;
+        SCOPED_TRACE(::testing::Message() << "jobs=" << cfg.jobs);
+        std::remove(cfg.engine.ledgerPath.c_str());
+        CampaignResult r = runCampaign(cfg, k.fn);
+        rows[leg] = canonicalLedger(cfg.engine.ledgerPath);
+        ASSERT_EQ(rows[leg].size(), 600u);
+        ASSERT_GT(r.predict.confirmedCount, 0);
+        for (const analysis::Prediction &p : r.predict.report.predictions)
+            merged[leg] += strFormat("%s @%d confirmed=%d %s\n",
+                                     p.key().c_str(), p.iteration,
+                                     p.confirmed, p.confirmVerdict.c_str());
+        for (const trace::Recipe &rc : r.predict.confirmRecipes)
+            merged[leg] += trace::recipeToString(rc);
+        merged[leg] += strFormat("confirmed %d replays %d\n",
+                                 r.predict.confirmedCount,
+                                 r.predict.replays);
+        if (leg == 0) {
+            EXPECT_EQ(r.recordsMade, 1);
+        } else {
+            expectFannedOut(r);
+            EXPECT_GT(r.recordsMade, 0);
+            EXPECT_LE(r.recordsMade, r.window);
+        }
+    }
+    EXPECT_EQ(rows[0], rows[1]);
+    EXPECT_EQ(merged[0], merged[1]);
+    size_t stamped = 0;
+    for (const std::string &row : rows[0])
+        stamped += row.find("\"predicted_confirmed\"") != std::string::npos;
+    EXPECT_GT(stamped, 0u);
+    std::remove(cfg.engine.ledgerPath.c_str());
+
+    // Directly: iteration 5 on a fresh record, and on a spare handed
+    // back with every per-iteration field set. Neither worker captures
+    // a first bug or race, so a clean record carries neither.
+    CampaignConfig plain = baseConfig(k, 1);
+    plain.engine.stopOnBug = false;
+    const std::function<void()> program = k.fn;
+    const auto universe = std::make_shared<const analysis::CoverageUniverse>(
+        plain.engine.staticModel);
+    campaign::Shared fresh_sh(plain, program);
+    campaign::Worker fresh_w(0, universe);
+    fresh_w.raced = fresh_w.bugged = true;
+    const std::unique_ptr<campaign::IterRecord> want =
+        campaign::runIteration(fresh_sh, fresh_w, 5);
+    ASSERT_TRUE(want);
+
+    auto dirty = std::make_unique<campaign::IterRecord>();
+    dirty->race = std::make_unique<analysis::RaceReport>();
+    dirty->bugRun = std::make_unique<engine::SingleRun>();
+    dirty->predictions.predictions.resize(2);
+    dirty->loss = campaign::kCrashed;
+    dirty->crashCause = "sigsegv";
+    dirty->respawns = 3;
+    dirty->coreBug = !want->coreBug;
+    dirty->metricsJson = "{\"stale\":1}";
+    dirty->cov.covered = {1, 2, 3};
+    dirty->cov.required = {4};
+    dirty->exec.panicMsg = "stale";
+    dirty->exec.leaked.resize(5);
+    dirty->dl.leaked = {9, 9};
+    dirty->recipe.seed = 99;
+    const campaign::IterRecord *spare = dirty.get();
+    campaign::Shared sh(plain, program);
+    campaign::Worker w(0, universe);
+    w.raced = w.bugged = true;
+    sh.recycle(std::move(dirty));
+    const std::unique_ptr<campaign::IterRecord> got =
+        campaign::runIteration(sh, w, 5);
+    ASSERT_EQ(got.get(), spare) << "the spare record was not reused";
+    EXPECT_EQ(sh.made(), 0);
+    EXPECT_FALSE(got->race);
+    EXPECT_FALSE(got->bugRun);
+    EXPECT_TRUE(got->predictions.predictions.empty());
+    EXPECT_EQ(got->loss, "");
+    EXPECT_EQ(got->crashCause, "");
+    EXPECT_EQ(got->respawns, -1);
+    EXPECT_EQ(got->metricsJson, "");
+    EXPECT_EQ(got->recipe.seed, want->recipe.seed);
+    EXPECT_EQ(got->iter, 5);
+    EXPECT_EQ(got->wseq, 1);
+    EXPECT_EQ(got->coreBug, want->coreBug);
+    EXPECT_EQ(got->exec.outcome, want->exec.outcome);
+    EXPECT_EQ(got->exec.steps, want->exec.steps);
+    EXPECT_EQ(got->exec.panicMsg, want->exec.panicMsg);
+    EXPECT_EQ(got->exec.leaked.size(), want->exec.leaked.size());
+    EXPECT_EQ(got->dl.verdict, want->dl.verdict);
+    EXPECT_EQ(got->dl.leaked, want->dl.leaked);
+    EXPECT_EQ(got->cov.covered, want->cov.covered);
+    EXPECT_EQ(got->cov.required, want->cov.required);
 }
 
 // The reorder window bounds the records waiting for the fold: over a

@@ -223,6 +223,8 @@ TEST(Metrics, DeltaJsonMatchesSnapshotDeltaOracle)
     for (int trial = 0; trial < 25; ++trial) {
         Registry reg;
         Snapshot prev;
+        // One string across renders, as a campaign worker keeps it.
+        std::string json;
         int renders = 0;
         for (int step = 0; step < 300; ++step) {
             const std::string name =
@@ -249,7 +251,8 @@ TEST(Metrics, DeltaJsonMatchesSnapshotDeltaOracle)
               default: {
                 Snapshot now = reg.snapshot();
                 const std::string want = now.deltaFrom(prev).jsonStr();
-                ASSERT_EQ(reg.deltaJson(), want)
+                reg.deltaJson(&json);
+                ASSERT_EQ(json, want)
                     << "trial " << trial << " step " << step;
                 prev = std::move(now);
                 ++renders;
@@ -362,6 +365,7 @@ TEST(Metrics, DenseRegistryMatchesStringKeyedOracle)
     for (int trial = 0; trial < 20; ++trial) {
         Registry reg[2];
         MapRegistry oracle[2];
+        std::string json; // reused across renders of either registry
         int checks = 0;
         for (int step = 0; step < 400; ++step) {
             const int r = static_cast<int>(rng() % 2);
@@ -413,7 +417,8 @@ TEST(Metrics, DenseRegistryMatchesStringKeyedOracle)
                 break;
               case 6:
               case 7:
-                ASSERT_EQ(dense.deltaJson(), model.deltaJson())
+                dense.deltaJson(&json);
+                ASSERT_EQ(json, model.deltaJson())
                     << "trial " << trial << " step " << step;
                 ++checks;
                 break;
@@ -634,6 +639,129 @@ TEST(Ledger, WritesOneLinePerAppend)
         EXPECT_TRUE(jsonBalanced(l)) << l;
     EXPECT_NE(lines[2].find("\"iter\":3"), std::string::npos);
     std::remove(path.c_str());
+}
+
+// A campaign's fold renders each row straight into the ledger's write
+// buffer. The lines on disk are byte-identical to ledgerEntryJson per
+// row, in order; linesWritten() and bytes() always describe the file;
+// the buffer is written every kStagedRows rows and on flush(). In a
+// campaign, every checkpoint commit records the ledger end of its
+// cursor's row, so resume offsets hold; and the records it folds are
+// reused, so the records made stay within the reorder window however
+// many iterations run.
+TEST(Ledger, StagedRowsMatchEntryJson)
+{
+    const std::string path = testing::TempDir() + "/goat_obs_staged.jsonl";
+    std::remove(path.c_str());
+    auto fileBytes = [&path] {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream os;
+        os << in.rdbuf();
+        return os.str();
+    };
+    std::string want;
+    {
+        RunLedger ledger(path);
+        ASSERT_TRUE(ledger.enabled());
+        std::mt19937_64 rng(32);
+        for (int i = 1; i <= 700; ++i) {
+            LedgerEntry e;
+            e.iteration = i;
+            e.seed = rng();
+            e.delayBound = i % 4;
+            e.outcome = i % 3 ? "ok" : "global_deadlock";
+            e.verdict = i % 3 ? "pass" : "partial_deadlock";
+            e.bug = i % 3 == 0;
+            e.steps = rng() % 5000;
+            e.coveragePct = i % 5 ? static_cast<double>(rng() % 10000) / 100
+                                  : -1.0;
+            e.wallMicros = rng() % 900;
+            e.worker = i % 4;
+            e.workerSeq = i / 4 + 1;
+            if (i % 7 == 0)
+                e.predicted = i % 3;
+            if (i % 11 == 0)
+                e.crashCause = "sig\"segv";
+            e.metricsJson = strFormat(
+                "{\"counters\":{\"c\":%d},\"gauges\":{},"
+                "\"histograms\":{}}",
+                i);
+            ledger.stage(e);
+            want += ledgerEntryJson(e) + "\n";
+            // The fold flushes before a commit and before it sleeps.
+            if (i % 300 == 0)
+                ledger.flush();
+            const std::string disk = fileBytes();
+            ASSERT_EQ(ledger.bytes(), disk.size()) << "row " << i;
+            ASSERT_EQ(ledger.linesWritten(),
+                      static_cast<size_t>(
+                          std::count(disk.begin(), disk.end(), '\n')))
+                << "row " << i;
+            ASSERT_EQ(disk, want.substr(0, disk.size())) << "row " << i;
+            if (i == static_cast<int>(RunLedger::kStagedRows) - 1) {
+                EXPECT_EQ(ledger.linesWritten(), 0u);
+            }
+            if (i == static_cast<int>(RunLedger::kStagedRows)) {
+                EXPECT_EQ(ledger.linesWritten(), RunLedger::kStagedRows);
+            }
+        }
+        EXPECT_LT(ledger.linesWritten(), 700u);
+    }
+    // The destructor writes what is still staged.
+    EXPECT_EQ(fileBytes(), want);
+    std::remove(path.c_str());
+
+    // A 2,000-iteration -jobs=4 campaign with a commit every 100 rows.
+    const goker::KernelInfo *k =
+        goker::KernelRegistry::instance().find("etcd_7443");
+    ASSERT_NE(k, nullptr);
+    campaign::CampaignConfig cfg;
+    cfg.engine.delayBound = 2;
+    cfg.engine.seedBase = 7;
+    cfg.engine.maxIterations = 2000;
+    cfg.engine.stopOnBug = false;
+    cfg.engine.collectCoverage = true;
+    cfg.engine.covThreshold = 200.0; // never stop on coverage
+    cfg.engine.staticModel = goker::kernelCuTable(*k);
+    cfg.engine.raceDetect = true;
+    cfg.engine.ledgerPath = path;
+    cfg.checkpointPath = testing::TempDir() + "/goat_obs_staged.ck";
+    cfg.checkpointEvery = 100;
+    cfg.jobs = 4;
+    campaign::CampaignResult r;
+    {
+        Registry reg;
+        ScopedRegistry scope(reg);
+        r = campaign::runCampaign(cfg, k->fn);
+    }
+    ASSERT_EQ(r.ledgerRows, 2000u);
+    ASSERT_GT(r.window, 0);
+    // Reuse: records made are bounded by the window, not the budget.
+    EXPECT_GT(r.recordsMade, 0);
+    EXPECT_LE(r.recordsMade, r.window);
+    // ends[c]: the ledger's size once it holds rows 1..c.
+    std::vector<uint64_t> ends{0};
+    for (const std::string &line : readLines(path))
+        ends.push_back(ends.back() + line.size() + 1);
+    ASSERT_EQ(ends.size(), 2001u);
+    // A state line's last field is the ledger end its commit records.
+    uint64_t end = 0;
+    int commits = 0;
+    for (const std::string &line : readLines(cfg.checkpointPath)) {
+        if (line.rfind("state ", 0) == 0) {
+            end = std::stoull(line.substr(line.rfind(' ') + 1));
+        } else if (line.rfind("commit ", 0) == 0) {
+            const int cursor = std::stoi(line.substr(7));
+            ASSERT_GE(cursor, 1);
+            ASSERT_LE(cursor, 2000);
+            EXPECT_EQ(end, ends[static_cast<size_t>(cursor)])
+                << "commit " << cursor;
+            ++commits;
+        }
+    }
+    EXPECT_EQ(commits, 20);
+    std::remove(path.c_str());
+    std::remove(cfg.checkpointPath.c_str());
 }
 
 TEST(Ledger, EngineWritesOneLinePerIteration)

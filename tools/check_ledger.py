@@ -34,7 +34,12 @@ Runs a tiny campaign through the goat CLI with -ledger and
     -cov -report stdout the same "-- coverage requirements --" table;
   * a supervised campaign over the hostile_segfault fixture survives
     real child crashes: exit 0, classified "crashed" rows carrying
-    crash_cause/respawns, and passing rows interleaved.
+    crash_cause/respawns, and passing rows interleaved;
+  * a long -race -keep-going campaign with a checkpoint round every
+    100 rows (1200 rows: several 256-row ledger writes, commits and
+    reuses of every iteration record) has the same canonical rows at
+    -jobs=1 and -jobs=4, and every commit records the ledger end of
+    its cursor's row.
 
 Usage: check_ledger.py /path/to/goat [kernel]
 
@@ -611,6 +616,48 @@ def main():
               f"stamps canonical at -jobs=4, saturation series "
               f"({n_sat} sample(s)) byte-identical, HTML report "
               f"present")
+
+        # Long cross-jobs leg: 1200 rows span several 256-row ledger
+        # writes and 12 checkpoint commits, and every iteration record
+        # is reused many times per worker. A record that carried a
+        # field into its next iteration, or a write that lost or
+        # reordered staged rows, shows up as a canonical difference.
+        long_rows = []
+        for jobs in (1, 4):
+            longl = Path(tmp) / f"long_j{jobs}.jsonl"
+            longck = Path(tmp) / f"long_j{jobs}.ck"
+            run_goat(goat, "etcd_7443", 1200, longl, jobs=jobs,
+                     extra=["-race", "-keep-going",
+                            f"-checkpoint={longck}",
+                            "-checkpoint-every=100"])
+            rows = check_ledger(longl, expect_min_lines=1200)
+            if len(rows) != 1200:
+                fail(f"long -jobs={jobs} ledger has {len(rows)} rows, "
+                     f"expected 1200")
+            # ends[c]: the ledger's size once it holds rows 1..c.
+            ends = [0]
+            for line in rows:
+                ends.append(ends[-1] + len(line.encode()) + 1)
+            end, commits = None, 0
+            for line in longck.read_text().splitlines():
+                if line.startswith("state "):
+                    end = int(line.rsplit(" ", 1)[1])
+                elif line.startswith("commit "):
+                    cursor = int(line.split()[1])
+                    if end != ends[cursor]:
+                        fail(f"long -jobs={jobs} commit {cursor} records "
+                             f"ledger end {end}, row {cursor} ends at "
+                             f"{ends[cursor]}")
+                    commits += 1
+            if commits != 12:
+                fail(f"long -jobs={jobs} checkpoint has {commits} "
+                     f"commits, expected 12")
+            long_rows.append(canonical_rows(rows))
+        if long_rows[0] != long_rows[1]:
+            fail("long -race -keep-going -jobs=4 ledger differs from "
+                 "-jobs=1")
+        print("check_ledger: OK — long campaign: 1200 rows identical "
+              "at -jobs=4, 12 commits at their rows' ledger ends")
 
 
 if __name__ == "__main__":
